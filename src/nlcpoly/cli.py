@@ -27,7 +27,7 @@ from .moments import MomentSequence, hankel_determinant, hankel_polynomial, berg
 from .recurrence import monic_q_coefficients, phi_value
 from .sequences import (ParameterDomainError, SequenceRangeError, SequenceSpec, x_factorial,
                         x_limit, x_log_factorial)
-from .spectral import (build_truncated, ismail_li_bounds, jacobi_zeros,
+from .spectral import (SpectralResult, build_truncated, ismail_li_bounds, jacobi_zeros,
                        support_endpoints)
 
 
@@ -52,6 +52,7 @@ class _Runner:
         self.files: List[str] = []
         self.summary: Dict[str, object] = {}
         self.verdicts: Dict[str, Optional[bool]] = {}
+        self._zeros_by_order: Dict[int, SpectralResult] = {}
         os.makedirs(cfg.out_dir, exist_ok=True)
 
     def _path(self, suffix: str) -> str:
@@ -66,6 +67,13 @@ class _Runner:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
         self.files.append(path)
         return path
+
+    def _zeros(self, order: int) -> SpectralResult:
+        """Zeros of the order-n truncation, computed once per run and order."""
+        if order not in self._zeros_by_order:
+            self._zeros_by_order[order] = jacobi_zeros(
+                build_truncated(self.spec, order), self.cfg.tolerance)
+        return self._zeros_by_order[order]
 
     # -- commands ----------------------------------------------------------
 
@@ -115,7 +123,7 @@ class _Runner:
 
     def cmd_zeros(self) -> None:
         order = self.cfg.order
-        result = jacobi_zeros(build_truncated(self.spec, order), self.cfg.tolerance)
+        result = self._zeros(order)
         rows = [(order, j + 1, z, lo, hi)
                 for j, (z, (lo, hi)) in enumerate(zip(result.zeros, result.brackets))]
         self._write_csv("zeros.csv", ["n", "j", "zero", "lower_bracket", "upper_bracket"], rows)
@@ -127,8 +135,7 @@ class _Runner:
     def cmd_bounds(self) -> None:
         order = max(self.cfg.order, 2)
         a, b = ismail_li_bounds(self.spec, order)
-        result = jacobi_zeros(build_truncated(self.spec, order), self.cfg.tolerance)
-        contained = all(a < z < b for z in result.zeros)
+        contained = all(a < z < b for z in self._zeros(order).zeros)
         supp = support_endpoints(self.spec)
         self.verdicts["zeros_within_bounds"] = contained
         self.summary["bounds"] = {
@@ -138,31 +145,22 @@ class _Runner:
         }
 
     def _measure(self) -> Tuple[MeasureSpec, Dict[str, object]]:
-        info: Dict[str, object] = {}
-        if self.cfg.measure:
-            if self.cfg.measure == "bessel_ladder_radial":
-                measure, selection = select_bessel_ladder_measure(
-                    **(self.cfg.measure_params or {"j": 1}))
-                info["ladder_selection"] = {
-                    "chosen": selection.chosen,
-                    "max_rel_error_chosen": selection.max_rel_error_chosen,
-                    "max_rel_error_rejected": selection.max_rel_error_rejected,
-                }
-                return measure, info
-            return get_measure(self.cfg.measure, **self.cfg.measure_params), info
+        name = self.cfg.measure
+        try:
+            if name == "bessel_ladder_radial":
+                return _ladder_measure(self.cfg.measure_params or {"j": 1})
+            if name:
+                return get_measure(name, **self.cfg.measure_params), {}
+        except ValueError as exc:  # parameters outside the measure's domain
+            raise ConfigError(f"measure {name!r}: {exc}") from exc
         measure = default_measure_for(self.spec)
         if measure is None:
             raise ConfigError(
                 f"no default measure for family {self.spec.family!r}; "
                 "add a [measure] section")
         if measure.name == "bessel_ladder_radial":
-            _, selection = select_bessel_ladder_measure(**measure.params)
-            info["ladder_selection"] = {
-                "chosen": selection.chosen,
-                "max_rel_error_chosen": selection.max_rel_error_chosen,
-                "max_rel_error_rejected": selection.max_rel_error_rejected,
-            }
-        return measure, info
+            return _ladder_measure(measure.params)
+        return measure, {}
 
     def cmd_verify_measure(self) -> None:
         measure, info = self._measure()
@@ -279,6 +277,16 @@ class _Runner:
         if failed:
             return 1
         return 0
+
+
+def _ladder_measure(params: Dict[str, object]) -> Tuple[MeasureSpec, Dict[str, object]]:
+    """The ladder-operator measure the moment test selects, with its record."""
+    measure, selection = select_bessel_ladder_measure(**params)
+    return measure, {"ladder_selection": {
+        "chosen": selection.chosen,
+        "max_rel_error_chosen": selection.max_rel_error_chosen,
+        "max_rel_error_rejected": selection.max_rel_error_rejected,
+    }}
 
 
 def _verdict_word(v: Optional[bool]) -> Optional[str]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .moments import MomentSequence, bareiss_determinant
+from .moments import MomentSequence
 from .quadrature import QuadratureResult, exp_sinh, tanh_sinh
 from .recurrence import phi_value
 from .sequences import SequenceSpec, x_factorial, x_log_factorial
@@ -433,17 +433,14 @@ class GramReport:
 
 
 def _orthonormal_hankel_evaluators(spec: SequenceSpec, n_max: int):
-    from .moments import hankel_polynomial  # noqa: PLC0415
     moments = MomentSequence(spec)
     if moments.representation != "rational":
         raise NotImplementedError("moment-side Gram check needs an exact sequence")
-    coeff_rows = [[Fraction(1)]]
-    for n in range(1, n_max + 1):
-        coeff_rows.append(hankel_polynomial(moments, n))
-    dets = [bareiss_determinant(moments.hankel_matrix(n)) for n in range(n_max + 1)]
-    norms = [math.sqrt(float(dets[0]))]
-    for n in range(1, n_max + 1):
-        norms.append(math.sqrt(float(dets[n] / dets[n - 1])))
+    cheb = moments.chebyshev(n_max)
+    if len(cheb.alpha) <= n_max:
+        raise ZeroDivisionError("degenerate moment sequence: a Hankel pivot is zero")
+    coeff_rows = cheb.polynomials()
+    norms = [math.sqrt(float(h)) for h in cheb.pivots]  # ||P_n||^2 = D_n / D_{n-1}
 
     def make(n: int):
         coeffs = [float(c) for c in coeff_rows[n]]

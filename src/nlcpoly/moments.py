@@ -2,13 +2,21 @@
 
 The even extension of the radial measure behind a sequence spec has moments
 mu_{2n} = x_1 x_2 ... x_n and mu_{2n+1} = 0.  Hankel determinants of these
-moments certify positive definiteness (Sylvester criterion); the bordered
-Hankel determinant yields the monic polynomials orthogonal with respect to
-the even measure.
+moments certify positive definiteness (Sylvester criterion), and the monic
+polynomials orthogonal with respect to the even moment functional are the
+bordered Hankel determinants divided by D_{n-1}.
 
-Exact sequences use fraction-free (Bareiss) elimination; floating sequences
-go through mpmath with at least a 128-bit significand and a pivot-ratio
-condition estimate, escalating precision rather than silently rounding.
+Exact sequences go through one pass of the exact Chebyshev algorithm
+(Gautschi, *Orthogonal Polynomials: Computation and Approximation*, 2004,
+section 2.1.7).  It turns the moments mu_0 .. mu_{2n+1} into the recurrence
+coefficients P_{k+1} = (x - a_k) P_k - b_k P_{k-1} and the pivots
+sigma_kk = <P_k, x^k> = D_k / D_{k-1} for k <= n, in O(n^2) exact
+operations.  D_n is then the product of the pivots and P_n follows from the
+recurrence.  The pass stops at a pivot that is exactly zero (a singular
+leading Hankel block); beyond it, fraction-free (Bareiss) elimination and
+bordered minors give the same quantities.  Floating sequences go through
+mpmath with at least a 128-bit significand and a pivot-ratio condition
+estimate, escalating precision rather than silently rounding.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Union
+from typing import List, Optional, Sequence, Union
 
 from mpmath import mp, mpf
 
@@ -68,14 +76,80 @@ class MomentSequence:
             return Fraction(0) if self.representation == "rational" else 0.0
         return self.even_moment(m // 2)
 
-    def log_even_moment(self, k: int) -> float:
-        from .sequences import x_log_factorial  # noqa: PLC0415
-        return x_log_factorial(self.spec, k)
-
     def hankel_matrix(self, n: int) -> list:
         """(n+1) x (n+1) matrix [mu_{i+j}]."""
         self._extend(n + 1)
         return [[self.moment(i + j) for j in range(n + 1)] for i in range(n + 1)]
+
+    def chebyshev(self, n: int) -> "ChebyshevPass":
+        """:func:`exact_chebyshev` over mu_0 .. mu_{2n+1}, i.e. for k <= n."""
+        return exact_chebyshev([self.moment(m) for m in range(2 * n + 2)])
+
+
+# ---------------------------------------------------------------------------
+# exact Chebyshev algorithm
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ChebyshevPass:
+    """Recurrence data of the monic polynomials orthogonal for a moment list.
+
+    ``alpha[k]``, ``beta[k]`` give P_{k+1} = (x - a_k) P_k - b_k P_{k-1}
+    (b_0 = mu_0 multiplies P_{-1} = 0); ``pivots[k]`` is
+    sigma_kk = <P_k, x^k> = D_k / D_{k-1}.  A pass that meets a zero pivot
+    ends with it: ``pivots`` then has one entry more than ``alpha``.
+    """
+    alpha: tuple
+    beta: tuple
+    pivots: tuple
+
+    def polynomials(self) -> List[list]:
+        """P_0 .. P_m (m = len(alpha)) as ascending coefficient lists."""
+        polys = [[Fraction(1)]]
+        prev: list = []
+        for a, b in zip(self.alpha, self.beta):
+            cur = polys[-1]
+            nxt = [Fraction(0)] + cur  # x P_k
+            for i, c in enumerate(cur):
+                nxt[i] -= a * c
+            for i, c in enumerate(prev):
+                nxt[i] -= b * c
+            prev = cur
+            polys.append(nxt)
+        return polys
+
+
+def exact_chebyshev(moments: Sequence) -> ChebyshevPass:
+    """Exact Chebyshev algorithm on mu_0 .. mu_{2n+1}: a_k, b_k and sigma_kk
+    for k <= n (Gautschi 2004, section 2.1.7).
+
+    sigma_{k,l} = <P_k, x^l> obeys sigma_{k,l} = sigma_{k-1,l+1}
+    - a_{k-1} sigma_{k-1,l} - b_{k-1} sigma_{k-2,l}, with
+    a_k = sigma_{k,k+1}/sigma_kk - sigma_{k-1,k}/sigma_{k-1,k-1} and
+    b_k = sigma_kk/sigma_{k-1,k-1}.  O(n^2) exact operations; the pass stops
+    at the first pivot that is exactly zero.
+    """
+    n = len(moments) // 2 - 1
+    alpha: list = []
+    beta: list = []
+    pivots: list = []
+    prev: list = [0] * len(moments)  # sigma_{k-1, l}, indexed by l
+    cur = moments                    # sigma_{k, l}
+    prev_pivot = Fraction(1)
+    for k in range(n + 1):
+        if k:
+            nxt = [0] * len(moments)
+            for l in range(k, 2 * n + 2 - k):
+                nxt[l] = cur[l + 1] - alpha[-1] * cur[l] - beta[-1] * prev[l]
+            prev, cur = cur, nxt
+        pivot = cur[k]
+        pivots.append(pivot)
+        if pivot == 0:
+            break
+        alpha.append(cur[k + 1] / pivot - prev[k] / prev_pivot)
+        beta.append(pivot / prev_pivot)
+        prev_pivot = pivot
+    return ChebyshevPass(tuple(alpha), tuple(beta), tuple(pivots))
 
 
 # ---------------------------------------------------------------------------
@@ -144,15 +218,21 @@ def hankel_determinant(moments: MomentSequence, n: int) -> HankelResult:
     """D_n = det [mu_{i+j}], 0 <= i, j <= n.
 
     Positive for every moment sequence of a measure with infinite support.
-    The floating path escalates precision until the sign is certified by a
+    The exact path multiplies the Chebyshev pivots sigma_00 .. sigma_nn and
+    falls back to Bareiss elimination when an earlier pivot is zero.  The
+    floating path escalates precision until the sign is certified by a
     margin; it never silently rounds a near-zero determinant.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
-    matrix = moments.hankel_matrix(n)
     if moments.representation == "rational":
-        value = bareiss_determinant(matrix)
+        pivots = moments.chebyshev(n).pivots
+        if len(pivots) == n + 1:
+            value = math.prod(pivots)
+        else:
+            value = bareiss_determinant(moments.hankel_matrix(n))
         return HankelResult(n, value, value > 0, True)
+    matrix = moments.hankel_matrix(n)
     prec = _MIN_PRECISION
     cond = mpf("inf")
     while prec <= _MAX_PRECISION:
@@ -173,9 +253,13 @@ def hankel_polynomial(moments: MomentSequence, n: int) -> list:
     """Monic degree-n polynomial orthogonal to 1, x, ..., x^(n-1) under the
     even moment functional, as ascending coefficients.
 
-    Built from the bordered Hankel determinant: the k-th coefficient is the
-    signed n x n minor obtained by deleting the power column k, divided by
-    D_{n-1}.  Exact for exact moments.
+    Exact moments only.  The polynomial is the bordered Hankel determinant
+    divided by D_{n-1}; it is computed from the three-term recurrence of one
+    Chebyshev pass over mu_0 .. mu_{2n-1}.  When a pivot sigma_kk with
+    k < n - 1 is exactly zero the recurrence breaks down although P_n may
+    still exist; coefficient j is then the signed n x n minor that deletes
+    power column j, divided by D_{n-1}, both by Bareiss elimination.
+    D_{n-1} = 0 raises ZeroDivisionError.
 
     On the even moments x_n! this equals the rescaled recurrence polynomial
     2^(n/2) q_n(x/sqrt 2) only for n <= 2; from degree 3 on the two families
@@ -186,6 +270,9 @@ def hankel_polynomial(moments: MomentSequence, n: int) -> list:
         raise ValueError("degree must be at least 1")
     if moments.representation != "rational":
         raise NotImplementedError("determinant polynomials require exact moments")
+    cheb = moments.chebyshev(n - 1)
+    if len(cheb.alpha) == n:
+        return cheb.polynomials()[n]
     d_prev = bareiss_determinant(moments.hankel_matrix(n - 1))
     if d_prev == 0:
         raise ZeroDivisionError("degenerate moment sequence: D_{n-1} = 0")
@@ -236,20 +323,16 @@ def berg_duran_check(spec: SequenceSpec, n_max: int, order: int = 8) -> BergDura
     s: List[Union[Fraction, float]] = [Fraction(1) if exact else 1.0]
     for k in range(1, 2 * top + 2):
         s.append(s[-1] * x_value(spec, k))
-    stieltjes_ok = True
     first_bad = None
     for shift in (0, 1):
-        for size in range(1, top + 1):
-            mat = [[s[i + j + shift] for j in range(size)] for i in range(size)]
-            if exact:
-                positive = bareiss_determinant(mat) > 0
-            else:
-                det, _ = _mp_determinant(mat, _MIN_PRECISION)
-                positive = det > 0
-            if not positive:
-                stieltjes_ok = False
-                first_bad = (shift, size)
-                break
-        if not stieltjes_ok:
+        if exact:  # while D_1 .. D_{size-1} > 0, D_size has the sign of its pivot
+            signs = exact_chebyshev(s[shift:shift + 2 * top]).pivots
+        else:
+            signs = (_mp_determinant([[s[i + j + shift] for j in range(size)]
+                                      for i in range(size)], _MIN_PRECISION)[0]
+                     for size in range(1, top + 1))
+        first_bad = next(((shift, size) for size, sign in enumerate(signs, 1)
+                          if not sign > 0), None)
+        if first_bad:
             break
-    return BergDuranReport(cm.passed, stieltjes_ok, cm, first_bad, n_max)
+    return BergDuranReport(cm.passed, first_bad is None, cm, first_bad, n_max)

@@ -141,12 +141,6 @@ class RecurrenceCoeffs:
         alpha = [Fraction(0)] * (n_max + 1)
         return cls(tuple(alpha), tuple(beta), "from_spec_monic")
 
-    @classmethod
-    def orthonormal_from_spec(cls, spec: SequenceSpec, n_max: int) -> "RecurrenceCoeffs":
-        # same beta_n = x_n / 2; the orthonormal form uses a_n = sqrt(beta_n)
-        c = cls.monic_from_spec(spec, n_max)
-        return cls(c.alpha, c.beta, "from_spec_orthonormal")
-
 
 def general_monic_value(coeffs: RecurrenceCoeffs, n: int, x):
     """P_n(x) for the monic recurrence held in ``coeffs``."""

@@ -126,6 +126,55 @@ prefix = t
     assert summary["verdict"] == "FAIL"
 
 
+def test_measure_parameter_error_exits_2(tmp_path, capsys):
+    text = """
+[sequence]
+family = su11
+j = 3/2
+
+[measure]
+name = disc_radial
+j = 1/2
+
+[run]
+command = verify-measure
+n_max = 4
+
+[output]
+dir = %s
+prefix = t
+""" % (tmp_path / "out")
+    assert main([write_config(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "j > 1/2" in err
+    assert "Traceback" not in err
+
+
+def test_default_ladder_measure_verifies_the_selected_form(tmp_path, monkeypatch):
+    # whichever form the moment test selects is the one verified and reported
+    import nlcpoly.cli as cli
+    from nlcpoly.measures import LadderMeasureSelection, get_measure
+    plain = get_measure("bessel_ladder_radial_plain", j=1)
+    monkeypatch.setattr(cli, "select_bessel_ladder_measure", lambda j: (
+        plain, LadderMeasureSelection(float(j), plain.name, 0.0, 1.0, True)))
+    out = tmp_path / "out"
+    text = BASE.format(command="verify-measure", n_max=4, out=out).replace(
+        "family = canonical", "family = barut_girardello\nj = 1")
+    main([write_config(tmp_path, text)])
+    info = json.loads((out / "t_summary.json").read_text())["results"]["verify_measure"]
+    assert info["measure"] == "bessel_ladder_radial_plain"
+    assert info["ladder_selection"]["chosen"] == "bessel_ladder_radial_plain"
+
+
+def test_all_computes_zeros_once(tmp_path, monkeypatch):
+    import nlcpoly.cli as cli
+    calls = []
+    real = cli.jacobi_zeros
+    monkeypatch.setattr(cli, "jacobi_zeros", lambda *a: calls.append(1) or real(*a))
+    main([write_config(tmp_path, BASE.format(command="all", n_max=4, out=tmp_path / "out"))])
+    assert len(calls) == 1
+
+
 def test_repeated_runs_byte_identical(tmp_path):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     path = write_config(tmp_path, BASE.format(command="all", n_max=6, out=out1))

@@ -9,6 +9,7 @@ from nlcpoly import (
     hankel_determinant, hankel_polynomial, monic_q_coefficients,
 )
 from conftest import catalog_specs, det_cofactor
+from test_acceptance import RATIONAL_FAMILIES
 
 
 # -- moment sequence ----------------------------------------------------------
@@ -147,7 +148,77 @@ def test_hankel_polynomial_differs_from_recurrence_polynomial_beyond_degree_two(
     assert q3 == [0, Fraction(-3, 2), 0, 1]
 
 
+# -- Chebyshev pass against Bareiss elimination ------------------------------------
+
+def _bordered_polynomial(ms, n):
+    """P_n as n+1 signed bordered minors over D_{n-1}, all by Bareiss (oracle)."""
+    d_prev = bareiss_determinant(ms.hankel_matrix(n - 1))
+    if d_prev == 0:
+        raise ZeroDivisionError("D_{n-1} = 0")
+    rows = [[ms.moment(i + j) for j in range(n + 1)] for i in range(n)]
+    return [(-1) ** (n + k) * bareiss_determinant(
+                [[row[j] for j in range(n + 1) if j != k] for row in rows]) / d_prev
+            for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("spec", RATIONAL_FAMILIES, ids=lambda s: s.family)
+def test_chebyshev_path_matches_bareiss_through_order_16(spec):
+    ms = MomentSequence(spec)
+    for n in range(17):
+        assert hankel_determinant(ms, n).value == bareiss_determinant(ms.hankel_matrix(n)), n
+        if n:
+            assert hankel_polynomial(ms, n) == _bordered_polynomial(ms, n), n
+
+
+@pytest.mark.parametrize("x3", [2, 3, Fraction(5, 2)], ids=str)
+def test_zero_pivot_falls_back_to_bareiss(x3):
+    # x_1 = x_2 = 1 gives mu_4 = mu_2^2: the pivot sigma_22 and D_2, D_3 vanish
+    # while D_4 does not, so P_5 exists but the recurrence cannot reach it
+    ms = MomentSequence(SequenceSpec("explicit", values=[1, 1, x3, 3, 4, 5]))
+    assert ms.chebyshev(4).pivots == (1, 1, 0)
+    dets = [hankel_determinant(ms, n).value for n in range(5)]
+    assert dets[:4] == [1, 1, 0, 0]
+    assert dets[4] == -(x3 - 1) ** 3
+    for n in (3, 4):
+        with pytest.raises(ZeroDivisionError):
+            hankel_polynomial(ms, n)
+    assert hankel_polynomial(ms, 5) == _bordered_polynomial(ms, 5)
+
+
+def test_decreasing_sequence_has_negative_d2():
+    ms = MomentSequence(SequenceSpec("explicit", values=[1, Fraction(1, 2), Fraction(1, 3)]))
+    res = hankel_determinant(ms, 2)
+    assert res.exact and res.value == Fraction(-1, 2) and not res.positive
+
+
 # -- Berg--Duran ---------------------------------------------------------------------
+
+def _five_atom_ratios(count):
+    # x_n = s_n / s_{n-1} for s_n the moments of uniform mass on {-1, 1, 2, 3, 4}:
+    # [s_{i+j}] is positive through size 5, the shifted [s_{i+j+1}] is not
+    s = [Fraction(sum(t ** n for t in (-1, 1, 2, 3, 4)), 5) for n in range(count + 1)]
+    return [s[n] / s[n - 1] for n in range(1, count + 1)]
+
+
+@pytest.mark.parametrize("values, n_max", [
+    ([1, 4, 2] + [n * n for n in range(4, 40)], 16),
+    ([1] * 40, 16),  # zero pivot: D = 0 at size 2
+    (_five_atom_ratios(40), 10),
+    (_five_atom_ratios(40), 12),  # [s_{i+j}] singular at size 6, the largest checked
+], ids=["nonmonotone", "constant", "shifted", "five_atoms"])
+def test_berg_duran_first_nonpositive_hankel_matches_bareiss_loop(values, n_max):
+    report = berg_duran_check(SequenceSpec("explicit", values=values), n_max, 6)
+    s = [Fraction(1)]
+    for v in values:
+        s.append(s[-1] * v)
+    top = report.effective_n_max // 2
+    expected = next(((shift, size) for shift in (0, 1) for size in range(1, top + 1)
+                     if bareiss_determinant([[s[i + j + shift] for j in range(size)]
+                                             for i in range(size)]) <= 0), None)
+    assert expected is not None
+    assert report.first_nonpositive_hankel == expected
+    assert not report.stieltjes_hankels_ok
+
 
 def test_berg_duran_su11():
     report = berg_duran_check(SequenceSpec("su11", j=1), 24, 8)
