@@ -24,8 +24,8 @@ from .cm_generators import (  # noqa: F401
     xn_grinshpan_ismail_s3,
 )
 from .moments import (  # noqa: F401
-    BergDuranReport, HankelResult, MomentSequence, bareiss_determinant,
-    berg_duran_check, hankel_determinant, hankel_polynomial,
+    BergDuranReport, DegenerateMomentsError, HankelResult, MomentSequence,
+    bareiss_determinant, berg_duran_check, hankel_determinant, hankel_polynomial,
 )
 from .recurrence import (  # noqa: F401
     RecurrenceCoeffs, general_monic_value, monic_q_coefficients,

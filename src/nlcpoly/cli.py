@@ -23,8 +23,9 @@ from .asymptotics import amplitude_extract, nevai_condition
 from .config import COMMANDS, ConfigError, RunConfig, load_config
 from .measures import (MeasureSpec, get_measure, select_bessel_ladder_measure,
                        verify_moment_problem)
-from .moments import MomentSequence, hankel_determinant, hankel_polynomial, berg_duran_check
-from .recurrence import monic_q_coefficients, phi_value
+from .moments import (DegenerateMomentsError, MomentSequence, berg_duran_check,
+                      hankel_determinant, hankel_polynomial)
+from .recurrence import monic_q_coefficients, phi_window
 from .sequences import (ParameterDomainError, SequenceRangeError, SequenceSpec, x_factorial,
                         x_limit, x_log_factorial)
 from .spectral import (SpectralResult, build_truncated, ismail_li_bounds, jacobi_zeros,
@@ -53,6 +54,9 @@ class _Runner:
         self.summary: Dict[str, object] = {}
         self.verdicts: Dict[str, Optional[bool]] = {}
         self._zeros_by_order: Dict[int, SpectralResult] = {}
+        # shared by hankel and polys; both ask for their longest order first,
+        # so one Chebyshev pass serves every shorter order as its prefix
+        self.moments = MomentSequence(self.spec)
         os.makedirs(cfg.out_dir, exist_ok=True)
 
     def _path(self, suffix: str) -> str:
@@ -89,13 +93,11 @@ class _Runner:
         self.summary["moments"] = {"n_max": n_max, "exact": exact}
 
     def cmd_hankel(self) -> None:
-        moments = MomentSequence(self.spec)
-        rows = []
-        all_positive = True
-        for n in range(self.cfg.n_max + 1):
-            res = hankel_determinant(moments, n)
-            all_positive &= res.positive
-            rows.append((n, float(res.value), res.positive, res.exact))
+        results = [hankel_determinant(self.moments, n)
+                   for n in reversed(range(self.cfg.n_max + 1))][::-1]
+        all_positive = all(res.positive for res in results)
+        rows = [(n, float(res.value), res.positive, res.exact)
+                for n, res in enumerate(results)]
         self._write_csv("hankel.csv", ["n", "det", "positive", "exact"], rows)
         self.verdicts["hankel_positive"] = all_positive
         self.summary["hankel"] = {"all_positive": all_positive, "n_max": self.cfg.n_max}
@@ -108,16 +110,17 @@ class _Runner:
                 rows.append((n, k, float(c), str(c) if spec.is_rational else ""))
         self._write_csv("polys_monic.csv", ["n", "k", "coeff", "coeff_exact"], rows)
         if spec.is_rational:
-            moments = MomentSequence(spec)
+            polys = [hankel_polynomial(self.moments, n)
+                     for n in reversed(range(1, self.cfg.n_max + 1))][::-1]
             rows = [(0, 0, 1.0, "1")]
-            for n in range(1, self.cfg.n_max + 1):
-                for k, c in enumerate(hankel_polynomial(moments, n)):
-                    rows.append((n, k, float(c), str(c)))
+            for n, poly in enumerate(polys, 1):
+                rows.extend((n, k, float(c), str(c)) for k, c in enumerate(poly))
             self._write_csv("polys_hankel.csv", ["n", "k", "coeff", "coeff_exact"], rows)
         rng = random.Random(self.cfg.seed)
         points = [rng.uniform(-2.0, 2.0) for _ in range(5)]
-        rows = [(n, x, phi_value(spec, n, x))
-                for n in range(self.cfg.n_max + 1) for x in points]
+        columns = [phi_window(spec, 0, self.cfg.n_max, x).tolist() for x in points]
+        rows = [(n, x, phi[n])
+                for n in range(self.cfg.n_max + 1) for x, phi in zip(points, columns)]
         self._write_csv("phi_samples.csv", ["n", "x", "phi"], rows)
         self.summary["polys"] = {"n_max": self.cfg.n_max}
 
@@ -130,6 +133,7 @@ class _Runner:
         self.summary["zeros"] = {
             "order": order, "pairing_defect": result.pairing_defect,
             "max_residual": max(result.residual_bounds),
+            "bisection_steps": result.bisection_steps,
         }
 
     def cmd_bounds(self) -> None:
@@ -361,7 +365,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     try:
         return runner.run()
-    except (ConfigError, ParameterDomainError, SequenceRangeError) as exc:
+    except (ConfigError, DegenerateMomentsError, ParameterDomainError,
+            SequenceRangeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .moments import MomentSequence
+from .moments import DegenerateMomentsError, MomentSequence
 from .quadrature import QuadratureResult, exp_sinh, tanh_sinh
 from .recurrence import phi_value
 from .sequences import SequenceSpec, x_factorial, x_log_factorial
@@ -438,7 +438,7 @@ def _orthonormal_hankel_evaluators(spec: SequenceSpec, n_max: int):
         raise NotImplementedError("moment-side Gram check needs an exact sequence")
     cheb = moments.chebyshev(n_max)
     if len(cheb.alpha) <= n_max:
-        raise ZeroDivisionError("degenerate moment sequence: a Hankel pivot is zero")
+        raise DegenerateMomentsError("degenerate moment sequence: a Hankel pivot is zero")
     coeff_rows = cheb.polynomials()
     norms = [math.sqrt(float(h)) for h in cheb.pivots]  # ||P_n||^2 = D_n / D_{n-1}
 

@@ -40,19 +40,28 @@ class PrecisionError(ArithmeticError):
     """Raised when escalating precision still cannot certify a determinant sign."""
 
 
+class DegenerateMomentsError(ZeroDivisionError):
+    """Raised when a singular Hankel block leaves a determinant polynomial
+    undefined: the moments are not those of a measure with infinite support."""
+
+
 class MomentSequence:
     """Lazily computed even moments of one sequence spec.
 
     mu_{2n} = x_n! (exact Fractions when the sequence rule is rational,
-    floats otherwise) and mu_{2n+1} = 0.  Extension is memoized behind a
-    lock so concurrent readers see value-identical prefixes.
+    floats otherwise) and mu_{2n+1} = 0.  Extension, and the longest
+    Chebyshev pass with its polynomials, are memoized behind a lock so
+    concurrent readers see value-identical prefixes.
     """
 
     def __init__(self, spec: SequenceSpec):
         self.spec = spec
         self.representation = "rational" if spec.is_rational else "float"
         self._even: List[Union[Fraction, float]] = [Fraction(1) if spec.is_rational else 1.0]
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
+        self._pass: Optional[ChebyshevPass] = None
+        self._pass_order = -1
+        self._polys: Optional[List[list]] = None
 
     def _extend(self, count: int) -> None:
         with self._lock:
@@ -82,8 +91,26 @@ class MomentSequence:
         return [[self.moment(i + j) for j in range(n + 1)] for i in range(n + 1)]
 
     def chebyshev(self, n: int) -> "ChebyshevPass":
-        """:func:`exact_chebyshev` over mu_0 .. mu_{2n+1}, i.e. for k <= n."""
-        return exact_chebyshev([self.moment(m) for m in range(2 * n + 2)])
+        """:func:`exact_chebyshev` over mu_0 .. mu_{2n+1}, i.e. for k <= n.
+
+        a_k, b_k and sigma_kk depend only on mu_0 .. mu_{2k+1}, so the
+        longest pass run so far is kept and a shorter order is its prefix.
+        """
+        with self._lock:
+            if n > self._pass_order:
+                self._pass = exact_chebyshev([self.moment(m) for m in range(2 * n + 2)])
+                self._pass_order = n
+                self._polys = None
+            full = self._pass
+        return ChebyshevPass(full.alpha[:n + 1], full.beta[:n + 1], full.pivots[:n + 1])
+
+    def chebyshev_polynomials(self, n: int) -> List[list]:
+        """``chebyshev(n).polynomials()``, built once from the kept pass."""
+        degree = len(self.chebyshev(n).alpha)
+        with self._lock:
+            if self._polys is None:
+                self._polys = self._pass.polynomials()
+            return [list(p) for p in self._polys[:degree + 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +286,7 @@ def hankel_polynomial(moments: MomentSequence, n: int) -> list:
     k < n - 1 is exactly zero the recurrence breaks down although P_n may
     still exist; coefficient j is then the signed n x n minor that deletes
     power column j, divided by D_{n-1}, both by Bareiss elimination.
-    D_{n-1} = 0 raises ZeroDivisionError.
+    D_{n-1} = 0 raises DegenerateMomentsError, a ZeroDivisionError.
 
     On the even moments x_n! this equals the rescaled recurrence polynomial
     2^(n/2) q_n(x/sqrt 2) only for n <= 2; from degree 3 on the two families
@@ -270,12 +297,13 @@ def hankel_polynomial(moments: MomentSequence, n: int) -> list:
         raise ValueError("degree must be at least 1")
     if moments.representation != "rational":
         raise NotImplementedError("determinant polynomials require exact moments")
-    cheb = moments.chebyshev(n - 1)
-    if len(cheb.alpha) == n:
-        return cheb.polynomials()[n]
+    polys = moments.chebyshev_polynomials(n - 1)
+    if len(polys) == n + 1:
+        return polys[n]
     d_prev = bareiss_determinant(moments.hankel_matrix(n - 1))
     if d_prev == 0:
-        raise ZeroDivisionError("degenerate moment sequence: D_{n-1} = 0")
+        raise DegenerateMomentsError(
+            f"degenerate moment sequence: D_{n - 1} = 0, no monic polynomial of degree {n}")
     rows = [[moments.moment(i + j) for j in range(n + 1)] for i in range(n)]
     coeffs = []
     for k in range(n + 1):

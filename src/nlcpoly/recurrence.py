@@ -15,10 +15,11 @@ the spectral module, not from polynomial root hunting.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +27,30 @@ from .sequences import SequenceSpec, x_float, x_value
 
 _RESCALE_LIMIT = 2.0 ** 512
 _RESCALE_SHIFT = 512
+
+
+def _phi_steps(spec: SequenceSpec, n: int, x: float) -> Iterator[Tuple[float, int]]:
+    """phi_0(x) .. phi_n(x) as (mantissa, e) pairs from one forward pass."""
+    x = float(x)
+    exponent = 0
+    prev, cur = 0.0, 1.0  # phi_{-1}, phi_0
+    yield cur, exponent
+    for k in range(n):
+        b_next = math.sqrt(x_float(spec, k + 1) / 2.0)
+        b_cur = math.sqrt(x_float(spec, k) / 2.0) if k >= 1 else 0.0
+        prev, cur = cur, (x * cur - b_cur * prev) / b_next
+        if abs(cur) > _RESCALE_LIMIT:
+            cur = math.ldexp(cur, -_RESCALE_SHIFT)
+            prev = math.ldexp(prev, -_RESCALE_SHIFT)
+            exponent += _RESCALE_SHIFT
+        yield cur, exponent
+
+
+def _unscale(mantissa: float, exponent: int) -> float:
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.copysign(math.inf, mantissa)
 
 
 def phi_scaled(spec: SequenceSpec, n: int, x: float) -> Tuple[float, int]:
@@ -36,45 +61,23 @@ def phi_scaled(spec: SequenceSpec, n: int, x: float) -> Tuple[float, int]:
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    x = float(x)
-    exponent = 0
-    prev, cur = 0.0, 1.0  # phi_{-1}, phi_0
-    for k in range(n):
-        b_next = math.sqrt(x_float(spec, k + 1) / 2.0)
-        b_cur = math.sqrt(x_float(spec, k) / 2.0) if k >= 1 else 0.0
-        prev, cur = cur, (x * cur - b_cur * prev) / b_next
-        if abs(cur) > _RESCALE_LIMIT:
-            cur = math.ldexp(cur, -_RESCALE_SHIFT)
-            prev = math.ldexp(prev, -_RESCALE_SHIFT)
-            exponent += _RESCALE_SHIFT
-    return cur, exponent
+    for step in _phi_steps(spec, n, x):
+        pass
+    return step
 
 
 def phi_value(spec: SequenceSpec, n: int, x: float) -> float:
     """phi_n(x); may overflow to +-inf for large n far outside the support."""
-    mantissa, exponent = phi_scaled(spec, n, x)
-    try:
-        return math.ldexp(mantissa, exponent)
-    except OverflowError:
-        return math.copysign(math.inf, mantissa)
+    return _unscale(*phi_scaled(spec, n, x))
 
 
 def phi_window(spec: SequenceSpec, n_lo: int, n_hi: int, x: float) -> np.ndarray:
-    """phi_n(x) for n = n_lo .. n_hi as one pass of the forward recurrence."""
+    """phi_n(x) for n = n_lo .. n_hi as one pass of the forward recurrence;
+    entry n - n_lo equals ``phi_value(spec, n, x)`` bit for bit."""
     if not 0 <= n_lo <= n_hi:
         raise ValueError("need 0 <= n_lo <= n_hi")
-    x = float(x)
-    out = np.empty(n_hi - n_lo + 1)
-    prev, cur = 0.0, 1.0
-    if n_lo == 0:
-        out[0] = cur
-    for k in range(n_hi):
-        b_next = math.sqrt(x_float(spec, k + 1) / 2.0)
-        b_cur = math.sqrt(x_float(spec, k) / 2.0) if k >= 1 else 0.0
-        prev, cur = cur, (x * cur - b_cur * prev) / b_next
-        if k + 1 >= n_lo:
-            out[k + 1 - n_lo] = cur
-    return out
+    steps = itertools.islice(_phi_steps(spec, n_hi, x), n_lo, None)
+    return np.array([_unscale(*step) for step in steps])
 
 
 def phi_rescaled(spec: SequenceSpec, scale, n: int, y: float) -> float:

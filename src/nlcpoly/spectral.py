@@ -7,7 +7,10 @@ is exactly the monic polynomial q_n, so eigenvalues of the truncation are
 the polynomial zeros.
 
 Eigenvalues are found by bisection on Sturm sign counts: deterministic,
-with a certified enclosure per zero, and bit-reproducible across runs.
+with a certified enclosure per zero, and bit-reproducible across runs.  All
+zeros are bisected together, one numpy lane per zero; each lane does the
+float operations of a scalar bisection, so the enclosures do not depend on
+how many zeros are computed at once.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 from .sequences import SequenceSpec, x_float, x_limit, x_value
 
@@ -71,22 +76,33 @@ def char_poly(q: TruncatedJacobi, x):
     return cur
 
 
+def _sturm_counts(b2f: Sequence[float], sigmas: np.ndarray) -> np.ndarray:
+    """Eigenvalues of Q_n strictly below each shift in ``sigmas``: the
+    negative pivots of the shifted LDL^T factorization, one lane per shift.
+
+    Every lane does the float operations of the scalar recurrence
+    d <- -sigma - b^2/d in the same order, so the counts do not depend on
+    how many shifts share the pass.
+    """
+    neg_sigma = np.negative(sigmas)
+    d = neg_sigma.copy()
+    count = np.zeros(len(d), dtype=np.intp)
+    below = np.empty(len(d), dtype=bool)
+    for b2 in b2f:
+        if np.count_nonzero(d) < len(d):
+            d[d == 0.0] = -_TINY_PIVOT  # zero pivot: count as crossing from below
+        count += np.less(d, 0.0, out=below)
+        np.divide(b2, d, out=d)
+        np.subtract(neg_sigma, d, out=d)
+    if np.count_nonzero(d) < len(d):
+        d[d == 0.0] = -_TINY_PIVOT
+    return count + (d < 0.0)
+
+
 def sturm_count(q: TruncatedJacobi, sigma: float) -> int:
     """Number of eigenvalues of Q_n strictly below sigma (negative pivots of
     the shifted LDL^T factorization)."""
-    count = 0
-    d = -sigma
-    for b2 in q.b2f:
-        if d == 0.0:
-            d = -_TINY_PIVOT  # zero pivot: count as crossing from below
-        if d < 0.0:
-            count += 1
-        d = -sigma - b2 / d
-    if d == 0.0:
-        d = -_TINY_PIVOT
-    if d < 0.0:
-        count += 1
-    return count
+    return int(_sturm_counts(q.b2f, np.array([sigma], dtype=float))[0])
 
 
 @dataclass(frozen=True)
@@ -99,26 +115,14 @@ class SpectralResult:
     pairing_defect: float
     enclosure: Tuple[float, float]  # zero-free outer interval (A, B)
     tolerance: float
-
-
-def _bisect_eigenvalue(q: TruncatedJacobi, index: int, lo: float, hi: float,
-                       tolerance: float) -> Tuple[float, float]:
-    # invariant: count(lo) < index <= count(hi)
-    while hi - lo > tolerance:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # interval at floating-point resolution
-        if sturm_count(q, mid) >= index:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
+    bisection_steps: int  # Sturm counts evaluated, summed over the zeros
 
 
 def jacobi_zeros(q: TruncatedJacobi, tolerance: float = 1e-13) -> SpectralResult:
     """All eigenvalues of the truncation, i.e. the zeros of q_n.
 
-    Each zero is enclosed by Sturm bisection to width <= tolerance, then the
+    Each zero is enclosed by Sturm bisection to width <= tolerance (or to
+    floating-point resolution), all zeros advancing together, then the
     +-lambda pairs forced by the zero diagonal are averaged in magnitude and
     the middle zero of an odd order is pinned to exactly 0; the pre-pairing
     defect is reported.
@@ -129,12 +133,26 @@ def jacobi_zeros(q: TruncatedJacobi, tolerance: float = 1e-13) -> SpectralResult
     radius = max((2.0 * b for b in q.b), default=0.0)  # Ismail--Li: |z| < 2 sqrt(beta)
     pad = 64.0 * math.ulp(max(radius, 1.0))
     lo0, hi0 = -radius - pad, radius + pad
-    asc = []
-    brackets = []
-    for index in range(1, n + 1):
-        lo, hi = _bisect_eigenvalue(q, index, lo0, hi0, tolerance)
-        asc.append(0.5 * (lo + hi))
-        brackets.append((lo, hi))
+    # one bisection lane per zero, invariant count(lo) < index <= count(hi);
+    # a lane retires at width <= tolerance or at floating-point resolution
+    lanes = np.arange(n)
+    lo, hi = np.full(n, lo0), np.full(n, hi0)
+    lo_end, hi_end = np.empty(n), np.empty(n)
+    steps = 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (hi - lo > tolerance) & (mid > lo) & (mid < hi)
+        if not live.all():
+            lo_end[lanes], hi_end[lanes] = lo, hi
+            lanes, lo, hi, mid = lanes[live], lo[live], hi[live], mid[live]
+            if not len(lanes):
+                break
+        steps += len(lanes)
+        up = _sturm_counts(q.b2f, mid) > lanes  # count(mid) >= index = lane + 1
+        hi = np.where(up, mid, hi)
+        lo = np.where(up, lo, mid)
+    brackets = list(zip(lo_end.tolist(), hi_end.tolist()))
+    asc = [0.5 * (a + b) for a, b in brackets]
     defect = 0.0
     sym = list(asc)
     for i in range(n // 2):
@@ -149,7 +167,7 @@ def jacobi_zeros(q: TruncatedJacobi, tolerance: float = 1e-13) -> SpectralResult
     desc_brackets = tuple(reversed(brackets))
     residuals = tuple(0.5 * (hi - lo) for (lo, hi) in desc_brackets)
     return SpectralResult(n, zeros, desc_brackets, residuals, defect,
-                          (lo0, hi0), tolerance)
+                          (lo0, hi0), tolerance, steps)
 
 
 def ismail_li_bounds(spec: SequenceSpec, n: int) -> Tuple[float, float]:

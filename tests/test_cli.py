@@ -93,6 +93,16 @@ def test_zeros_command_emits_symmetric_csv(tmp_path):
     assert zeros[0] == pytest.approx(-zeros[3]) and zeros[1] == pytest.approx(-zeros[2])
 
 
+def test_zeros_summary_reports_bisection_steps(tmp_path):
+    from nlcpoly import build_truncated, jacobi_zeros
+    out = tmp_path / "out"
+    path = write_config(tmp_path, BASE.format(command="zeros", n_max=4, out=out))
+    assert main([path, "--order", "7"]) == 0
+    zeros = json.loads((out / "t_summary.json").read_text())["results"]["zeros"]
+    expected = jacobi_zeros(build_truncated(load_config(path).spec(), 7), 1e-11)
+    assert zeros["bisection_steps"] == expected.bisection_steps > 0
+
+
 def test_verify_measure_pass_exit_zero(tmp_path):
     out = tmp_path / "out"
     path = write_config(tmp_path, BASE.format(command="verify-measure", n_max=12, out=out))
@@ -257,6 +267,27 @@ prefix = t
 """ % out
     assert main([write_config(tmp_path, text)]) == 0
     assert (out / "t_zeros.csv").exists()
+
+
+def test_degenerate_moment_sequence_exits_2(tmp_path, capsys):
+    # x = 1, 1, 2, ... makes D_2 = D_3 = 0, so no monic P_4 exists
+    text = """
+[sequence]
+family = explicit
+values = 1, 1, 2, 3, 4, 5, 6, 7
+
+[run]
+command = polys
+n_max = 4
+
+[output]
+dir = %s
+prefix = t
+""" % (tmp_path / "out")
+    assert main([write_config(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: degenerate moment sequence: D_3 = 0")
+    assert "Traceback" not in err
 
 
 def test_explicit_family_too_short_for_order_exits_2(tmp_path, capsys):

@@ -1,12 +1,13 @@
 import random
+import sys
 import threading
 from fractions import Fraction
 
 import pytest
 
 from nlcpoly import (
-    MomentSequence, SequenceSpec, bareiss_determinant, berg_duran_check,
-    hankel_determinant, hankel_polynomial, monic_q_coefficients,
+    DegenerateMomentsError, MomentSequence, SequenceSpec, bareiss_determinant,
+    berg_duran_check, hankel_determinant, hankel_polynomial, monic_q_coefficients,
 )
 from conftest import catalog_specs, det_cofactor
 from test_acceptance import RATIONAL_FAMILIES
@@ -40,6 +41,31 @@ def test_moments_concurrent_extension(canonical):
     for t in threads:
         t.join()
     assert all(r == results[0] for r in results)
+
+
+def test_kept_chebyshev_pass_is_consistent_across_threads():
+    spec = SequenceSpec("su11", j=Fraction(3, 2))
+    expected = {n: MomentSequence(spec).chebyshev_polynomials(n) for n in range(10)}
+    shared = MomentSequence(spec)
+    results = []
+
+    def reader(seed):
+        order = list(range(10))
+        random.Random(seed).shuffle(order)
+        results.extend((n, shared.chebyshev_polynomials(n)) for n in order)
+
+    threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 80 and all(polys == expected[n] for n, polys in results)
 
 
 def test_float_representation_flags():
@@ -183,6 +209,27 @@ def test_zero_pivot_falls_back_to_bareiss(x3):
         with pytest.raises(ZeroDivisionError):
             hankel_polynomial(ms, n)
     assert hankel_polynomial(ms, 5) == _bordered_polynomial(ms, 5)
+
+
+@pytest.mark.parametrize("spec", RATIONAL_FAMILIES, ids=lambda s: s.family)
+def test_kept_chebyshev_pass_serves_shorter_orders(spec):
+    shared = MomentSequence(spec)
+    shared.chebyshev(12)
+    for n in range(13):
+        fresh = MomentSequence(spec).chebyshev(n)
+        assert shared.chebyshev(n) == fresh
+        assert shared.chebyshev_polynomials(n) == fresh.polynomials()
+    shared.chebyshev_polynomials(3)[2][0] = "changed"  # callers get copies
+    assert shared.chebyshev_polynomials(3) == MomentSequence(spec).chebyshev(3).polynomials()
+
+
+def test_kept_pass_keeps_the_zero_pivot_stop():
+    ms = MomentSequence(SequenceSpec("explicit", values=[1, 1, 2, 3, 4, 5]))
+    assert ms.chebyshev(4).pivots == (1, 1, 0)
+    assert ms.chebyshev(1) == MomentSequence(ms.spec).chebyshev(1)
+    assert ms.chebyshev(2).pivots == (1, 1, 0) and len(ms.chebyshev(2).alpha) == 2
+    with pytest.raises(DegenerateMomentsError, match="D_3 = 0"):
+        hankel_polynomial(ms, 4)
 
 
 def test_decreasing_sequence_has_negative_d2():

@@ -49,6 +49,19 @@ def test_phi_scaled_tracks_large_values(canonical):
     assert phi_value(canonical, 400, 60.0) == math.inf
 
 
+def test_phi_window_equals_pointwise_bit_for_bit():
+    # rescaling by 2^512 is exact, so every degree matches, including values
+    # that overflow to inf far outside the support
+    for spec, x in ((SequenceSpec("canonical"), 60.0), (SequenceSpec("su11", j=1), 0.37),
+                    (SequenceSpec("grinshpan_ismail_s3", a1=1, a2=Fraction(1, 2),
+                                  a3=Fraction(1, 4)), -1.9)):
+        values = phi_window(spec, 0, 400, x).tolist()
+        assert values == [phi_value(spec, n, x) for n in range(401)]
+        assert values[5:] == phi_window(spec, 5, 400, x).tolist()
+    assert math.isinf(phi_window(SequenceSpec("canonical"), 400, 400, 60.0)[0])
+    assert phi_window(SequenceSpec("canonical"), 0, 0, 1.3).tolist() == [1.0]
+
+
 def test_phi_window_matches_pointwise(su11_j1):
     window = phi_window(su11_j1, 3, 9, 0.37)
     for i, n in enumerate(range(3, 10)):

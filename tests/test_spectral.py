@@ -1,5 +1,6 @@
 import math
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from nlcpoly import (
     SequenceSpec, build_truncated, char_poly, ismail_li_bounds, jacobi_zeros,
     monic_q_value, sturm_count, support_endpoints, x_float,
 )
+from nlcpoly.spectral import _TINY_PIVOT
 from conftest import catalog_specs
 
 
@@ -208,3 +210,112 @@ def test_zero_enclosures_respect_tolerance(su11_j1):
         assert max(result.residual_bounds) <= tol / 2 + 1e-16
         for (lo, hi), z in zip(result.brackets, result.zeros):
             assert hi - lo <= tol
+
+
+# -- lane-parallel bisection against the scalar reference --------------------------------
+
+def _reference_count(b2f, sigma, tiny=_TINY_PIVOT):
+    count = 0
+    d = -sigma
+    for b2 in b2f:
+        if d == 0.0 and tiny is not None:
+            d = -tiny
+        if d < 0.0:
+            count += 1
+        d = -sigma - b2 / d
+    if d == 0.0 and tiny is not None:
+        d = -tiny
+    if d < 0.0:
+        count += 1
+    return count
+
+
+def _reference_zeros(q, tolerance):
+    """One scalar Sturm bisection per eigenvalue, then the +-pairing:
+    (zeros, brackets, Sturm evaluations), zeros and brackets descending."""
+    n = q.order
+    radius = max((2.0 * b for b in q.b), default=0.0)
+    pad = 64.0 * math.ulp(max(radius, 1.0))
+    asc, brackets, steps = [], [], 0
+    for index in range(1, n + 1):
+        lo, hi = -radius - pad, radius + pad
+        while hi - lo > tolerance:
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            steps += 1
+            if _reference_count(q.b2f, mid) >= index:
+                hi = mid
+            else:
+                lo = mid
+        asc.append(0.5 * (lo + hi))
+        brackets.append((lo, hi))
+    sym = list(asc)
+    for i in range(n // 2):
+        mag = 0.5 * (abs(asc[i]) + abs(asc[n - 1 - i]))
+        sym[i], sym[n - 1 - i] = -mag, mag
+    if n % 2:
+        sym[n // 2] = 0.0
+    return tuple(reversed(sym)), tuple(reversed(brackets)), steps
+
+
+def _assert_matches_reference(q, tolerance):
+    result = jacobi_zeros(q, tolerance)
+    zeros, brackets, steps = _reference_zeros(q, tolerance)
+    assert result.brackets == brackets
+    assert result.zeros == zeros
+    assert result.bisection_steps == steps
+    return result
+
+
+@pytest.mark.parametrize("spec", catalog_specs(), ids=lambda s: s.family)
+def test_brackets_bit_identical_to_scalar_bisection_through_order_64(spec):
+    for n in range(1, 65):
+        _assert_matches_reference(build_truncated(spec, n), 1e-11)
+
+
+def test_brackets_bit_identical_at_order_400():
+    result = _assert_matches_reference(
+        build_truncated(SequenceSpec("su11", j=Fraction(3, 2)), 400), 1e-11)
+    assert result.bisection_steps == 39 * 400
+
+
+def test_lanes_stop_at_floating_point_resolution(canonical):
+    # below every zero's ulp, each lane ends where the midpoint no longer
+    # falls strictly inside its bracket
+    q = build_truncated(canonical, 12)
+    done = []
+    worker = threading.Thread(target=lambda: done.append(jacobi_zeros(q, 1e-300)),
+                              daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert done, "bisection did not stop at floating-point resolution"
+    assert done[0].brackets == _reference_zeros(q, 1e-300)[1]
+    for lo, hi in done[0].brackets:
+        assert hi - lo > 1e-300 and 0.5 * (lo + hi) in (lo, hi)
+
+
+def test_symmetric_enclosure_takes_the_zero_pivot(su11_j1):
+    for n in range(2, 13):
+        q = build_truncated(su11_j1, n)
+        lo0, hi0 = jacobi_zeros(q).enclosure
+        assert lo0 == -hi0 and 0.5 * (lo0 + hi0) == 0.0  # the first midpoint
+        # the first pivot at sigma = 0 is exactly zero and counts as a crossing
+        # from below, so an odd order's middle zero 0 counts as below 0
+        with pytest.raises(ZeroDivisionError):
+            _reference_count(q.b2f, 0.0, tiny=None)
+        assert sturm_count(q, 0.0) == _reference_count(q.b2f, 0.0) == (n + 1) // 2
+
+
+def test_brackets_contain_lapack_eigenvalues_at_order_1000():
+    import numpy as np
+    from scipy.linalg import eigvalsh_tridiagonal
+    tol = 1e-11
+    q = build_truncated(SequenceSpec("grinshpan_ismail_s3", a1=1, a2=Fraction(1, 2),
+                                     a3=Fraction(1, 4)), 1000)
+    result = jacobi_zeros(q, tol)
+    oracle = eigvalsh_tridiagonal(np.zeros(q.order), np.array(q.b))[::-1]
+    for e, (lo, hi) in zip(oracle, result.brackets):
+        assert lo - tol <= e <= hi + tol
+    _, brackets, steps = _reference_zeros(q, tol)
+    assert result.brackets == brackets and result.bisection_steps == steps
