@@ -11,7 +11,7 @@ from .sequences import (  # noqa: F401
     InequalityReport, MonotoneReport, ParameterDomainError, SequenceLimit,
     SequenceRangeError, SequenceSpec, check_monotone_and_bounded,
     check_nonlinear_inequalities, family_names, x_factorial, x_float,
-    x_from_taylor_norms, x_limit, x_log_factorial, x_minus_limit, x_value,
+    x_floats, x_from_taylor_norms, x_limit, x_log_factorial, x_minus_limit, x_value,
 )
 from .special import (  # noqa: F401
     CMReport, DomainError, QParams, bessel_i, bessel_i_scaled, bessel_k,

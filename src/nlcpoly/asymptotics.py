@@ -21,45 +21,23 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .sequences import SequenceSpec, x_float, x_limit
+from .recurrence import _window
+from .sequences import SequenceSpec, _x_minus_limit_closed, x_floats, x_limit
 
 
 def zeta_log(spec: SequenceSpec, n: int) -> float:
     """log(beta_1 ... beta_n) for the monic coefficients beta_k = x_k / 2."""
-    return sum(math.log(x_float(spec, k) / 2.0) for k in range(1, n + 1))
+    return sum(math.log(v / 2.0) for v in x_floats(spec, n).tolist())
 
 
-def _x_minus_limit_array(spec: SequenceSpec, m, ns: np.ndarray) -> Optional[np.ndarray]:
-    """Vectorized x_n - M without cancellation, or None when unavailable."""
-    from fractions import Fraction  # noqa: PLC0415
-    pair = spec.poly_pair()
-    if pair is not None:
-        num, den = pair
-        width = max(len(num), len(den))
-        mfr = Fraction(m) if not isinstance(m, float) else m
-        num_p = list(num) + [0] * (width - len(num))
-        den_p = list(den) + [0] * (width - len(den))
-        diff = [float(a - mfr * b) for a, b in zip(num_p, den_p)]
-        nn = ns.astype(float)
-        return np.polyval(diff[::-1], nn) / np.polyval([float(c) for c in den][::-1], nn)
-    if spec.family == "q_gamma_quotient":
-        p = spec.params
-        A, B, C, q = (float(p[k]) for k in ("A", "B", "C", "q"))
-        with np.errstate(under="ignore"):
-            s = np.exp((ns.astype(float) - 1.0) * math.log(q))
-            return -s * (A - C) * (B - C) / (C * (1.0 - A * s) * (1.0 - B * s))
-    return None
-
-
-def _sqrt_beta_deviation(spec: SequenceSpec, m, ns: np.ndarray) -> np.ndarray:
-    """|sqrt(beta'_n) - 1/2| = |sqrt(x_n / M) - 1| / 2, cancellation-free."""
-    mf = float(m)
-    d = _x_minus_limit_array(spec, m, ns)
+def _sqrt_beta_deviation(spec: SequenceSpec, m: float, n_max: int) -> np.ndarray:
+    """|sqrt(beta'_n) - 1/2| = |sqrt(x_n / M) - 1| / 2 for n = 1 .. n_max,
+    cancellation-free where x_n - M has a closed form."""
+    d = _x_minus_limit_closed(spec, np.arange(1, n_max + 1))
     if d is not None:
-        ratio = 1.0 + d / mf
-        return np.abs(d / mf) / (np.sqrt(np.maximum(ratio, 0.0)) + 1.0) / 2.0
-    x = np.array([x_float(spec, int(n)) for n in ns], dtype=float)
-    return np.abs(np.sqrt(x / mf) - 1.0) / 2.0
+        ratio = 1.0 + d / m
+        return np.abs(d / m) / (np.sqrt(np.maximum(ratio, 0.0)) + 1.0) / 2.0
+    return np.abs(np.sqrt(x_floats(spec, n_max) / m) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -92,7 +70,7 @@ def nevai_condition(spec: SequenceSpec, n_max: int = 4096) -> NevaiDiagnostic:
                                "limit of x_n could not be determined")
     m = float(lim.value)
     ns = np.arange(1, n_max + 1)
-    dev = _sqrt_beta_deviation(spec, lim.value, ns)
+    dev = _sqrt_beta_deviation(spec, m, n_max)
     sums = np.cumsum(dev)
     checkpoints = []
     k = 1
@@ -128,22 +106,15 @@ def nevai_condition(spec: SequenceSpec, n_max: int = 4096) -> NevaiDiagnostic:
 def rescaled_phi_window(spec: SequenceSpec, n_lo: int, n_hi: int, x: float,
                         ) -> np.ndarray:
     """psi_n(x) for n = n_lo .. n_hi, where psi_n(y) = phi_n(sqrt(2M) y) is
-    the orthonormal family rescaled to essential support [-1, 1]."""
+    the orthonormal family rescaled to essential support [-1, 1]: the
+    off-diagonal entries of its recurrence are sqrt(x_k / (4M))."""
+    if not 0 <= n_lo <= n_hi:
+        raise ValueError("need 0 <= n_lo <= n_hi")
     lim = x_limit(spec)
     if not lim.is_finite:
         raise ValueError("rescaling needs a finite limit of x_n")
     m = float(lim.value)
-    out = np.empty(n_hi - n_lo + 1)
-    prev, cur = 0.0, 1.0
-    if n_lo == 0:
-        out[0] = cur
-    for k in range(n_hi):
-        a_next = math.sqrt(x_float(spec, k + 1) / (4.0 * m))
-        a_cur = math.sqrt(x_float(spec, k) / (4.0 * m)) if k >= 1 else 0.0
-        prev, cur = cur, (x * cur - a_cur * prev) / a_next
-        if k + 1 >= n_lo:
-            out[k + 1 - n_lo] = cur
-    return out
+    return _window(np.sqrt(x_floats(spec, n_hi) / (4.0 * m)).tolist(), n_lo, x)
 
 
 @dataclass(frozen=True)

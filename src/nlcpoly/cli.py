@@ -10,6 +10,7 @@ configuration errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -18,16 +19,18 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from . import __version__
-from .asymptotics import amplitude_extract, nevai_condition
+from .asymptotics import amplitude_extract, nevai_condition, rescaled_phi_window
 from .config import COMMANDS, ConfigError, RunConfig, load_config
-from .measures import (MeasureSpec, get_measure, select_bessel_ladder_measure,
-                       verify_moment_problem)
+from .measures import (DEFAULT_MEASURES, MeasureSpec, get_measure,
+                       select_bessel_ladder_measure, verify_moment_problem)
 from .moments import (DegenerateMomentsError, MomentSequence, berg_duran_check,
                       hankel_determinant, hankel_polynomial)
 from .recurrence import monic_q_coefficients, phi_window
-from .sequences import (ParameterDomainError, SequenceRangeError, SequenceSpec, x_factorial,
-                        x_limit, x_log_factorial)
+from .sequences import (ParameterDomainError, SequenceRangeError, SequenceSpec, x_floats,
+                        x_limit)
 from .spectral import (SpectralResult, build_truncated, ismail_li_bounds, jacobi_zeros,
                        support_endpoints)
 
@@ -84,11 +87,14 @@ class _Runner:
     def cmd_moments(self) -> None:
         spec, n_max = self.spec, self.cfg.n_max
         exact = spec.is_rational
+        # log(x_n!) summed term by term in the order of x_log_factorial
+        log_mus = itertools.accumulate(
+            (math.log(v) for v in x_floats(spec, n_max).tolist()), initial=0)
         rows = []
-        for n in range(n_max + 1):
-            log_mu = x_log_factorial(spec, n)
-            value = float(x_factorial(spec, n)) if log_mu < 700 else math.inf
-            rows.append((n, value, str(x_factorial(spec, n)) if exact else "", log_mu))
+        for n, log_mu in enumerate(log_mus):
+            mu = self.moments.even_moment(n)
+            value = float(mu) if log_mu < 700 else math.inf
+            rows.append((n, value, str(mu) if exact else "", log_mu))
         self._write_csv("moments.csv", ["n", "mu2n", "mu2n_exact", "log_mu2n"], rows)
         self.summary["moments"] = {"n_max": n_max, "exact": exact}
 
@@ -199,8 +205,6 @@ class _Runner:
         lo, hi = self.cfg.amplitude_window
         estimates = []
         rows = []
-        from .asymptotics import rescaled_phi_window  # noqa: PLC0415
-        import numpy as np  # noqa: PLC0415
         for x in self.cfg.amplitude_points:
             est = amplitude_extract(self.spec, x, (lo, hi))
             estimates.append({
@@ -300,28 +304,15 @@ def _verdict_word(v: Optional[bool]) -> Optional[str]:
 
 
 def default_measure_for(spec: SequenceSpec) -> Optional[MeasureSpec]:
-    """Catalog density paired with a family, when one exists."""
-    p = spec.params
-    try:
-        if spec.family == "canonical":
-            return get_measure("gaussian_radial")
-        if spec.family == "su11" and p["j"] > Fraction(1, 2):
-            return get_measure("disc_radial", j=p["j"])
-        if spec.family == "barut_girardello":
-            return get_measure("bessel_ladder_radial", j=p["j"])
-        if spec.family == "ultraspherical":
-            return get_measure("ultraspherical_even", nu=p["nu"])
-        if spec.family == "jacobi_type":
-            return get_measure("jacobi_even", alpha=p["alpha"], beta=p["beta"])
-        if spec.family == "meixner_pollaczek_bessel":
-            return get_measure("bessel_mp_even", mu=p["mu"], nu=p["nu"], beta=p["beta"])
-        if spec.family == "bessel_k_exp":
-            return get_measure("bessel_k_exp_even", mu=p["mu"], nu=p["nu"])
-        if spec.family == "bessel_k_abs":
-            return get_measure("bessel_k_abs_even", mu=p["mu"], nu=p["nu"])
-    except (ValueError, KeyError):
+    """Catalog density paired with a family, when one exists and accepts the
+    family's parameters."""
+    name = DEFAULT_MEASURES.get(spec.family)
+    if name is None:
         return None
-    return None
+    try:
+        return get_measure(name, **spec.params)
+    except ValueError:  # e.g. disc_radial needs j > 1/2
+        return None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,7 +18,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .sequences import ParameterDomainError, SequenceSpec, x_value
+from .sequences import ParameterDomainError, SequenceSpec, _x_minus_limit_closed, x_value
 from .special import log_gamma
 
 
@@ -111,27 +111,16 @@ def fs_quotient_consistency(a0, a1, a2, a3, n_max: int) -> FsConsistencyReport:
     return FsConsistencyReport(float(a0), n_max, worst, a0 == 1)
 
 
-def _gi_s3_difference_polys(a1, a2, a3):
-    # num and den are both monic quartics with equal cubic coefficient
-    # 2(a1+a2+a3), so num - den has degree <= 2 and x_n - 1 = diff(n)/den(n)
-    # evaluates without cancellation; exact Fractions keep it that way.
-    from . import sequences as _seq  # noqa: PLC0415
-    a1, a2, a3 = Fraction(a1), Fraction(a2), Fraction(a3)
-    num = _seq._linear(0, a1 + a2, a1 + a3, a2 + a3)
-    den = _seq._linear(a1, a2, a3, a1 + a2 + a3)
-    diff = [float(p - q) for p, q in zip(num, den)]
-    return diff[:3], [float(c) for c in den]
-
-
 def sqrt_deviation_scaled(a1, a2, a3, n) -> float:
     """n^2 * |sqrt(x_n) - 1| for the s = 3 sequence, without cancellation.
 
     Accepts a scalar n or an integer array; stays accurate far beyond the
-    point where x_n is indistinguishable from 1 in floats.
+    point where x_n is indistinguishable from 1 in floats.  Float parameters
+    enter through their exact binary values.
     """
-    SequenceSpec("grinshpan_ismail_s3", a1=a1, a2=a2, a3=a3)  # parameter check
-    diff, den = _gi_s3_difference_polys(a1, a2, a3)
+    spec = SequenceSpec("grinshpan_ismail_s3",
+                        a1=Fraction(a1), a2=Fraction(a2), a3=Fraction(a3))
     nn = np.asarray(n, dtype=float)
-    dval = ((diff[2] * nn + diff[1]) * nn + diff[0]) / np.polyval(den[::-1], nn)
+    dval = _x_minus_limit_closed(spec, nn)
     out = nn * nn * np.abs(dval) / (np.sqrt(1.0 + dval) + 1.0)
     return float(out) if np.isscalar(n) or getattr(n, "ndim", 0) == 0 else out

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .moments import DegenerateMomentsError, MomentSequence
 from .quadrature import QuadratureResult, exp_sinh, tanh_sinh
 from .recurrence import phi_value
-from .sequences import SequenceSpec, x_factorial, x_log_factorial
+from .sequences import SequenceSpec, x_factorial, x_float, x_limit, x_log_factorial
 from .special import bessel_k, log_gamma, pochhammer
 
 
@@ -49,11 +49,6 @@ class MeasureSpec:
     paired_family: Optional[str] = None
     paired_params: Dict[str, float] = field(default_factory=dict)
     notes: str = ""
-
-    def paired_spec(self) -> SequenceSpec:
-        if self.paired_family is None:
-            raise ValueError(f"measure {self.name} has no paired sequence family")
-        return SequenceSpec(self.paired_family, **self.paired_params)
 
     def radial_density(self) -> Callable[[float], float]:
         """Density of the radial projection: even measures contribute twice
@@ -289,6 +284,19 @@ _CATALOG: Dict[str, Callable[..., MeasureSpec]] = {
     "hermite_even": hermite_even,
 }
 
+# The catalog density each sequence family is paired with by default; it is
+# built with the family's own parameters, which carry the same names.
+DEFAULT_MEASURES: Dict[str, str] = {
+    "canonical": "gaussian_radial",
+    "su11": "disc_radial",
+    "barut_girardello": "bessel_ladder_radial",
+    "ultraspherical": "ultraspherical_even",
+    "jacobi_type": "jacobi_even",
+    "meixner_pollaczek_bessel": "bessel_mp_even",
+    "bessel_k_exp": "bessel_k_exp_even",
+    "bessel_k_abs": "bessel_k_abs_even",
+}
+
 
 def measure_names() -> List[str]:
     return sorted(_CATALOG)
@@ -507,7 +515,6 @@ def coherent_normalization(spec: SequenceSpec, r2: float,
     Converges for r^2 below the squared convergence radius; at or beyond it
     a DivergenceError names the radius.
     """
-    from .sequences import x_float, x_limit  # noqa: PLC0415
     if r2 < 0:
         raise ValueError("r2 must be nonnegative")
     lim = x_limit(spec)

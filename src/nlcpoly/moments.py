@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Union
 
 from mpmath import mp, mpf
 
-from .sequences import SequenceSpec, x_float, x_value
+from .sequences import SequenceSpec, _max_index, x_floats, x_value
 from .special import cm_sequence_test, CMReport
 
 _MIN_PRECISION = 160  # bits; comfortably past the 128-bit contract
@@ -67,10 +67,7 @@ class MomentSequence:
         with self._lock:
             while len(self._even) < count:
                 k = len(self._even)
-                nxt = self._even[-1] * x_value(self.spec, k)
-                if self.representation == "float" and math.isinf(float(nxt)):
-                    self.representation = "log"
-                self._even.append(nxt)
+                self._even.append(self._even[-1] * x_value(self.spec, k))
 
     def even_moment(self, k: int) -> Union[Fraction, float]:
         """mu_{2k} = x_k!."""
@@ -248,7 +245,8 @@ def hankel_determinant(moments: MomentSequence, n: int) -> HankelResult:
     The exact path multiplies the Chebyshev pivots sigma_00 .. sigma_nn and
     falls back to Bareiss elimination when an earlier pivot is zero.  The
     floating path escalates precision until the sign is certified by a
-    margin; it never silently rounds a near-zero determinant.
+    margin; it never silently rounds a near-zero determinant, and a moment
+    that overflows the float range raises PrecisionError.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
@@ -260,6 +258,12 @@ def hankel_determinant(moments: MomentSequence, n: int) -> HankelResult:
             value = bareiss_determinant(moments.hankel_matrix(n))
         return HankelResult(n, value, value > 0, True)
     matrix = moments.hankel_matrix(n)
+    overflow = next((m for m in range(0, 2 * n + 1, 2)
+                     if not math.isfinite(moments.moment(m))), None)
+    if overflow is not None:
+        raise PrecisionError(
+            f"Hankel determinant of order {n} needs mu_{overflow} = "
+            f"{moments.moment(overflow)}, outside the float range")
     prec = _MIN_PRECISION
     cond = mpf("inf")
     while prec <= _MAX_PRECISION:
@@ -339,21 +343,19 @@ def berg_duran_check(spec: SequenceSpec, n_max: int, order: int = 8) -> BergDura
     List-backed sequences with fewer than n_max + order + 1 values are
     scanned over the range they can support (see ``effective_n_max``).
     """
-    from .sequences import _max_index  # noqa: PLC0415
     top = _max_index(spec)
     if top is not None:
         order = min(order, max(1, top - 2))
         n_max = max(1, min(n_max, top - order - 1))
-    cm = cm_sequence_test(lambda n: 1.0 / x_float(spec, n + 1), n_max, order)
+    xs = x_floats(spec, n_max + order + 1).tolist()
+    cm = cm_sequence_test(lambda n: 1.0 / xs[n], n_max, order)
 
-    exact = spec.is_rational
     top = n_max // 2
-    s: List[Union[Fraction, float]] = [Fraction(1) if exact else 1.0]
-    for k in range(1, 2 * top + 2):
-        s.append(s[-1] * x_value(spec, k))
+    moments = MomentSequence(spec)
+    s = [moments.even_moment(k) for k in range(2 * top + 2)]
     first_bad = None
     for shift in (0, 1):
-        if exact:  # while D_1 .. D_{size-1} > 0, D_size has the sign of its pivot
+        if spec.is_rational:  # while D_1 .. D_{size-1} > 0, D_size has the sign of its pivot
             signs = exact_chebyshev(s[shift:shift + 2 * top]).pivots
         else:
             signs = (_mp_determinant([[s[i + j + shift] for j in range(size)]

@@ -23,22 +23,24 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .sequences import SequenceSpec, x_float, x_value
+from .sequences import SequenceSpec, x_floats, x_value
 
 _RESCALE_LIMIT = 2.0 ** 512
 _RESCALE_SHIFT = 512
 
 
-def _phi_steps(spec: SequenceSpec, n: int, x: float) -> Iterator[Tuple[float, int]]:
-    """phi_0(x) .. phi_n(x) as (mantissa, e) pairs from one forward pass."""
+def _phi_steps(b: Sequence[float], x: float) -> Iterator[Tuple[float, int]]:
+    """p_0(x) .. p_n(x) as (mantissa, e) pairs from one forward pass of the
+    orthonormal recurrence x p_k = b_{k+1} p_{k+1} + b_k p_{k-1}, where
+    b = (b_1, ..., b_n) are the off-diagonal entries: sqrt(x_k/2) for phi."""
     x = float(x)
     exponent = 0
-    prev, cur = 0.0, 1.0  # phi_{-1}, phi_0
+    prev, cur = 0.0, 1.0  # p_{-1}, p_0
+    b_cur = 0.0
     yield cur, exponent
-    for k in range(n):
-        b_next = math.sqrt(x_float(spec, k + 1) / 2.0)
-        b_cur = math.sqrt(x_float(spec, k) / 2.0) if k >= 1 else 0.0
+    for b_next in b:
         prev, cur = cur, (x * cur - b_cur * prev) / b_next
+        b_cur = b_next
         if abs(cur) > _RESCALE_LIMIT:
             cur = math.ldexp(cur, -_RESCALE_SHIFT)
             prev = math.ldexp(prev, -_RESCALE_SHIFT)
@@ -53,6 +55,12 @@ def _unscale(mantissa: float, exponent: int) -> float:
         return math.copysign(math.inf, mantissa)
 
 
+def _window(b: Sequence[float], n_lo: int, x: float) -> np.ndarray:
+    """p_n(x) for n = n_lo .. len(b) from one pass of :func:`_phi_steps`."""
+    steps = itertools.islice(_phi_steps(b, x), n_lo, None)
+    return np.array([_unscale(*step) for step in steps])
+
+
 def phi_scaled(spec: SequenceSpec, n: int, x: float) -> Tuple[float, int]:
     """phi_n(x) as (mantissa, e) with value mantissa * 2**e.
 
@@ -61,7 +69,7 @@ def phi_scaled(spec: SequenceSpec, n: int, x: float) -> Tuple[float, int]:
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    for step in _phi_steps(spec, n, x):
+    for step in _phi_steps(np.sqrt(x_floats(spec, n) / 2.0).tolist(), x):
         pass
     return step
 
@@ -76,8 +84,7 @@ def phi_window(spec: SequenceSpec, n_lo: int, n_hi: int, x: float) -> np.ndarray
     entry n - n_lo equals ``phi_value(spec, n, x)`` bit for bit."""
     if not 0 <= n_lo <= n_hi:
         raise ValueError("need 0 <= n_lo <= n_hi")
-    steps = itertools.islice(_phi_steps(spec, n_hi, x), n_lo, None)
-    return np.array([_unscale(*step) for step in steps])
+    return _window(np.sqrt(x_floats(spec, n_hi) / 2.0).tolist(), n_lo, x)
 
 
 def phi_rescaled(spec: SequenceSpec, scale, n: int, y: float) -> float:
@@ -99,8 +106,10 @@ def monic_q_value(spec: SequenceSpec, n: int, x):
     else:
         x = float(x)
         prev, cur = 0.0, 1.0
+    xs = ([x_value(spec, k) for k in range(1, n)] if exact
+          else x_floats(spec, max(n - 1, 0)).tolist())
     for k in range(n):
-        beta = (x_value(spec, k) if exact else x_float(spec, k)) / 2 if k >= 1 else 0
+        beta = xs[k - 1] / 2 if k >= 1 else 0
         prev, cur = cur, x * cur - beta * prev
     return cur
 
@@ -113,9 +122,11 @@ def monic_q_coefficients(spec: SequenceSpec, n: int) -> list:
     exact = spec.is_rational
     zero = Fraction(0) if exact else 0.0
     one = Fraction(1) if exact else 1.0
+    xs = ([x_value(spec, k) for k in range(1, n)] if exact
+          else x_floats(spec, max(n - 1, 0)).tolist())
     prev, cur = [], [one]  # q_{-1} = 0, q_0 = 1
     for k in range(n):
-        beta = ((x_value(spec, k) if exact else x_float(spec, k)) / 2) if k >= 1 else zero
+        beta = xs[k - 1] / 2 if k >= 1 else zero
         shifted = [zero] + cur
         nxt = [shifted[i] - (beta * prev[i] if i < len(prev) else zero)
                for i in range(len(shifted))]

@@ -7,7 +7,8 @@ polynomials, Jacobi truncations, measure checks -- is driven by ``x_value``
 and ``x_factorial``.
 
 Families with rational rules and rational parameters evaluate exactly as
-``fractions.Fraction``; the floating view is a separate explicit call.
+``fractions.Fraction``.  The floating view of a spec is one memoized array,
+``x_floats``, shared by every consumer that reads x_1 .. x_n as floats.
 Diagnostic scans (monotonicity, the nonlinear necessary inequalities) return
 reports instead of raising, so sequences that fail to be moment sequences can
 still be analyzed.
@@ -18,7 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from itertools import zip_longest
+from typing import Callable, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 Number = Union[int, float, Fraction]
 
@@ -48,10 +52,6 @@ def _as_number(value) -> Number:
 
 def _is_exact(*values) -> bool:
     return all(isinstance(v, (int, Fraction)) for v in values)
-
-
-def _maybe_float(value: Number, exact: bool) -> Number:
-    return value if exact else float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +183,9 @@ def _validate_rational(params, strict):
 
 
 def _x_su11(p, n):
-    exact = _is_exact(p["j"], n)
-    return _maybe_float(Fraction(n) / (2 * p["j"] + n - 1), exact) if exact \
-        else n / (2 * float(p["j"]) + n - 1)
+    if _is_exact(p["j"], n):
+        return Fraction(n) / (2 * p["j"] + n - 1)
+    return n / (2 * float(p["j"]) + n - 1)
 
 
 def _x_bg(p, n):
@@ -399,9 +399,12 @@ class SequenceSpec:
     **params
         Family parameters; ints, Fractions and strings like ``"3/2"`` stay
         exact, floats stay floating.
+
+    ``is_rational`` is True when x_n evaluates exactly (Fraction) at integer
+    n; it is decided once, from x_1, at construction.
     """
 
-    __slots__ = ("family", "params", "strict", "_fam")
+    __slots__ = ("family", "params", "strict", "_fam", "is_rational", "_floats")
 
     def __init__(self, family: str, strict: bool = True, **params):
         if family not in _FAMILIES:
@@ -425,6 +428,12 @@ class SequenceSpec:
         object.__setattr__(self, "params", clean)
         object.__setattr__(self, "strict", bool(strict))
         object.__setattr__(self, "_fam", fam)
+        try:
+            rational = isinstance(x_value(self, 1), Fraction)
+        except SequenceRangeError:
+            rational = False
+        object.__setattr__(self, "is_rational", rational)
+        object.__setattr__(self, "_floats", np.frombuffer(b""))  # empty, read-only
 
     def __setattr__(self, *args):
         raise AttributeError("SequenceSpec is immutable")
@@ -439,14 +448,6 @@ class SequenceSpec:
 
     def __hash__(self):
         return hash((self.family, tuple(sorted(self.params.items()))))
-
-    @property
-    def is_rational(self) -> bool:
-        """True when x_n evaluates exactly (Fraction) at integer n."""
-        try:
-            return isinstance(x_value(self, 1), Fraction)
-        except SequenceRangeError:
-            return False
 
     def poly_pair(self):
         """Exact (numerator, denominator) coefficients of x as a rational
@@ -470,6 +471,25 @@ def x_float(spec: SequenceSpec, n: int) -> float:
     return float(x_value(spec, n))
 
 
+def x_floats(spec: SequenceSpec, n: int) -> np.ndarray:
+    """x_1 .. x_n as a read-only float array; entry k - 1 is ``x_float(spec, k)``.
+
+    The longest array built so far is kept on the spec and a shorter n is
+    served as its prefix.  A longer array is built in full before it
+    replaces the kept one in a single assignment, so concurrent readers need
+    no lock and never see a partial array.
+    """
+    if n < 0:
+        raise SequenceRangeError("x_floats needs n >= 0")
+    kept = spec._floats
+    if n > len(kept):
+        kept = np.concatenate([kept, [x_float(spec, k) for k in range(len(kept) + 1, n + 1)]])
+        kept.flags.writeable = False
+        if len(kept) > len(spec._floats):
+            object.__setattr__(spec, "_floats", kept)
+    return kept[:n]
+
+
 def x_factorial(spec: SequenceSpec, n: int) -> Number:
     """Partial product x_1 x_2 ... x_n with the empty product equal to 1."""
     if n < 0:
@@ -484,7 +504,7 @@ def x_log_factorial(spec: SequenceSpec, n: int) -> float:
     """log(x_n!), accumulated term by term; immune to overflow."""
     if n < 0:
         raise SequenceRangeError("partial products need n >= 0")
-    return sum(math.log(x_float(spec, k)) for k in range(1, n + 1))
+    return sum(math.log(v) for v in x_floats(spec, n).tolist())
 
 
 def x_from_taylor_norms(norms: Sequence[Number], n: int) -> Number:
@@ -572,29 +592,52 @@ def x_minus_limit(spec: SequenceSpec, n: int) -> float:
     """x_n - lim x for finite-limit families, evaluated without cancellation.
 
     For rational rules the difference polynomial num - M*den is formed
-    exactly, so deviations far below machine epsilon relative to x_n come out
-    clean.  Raises for families without a finite closed-form limit.
+    exactly and rounded once per coefficient, so deviations far below machine
+    epsilon relative to x_n come out clean.  Raises for families without a
+    finite limit.
     """
-    pair = spec.poly_pair()
     lim = x_limit(spec)
     if not lim.is_finite:
         raise ValueError("x_minus_limit needs a finite closed-form limit")
-    if pair is not None:
-        num, den = pair
-        m = Fraction(lim.value)
-        width = max(len(num), len(den))
-        num_p = list(num) + [Fraction(0)] * (width - len(num))
-        den_p = list(den) + [Fraction(0)] * (width - len(den))
-        diff = [a - m * b for a, b in zip(num_p, den_p)]
-        return float(_poly_eval(diff, n)) / float(_poly_eval(den, n))
+    closed = _x_minus_limit_closed(spec, n)
+    return x_float(spec, n) - float(lim.value) if closed is None else float(closed)
+
+
+def _limit_gap(spec: SequenceSpec) -> Optional[Tuple[list, list]]:
+    """Exact (num - M den, den) with x_n - M = (num - M den)(n) / den(n) for
+    M = lim x_n, trailing zero coefficients of the difference dropped ([0]
+    when x_n = M identically); None without a poly_pair or a finite limit."""
+    pair, lim = spec.poly_pair(), x_limit(spec)
+    if pair is None or not lim.is_finite:
+        return None
+    num, den = pair
+    diff = [a - lim.value * b for a, b in zip_longest(num, den, fillvalue=0)]
+    while len(diff) > 1 and diff[-1] == 0:
+        diff.pop()
+    return diff, den
+
+
+def _x_minus_limit_closed(spec: SequenceSpec, n):
+    """x_n - M over an int or an integer array n, without cancellation, or
+    None when the family has no closed form for it.
+
+    Rational rules evaluate the exact difference of :func:`_limit_gap`,
+    rounded once per coefficient.  The q-quotient uses
+    (1-Cs)(1-(AB/C)s) - (1-As)(1-Bs) = -s (A-C)(B-C)/C with s = q^(n-1)
+    (the s^2 terms cancel), so it never forms q^n - 1.
+    """
+    nn = np.asarray(n, dtype=float)
     if spec.family == "q_gamma_quotient":
-        p = spec.params
-        A, B, C, q = (float(p[k]) for k in ("A", "B", "C", "q"))
-        s = q ** (n - 1)
-        # (1-Cs)(1-(AB/C)s) - (1-As)(1-Bs) = -s (A-C)(B-C)/C  (the s^2 terms cancel)
-        diff = -s * (A - C) * (B - C) / C
-        return diff / ((1 - A * s) * (1 - B * s))
-    return x_float(spec, n) - float(lim.value)
+        A, B, C, q = (float(spec.params[k]) for k in ("A", "B", "C", "q"))
+        with np.errstate(under="ignore"):
+            s = np.exp((nn - 1.0) * math.log(q))
+            return -s * (A - C) * (B - C) / (C * (1.0 - A * s) * (1.0 - B * s))
+    gap = _limit_gap(spec)
+    if gap is None:
+        return None
+    diff, den = gap
+    return (np.polyval([float(c) for c in reversed(diff)], nn)
+            / np.polyval([float(c) for c in reversed(den)], nn))
 
 
 # ---------------------------------------------------------------------------
@@ -649,28 +692,12 @@ def check_monotone_and_bounded(spec: SequenceSpec, n_max: int) -> MonotoneReport
 
     bounded, bound_violation = None, None
     if limit.is_finite:
-        bounded, bound_violation = True, None
-        if pair is not None:
-            # sign of x_n - M is the sign of the exact difference polynomial
-            num, den = pair
-            m = Fraction(limit.value)
-            width = max(len(num), len(den))
-            num_p = list(num) + [Fraction(0)] * (width - len(num))
-            den_p = list(den) + [Fraction(0)] * (width - len(den))
-            diff = [a - m * b for a, b in zip(num_p, den_p)]
-            while diff and diff[-1] == 0:
-                diff.pop()
-            for n in range(1, n_max + 1):
-                if diff and _poly_eval(diff, n) >= 0:
-                    bounded, bound_violation = False, n
-                    break
-            if not diff:  # x_n = M identically
-                bounded, bound_violation = False, 1
-        else:
-            for n in range(1, n_max + 1):
-                if x_value(spec, n) >= limit.value:
-                    bounded, bound_violation = False, n
-                    break
+        gap = _limit_gap(spec)  # x_n - M has the sign of its exact difference polynomial
+        for n in range(1, n_max + 1):
+            if (_poly_eval(gap[0], n) if gap else x_value(spec, n) - limit.value) >= 0:
+                bound_violation = n
+                break
+        bounded = bound_violation is None
     return MonotoneReport(monotone, first_violation, bounded, bound_violation, limit)
 
 

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .sequences import SequenceSpec, x_float, x_limit, x_value
+from .sequences import SequenceSpec, x_floats, x_limit, x_value
 
 _TINY_PIVOT = 1e-300
 
@@ -179,7 +179,7 @@ def ismail_li_bounds(spec: SequenceSpec, n: int) -> Tuple[float, float]:
     """
     if n < 2:
         raise ValueError("bounds need order at least 2")
-    top = max(x_float(spec, j) for j in range(1, n))
+    top = max(x_floats(spec, n - 1).tolist())
     bound = math.sqrt(2.0 * top)
     return -bound, bound
 

@@ -6,7 +6,7 @@ import pytest
 
 from nlcpoly import (
     SequenceSpec, amplitude_extract, get_measure, nevai_amplitude,
-    nevai_condition, rescaled_phi_window, zeta_log, x_float,
+    nevai_condition, rescaled_phi_window, zeta_log, x_float, x_limit,
 )
 
 
@@ -134,6 +134,38 @@ def test_amplitude_rejects_outside_support():
     spec = SequenceSpec("gamma_quotient", a=2, b=1, c=1)
     with pytest.raises(ValueError):
         amplitude_extract(spec, 1.5, (100, 200))
+
+
+def _rescaled_window_reference(spec, n_lo, n_hi, x):
+    """The unscaled forward loop psi_{k+1} = (x psi_k - a_k psi_{k-1}) / a_{k+1}
+    with a_k = sqrt(x_k / (4M)), reading every x_k as x_float."""
+    m = float(x_limit(spec).value)
+    out = np.empty(n_hi - n_lo + 1)
+    prev, cur = 0.0, 1.0
+    if n_lo == 0:
+        out[0] = cur
+    for k in range(n_hi):
+        a_next = math.sqrt(x_float(spec, k + 1) / (4.0 * m))
+        a_cur = math.sqrt(x_float(spec, k) / (4.0 * m)) if k >= 1 else 0.0
+        prev, cur = cur, (x * cur - a_cur * prev) / a_next
+        if k + 1 >= n_lo:
+            out[k + 1 - n_lo] = cur
+    return out
+
+
+@pytest.mark.parametrize("spec", [
+    SequenceSpec("grinshpan_ismail_s3", a1=1, a2=Fraction(1, 2), a3=Fraction(1, 4)),
+    SequenceSpec("q_gamma_quotient", A=Fraction(1, 8), B=Fraction(1, 4),
+                 C=Fraction(1, 2), q=Fraction(1, 2)),
+    SequenceSpec("jacobi_type", alpha=1, beta=1),
+    SequenceSpec("ultraspherical", nu=0.3),
+    SequenceSpec("su11", j=Fraction(3, 2)),
+], ids=lambda s: s.family)
+def test_rescaled_window_equals_unscaled_loop(spec):
+    for x, (n_lo, n_hi) in ((0.0, (0, 600)), (0.37, (200, 600)), (-0.81, (599, 600)),
+                            (0.999, (0, 0))):
+        assert (rescaled_phi_window(spec, n_lo, n_hi, x).tolist()
+                == _rescaled_window_reference(spec, n_lo, n_hi, x).tolist())
 
 
 def test_rescaled_window_needs_finite_limit():

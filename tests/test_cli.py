@@ -176,6 +176,57 @@ def test_default_ladder_measure_verifies_the_selected_form(tmp_path, monkeypatch
     assert info["ladder_selection"]["chosen"] == "bessel_ladder_radial_plain"
 
 
+def _default_measure_chain(spec):
+    """The per-family if-chain the pairing table replaced (reference only)."""
+    from nlcpoly.measures import get_measure
+    p = spec.params
+    try:
+        if spec.family == "canonical":
+            return get_measure("gaussian_radial")
+        if spec.family == "su11" and p["j"] > Fraction(1, 2):
+            return get_measure("disc_radial", j=p["j"])
+        if spec.family == "barut_girardello":
+            return get_measure("bessel_ladder_radial", j=p["j"])
+        if spec.family == "ultraspherical":
+            return get_measure("ultraspherical_even", nu=p["nu"])
+        if spec.family == "jacobi_type":
+            return get_measure("jacobi_even", alpha=p["alpha"], beta=p["beta"])
+        if spec.family == "meixner_pollaczek_bessel":
+            return get_measure("bessel_mp_even", mu=p["mu"], nu=p["nu"], beta=p["beta"])
+        if spec.family == "bessel_k_exp":
+            return get_measure("bessel_k_exp_even", mu=p["mu"], nu=p["nu"])
+        if spec.family == "bessel_k_abs":
+            return get_measure("bessel_k_abs_even", mu=p["mu"], nu=p["nu"])
+    except (ValueError, KeyError):
+        return None
+    return None
+
+
+def test_default_measure_table_matches_the_family_chain():
+    from conftest import catalog_specs
+    from nlcpoly import SequenceSpec
+    from nlcpoly.cli import default_measure_for
+    specs = catalog_specs() + [
+        SequenceSpec("su11", j=Fraction(1, 2)),
+        SequenceSpec("su11", j=Fraction(5, 2)),
+        SequenceSpec("su11", strict=False, j=0.3),
+        SequenceSpec("ultraspherical", strict=False, nu=Fraction(-3, 4)),
+        SequenceSpec("ultraspherical", nu=0.3),
+        SequenceSpec("jacobi_type", strict=False, alpha=0, beta=Fraction(-5, 4)),
+        SequenceSpec("barut_girardello", strict=False, j=0.75),
+        SequenceSpec("rational", num=[0, 1], den=[1]),
+        SequenceSpec("explicit", values=[1, 2, 3]),
+    ]
+    for spec in specs:
+        got, want = default_measure_for(spec), _default_measure_chain(spec)
+        assert (got is None) == (want is None), spec
+        if want is not None:
+            assert (got.name, got.params, got.paired_family, got.paired_params) == (
+                want.name, want.params, want.paired_family, want.paired_params), spec
+    assert default_measure_for(SequenceSpec("su11", j=Fraction(1, 2))) is None
+    assert default_measure_for(SequenceSpec("gamma_quotient", a=3, b=2, c=1)) is None
+
+
 def test_all_computes_zeros_once(tmp_path, monkeypatch):
     import nlcpoly.cli as cli
     calls = []

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import threading
@@ -9,6 +10,7 @@ from nlcpoly import (
     DegenerateMomentsError, MomentSequence, SequenceSpec, bareiss_determinant,
     berg_duran_check, hankel_determinant, hankel_polynomial, monic_q_coefficients,
 )
+from nlcpoly.moments import PrecisionError
 from conftest import catalog_specs, det_cofactor
 from test_acceptance import RATIONAL_FAMILIES
 
@@ -128,6 +130,16 @@ def test_hankel_float_path_with_condition_estimate():
     assert res.positive
     assert res.condition_estimate is not None and res.condition_estimate >= 1
     assert res.precision_bits >= 160
+
+
+def test_hankel_float_overflow_raises_precision_error():
+    # x_n = n (n + 1/2) overflows the float moments at mu_196 = x_98!; the
+    # determinant of order 100 used to come back as nan with positive=False
+    ms = MomentSequence(SequenceSpec("barut_girardello", strict=False, j=0.75))
+    assert ms.even_moment(97) < math.inf == ms.even_moment(98)
+    with pytest.raises(PrecisionError, match="mu_196 = inf"):
+        hankel_determinant(ms, 100)
+    assert ms.representation == "float"
 
 
 # -- determinant polynomials -------------------------------------------------------

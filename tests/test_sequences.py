@@ -1,12 +1,17 @@
 import math
+import random
+import sys
+import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import nlcpoly.sequences
 from nlcpoly import (
     ParameterDomainError, SequenceRangeError, SequenceSpec,
-    check_monotone_and_bounded, check_nonlinear_inequalities, x_factorial,
-    x_from_taylor_norms, x_limit, x_log_factorial, x_minus_limit, x_value,
+    check_monotone_and_bounded, check_nonlinear_inequalities, phi_value, x_factorial,
+    x_floats, x_from_taylor_norms, x_limit, x_log_factorial, x_minus_limit, x_value,
 )
 from nlcpoly.config import spec_from_config_text, spec_to_config_text
 
@@ -225,7 +230,101 @@ def test_x_minus_limit_q_family():
                                                        abs=1e-15)
 
 
+# -- float view ------------------------------------------------------------------
+
+FLOAT_VIEW_SPECS = catalog_specs() + [
+    SequenceSpec("ultraspherical", nu=0.3),
+    SequenceSpec("bessel_k_exp", mu=1.7, nu=0.3),
+    SequenceSpec("rational", num=[1, 3, 2], den=[2, 1]),
+    SequenceSpec("explicit", values=[1, Fraction(3, 2), 2.5, 3]),
+    SequenceSpec("analytic_function", taylor_norms=[1, 1, 1.5, 2.25, 4]),
+]
+
+
+@pytest.mark.parametrize("spec", FLOAT_VIEW_SPECS, ids=lambda s: s.family)
+def test_x_floats_equal_x_value_rounded_once(spec):
+    n = 4 if spec.family in ("explicit", "analytic_function") else 300
+    values = x_floats(spec, n)
+    assert values.dtype == np.float64 and len(values) == n
+    assert values.tolist() == [float(x_value(spec, k)) for k in range(1, n + 1)]
+
+
+def test_x_floats_serves_prefixes_read_only():
+    spec = SequenceSpec("grinshpan_ismail_s3", a1=1, a2=Fraction(1, 2), a3=Fraction(1, 4))
+    assert len(x_floats(spec, 0)) == 0
+    short = x_floats(spec, 10)
+    long = x_floats(spec, 50)
+    assert long[:10].tolist() == short.tolist()
+    assert x_floats(spec, 20).tolist() == long[:20].tolist()
+    for view in (short, long, x_floats(spec, 20)):
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0] = 0.0
+    with pytest.raises(SequenceRangeError):
+        x_floats(spec, -1)
+
+
+def test_x_floats_list_backed_range_error():
+    spec = SequenceSpec("explicit", values=[1, 2, 3])
+    assert x_floats(spec, 3).tolist() == [1.0, 2.0, 3.0]
+    with pytest.raises(SequenceRangeError):
+        x_floats(spec, 4)
+    with pytest.raises(SequenceRangeError):
+        x_floats(SequenceSpec("analytic_function", taylor_norms=[1, 2, 3]), 3)
+
+
+def test_x_floats_consistent_across_threads():
+    spec = SequenceSpec("jacobi_type", alpha=1, beta=Fraction(1, 3))
+    expected = [float(x_value(spec, k)) for k in range(1, 401)]
+    results = []
+
+    def reader(seed):
+        lengths = [random.Random(seed).randint(0, 400) for _ in range(40)]
+        results.extend((n, x_floats(spec, n).tolist()) for n in lengths)
+
+    threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 320 and all(vals == expected[:n] for n, vals in results)
+
+
+def test_phi_value_reads_each_x_once(monkeypatch):
+    calls = []
+    real = nlcpoly.sequences.x_value
+
+    def counting(spec, n):
+        calls.append(n)
+        return real(spec, n)
+
+    spec = SequenceSpec("grinshpan_ismail_s3", a1=1, a2=Fraction(1, 2), a3=Fraction(1, 4))
+    monkeypatch.setattr(nlcpoly.sequences, "x_value", counting)
+    first = phi_value(spec, 1000, 0.3)
+    assert len(calls) <= 1000
+    calls.clear()
+    assert phi_value(spec, 1000, 0.3) == first
+    assert phi_value(spec, 400, -0.7) == phi_value(spec, 400, -0.7)
+    assert spec.is_rational
+    assert calls == []
+
+
 # -- monotonicity and boundedness ----------------------------------------------
+
+def test_sequence_equal_to_its_limit_is_not_bounded():
+    # su11 at j = 1/2: x_n = n / n = 1 = M, so num - M den vanishes identically
+    spec = SequenceSpec("su11", j=Fraction(1, 2))
+    rep = check_monotone_and_bounded(spec, 20)
+    assert (rep.monotone, rep.first_violation) == (False, 2)
+    assert (rep.bounded_by_L2, rep.bound_first_violation) == (False, 1)
+    assert x_minus_limit(spec, 7) == 0.0
+
 
 def test_monotone_canonical():
     rep = check_monotone_and_bounded(SequenceSpec("canonical"), 100)
