@@ -14,9 +14,9 @@ from .sequences import (  # noqa: F401
     x_floats, x_from_taylor_norms, x_limit, x_log_factorial, x_minus_limit, x_value,
 )
 from .special import (  # noqa: F401
-    CMReport, DomainError, QParams, bessel_i, bessel_i_scaled, bessel_k,
-    bessel_k_scaled, cm_sequence_test, gamma, gamma_quotient_g, log_gamma,
-    pochhammer, q_gamma, q_gamma_quotient_h, q_pochhammer,
+    CMReport, DomainError, QParams, bessel_k, cm_sequence_test, gamma,
+    gamma_quotient_g, log_gamma, pochhammer, q_gamma, q_gamma_quotient_h,
+    q_pochhammer,
 )
 from .cm_generators import (  # noqa: F401
     FsConsistencyReport, fs_quotient, fs_quotient_consistency, fs_subset_sums,

@@ -4,18 +4,19 @@ Reads a sectioned config file, runs one analysis pipeline (or ``all``) and
 writes CSV tables plus a JSON summary.  Outputs are deterministic: identical
 config and package version produce byte-identical files.  Exit status is 0
 when every verdict-carrying check passes, 1 when any fails, 2 on usage or
-configuration errors.
+configuration errors, and 3 when the program itself fails (an internal error,
+printed with its traceback).
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
 import random
 import sys
+import traceback
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -30,7 +31,7 @@ from .moments import (DegenerateMomentsError, MomentSequence, berg_duran_check,
                       hankel_determinant, hankel_polynomial)
 from .recurrence import monic_q_coefficients, phi_window
 from .sequences import (ParameterDomainError, SequenceRangeError, SequenceSpec, x_floats,
-                        x_limit)
+                        x_limit, x_log_factorials)
 from .spectral import (SpectralResult, build_truncated, ismail_li_bounds, jacobi_zeros,
                        support_endpoints)
 
@@ -87,9 +88,7 @@ class _Runner:
     def cmd_moments(self) -> None:
         spec, n_max = self.spec, self.cfg.n_max
         exact = spec.is_rational
-        # log(x_n!) summed term by term in the order of x_log_factorial
-        log_mus = itertools.accumulate(
-            (math.log(v) for v in x_floats(spec, n_max).tolist()), initial=0)
+        log_mus = x_log_factorials(x_floats(spec, n_max).tolist())
         rows = []
         for n, log_mu in enumerate(log_mus):
             mu = self.moments.even_moment(n)
@@ -349,7 +348,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.prefix:
         overrides.append(f"output.prefix={args.prefix}")
     try:
-        cfg = load_config(args.config, overrides)
+        return _run(args.config, overrides)
+    except Exception as exc:  # a crash must not read as a FAIL (1) or a config error (2)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
+
+
+def _run(config_path: str, overrides: List[str]) -> int:
+    try:
+        cfg = load_config(config_path, overrides)
         runner = _Runner(cfg)
     except (ConfigError, ParameterDomainError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -22,7 +22,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .moments import DegenerateMomentsError, MomentSequence
 from .quadrature import QuadratureResult, exp_sinh, tanh_sinh
 from .recurrence import phi_value
-from .sequences import SequenceSpec, x_factorial, x_float, x_limit, x_log_factorial
+from .sequences import (SequenceSpec, x_factorials, x_float, x_limit, x_log_factorials,
+                        x_value)
 from .special import bessel_k, log_gamma, pochhammer
 
 
@@ -366,18 +367,20 @@ def verify_moment_problem(measure: MeasureSpec, spec: SequenceSpec, n_max: int,
     verdict.  Expected values beyond the floating range are compared in the
     log domain by damping the integrand.
     """
+    xs = [x_value(spec, k) for k in range(1, n_max + 1)]
+    products = x_factorials(spec, xs)
+    log_products = x_log_factorials(map(float, xs))
     rows = []
     worst = 0.0
     any_unconverged = False
-    for n in range(n_max + 1):
-        log_expected = x_log_factorial(spec, n)
+    for n, (product, log_expected) in enumerate(zip(products, log_products)):
         if log_expected > 640.0:  # compare exp(-logE) * integral against 1
             res = moment_integral(measure, n, tolerance, log_scale=log_expected)
             expected = math.inf
             computed = res.value  # damped: should be 1
             rel = abs(res.value - 1.0)
         else:
-            expected = float(x_factorial(spec, n))
+            expected = float(product)
             res = moment_integral(measure, n, tolerance)
             computed = res.value
             rel = abs(computed - expected) / max(abs(expected), 1e-300)

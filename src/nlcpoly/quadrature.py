@@ -6,6 +6,10 @@ singularities) into double-exponentially decaying trapezoid tails, so one
 rule covers all the measure densities in the catalog.  Levels halve the mesh
 and reuse previous nodes; the error estimate is the difference between
 consecutive levels, and convergence is judged relative to the integral size.
+On the half line a node near 0 can underflow while the terms are still
+significant and growing (an integral like that of dr/r): the tail past it is
+cut off at every level, so refinement cannot converge and the result is
+reported unconverged at once.
 
 For densities that blow up at an interval endpoint the evaluation of
 ``1 - |x|`` in double precision is the accuracy bottleneck, not the rule:
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 _HALF_PI = math.pi / 2.0
 
@@ -111,8 +115,8 @@ def exp_sinh(f: Callable[[float], float], tolerance: float = 1e-9,
             return 0.0
         x = math.exp(y)
         w = _HALF_PI * math.cosh(t) * x
-        if w == 0.0 or x == 0.0:
-            return 0.0
+        if w == 0.0 or x == 0.0:  # t < 0 and the node underflowed
+            return None
         nodes += 1
         try:
             fx = f(x)
@@ -127,19 +131,34 @@ def exp_sinh(f: Callable[[float], float], tolerance: float = 1e-9,
     return _refine(sample, 1.0, tolerance, max_level, lambda: (nodes, skipped))
 
 
-def _sum_level(sample: Callable[[float], float], h: float, first: float,
-               stride: float) -> float:
+def _negligible(term: float, total: float) -> bool:
+    return abs(term) <= 1e-300 or (total != 0.0 and abs(term) <= 1e-18 * abs(total))
+
+
+def _sum_level(sample: Callable[[float], Optional[float]], h: float, first: float,
+               stride: float) -> Tuple[float, bool]:
     """Trapezoid contributions at t = +-(first + k*stride), k = 0, 1, ...;
-    each side stops after its terms stay negligible."""
+    each side stops after its terms stay negligible.
+
+    ``sample`` returns None at a node that underflowed; the side ends there.
+    The second result tells whether that cut off a tail whose last term was
+    still significant and not decaying: a tail that still decays double
+    exponentially past the cut holds little, and refinement may converge."""
     total = 0.0
+    cut = False
     for sign in (1.0, -1.0):
         quiet = 0
         k = 0
+        last = previous = 0.0
         while True:
             t = sign * (first + k * stride)
             term = sample(t)
+            if term is None:
+                cut = cut or (abs(last) >= abs(previous) and not _negligible(last, total))
+                break
             total += term
-            if abs(term) <= 1e-300 or (total != 0.0 and abs(term) <= 1e-18 * abs(total)):
+            previous, last = last, term
+            if _negligible(term, total):
                 quiet += 1
                 if quiet >= 3:
                     break
@@ -148,14 +167,15 @@ def _sum_level(sample: Callable[[float], float], h: float, first: float,
             k += 1
             if first + k * stride > 7.0:  # gap below 1e-600: nothing left
                 break
-    return total * h
+    return total * h, cut
 
 
 def _refine(sample, jacobian: float, tolerance: float, max_level: int,
             counters) -> QuadratureResult:
     h = 1.0
     center = sample(0.0) * h
-    total = center + _sum_level(sample, h, h, h)
+    level_sum, cut = _sum_level(sample, h, h, h)
+    total = center + level_sum
     value = total * jacobian
     prev_value = math.inf
     level = 0
@@ -163,9 +183,13 @@ def _refine(sample, jacobian: float, tolerance: float, max_level: int,
         level += 1
         h *= 0.5
         # reuse: old nodes keep their sum, new nodes sit at odd multiples of h
-        total = 0.5 * total + _sum_level(sample, h, h, 2.0 * h)
+        level_sum, level_cut = _sum_level(sample, h, h, 2.0 * h)
+        cut = cut or level_cut
+        total = 0.5 * total + level_sum
         prev_value, value = value, total * jacobian
         err = abs(value - prev_value)
+        if cut:  # a truncated tail: no finer level can repair it
+            break
         if err <= tolerance * max(1.0, abs(value)) and level >= 3:
             nodes, skipped = counters()
             return QuadratureResult(value, err, nodes, True, level, skipped)

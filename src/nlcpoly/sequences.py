@@ -17,10 +17,11 @@ still be analyzed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
-from typing import Callable, Optional, Sequence, Tuple, Union
+from itertools import accumulate, zip_longest
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -490,21 +491,36 @@ def x_floats(spec: SequenceSpec, n: int) -> np.ndarray:
     return kept[:n]
 
 
+def x_factorials(spec: SequenceSpec, xs: Iterable[Number]) -> Iterator[Number]:
+    """x_0!, x_1!, ... as running products of ``xs`` = x_1, x_2, ...; exact
+    from Fraction(1) for a rational spec, from 1.0 otherwise."""
+    return accumulate(xs, operator.mul, initial=Fraction(1) if spec.is_rational else 1.0)
+
+
+def x_log_factorials(xs: Iterable[float]) -> Iterator[float]:
+    """log(x_0!), log(x_1!), ... summed term by term over ``xs`` = x_1, x_2,
+    ... as floats; immune to overflow."""
+    return accumulate(map(math.log, xs), initial=0)
+
+
+def _last(items: Iterable):
+    for item in items:
+        pass
+    return item
+
+
 def x_factorial(spec: SequenceSpec, n: int) -> Number:
     """Partial product x_1 x_2 ... x_n with the empty product equal to 1."""
     if n < 0:
         raise SequenceRangeError("partial products need n >= 0")
-    acc: Number = Fraction(1) if spec.is_rational else 1.0
-    for k in range(1, n + 1):
-        acc = acc * x_value(spec, k)
-    return acc
+    return _last(x_factorials(spec, (x_value(spec, k) for k in range(1, n + 1))))
 
 
 def x_log_factorial(spec: SequenceSpec, n: int) -> float:
     """log(x_n!), accumulated term by term; immune to overflow."""
     if n < 0:
         raise SequenceRangeError("partial products need n >= 0")
-    return sum(math.log(v) for v in x_floats(spec, n).tolist())
+    return _last(x_log_factorials(x_floats(spec, n).tolist()))
 
 
 def x_from_taylor_norms(norms: Sequence[Number], n: int) -> Number:

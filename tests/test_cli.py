@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from nlcpoly.cli import main
+import nlcpoly
+from nlcpoly.cli import _Runner, main
 from nlcpoly.config import ConfigError, load_config
 
 
@@ -134,6 +137,47 @@ prefix = t
     assert main([path]) == 1
     summary = json.loads((out / "t_summary.json").read_text())
     assert summary["verdict"] == "FAIL"
+
+
+def test_internal_error_exits_3_with_traceback(tmp_path, capsys, monkeypatch):
+    def broken(self):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(_Runner, "cmd_moments", broken)
+    path = write_config(tmp_path, BASE.format(command="moments", n_max=4, out=tmp_path / "out"))
+    assert main([path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError: injected failure")
+    assert "Traceback" in err
+    # a genuine FAIL keeps exit status 1
+    failing = write_config(tmp_path, BASE.format(command="verify-measure", n_max=4,
+                                                 out=tmp_path / "out2")
+                           + "\n[measure]\nname = disc_radial\nj = 1\n", name="fail.cfg")
+    assert main([failing]) == 1
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy is a test-only dependency: neither the import nor an `all` run,
+    # on a plain or on a Bessel-weight family, may load it
+    configs = []
+    for family, block in (("su11", "family = su11\nj = 3/2"),
+                          ("bessel_k_exp", "family = bessel_k_exp\nmu = 3/2\nnu = 1/2")):
+        out = tmp_path / family
+        configs.append(write_config(tmp_path, f"[sequence]\n{block}\n[run]\ncommand = all\n"
+                                              f"[output]\ndir = {out}\nprefix = t\n",
+                                    name=f"{family}.cfg"))
+    script = ("import sys\n"
+              "import nlcpoly.cli\n"
+              "loaded = ['scipy' in sys.modules]\n"
+              "for cfg in sys.argv[1:]:\n"
+              "    assert nlcpoly.cli.main([cfg]) == 0\n"
+              "    loaded.append('scipy' in sys.modules)\n"
+              "print(loaded)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nlcpoly.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script, *configs], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "[False, False, False]"
 
 
 def test_measure_parameter_error_exits_2(tmp_path, capsys):

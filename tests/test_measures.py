@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+import nlcpoly.measures
+import nlcpoly.sequences
 from nlcpoly import (
     DivergenceError, SequenceSpec, coherent_normalization, get_measure,
     integrate, measure_names, resolution_of_identity_check,
     select_bessel_ladder_measure, verify_moment_problem, verify_orthonormality,
 )
-from nlcpoly.measures import (bessel_k_abs_even_moment, bessel_k_exp_even_moment,
-                              bessel_mp_even_moment)
+from nlcpoly.measures import (MomentRow, bessel_k_abs_even_moment, bessel_k_exp_even_moment,
+                              bessel_mp_even_moment, moment_integral)
+from nlcpoly.sequences import x_factorial, x_log_factorial
 
 
 # -- catalog ------------------------------------------------------------------
@@ -73,6 +76,63 @@ def test_disc_moments_singular_weight():
     report = verify_moment_problem(get_measure("disc_radial", j=j),
                                    SequenceSpec("su11", j=j, strict=False), 10, 1e-10)
     assert report.verdict, report.max_abs_rel_error
+
+
+def _moment_rows_by_partial_products(measure, spec, n_max, tolerance):
+    """Reference: the rows as formed by recomputing x_n! and log(x_n!) per row."""
+    rows = []
+    for n in range(n_max + 1):
+        log_expected = x_log_factorial(spec, n)
+        if log_expected > 640.0:
+            res = moment_integral(measure, n, tolerance, log_scale=log_expected)
+            rows.append(MomentRow(n, res.value, math.inf, abs(res.value - 1.0), res.converged))
+        else:
+            expected = float(x_factorial(spec, n))
+            res = moment_integral(measure, n, tolerance)
+            rel = abs(res.value - expected) / max(abs(expected), 1e-300)
+            rows.append(MomentRow(n, res.value, expected, rel, res.converged))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("measure_name, measure_params, family, params, n_max", [
+    ("disc_radial", {"j": Fraction(3, 2)}, "su11", {"j": Fraction(3, 2)}, 40),
+    ("gaussian_radial", {}, "canonical", {}, 165),  # rows past n = 158 are damped
+    ("bessel_k_exp_even", {"mu": 1.7, "nu": 0.3}, "bessel_k_exp", {"mu": 1.7, "nu": 0.3}, 8),
+])
+def test_verify_moment_problem_reads_each_x_once(monkeypatch, measure_name, measure_params,
+                                                 family, params, n_max):
+    measure = get_measure(measure_name, **measure_params)
+    calls = []
+    original = nlcpoly.sequences.x_value
+
+    def counted(spec, n):
+        calls.append(n)
+        return original(spec, n)
+
+    monkeypatch.setattr(nlcpoly.sequences, "x_value", counted)
+    monkeypatch.setattr(nlcpoly.measures, "x_value", counted)
+    report = verify_moment_problem(measure, SequenceSpec(family, **params), n_max)
+    assert len(calls) <= n_max + 1
+    monkeypatch.undo()
+    expected = _moment_rows_by_partial_products(measure, SequenceSpec(family, **params),
+                                                n_max, 1e-11)
+    assert report.rows == expected
+    assert report.verdict is True
+
+
+@pytest.mark.parametrize("family, measure_name, extra", [
+    ("bessel_k_abs", "bessel_k_abs_even", {}),  # n = 0 integrand t^-0.95
+    ("bessel_k_exp", "bessel_k_exp_even", {}),  # t^-0.9
+    ("meixner_pollaczek_bessel", "bessel_mp_even", {"beta": 1}),  # x^-0.9
+])
+def test_bessel_moments_converge_with_mu_close_to_nu(family, measure_name, extra):
+    # mu - |nu| = 1/20: the n = 0 density is barely integrable at 0, and its
+    # exp-sinh terms are still visible where the nodes underflow
+    params = {"mu": Fraction(11, 20), "nu": Fraction(1, 2), **extra}
+    report = verify_moment_problem(get_measure(measure_name, **params),
+                                   SequenceSpec(family, **params), 6)
+    assert all(row.converged for row in report.rows)
+    assert report.verdict is True
 
 
 @pytest.mark.parametrize("j", [1, Fraction(3, 2)])

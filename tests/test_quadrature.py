@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import pytest
 
-from nlcpoly import exp_sinh, tanh_sinh
+from nlcpoly import exp_sinh, get_measure, tanh_sinh
+from nlcpoly.measures import moment_integral
 
 
 def test_sine_integral():
@@ -93,3 +95,64 @@ def test_unconverged_flag_with_tiny_budget():
 def test_tolerance_floor():
     with pytest.raises(ValueError):
         tanh_sinh(math.sin, 0.0, 1.0, 1e-16)
+
+
+# -- exp-sinh tail cut by underflow ----------------------------------------------
+
+@pytest.mark.parametrize("f", [lambda r: math.exp(-r) / r,
+                               lambda r: 1.0 / (r * (1.0 + r)),
+                               lambda r: r ** -0.999 * math.exp(-r)])
+def test_divergent_half_line_integral_stops_at_the_cut_tail(f):
+    # the terms still grow when the node x = exp(pi/2 sinh t) underflows at
+    # t < 0; every level cuts the same tail, so refinement is pointless
+    res = exp_sinh(f, 1e-9)
+    assert not res.converged
+    assert res.levels <= 2
+    assert res.nodes_used < 100
+
+
+def test_decaying_terms_at_the_underflow_do_not_cut():
+    # r^-0.95 e^-r: the last level-0 term before the underflow is about 1e-5
+    # of the total, but the terms decay double exponentially past it and the
+    # part below the underflow is near 1e-14 relative
+    res = exp_sinh(lambda r: r ** -0.95 * math.exp(-r), 1e-9)
+    assert res.converged
+    assert res.value == pytest.approx(math.gamma(0.05), rel=1e-12)
+
+
+def test_growing_but_negligible_terms_at_the_underflow_do_not_cut():
+    # a 1e-22 r^-0.999 e^-r part grows toward the underflow but stays below
+    # 1e-18 of the total; an absolute threshold alone would call it a cut
+    res = exp_sinh(lambda r: (1.0 + 1e-22 * r ** -0.999) * math.exp(-r), 1e-9)
+    assert res.converged
+    assert res.value == pytest.approx(1.0, rel=1e-12)
+
+
+def test_slowly_decaying_cut_tail_is_refined_and_stays_unconverged():
+    # r^-0.99 e^-r loses about 8e-4 of its value below the underflow; its
+    # terms decay there, so levels are refined, but it never reads converged
+    res = exp_sinh(lambda r: r ** -0.99 * math.exp(-r), 1e-9)
+    assert not res.converged
+
+
+def test_integrable_endpoint_singularity_on_half_line_converges():
+    res = exp_sinh(lambda r: math.exp(-r) / math.sqrt(r), 1e-12)
+    assert res.converged
+    assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+
+
+def test_slow_algebraic_decay_on_half_line_converges():
+    # the t > 0 side ends where x overflows with terms near 1e-15 of the
+    # total; that is no cut tail, and the integral still converges
+    res = exp_sinh(lambda r: (1.0 + r) ** -1.05, 1e-9)
+    assert res.converged
+    assert res.value == pytest.approx(20.0, rel=1e-9)
+
+
+def test_negligible_terms_at_the_underflow_do_not_cut():
+    # bessel_k_abs, mu = 3/2, nu = 1/2, n = 0: the last term before the node
+    # underflows is about 5e-298, negligible only relative to the total
+    measure = get_measure("bessel_k_abs_even", mu=Fraction(3, 2), nu=Fraction(1, 2))
+    res = moment_integral(measure, 0, 1e-11)
+    assert res.converged
+    assert res.value == pytest.approx(1.0, rel=1e-11)

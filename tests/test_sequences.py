@@ -160,6 +160,17 @@ def test_log_factorial_matches_exact():
             math.log(float(x_factorial(spec, n))), rel=1e-13)
 
 
+@pytest.mark.parametrize("spec", [SequenceSpec("su11", j=Fraction(3, 2)),
+                                  SequenceSpec("bessel_k_exp", mu=1.7, nu=0.3)])
+def test_running_partial_products_match_the_single_ones(spec):
+    xs = [x_value(spec, k) for k in range(1, 31)]
+    products = list(nlcpoly.sequences.x_factorials(spec, xs))
+    logs = list(nlcpoly.sequences.x_log_factorials(map(float, xs)))
+    assert products == [x_factorial(spec, n) for n in range(31)]
+    assert logs == [x_log_factorial(spec, n) for n in range(31)]
+    assert all(type(p) is type(x_factorial(spec, 0)) for p in products)
+
+
 def test_log_factorial_beyond_overflow():
     spec = SequenceSpec("canonical")
     val = x_log_factorial(spec, 400)

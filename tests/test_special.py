@@ -6,8 +6,7 @@ import mpmath
 import pytest
 
 from nlcpoly import (
-    DomainError, QParams, bessel_i, bessel_i_scaled, bessel_k, bessel_k_scaled,
-    cm_sequence_test, gamma, gamma_quotient_g, log_gamma, pochhammer, q_gamma,
+    DomainError, QParams, bessel_k, cm_sequence_test, gamma, gamma_quotient_g, log_gamma, pochhammer, q_gamma,
     q_gamma_quotient_h, q_pochhammer, exp_sinh,
 )
 
@@ -112,14 +111,12 @@ def test_qparams_admissibility():
 # -- Bessel ------------------------------------------------------------------------
 
 def test_bessel_k_half_order_closed_form():
-    for x in (0.5, 1.0, 3.0, 10.0):
-        assert bessel_k(0.5, x) == pytest.approx(
-            math.sqrt(math.pi / (2 * x)) * math.exp(-x), rel=1e-13)
-
-
-def test_bessel_i_zero_argument_limit():
-    assert bessel_i(0.0, 1e-12) == pytest.approx(1.0, rel=1e-10)
-    assert bessel_i(0.0, 0.0) == 1.0
+    # both branches (Temme's series below x = 2, Steed's fraction above) and
+    # the order reduction K_{-1/2} = K_{1/2}
+    for x in (1e-12, 1e-3, 0.5, 1.0, 1.999, 2.0, 3.0, 10.0, 600.0):
+        ref = math.sqrt(math.pi / (2 * x)) * math.exp(-x)
+        assert bessel_k(0.5, x) == pytest.approx(ref, rel=1e-13)
+        assert bessel_k(-0.5, x) == bessel_k(0.5, x)
 
 
 def test_bessel_accuracy_against_mpmath():
@@ -129,38 +126,48 @@ def test_bessel_accuracy_against_mpmath():
             nu = rng.uniform(-20.0, 20.0)
             x = rng.uniform(1e-2, 650.0)
             assert bessel_k(nu, x) == pytest.approx(float(mpmath.besselk(nu, x)), rel=1e-12)
-            if x < 300:  # keep I below overflow
-                assert bessel_i(nu, x) == pytest.approx(float(mpmath.besseli(nu, x)), rel=1e-12)
+
+
+def test_bessel_k_small_argument_and_special_orders_against_mpmath():
+    # half-integer, integer, near-integer (gam1 without cancellation),
+    # negative and large orders, on a log grid of x in [1e-12, 1e-2] and
+    # across the x = 2 switch between the two algorithms
+    orders = (0.0, 1e-9, 0.25, 0.5, 0.5 + 1e-7, 1.0, 1.5, 2.0, 3.0 - 1e-9, 3.5,
+              -1.0, -2.5, -0.3, 19.5, 20.0, 20.3)
+    xs = [10.0 ** e for e in range(-12, -1)] + [0.3, 1.0, 1.999999, 2.0, 2.000001, 7.0]
+    with mpmath.workdps(40):
+        for nu in orders:
+            for x in xs:
+                ref = float(mpmath.besselk(nu, x))
+                if math.isinf(ref):
+                    continue  # beyond the double range: see the overflow test
+                assert bessel_k(nu, x) == pytest.approx(ref, rel=1e-12), (nu, x)
+
+
+def test_bessel_k_underflow_and_overflow():
+    assert bessel_k(1.0, 800.0) == 0.0       # e^-x underflows
+    assert bessel_k(3.5, 1e4) == 0.0
+    assert bessel_k(1.0, math.inf) == 0.0
+    for nu, x in ((200.0, 1e-10), (40.0, 1e-12), (3.0, 1e-300)):
+        assert bessel_k(nu, x) == math.inf   # inf, never nan
+    assert math.isfinite(bessel_k(0.5, 1e-300))
 
 
 def test_bessel_wronskian_identity():
+    # I_nu K_{nu+1} + I_{nu+1} K_nu = 1/x, with I from mpmath
     rng = random.Random(9)
     for _ in range(30):
         nu = rng.uniform(-5.0, 5.0)
         x = rng.uniform(0.1, 30.0)
-        val = bessel_i(nu, x) * bessel_k(nu + 1, x) + bessel_i(nu + 1, x) * bessel_k(nu, x)
+        i_nu, i_nu1 = float(mpmath.besseli(nu, x)), float(mpmath.besseli(nu + 1, x))
+        val = i_nu * bessel_k(nu + 1, x) + i_nu1 * bessel_k(nu, x)
         assert val == pytest.approx(1.0 / x, rel=1e-11)
 
 
-def test_bessel_k_scaled_wide_range():
-    mant, expo = bessel_k_scaled(1.5, 1200.0)
-    # value underflows in plain doubles but the scaled pair is finite
-    assert mant > 0 and expo == -1200.0
-    with mpmath.workdps(40):
-        ref = mpmath.besselk(1.5, 1200) * mpmath.exp(1200)
-    assert mant == pytest.approx(float(ref), rel=1e-12)
-
-
-def test_bessel_i_scaled_consistency():
-    mant, expo = bessel_i_scaled(2.0, 50.0)
-    assert mant * math.exp(expo) == pytest.approx(bessel_i(2.0, 50.0), rel=1e-12)
-
-
 def test_bessel_domain_errors():
-    with pytest.raises(DomainError):
-        bessel_k(1.0, 0.0)
-    with pytest.raises(DomainError):
-        bessel_i(1.0, -1.0)
+    for x in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError):
+            bessel_k(1.0, x)
 
 
 def test_bessel_k_moment_integral_closed_form():
