@@ -87,15 +87,14 @@ class _Runner:
 
     def cmd_moments(self) -> None:
         spec, n_max = self.spec, self.cfg.n_max
-        exact = spec.is_rational
         log_mus = x_log_factorials(x_floats(spec, n_max).tolist())
         rows = []
         for n, log_mu in enumerate(log_mus):
             mu = self.moments.even_moment(n)
             value = float(mu) if log_mu < 700 else math.inf
-            rows.append((n, value, str(mu) if exact else "", log_mu))
+            rows.append((n, value, str(mu), log_mu))
         self._write_csv("moments.csv", ["n", "mu2n", "mu2n_exact", "log_mu2n"], rows)
-        self.summary["moments"] = {"n_max": n_max, "exact": exact}
+        self.summary["moments"] = {"n_max": n_max, "exact": True}
 
     def cmd_hankel(self) -> None:
         results = [hankel_determinant(self.moments, n)
@@ -112,15 +111,14 @@ class _Runner:
         rows = []
         for n in range(self.cfg.n_max + 1):
             for k, c in enumerate(monic_q_coefficients(spec, n)):
-                rows.append((n, k, float(c), str(c) if spec.is_rational else ""))
+                rows.append((n, k, float(c), str(c)))
         self._write_csv("polys_monic.csv", ["n", "k", "coeff", "coeff_exact"], rows)
-        if spec.is_rational:
-            polys = [hankel_polynomial(self.moments, n)
-                     for n in reversed(range(1, self.cfg.n_max + 1))][::-1]
-            rows = [(0, 0, 1.0, "1")]
-            for n, poly in enumerate(polys, 1):
-                rows.extend((n, k, float(c), str(c)) for k, c in enumerate(poly))
-            self._write_csv("polys_hankel.csv", ["n", "k", "coeff", "coeff_exact"], rows)
+        polys = [hankel_polynomial(self.moments, n)
+                 for n in reversed(range(1, self.cfg.n_max + 1))][::-1]
+        rows = [(0, 0, 1.0, "1")]
+        for n, poly in enumerate(polys, 1):
+            rows.extend((n, k, float(c), str(c)) for k, c in enumerate(poly))
+        self._write_csv("polys_hankel.csv", ["n", "k", "coeff", "coeff_exact"], rows)
         rng = random.Random(self.cfg.seed)
         points = [rng.uniform(-2.0, 2.0) for _ in range(5)]
         columns = [phi_window(spec, 0, self.cfg.n_max, x).tolist() for x in points]

@@ -6,17 +6,19 @@ moments certify positive definiteness (Sylvester criterion), and the monic
 polynomials orthogonal with respect to the even moment functional are the
 bordered Hankel determinants divided by D_{n-1}.
 
-Exact sequences go through one pass of the exact Chebyshev algorithm
-(Gautschi, *Orthogonal Polynomials: Computation and Approximation*, 2004,
-section 2.1.7).  It turns the moments mu_0 .. mu_{2n+1} into the recurrence
-coefficients P_{k+1} = (x - a_k) P_k - b_k P_{k-1} and the pivots
+The moments are exact Fractions for every spec.  For a spec with float
+parameters, mu_{2n} is the float running product x_1 ... x_n lifted to the
+dyadic rational it is, so everything below is exact on the moments as
+given, and a running product that overflows raises PrecisionError where it
+is formed.  One pass of the exact Chebyshev algorithm (Gautschi,
+*Orthogonal Polynomials: Computation and Approximation*, 2004,
+section 2.1.7) turns mu_0 .. mu_{2n+1} into the recurrence coefficients
+P_{k+1} = (x - a_k) P_k - b_k P_{k-1} and the pivots
 sigma_kk = <P_k, x^k> = D_k / D_{k-1} for k <= n, in O(n^2) exact
 operations.  D_n is then the product of the pivots and P_n follows from the
 recurrence.  The pass stops at a pivot that is exactly zero (a singular
 leading Hankel block); beyond it, fraction-free (Bareiss) elimination and
-bordered minors give the same quantities.  Floating sequences go through
-mpmath with at least a 128-bit significand and a pivot-ratio condition
-estimate, escalating precision rather than silently rounding.
+bordered minors give the same quantities.
 """
 
 from __future__ import annotations
@@ -27,17 +29,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Union
 
-from mpmath import mp, mpf
-
 from .sequences import SequenceSpec, _max_index, x_floats, x_value
 from .special import cm_sequence_test, CMReport
 
-_MIN_PRECISION = 160  # bits; comfortably past the 128-bit contract
-_MAX_PRECISION = 1280
-
 
 class PrecisionError(ArithmeticError):
-    """Raised when escalating precision still cannot certify a determinant sign."""
+    """Raised when a float running product x_1 ... x_n overflows, so the
+    moment it should give does not exist in floating point."""
 
 
 class DegenerateMomentsError(ZeroDivisionError):
@@ -48,16 +46,17 @@ class DegenerateMomentsError(ZeroDivisionError):
 class MomentSequence:
     """Lazily computed even moments of one sequence spec.
 
-    mu_{2n} = x_n! (exact Fractions when the sequence rule is rational,
-    floats otherwise) and mu_{2n+1} = 0.  Extension, and the longest
-    Chebyshev pass with its polynomials, are memoized behind a lock so
-    concurrent readers see value-identical prefixes.
+    mu_{2n} = x_n! and mu_{2n+1} = 0, all Fractions.  A float sequence
+    rule multiplies its running product in floats, x_1, x_2, ... in order,
+    and each product is kept as the exact dyadic rational it is.  Extension,
+    and the longest Chebyshev pass with its polynomials, are memoized behind
+    a lock so concurrent readers see value-identical prefixes.
     """
 
     def __init__(self, spec: SequenceSpec):
         self.spec = spec
-        self.representation = "rational" if spec.is_rational else "float"
-        self._even: List[Union[Fraction, float]] = [Fraction(1) if spec.is_rational else 1.0]
+        self._even: List[Fraction] = [Fraction(1)]
+        self._product: Union[Fraction, float] = 1  # x_k! in the rule's own arithmetic
         self._lock = threading.RLock()
         self._pass: Optional[ChebyshevPass] = None
         self._pass_order = -1
@@ -67,19 +66,25 @@ class MomentSequence:
         with self._lock:
             while len(self._even) < count:
                 k = len(self._even)
-                self._even.append(self._even[-1] * x_value(self.spec, k))
+                product = self._product * x_value(self.spec, k)
+                if isinstance(product, float) and not math.isfinite(product):
+                    raise PrecisionError(
+                        f"mu_{2 * k} = {product}: the float product x_1 ... x_{k} "
+                        f"leaves the float range")
+                self._product = product
+                self._even.append(Fraction(product))
 
-    def even_moment(self, k: int) -> Union[Fraction, float]:
+    def even_moment(self, k: int) -> Fraction:
         """mu_{2k} = x_k!."""
         if k < 0:
             raise ValueError("moment order must be nonnegative")
         self._extend(k + 1)
         return self._even[k]
 
-    def moment(self, m: int) -> Union[Fraction, float]:
+    def moment(self, m: int) -> Fraction:
         """mu_m, including the vanishing odd orders."""
         if m % 2:
-            return Fraction(0) if self.representation == "rational" else 0.0
+            return Fraction(0)
         return self.even_moment(m // 2)
 
     def hankel_matrix(self, n: int) -> list:
@@ -204,37 +209,16 @@ def bareiss_determinant(matrix: list) -> Union[Fraction, int]:
     return sign * m[n - 1][n - 1]
 
 
-def _mp_determinant(matrix: list, prec: int):
-    """Pivoted elimination at fixed binary precision; returns (det, cond_est)."""
-    with mp.workprec(prec):
-        m = [[mpf(x) for x in row] for row in matrix]
-        n = len(m)
-        det = mpf(1)
-        pivots = []
-        for k in range(n):
-            pivot_row = max(range(k, n), key=lambda i: abs(m[i][k]))
-            if m[pivot_row][k] == 0:
-                return mpf(0), mpf("inf")
-            if pivot_row != k:
-                m[k], m[pivot_row] = m[pivot_row], m[k]
-                det = -det
-            pivots.append(abs(m[k][k]))
-            det *= m[k][k]
-            for i in range(k + 1, n):
-                factor = m[i][k] / m[k][k]
-                for j in range(k, n):
-                    m[i][j] -= factor * m[k][j]
-        cond = max(pivots) / min(pivots) if pivots else mpf(1)
-        return det, cond
-
-
 @dataclass(frozen=True)
 class HankelResult:
+    """D_n with its sign.  Every determinant is exact, so ``exact`` is always
+    True and ``precision_bits`` always None; both stay because the
+    ``exact`` column of ``hankel.csv`` and existing readers of the result
+    still name them."""
     order: int
-    value: Union[Fraction, float]
+    value: Fraction
     positive: bool
-    exact: bool
-    condition_estimate: Optional[float] = None
+    exact: bool = True
     precision_bits: Optional[int] = None
 
 
@@ -242,49 +226,24 @@ def hankel_determinant(moments: MomentSequence, n: int) -> HankelResult:
     """D_n = det [mu_{i+j}], 0 <= i, j <= n.
 
     Positive for every moment sequence of a measure with infinite support.
-    The exact path multiplies the Chebyshev pivots sigma_00 .. sigma_nn and
-    falls back to Bareiss elimination when an earlier pivot is zero.  The
-    floating path escalates precision until the sign is certified by a
-    margin; it never silently rounds a near-zero determinant, and a moment
-    that overflows the float range raises PrecisionError.
+    The product of the Chebyshev pivots sigma_00 .. sigma_nn, or Bareiss
+    elimination when an earlier pivot is zero; exact either way.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
-    if moments.representation == "rational":
-        pivots = moments.chebyshev(n).pivots
-        if len(pivots) == n + 1:
-            value = math.prod(pivots)
-        else:
-            value = bareiss_determinant(moments.hankel_matrix(n))
-        return HankelResult(n, value, value > 0, True)
-    matrix = moments.hankel_matrix(n)
-    overflow = next((m for m in range(0, 2 * n + 1, 2)
-                     if not math.isfinite(moments.moment(m))), None)
-    if overflow is not None:
-        raise PrecisionError(
-            f"Hankel determinant of order {n} needs mu_{overflow} = "
-            f"{moments.moment(overflow)}, outside the float range")
-    prec = _MIN_PRECISION
-    cond = mpf("inf")
-    while prec <= _MAX_PRECISION:
-        det, cond = _mp_determinant(matrix, prec)
-        if det == 0:
-            return HankelResult(n, 0.0, False, False, float(cond), prec)
-        # LU sign is trustworthy once the pivot-ratio ill-conditioning proxy
-        # leaves a 30-bit margin below the working precision
-        if cond < mpf(2) ** (prec - 30):
-            return HankelResult(n, float(det), det > 0, False, float(cond), prec)
-        prec *= 2
-    raise PrecisionError(
-        f"Hankel determinant of order {n} not certifiable below "
-        f"{_MAX_PRECISION} bits (condition estimate {float(cond):.3e})")
+    pivots = moments.chebyshev(n).pivots
+    if len(pivots) == n + 1:
+        value = math.prod(pivots)
+    else:
+        value = bareiss_determinant(moments.hankel_matrix(n))
+    return HankelResult(n, value, value > 0)
 
 
 def hankel_polynomial(moments: MomentSequence, n: int) -> list:
     """Monic degree-n polynomial orthogonal to 1, x, ..., x^(n-1) under the
     even moment functional, as ascending coefficients.
 
-    Exact moments only.  The polynomial is the bordered Hankel determinant
+    Exact Fractions.  The polynomial is the bordered Hankel determinant
     divided by D_{n-1}; it is computed from the three-term recurrence of one
     Chebyshev pass over mu_0 .. mu_{2n-1}.  When a pivot sigma_kk with
     k < n - 1 is exactly zero the recurrence breaks down although P_n may
@@ -299,8 +258,6 @@ def hankel_polynomial(moments: MomentSequence, n: int) -> list:
     """
     if n < 1:
         raise ValueError("degree must be at least 1")
-    if moments.representation != "rational":
-        raise NotImplementedError("determinant polynomials require exact moments")
     polys = moments.chebyshev_polynomials(n - 1)
     if len(polys) == n + 1:
         return polys[n]
@@ -355,12 +312,8 @@ def berg_duran_check(spec: SequenceSpec, n_max: int, order: int = 8) -> BergDura
     s = [moments.even_moment(k) for k in range(2 * top + 2)]
     first_bad = None
     for shift in (0, 1):
-        if spec.is_rational:  # while D_1 .. D_{size-1} > 0, D_size has the sign of its pivot
-            signs = exact_chebyshev(s[shift:shift + 2 * top]).pivots
-        else:
-            signs = (_mp_determinant([[s[i + j + shift] for j in range(size)]
-                                      for i in range(size)], _MIN_PRECISION)[0]
-                     for size in range(1, top + 1))
+        # while D_1 .. D_{size-1} > 0, D_size has the sign of its pivot
+        signs = exact_chebyshev(s[shift:shift + 2 * top]).pivots
         first_bad = next(((shift, size) for size, sign in enumerate(signs, 1)
                           if not sign > 0), None)
         if first_bad:

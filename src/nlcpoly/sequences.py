@@ -37,17 +37,21 @@ class SequenceRangeError(IndexError):
 
 
 def _as_number(value) -> Number:
-    """Coerce config-style values ('3/2', '0.25', 2) to Fraction/float."""
+    """Coerce config-style values ('3/2', '0.25', 2) to Fraction, and keep
+    a finite float; NaN, infinities and unparsable strings are
+    ParameterDomainError."""
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ParameterDomainError(f"parameter {value!r} is not a finite number")
         return value
     if isinstance(value, str):
         s = value.strip()
         try:
             return Fraction(s)
         except ValueError:
-            return float(s)
+            raise ParameterDomainError(f"cannot read {s!r} as a finite number") from None
     raise TypeError(f"cannot interpret {value!r} as a number")
 
 

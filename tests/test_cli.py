@@ -157,8 +157,8 @@ def test_internal_error_exits_3_with_traceback(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_runs_without_scipy(tmp_path):
-    # scipy is a test-only dependency: neither the import nor an `all` run,
-    # on a plain or on a Bessel-weight family, may load it
+    # scipy and mpmath are test-only dependencies: neither the import nor an
+    # `all` run, on a plain or on a Bessel-weight family, may load them
     configs = []
     for family, block in (("su11", "family = su11\nj = 3/2"),
                           ("bessel_k_exp", "family = bessel_k_exp\nmu = 3/2\nnu = 1/2")):
@@ -168,16 +168,34 @@ def test_cli_runs_without_scipy(tmp_path):
                                     name=f"{family}.cfg"))
     script = ("import sys\n"
               "import nlcpoly.cli\n"
-              "loaded = ['scipy' in sys.modules]\n"
+              "def loaded():\n"
+              "    return 'scipy' in sys.modules or 'mpmath' in sys.modules\n"
+              "seen = [loaded()]\n"
               "for cfg in sys.argv[1:]:\n"
               "    assert nlcpoly.cli.main([cfg]) == 0\n"
-              "    loaded.append('scipy' in sys.modules)\n"
-              "print(loaded)\n")
+              "    seen.append(loaded())\n"
+              "print(seen)\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(nlcpoly.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script, *configs], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.strip().splitlines()[-1] == "[False, False, False]"
+
+
+@pytest.mark.parametrize("block, command", [
+    ("family = ultraspherical\nnu = inf", "all"),
+    ("family = gamma_quotient\na = inf\nb = 2\nc = 1", "all"),
+    ("family = ultraspherical\nnu = abc", "all"),
+    ("family = explicit\nvalues = 1, 2, inf, 4", "moments"),
+], ids=["nu_inf", "a_inf", "nu_abc", "explicit_inf"])
+def test_non_finite_or_non_numeric_parameter_exits_2(tmp_path, capsys, block, command):
+    text = (f"[sequence]\n{block}\n[run]\ncommand = {command}\nn_max = 4\n"
+            f"[output]\ndir = {tmp_path / 'out'}\nprefix = t\n")
+    assert main([write_config(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "finite number" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_measure_parameter_error_exits_2(tmp_path, capsys):

@@ -259,6 +259,15 @@ def test_moment_side_gram_identity_for_catalog_pairs():
         assert report.max_abs_deviation <= 1e-9, (measure.name, report.max_abs_deviation)
 
 
+def test_moment_side_gram_on_a_float_spec():
+    # float parameters: the Hankel polynomials come from the lifted float
+    # moments, which agree with the Bessel-weight moments to rounding
+    spec = SequenceSpec("bessel_k_exp", mu=1.7, nu=0.3)
+    report = verify_orthonormality(get_measure("bessel_k_exp_even", mu=1.7, nu=0.3), spec, 4)
+    assert report.side == "moment" and not report.unconverged_entries
+    assert report.max_abs_deviation <= 1e-10
+
+
 def test_gram_matrix_is_symmetric():
     report = verify_orthonormality(get_measure("hermite_even"),
                                    SequenceSpec("canonical"), 5, 1e-11,

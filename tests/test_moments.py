@@ -1,4 +1,3 @@
-import math
 import random
 import sys
 import threading
@@ -11,6 +10,7 @@ from nlcpoly import (
     berg_duran_check, hankel_determinant, hankel_polynomial, monic_q_coefficients,
 )
 from nlcpoly.moments import PrecisionError
+from nlcpoly.sequences import x_value
 from conftest import catalog_specs, det_cofactor
 from test_acceptance import RATIONAL_FAMILIES
 
@@ -70,11 +70,32 @@ def test_kept_chebyshev_pass_is_consistent_across_threads():
     assert len(results) == 80 and all(polys == expected[n] for n, polys in results)
 
 
-def test_float_representation_flags():
-    spec = SequenceSpec("bessel_k_exp", mu=1.7, nu=0.3)
+FLOAT_SPECS = [SequenceSpec("bessel_k_exp", mu=1.7, nu=0.3),
+               SequenceSpec("ultraspherical", nu=0.3)]
+
+
+def _lifted_float_moments(spec, count):
+    """mu_0, mu_2, ...: the float running products x_1 ... x_k, each lifted
+    to the exact dyadic rational it is (oracle)."""
+    product, out = 1.0, [Fraction(1)]
+    for k in range(1, count):
+        product *= x_value(spec, k)
+        out.append(Fraction(product))
+    return out
+
+
+def _hankel_of(even, n):
+    return [[even[(i + j) // 2] if (i + j) % 2 == 0 else 0 for j in range(n + 1)]
+            for i in range(n + 1)]
+
+
+@pytest.mark.parametrize("spec", FLOAT_SPECS, ids=lambda s: s.family)
+def test_float_moments_are_the_lifted_running_products(spec):
     ms = MomentSequence(spec)
-    assert ms.representation == "float"
-    assert ms.even_moment(3) > 0
+    even = [ms.even_moment(k) for k in range(30)]
+    assert even == _lifted_float_moments(spec, 30)
+    assert all(type(mu) is Fraction for mu in even)
+    assert ms.moment(5) == 0 and type(ms.moment(5)) is Fraction
 
 
 # -- determinants ----------------------------------------------------------------
@@ -122,24 +143,51 @@ def test_bareiss_singular_matrix():
     assert bareiss_determinant([[1, 2], [2, 4]]) == 0
 
 
-def test_hankel_float_path_with_condition_estimate():
-    spec = SequenceSpec("bessel_k_exp", mu=1.7, nu=0.3)
+@pytest.mark.parametrize("spec", FLOAT_SPECS, ids=lambda s: s.family)
+def test_float_spec_determinant_is_exact_on_the_lifted_moments(spec):
     ms = MomentSequence(spec)
-    res = hankel_determinant(ms, 5)
-    assert not res.exact
-    assert res.positive
-    assert res.condition_estimate is not None and res.condition_estimate >= 1
-    assert res.precision_bits >= 160
+    even = _lifted_float_moments(spec, 13)
+    for n in range(13):
+        res = hankel_determinant(ms, n)
+        assert res.value == bareiss_determinant(_hankel_of(even, n)), n
+        assert res.exact and res.precision_bits is None
+        assert res.positive == (res.value > 0)
+
+
+@pytest.mark.parametrize("spec, first", [
+    (SequenceSpec("ultraspherical", nu=0.3), 25),
+    (SequenceSpec("barut_girardello", strict=False, j=0.75), 50),
+    (SequenceSpec("bessel_k_exp", mu=1.7, nu=0.3), 38),
+], ids=["ultraspherical", "barut_girardello", "bessel_k_exp"])
+def test_first_nonpositive_determinant_of_the_float_moments(spec, first):
+    # rounding the running products in floats makes D_n vanish or turn
+    # negative at these orders; D_n is exact on the moments as rounded, so
+    # the sign is theirs, not an artefact of the elimination
+    ms = MomentSequence(spec)
+    ms.chebyshev(first)  # one pass serves every shorter order
+    signs = [hankel_determinant(ms, n).positive for n in range(first + 1)]
+    assert signs == [True] * first + [False]
+
+
+@pytest.mark.parametrize("spec, first_bad", [
+    (SequenceSpec("ultraspherical", nu=0.3), (0, 15)),
+    (SequenceSpec("bessel_k_exp", mu=1.7, nu=0.3), (0, 20)),
+], ids=["ultraspherical", "bessel_k_exp"])
+def test_berg_duran_on_the_float_moments(spec, first_bad):
+    report = berg_duran_check(spec, 40)
+    assert report.hausdorff_ok and not report.stieltjes_hankels_ok
+    assert report.first_nonpositive_hankel == first_bad
 
 
 def test_hankel_float_overflow_raises_precision_error():
-    # x_n = n (n + 1/2) overflows the float moments at mu_196 = x_98!; the
-    # determinant of order 100 used to come back as nan with positive=False
+    # x_n = n (n + 1/2) overflows the float running product at mu_196 = x_98!;
+    # the moment is refused where it is formed, before any determinant
     ms = MomentSequence(SequenceSpec("barut_girardello", strict=False, j=0.75))
-    assert ms.even_moment(97) < math.inf == ms.even_moment(98)
+    assert ms.even_moment(97) > 0
+    with pytest.raises(PrecisionError, match="mu_196 = inf"):
+        ms.even_moment(98)
     with pytest.raises(PrecisionError, match="mu_196 = inf"):
         hankel_determinant(ms, 100)
-    assert ms.representation == "float"
 
 
 # -- determinant polynomials -------------------------------------------------------
@@ -174,6 +222,18 @@ def test_hankel_polynomial_is_orthogonal_by_construction(canonical):
         for k in range(n):
             inner = sum(c * ms.moment(i + k) for i, c in enumerate(coeffs))
             assert inner == 0
+
+
+@pytest.mark.parametrize("spec", FLOAT_SPECS, ids=lambda s: s.family)
+def test_float_spec_hankel_polynomial_is_exactly_orthogonal(spec):
+    even = _lifted_float_moments(spec, 10)
+    ms = MomentSequence(spec)
+    for n in range(1, 9):
+        coeffs = hankel_polynomial(ms, n)
+        assert coeffs[-1] == 1 and all(type(c) is Fraction for c in coeffs)
+        for k in range(n):
+            inner = sum(c * even[(i + k) // 2] for i, c in enumerate(coeffs) if (i + k) % 2 == 0)
+            assert inner == 0, (n, k)
 
 
 def test_hankel_polynomial_differs_from_recurrence_polynomial_beyond_degree_two(canonical):

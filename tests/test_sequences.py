@@ -127,6 +127,17 @@ def test_parameter_domain_errors():
         SequenceSpec("nope")
 
 
+@pytest.mark.parametrize("params", [
+    {"family": "ultraspherical", "nu": math.inf},
+    {"family": "ultraspherical", "nu": math.nan},
+    {"family": "ultraspherical", "nu": "abc"},
+    {"family": "explicit", "values": [1.0, -math.inf]},
+], ids=["inf", "nan", "abc", "values"])
+def test_non_finite_or_non_numeric_parameters_are_domain_errors(params):
+    with pytest.raises(ParameterDomainError, match="finite number"):
+        SequenceSpec(**params)
+
+
 # -- Taylor norms -------------------------------------------------------------
 
 def test_taylor_norms_canonical():
