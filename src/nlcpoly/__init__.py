@@ -3,10 +3,6 @@ positive sequences arising from nonlinear coherent states."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Tuple
-
 from .sequences import (  # noqa: F401
     InequalityReport, MonotoneReport, ParameterDomainError, SequenceLimit,
     SequenceRangeError, SequenceSpec, check_monotone_and_bounded,
@@ -28,9 +24,9 @@ from .moments import (  # noqa: F401
     bareiss_determinant, berg_duran_check, hankel_determinant, hankel_polynomial,
 )
 from .recurrence import (  # noqa: F401
-    RecurrenceCoeffs, general_monic_value, monic_q_coefficients,
-    monic_q_value, phi_rescaled, phi_scaled, phi_value, phi_window,
-    pollaczek_parameter_warning, pollaczek_value,
+    RecurrenceCoeffs, general_monic_value, monic_polynomials,
+    monic_q_coefficients, monic_q_polynomials, monic_q_value, phi_scaled,
+    phi_value, phi_window, pollaczek_parameter_warning, pollaczek_value,
 )
 from .spectral import (  # noqa: F401
     SpectralResult, SupportEndpoints, TruncatedJacobi, build_truncated,
@@ -49,32 +45,3 @@ from .asymptotics import (  # noqa: F401
 )
 
 __version__ = "0.1.0"
-
-
-@dataclass(frozen=True)
-class PolynomialTriple:
-    """Coupled representations of degree n for one sequence spec: the monic
-    recurrence polynomial q_n, the monic determinant polynomial of the even
-    moments, and the factor sqrt(x_n!/2^n) linking q_n to the orthonormal
-    phi_n.  The determinant polynomial equals 2^(n/2) q_n(x/sqrt 2) only for
-    n <= 2: the two are orthogonal for different measures beyond that."""
-    spec: SequenceSpec
-    degree: int
-    monic_coefficients: Tuple
-    hankel_coefficients: Tuple
-    orthonormal_scale: float
-
-    def phi(self, x: float) -> float:
-        return phi_value(self.spec, self.degree, x)
-
-    def monic_q(self, x):
-        return monic_q_value(self.spec, self.degree, x)
-
-
-def polynomial_triple(spec: SequenceSpec, n: int) -> PolynomialTriple:
-    moments = MomentSequence(spec)
-    scale = math.sqrt(float(x_factorial(spec, n)) / 2.0 ** n)
-    return PolynomialTriple(spec, n,
-                            tuple(monic_q_coefficients(spec, n)),
-                            tuple(hankel_polynomial(moments, n)),
-                            scale)

@@ -29,7 +29,7 @@ from .measures import (DEFAULT_MEASURES, MeasureSpec, get_measure,
                        select_bessel_ladder_measure, verify_moment_problem)
 from .moments import (DegenerateMomentsError, MomentSequence, berg_duran_check,
                       hankel_determinant, hankel_polynomial)
-from .recurrence import monic_q_coefficients, phi_window
+from .recurrence import monic_q_polynomials, phi_window
 from .sequences import (ParameterDomainError, SequenceRangeError, SequenceSpec, x_floats,
                         x_limit, x_log_factorials)
 from .spectral import (SpectralResult, build_truncated, ismail_li_bounds, jacobi_zeros,
@@ -108,10 +108,9 @@ class _Runner:
 
     def cmd_polys(self) -> None:
         spec = self.spec
-        rows = []
-        for n in range(self.cfg.n_max + 1):
-            for k, c in enumerate(monic_q_coefficients(spec, n)):
-                rows.append((n, k, float(c), str(c)))
+        rows = [(n, k, float(c), str(c))
+                for n, poly in enumerate(monic_q_polynomials(spec, self.cfg.n_max))
+                for k, c in enumerate(poly)]
         self._write_csv("polys_monic.csv", ["n", "k", "coeff", "coeff_exact"], rows)
         polys = [hankel_polynomial(self.moments, n)
                  for n in reversed(range(1, self.cfg.n_max + 1))][::-1]
@@ -215,7 +214,8 @@ class _Runner:
         self.summary["amplitude"] = {"window": [lo, hi], "estimates": estimates}
 
     def cmd_cm_check(self) -> None:
-        report = berg_duran_check(self.spec, self.cfg.n_max, self.cfg.order)
+        # run.order is the Jacobi truncation; the difference order stays the library default
+        report = berg_duran_check(self.spec, self.cfg.n_max)
         self.verdicts["cm_check"] = report.hausdorff_ok and report.stieltjes_hankels_ok
         self.summary["cm_check"] = {
             "hausdorff_ok": report.hausdorff_ok,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .sequences import SequenceSpec, _as_number, family_names
+from .sequences import _LIST_PARAMS, SequenceSpec, _as_number, family_names
 
 COMMANDS = ("moments", "hankel", "polys", "zeros", "bounds", "verify-measure",
             "nevai", "amplitude", "cm-check", "all")
@@ -89,9 +89,6 @@ def _format_param(value) -> str:
     if isinstance(value, (tuple, list)):
         return ",".join(_format_number(v) for v in value)
     return _format_number(value)
-
-
-_LIST_PARAMS = {"values", "taylor_norms", "num", "den"}
 
 
 def _parse_params(section) -> Dict[str, object]:

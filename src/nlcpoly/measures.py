@@ -1,10 +1,10 @@
 """Explicit orthogonality measures and quadrature verification.
 
 Each catalog entry is a named density -- radial on [0, L) or even on
-[-L, L] / the real line -- normalized to unit mass, together with the
-sequence family whose partial products are its even moments.  The module
-verifies moment problems, Gram matrices and coherent-state normalization by
-double-exponential quadrature.
+[-L, L] / the real line -- normalized to unit mass; ``DEFAULT_MEASURES``
+pairs each sequence family with the density whose even moments are its
+partial products.  The module verifies moment problems, Gram matrices and
+coherent-state normalization by double-exponential quadrature.
 
 The ladder-operator measure with the Bessel kernel appears in the sources in
 two inequivalent forms; both candidates are kept and a numerical moment test
@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .moments import DegenerateMomentsError, MomentSequence
 from .quadrature import QuadratureResult, exp_sinh, tanh_sinh
-from .recurrence import phi_value
+from .recurrence import RecurrenceCoeffs, general_monic_value, phi_value
 from .sequences import (SequenceSpec, x_factorials, x_float, x_limit, x_log_factorials,
                         x_value)
 from .special import bessel_k, log_gamma, pochhammer
@@ -47,8 +47,6 @@ class MeasureSpec:
     density: Callable[[float], float]
     params: Dict[str, float] = field(default_factory=dict)
     density_edge: Optional[Callable[[float, float, float], float]] = None
-    paired_family: Optional[str] = None
-    paired_params: Dict[str, float] = field(default_factory=dict)
     notes: str = ""
 
     def radial_density(self) -> Callable[[float], float]:
@@ -97,8 +95,7 @@ def _integrate_half(measure: MeasureSpec, integrand, tolerance, double=True):
 def gaussian_radial() -> MeasureSpec:
     """2 r exp(-r^2) dr on [0, inf); moments n!."""
     return MeasureSpec("gaussian_radial", "radial", math.inf,
-                       lambda r: 2.0 * r * math.exp(-r * r),
-                       paired_family="canonical")
+                       lambda r: 2.0 * r * math.exp(-r * r))
 
 
 def disc_radial(j) -> MeasureSpec:
@@ -120,8 +117,7 @@ def disc_radial(j) -> MeasureSpec:
         return c * r * (db * (1.0 + r)) ** expo
 
     return MeasureSpec("disc_radial", "radial", 1.0, density, {"j": jf},
-                       density_edge=density_edge,
-                       paired_family="su11", paired_params={"j": j})
+                       density_edge=density_edge)
 
 
 def bessel_ladder_radial(j) -> MeasureSpec:
@@ -136,8 +132,7 @@ def bessel_ladder_radial(j) -> MeasureSpec:
         return math.exp(log_c + 2.0 * jf * math.log(r)) * bessel_k(2.0 * jf - 1.0, 2.0 * r)
 
     return MeasureSpec("bessel_ladder_radial", "radial", math.inf, density,
-                       {"j": jf}, paired_family="barut_girardello",
-                       paired_params={"j": j})
+                       {"j": jf})
 
 
 def bessel_ladder_radial_plain(j) -> MeasureSpec:
@@ -150,8 +145,7 @@ def bessel_ladder_radial_plain(j) -> MeasureSpec:
         return c * bessel_k(2.0 * jf - 1.0, 2.0 * r) * r ** (2.0 - 2.0 * jf)
 
     return MeasureSpec("bessel_ladder_radial_plain", "radial", math.inf, density,
-                       {"j": jf}, paired_family="barut_girardello",
-                       paired_params={"j": j})
+                       {"j": jf})
 
 
 def ultraspherical_even(nu) -> MeasureSpec:
@@ -172,8 +166,7 @@ def ultraspherical_even(nu) -> MeasureSpec:
         return c * (db * (1.0 + x)) ** expo
 
     return MeasureSpec("ultraspherical_even", "even", 1.0, density, {"nu": nf},
-                       density_edge=density_edge,
-                       paired_family="ultraspherical", paired_params={"nu": nu})
+                       density_edge=density_edge)
 
 
 def jacobi_even(alpha, beta) -> MeasureSpec:
@@ -192,9 +185,7 @@ def jacobi_even(alpha, beta) -> MeasureSpec:
         return c * da ** (2.0 * af) * (db * (1.0 + abs(x))) ** bf
 
     return MeasureSpec("jacobi_even", "even", 1.0, density,
-                       {"alpha": af, "beta": bf}, density_edge=density_edge,
-                       paired_family="jacobi_type",
-                       paired_params={"alpha": alpha, "beta": beta})
+                       {"alpha": af, "beta": bf}, density_edge=density_edge)
 
 
 def bessel_mp_even(mu, nu, beta) -> MeasureSpec:
@@ -213,9 +204,7 @@ def bessel_mp_even(mu, nu, beta) -> MeasureSpec:
         return math.exp(log_c + (2.0 * mf - 1.0) * math.log(ax)) * bessel_k(2.0 * nf, bf * ax)
 
     return MeasureSpec("bessel_mp_even", "even", math.inf, density,
-                       {"mu": mf, "nu": nf, "beta": bf},
-                       paired_family="meixner_pollaczek_bessel",
-                       paired_params={"mu": mu, "nu": nu, "beta": beta})
+                       {"mu": mf, "nu": nf, "beta": bf})
 
 
 def bessel_k_exp_even(mu, nu) -> MeasureSpec:
@@ -238,8 +227,7 @@ def bessel_k_exp_even(mu, nu) -> MeasureSpec:
         return math.exp(log_c - s + (2.0 * mf - 1.0) * math.log(at)) * bessel_k(nf, s)
 
     return MeasureSpec("bessel_k_exp_even", "even", math.inf, density,
-                       {"mu": mf, "nu": nf}, paired_family="bessel_k_exp",
-                       paired_params={"mu": mu, "nu": nu})
+                       {"mu": mf, "nu": nf})
 
 
 def bessel_k_abs_even(mu, nu) -> MeasureSpec:
@@ -259,8 +247,7 @@ def bessel_k_abs_even(mu, nu) -> MeasureSpec:
         return math.exp(log_c - at + (mf - 1.0) * math.log(at)) * bessel_k(nf, at)
 
     return MeasureSpec("bessel_k_abs_even", "even", math.inf, density,
-                       {"mu": mf, "nu": nf}, paired_family="bessel_k_abs",
-                       paired_params={"mu": mu, "nu": nu})
+                       {"mu": mf, "nu": nf})
 
 
 def hermite_even() -> MeasureSpec:
@@ -268,8 +255,7 @@ def hermite_even() -> MeasureSpec:
     canonical shift operator; the canonical phi_n are orthonormal under it."""
     c = 1.0 / math.sqrt(math.pi)
     return MeasureSpec("hermite_even", "even", math.inf,
-                       lambda x: c * math.exp(-x * x),
-                       paired_family="canonical")
+                       lambda x: c * math.exp(-x * x))
 
 
 _CATALOG: Dict[str, Callable[..., MeasureSpec]] = {
@@ -447,20 +433,10 @@ def _orthonormal_hankel_evaluators(spec: SequenceSpec, n_max: int):
     cheb = MomentSequence(spec).chebyshev(n_max)
     if len(cheb.alpha) <= n_max:
         raise DegenerateMomentsError("degenerate moment sequence: a Hankel pivot is zero")
-    coeff_rows = cheb.polynomials()
+    coeffs = RecurrenceCoeffs.general(map(float, cheb.alpha), map(float, cheb.beta))
     norms = [math.sqrt(float(h)) for h in cheb.pivots]  # ||P_n||^2 = D_n / D_{n-1}
-
-    def make(n: int):
-        coeffs = [float(c) for c in coeff_rows[n]]
-        nrm = norms[n]
-
-        def p_hat(x: float) -> float:
-            acc = 0.0
-            for c in reversed(coeffs):
-                acc = acc * x + c
-            return acc / nrm
-        return p_hat
-    return [make(n) for n in range(n_max + 1)]
+    return [(lambda n: lambda x: general_monic_value(coeffs, n, x) / norms[n])(n)
+            for n in range(n_max + 1)]
 
 
 def verify_orthonormality(measure: MeasureSpec, spec: SequenceSpec, n_max: int,
@@ -508,8 +484,11 @@ def verify_orthonormality(measure: MeasureSpec, spec: SequenceSpec, n_max: int,
 # coherent-state checks
 # ---------------------------------------------------------------------------
 
-def coherent_normalization(spec: SequenceSpec, r2: float,
-                           tolerance: float = 1e-14, max_terms: int = 200000) -> float:
+_SERIES_TOLERANCE = 1e-14  # stop once a term is below this share of the sum
+_SERIES_MAX_TERMS = 200000
+
+
+def coherent_normalization(spec: SequenceSpec, r2: float) -> float:
     """Normalization series N(r^2) = sum_n r^(2n) / x_n!.
 
     Converges for r^2 below the squared convergence radius; at or beyond it
@@ -528,11 +507,11 @@ def coherent_normalization(spec: SequenceSpec, r2: float,
         n += 1
         term *= r2 / x_float(spec, n)
         total += term
-        if term < tolerance * total:
+        if term < _SERIES_TOLERANCE * total:
             return total
-        if n >= max_terms:
+        if n >= _SERIES_MAX_TERMS:
             raise ArithmeticError(
-                f"normalization series did not settle within {max_terms} terms")
+                f"normalization series did not settle within {_SERIES_MAX_TERMS} terms")
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Union
 
+from .recurrence import monic_polynomials
 from .sequences import SequenceSpec, _max_index, x_floats, x_value
 from .special import cm_sequence_test, CMReport
 
@@ -134,18 +135,7 @@ class ChebyshevPass:
 
     def polynomials(self) -> List[list]:
         """P_0 .. P_m (m = len(alpha)) as ascending coefficient lists."""
-        polys = [[Fraction(1)]]
-        prev: list = []
-        for a, b in zip(self.alpha, self.beta):
-            cur = polys[-1]
-            nxt = [Fraction(0)] + cur  # x P_k
-            for i, c in enumerate(cur):
-                nxt[i] -= a * c
-            for i, c in enumerate(prev):
-                nxt[i] -= b * c
-            prev = cur
-            polys.append(nxt)
-        return polys
+        return monic_polynomials(self, Fraction(1))
 
 
 def exact_chebyshev(moments: Sequence) -> ChebyshevPass:

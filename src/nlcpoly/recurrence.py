@@ -11,6 +11,13 @@ with phi_{-1} = 0, phi_0 = 1; its monic companion obeys
 and the two are linked by q_n = sqrt(x_n! / 2^n) phi_n.  Forward recurrence
 only: in the oscillatory region it is well conditioned, and zeros come from
 the spectral module, not from polynomial root hunting.
+
+The monic recurrence P_{k+1} = (x - a_k) P_k - b_k P_{k-1} has one
+coefficient kernel, :func:`monic_polynomials`, and one value kernel,
+:func:`general_monic_value`.  Both serve q_n (a_k = 0, b_k = x_k / 2) and
+the determinant polynomials of a moment sequence (the a_k, b_k of its
+Chebyshev pass).  ``spectral.char_poly`` keeps its own determinant loop as
+an independent check of q_n.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,59 +94,11 @@ def phi_window(spec: SequenceSpec, n_lo: int, n_hi: int, x: float) -> np.ndarray
     return _window(np.sqrt(x_floats(spec, n_hi) / 2.0).tolist(), n_lo, x)
 
 
-def phi_rescaled(spec: SequenceSpec, scale, n: int, y: float) -> float:
-    """phi_n(y / scale): the argument substitution used to place the
-    essential support on a target interval (scale = 1 is phi itself)."""
-    if not scale > 0:
-        raise ValueError("scale must be positive")
-    return phi_value(spec, n, float(y) / float(scale))
-
-
-def monic_q_value(spec: SequenceSpec, n: int, x):
-    """q_n(x) by the monic recurrence; exact when x and the x_k are rational."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    exact = spec.is_rational and isinstance(x, (int, Fraction))
-    if exact:
-        x = Fraction(x)
-        prev, cur = Fraction(0), Fraction(1)
-    else:
-        x = float(x)
-        prev, cur = 0.0, 1.0
-    xs = ([x_value(spec, k) for k in range(1, n)] if exact
-          else x_floats(spec, max(n - 1, 0)).tolist())
-    for k in range(n):
-        beta = xs[k - 1] / 2 if k >= 1 else 0
-        prev, cur = cur, x * cur - beta * prev
-    return cur
-
-
-def monic_q_coefficients(spec: SequenceSpec, n: int) -> list:
-    """Ascending coefficients of q_n; alternate entries vanish identically
-    because the recurrence preserves parity."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    exact = spec.is_rational
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    xs = ([x_value(spec, k) for k in range(1, n)] if exact
-          else x_floats(spec, max(n - 1, 0)).tolist())
-    prev, cur = [], [one]  # q_{-1} = 0, q_0 = 1
-    for k in range(n):
-        beta = xs[k - 1] / 2 if k >= 1 else zero
-        shifted = [zero] + cur
-        nxt = [shifted[i] - (beta * prev[i] if i < len(prev) else zero)
-               for i in range(len(shifted))]
-        prev, cur = cur, nxt
-    return cur
-
-
 @dataclass(frozen=True)
 class RecurrenceCoeffs:
     """Monic three-term recurrence data x P_n = P_{n+1} + alpha_n P_n + beta_n P_{n-1}."""
     alpha: tuple
     beta: tuple  # beta[0] unused in the recurrence (beta_0 P_{-1} := 0)
-    origin: str = "general"
 
     def __post_init__(self):
         if any(b <= 0 for b in self.beta[1:]):
@@ -147,13 +106,28 @@ class RecurrenceCoeffs:
 
     @classmethod
     def general(cls, alpha: Sequence, beta: Sequence) -> "RecurrenceCoeffs":
-        return cls(tuple(alpha), tuple(beta), "general")
+        return cls(tuple(alpha), tuple(beta))
 
-    @classmethod
-    def monic_from_spec(cls, spec: SequenceSpec, n_max: int) -> "RecurrenceCoeffs":
-        beta = [Fraction(0)] + [x_value(spec, k) / 2 for k in range(1, n_max + 1)]
-        alpha = [Fraction(0)] * (n_max + 1)
-        return cls(tuple(alpha), tuple(beta), "from_spec_monic")
+
+def monic_polynomials(coeffs: RecurrenceCoeffs, one) -> List[list]:
+    """P_0 .. P_m (m = len(coeffs.alpha)) as ascending coefficient lists from
+    one pass of the monic recurrence, with P_0 = ``one``, in the arithmetic
+    of the inputs.  ``coeffs`` is anything with ``alpha`` and ``beta``, such
+    as a :class:`RecurrenceCoeffs` or a Chebyshev pass."""
+    zero = one - one
+    polys = [[one]]
+    prev: list = []
+    for a, b in zip(coeffs.alpha, coeffs.beta):
+        cur = polys[-1]
+        nxt = [zero] + cur  # x P_k
+        if a:  # a_k = 0 for q_n and every even moment functional
+            for i, c in enumerate(cur):
+                nxt[i] -= a * c
+        for i, c in enumerate(prev):
+            nxt[i] -= b * c
+        prev = cur
+        polys.append(nxt)
+    return polys
 
 
 def general_monic_value(coeffs: RecurrenceCoeffs, n: int, x):
@@ -169,6 +143,37 @@ def general_monic_value(coeffs: RecurrenceCoeffs, n: int, x):
         beta_term = coeffs.beta[k] * prev if k >= 1 else 0
         prev, cur = cur, (x - coeffs.alpha[k]) * cur - beta_term
     return cur
+
+
+def _q_coeffs(spec: SequenceSpec, n: int, exact: bool) -> RecurrenceCoeffs:
+    """a_k = 0 and b_k = x_k / 2 for k < n, exact or from the float view."""
+    xs = ([x_value(spec, k) for k in range(1, n)] if exact
+          else x_floats(spec, max(n - 1, 0)).tolist())
+    return RecurrenceCoeffs.general([0] * n, [0] + [x / 2 for x in xs])
+
+
+def monic_q_value(spec: SequenceSpec, n: int, x):
+    """q_n(x) by the monic recurrence; exact when x and the x_k are rational."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    exact = spec.is_rational and isinstance(x, (int, Fraction))
+    x = Fraction(x) if exact else float(x)
+    return general_monic_value(_q_coeffs(spec, n, exact), n, x)
+
+
+def monic_q_polynomials(spec: SequenceSpec, n: int) -> List[list]:
+    """q_0 .. q_n as ascending coefficient lists from one pass; Fractions
+    for a rational spec, floats otherwise.  Alternate entries vanish
+    identically because the recurrence preserves parity."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    one = Fraction(1) if spec.is_rational else 1.0
+    return monic_polynomials(_q_coeffs(spec, n, spec.is_rational), one)
+
+
+def monic_q_coefficients(spec: SequenceSpec, n: int) -> list:
+    """Ascending coefficients of q_n (the last of :func:`monic_q_polynomials`)."""
+    return monic_q_polynomials(spec, n)[-1]
 
 
 def pollaczek_value(lam: float, a: float, b: float, n: int, x: float) -> float:

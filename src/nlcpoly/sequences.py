@@ -388,6 +388,10 @@ def family_names() -> list:
 # spec
 # ---------------------------------------------------------------------------
 
+# parameters that hold a list of numbers (in a config file: comma separated)
+_LIST_PARAMS = frozenset({"values", "taylor_norms", "num", "den"})
+
+
 class SequenceSpec:
     """Immutable description of one positive sequence x_1, x_2, ...
 
@@ -424,7 +428,7 @@ class SequenceSpec:
                 f"got {tuple(sorted(params))}")
         clean = {}
         for key, value in params.items():
-            if key in ("taylor_norms", "values", "num", "den"):
+            if key in _LIST_PARAMS:
                 clean[key] = tuple(_as_number(v) for v in value)
             else:
                 clean[key] = _as_number(value)
@@ -561,8 +565,11 @@ def _max_index(spec: SequenceSpec) -> Optional[int]:
     return None
 
 
-def x_limit(spec: SequenceSpec, probe_depth: int = 64,
-            richardson_order: int = 4) -> SequenceLimit:
+_RICHARDSON_ORDER = 4  # probes at depth / 2^4, ..., depth / 2, depth
+_INEQUALITY_SLACK = 1e-12  # relative, for float sequences
+
+
+def x_limit(spec: SequenceSpec, probe_depth: int = 64) -> SequenceLimit:
     """Limit of x_n as n grows.
 
     Closed-form rational families report the exact limit of the rational
@@ -583,7 +590,7 @@ def x_limit(spec: SequenceSpec, probe_depth: int = 64,
     depth = probe_depth if top is None else min(probe_depth, top)
     if depth < 16:
         return SequenceLimit("undetermined")
-    nodes = [max(1, depth >> (richardson_order - j)) for j in range(richardson_order)]
+    nodes = [max(1, depth >> (_RICHARDSON_ORDER - j)) for j in range(_RICHARDSON_ORDER)]
     nodes.append(depth)
     samples = [x_float(spec, n) for n in nodes]
 
@@ -753,8 +760,7 @@ def _ineq2_sides(y1, y2, y3, y4):
     return lhs, rhs
 
 
-def check_nonlinear_inequalities(spec: SequenceSpec, n_max: int,
-                                 slack: Optional[float] = None) -> InequalityReport:
+def check_nonlinear_inequalities(spec: SequenceSpec, n_max: int) -> InequalityReport:
     """Necessary nonlinear inequalities for moment-derived sequences.
 
     Both follow from positivity of integrals of t^{2n} (t^2 - x_{n+1})^2 ...
@@ -769,8 +775,6 @@ def check_nonlinear_inequalities(spec: SequenceSpec, n_max: int,
     if top is not None:
         n_max = min(n_max, top)
     exact = spec.is_rational
-    if slack is None:
-        slack = 0.0 if exact else 1e-12
     violations = []
     ok1 = ok2 = True
     window = [x_value(spec, k) for k in (1, 2, 3, 4)]
@@ -778,7 +782,7 @@ def check_nonlinear_inequalities(spec: SequenceSpec, n_max: int,
         y1, y2, y3, y4 = window
         for name, sides in (("ineq1", _ineq1_sides), ("ineq2", _ineq2_sides)):
             lhs, rhs = sides(y1, y2, y3, y4)
-            tol = 0 if exact else slack * max(abs(float(lhs)), abs(float(rhs)), 1.0)
+            tol = 0 if exact else _INEQUALITY_SLACK * max(abs(float(lhs)), abs(float(rhs)), 1.0)
             if not lhs > rhs - tol:
                 violations.append((name, n, lhs, rhs))
                 if name == "ineq1":

@@ -283,8 +283,7 @@ def test_default_measure_table_matches_the_family_chain():
         got, want = default_measure_for(spec), _default_measure_chain(spec)
         assert (got is None) == (want is None), spec
         if want is not None:
-            assert (got.name, got.params, got.paired_family, got.paired_params) == (
-                want.name, want.params, want.paired_family, want.paired_params), spec
+            assert (got.name, got.params) == (want.name, want.params), spec
     assert default_measure_for(SequenceSpec("su11", j=Fraction(1, 2))) is None
     assert default_measure_for(SequenceSpec("gamma_quotient", a=3, b=2, c=1)) is None
 
@@ -328,6 +327,18 @@ def test_cm_check_command(tmp_path):
     assert main([write_config(tmp_path, text)]) == 0
     summary = json.loads((out / "t_summary.json").read_text())
     assert summary["results"]["cm_check"]["hausdorff_ok"] is True
+
+
+def test_cm_check_difference_order_does_not_follow_run_order(tmp_path):
+    # run.order is the Jacobi truncation; cm-check differences to the library's
+    # order 8, so a heavy truncation order leaves a genuine moment sequence passing
+    out = tmp_path / "out"
+    text = BASE.format(command="cm-check", n_max=16, out=out).replace(
+        "family = canonical", "family = su11\nj = 3/2")
+    assert main([write_config(tmp_path, text), "--n-max", "20", "--order", "400"]) == 0
+    summary = json.loads((out / "t_summary.json").read_text())
+    assert summary["results"]["cm_check"]["hausdorff_ok"] is True
+    assert summary["verdict"] == "PASS"
 
 
 def test_amplitude_command_on_bounded_family(tmp_path):

@@ -259,6 +259,19 @@ def test_moment_side_gram_identity_for_catalog_pairs():
         assert report.max_abs_deviation <= 1e-9, (measure.name, report.max_abs_deviation)
 
 
+@pytest.mark.parametrize("measure, spec", [
+    (get_measure("disc_radial", j=Fraction(3, 2)), SequenceSpec("su11", j=Fraction(3, 2))),
+    (get_measure("ultraspherical_even", nu=1), SequenceSpec("ultraspherical", nu=1)),
+    (get_measure("jacobi_even", alpha=1, beta=1), SequenceSpec("jacobi_type", alpha=1, beta=1)),
+], ids=lambda v: v.name if hasattr(v, "name") else v.family)
+def test_moment_side_gram_at_order_8_is_within_a_few_ulp(measure, spec):
+    # P_n evaluated by its recurrence, not by Horner on monomial coefficients,
+    # which cancel to about 4e-15 at order 8 on these measures
+    report = verify_orthonormality(measure, spec, 8)
+    assert not report.unconverged_entries
+    assert report.max_abs_deviation <= 2e-15, report.max_abs_deviation
+
+
 def test_moment_side_gram_on_a_float_spec():
     # float parameters: the Hankel polynomials come from the lifted float
     # moments, which agree with the Bessel-weight moments to rounding

@@ -1,0 +1,26 @@
+"""README.md examples stay runnable: the library quick start executes and
+every [sequence] block under "Families" parses into a spec."""
+
+import re
+from pathlib import Path
+
+from nlcpoly import family_names
+from nlcpoly.config import spec_from_config_text
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def _first_block(heading: str, lang: str) -> str:
+    """Body of the first ```lang fenced block after the given heading line."""
+    section = README[README.index(f"\n{heading}\n"):]
+    return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
+
+
+def test_library_quick_start_runs():
+    exec(compile(_first_block("## Library quick start", "python"), "README.md", "exec"), {})
+
+
+def test_every_family_block_parses():
+    blocks = _first_block("### Families", "ini").split("[sequence]")[1:]
+    families = [spec_from_config_text("[sequence]" + block).family for block in blocks]
+    assert sorted(families) == family_names()

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from nlcpoly import (
-    RecurrenceCoeffs, SequenceSpec, general_monic_value, monic_q_coefficients,
-    monic_q_value, phi_rescaled, phi_scaled, phi_value, phi_window,
-    pollaczek_parameter_warning, pollaczek_value, x_factorial,
+    RecurrenceCoeffs, SequenceSpec, build_truncated, char_poly, general_monic_value,
+    monic_polynomials, monic_q_coefficients, monic_q_polynomials, monic_q_value,
+    phi_scaled, phi_value, phi_window, pollaczek_parameter_warning, pollaczek_value,
+    x_factorial, x_float, x_value,
 )
 from conftest import catalog_specs, gegenbauer_exact, hermite_orthonormal_oracle
 
@@ -108,6 +109,44 @@ def test_monic_parity_and_monicity(spec):
         assert all((n - k) % 2 == 0 for k in nonzero)
 
 
+@pytest.mark.parametrize("spec", catalog_specs(), ids=lambda s: s.family)
+def test_monic_value_is_horner_on_the_coefficients(spec):
+    x = Fraction(1, 3)
+    for n in (0, 1, 4, 9):
+        coeffs = monic_q_coefficients(spec, n)
+        assert monic_q_value(spec, n, x) == sum(c * x ** k for k, c in enumerate(coeffs))
+
+
+def _per_degree_q_reference(spec, n):
+    """Reference: q_n alone by q_{k+1} = x q_k - (x_k/2) q_{k-1} from q_0,
+    entry by entry in the spec's own arithmetic, with no shared kernel."""
+    exact = spec.is_rational
+    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+    xs = [x_value(spec, k) if exact else x_float(spec, k) for k in range(1, n)]
+    prev, cur = [], [one]
+    for k in range(n):
+        beta = xs[k - 1] / 2 if k >= 1 else zero
+        shifted = [zero] + cur
+        prev, cur = cur, [shifted[i] - (beta * prev[i] if i < len(prev) else zero)
+                          for i in range(len(shifted))]
+    return cur
+
+
+@pytest.mark.parametrize("spec", [SequenceSpec("su11", j=Fraction(3, 2)),
+                                  SequenceSpec("ultraspherical", nu=0.3),
+                                  SequenceSpec("jacobi_type", alpha=0.7, beta=1.3)],
+                         ids=lambda s: f"{s.family}-{'exact' if s.is_rational else 'float'}")
+def test_one_pass_q_polynomials_equal_each_degree(spec):
+    polys = monic_q_polynomials(spec, 24)
+    assert len(polys) == 25
+    for k, poly in enumerate(polys):
+        single = monic_q_coefficients(spec, k)
+        # repr tells Fraction from float and -0.0 from 0.0
+        assert list(map(repr, poly)) == list(map(repr, single)), k
+        assert list(map(repr, single)) == list(map(repr, _per_degree_q_reference(spec, k))), k
+    assert type(polys[0][0]) is (Fraction if spec.is_rational else float)
+
+
 @pytest.mark.parametrize("spec", catalog_specs()[:6], ids=lambda s: s.family)
 def test_monic_orthonormal_scale_relation(spec):
     # q_n = sqrt(x_n!/2^n) phi_n
@@ -122,14 +161,31 @@ def test_monic_orthonormal_scale_relation(spec):
 
 # -- general recurrence ---------------------------------------------------------------
 
-def test_general_matches_monic_from_spec(canonical):
-    coeffs = RecurrenceCoeffs.monic_from_spec(canonical, 20)
+@pytest.mark.parametrize("spec", catalog_specs()[:5], ids=lambda s: s.family)
+def test_general_on_half_x_matches_char_poly(spec):
+    # a_k = 0, b_k = x_k/2 is the shift recurrence; char_poly is its
+    # determinant loop, so the two agree exactly at rational points
+    coeffs = RecurrenceCoeffs.general([0] * 12, [0] + [x_value(spec, k) / 2 for k in range(1, 12)])
     rng = random.Random(41)
-    for _ in range(50):
-        x = rng.uniform(-2.0, 2.0)
-        n = rng.randint(0, 20)
-        assert general_monic_value(coeffs, n, x) == pytest.approx(
-            monic_q_value(canonical, n, x), rel=1e-12, abs=1e-12)
+    for n in range(1, 13):
+        truncation = build_truncated(spec, n)
+        for _ in range(4):
+            x = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+            assert general_monic_value(coeffs, n, x) == char_poly(truncation, x), (n, x)
+
+
+def test_coefficient_kernel_agrees_with_value_kernel():
+    # nonzero a_k exercise the term that q_n and even moments never use
+    rng = random.Random(43)
+    alpha = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(10)]
+    beta = [0] + [Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(9)]
+    coeffs = RecurrenceCoeffs.general(alpha, beta)
+    polys = monic_polynomials(coeffs, Fraction(1))
+    assert len(polys) == 11
+    for n, poly in enumerate(polys):
+        assert len(poly) == n + 1 and poly[-1] == 1
+        for x in (Fraction(-3, 2), Fraction(0), Fraction(2, 7)):
+            assert sum(c * x ** k for k, c in enumerate(poly)) == general_monic_value(coeffs, n, x)
 
 
 def test_general_first_step():
@@ -222,19 +278,13 @@ def test_nu_one_case_is_chebyshev_u():
 
 # -- argument rescaling ---------------------------------------------------------------------
 
-def test_rescale_identity(su11_j1):
-    for n in (0, 3, 6):
-        assert phi_rescaled(su11_j1, 1.0, n, 0.4) == phi_value(su11_j1, n, 0.4)
-
-
 def test_rescale_maps_ultraspherical_to_quarter_beta():
     # psi_n(y) = phi_n(y / scale) has monic beta'_n = x_n / (2 scale^2);
     # scale = 1/sqrt(2) sends beta_n -> 1/4 for the unit-limit family
     spec = SequenceSpec("ultraspherical", nu=1)
     scale = 1.0 / math.sqrt(2.0)
     y = 0.35
-    psi = [phi_rescaled(spec, scale, n, y) for n in range(4)]
-    from nlcpoly import x_float
+    psi = [phi_value(spec, n, y / scale) for n in range(4)]
     a = [math.sqrt(x_float(spec, n) / 4.0) for n in range(1, 4)]
     # three-term recurrence with the rescaled coefficients
     assert y * psi[1] == pytest.approx(a[1] * psi[2] + a[0] * psi[0], rel=1e-12)

@@ -455,16 +455,3 @@ def test_config_round_trip_explicit_list():
 def test_taylor_norms_range_error():
     with pytest.raises(SequenceRangeError):
         x_from_taylor_norms([1, 2, 3], 3)
-
-
-def test_polynomial_triple_bundles_consistent_views():
-    import nlcpoly
-    spec = SequenceSpec("su11", j=1)
-    triple = nlcpoly.polynomial_triple(spec, 4)
-    assert triple.monic_coefficients[-1] == 1
-    assert triple.hankel_coefficients[-1] == 1
-    assert triple.monic_q(Fraction(1, 3)) == sum(
-        c * Fraction(1, 3) ** k for k, c in enumerate(triple.monic_coefficients))
-    # q_n = scale * phi_n
-    assert triple.monic_q(0.7) == pytest.approx(
-        triple.orthonormal_scale * triple.phi(0.7), rel=1e-12)
