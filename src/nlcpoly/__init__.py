@@ -7,7 +7,7 @@ from .sequences import (  # noqa: F401
     InequalityReport, MonotoneReport, ParameterDomainError, SequenceLimit,
     SequenceRangeError, SequenceSpec, check_monotone_and_bounded,
     check_nonlinear_inequalities, family_names, x_factorial, x_float,
-    x_floats, x_from_taylor_norms, x_limit, x_log_factorial, x_minus_limit, x_value,
+    x_floats, x_limit, x_log_factorial, x_minus_limit, x_value,
 )
 from .special import (  # noqa: F401
     CMReport, DomainError, QParams, bessel_k, cm_sequence_test, gamma,
@@ -16,8 +16,7 @@ from .special import (  # noqa: F401
 )
 from .cm_generators import (  # noqa: F401
     FsConsistencyReport, fs_quotient, fs_quotient_consistency, fs_subset_sums,
-    log_fs, sqrt_deviation_scaled, xn_from_gamma_quotient, xn_from_q_quotient,
-    xn_grinshpan_ismail_s3,
+    log_fs, sqrt_deviation_scaled,
 )
 from .moments import (  # noqa: F401
     BergDuranReport, DegenerateMomentsError, HankelResult, MomentSequence,

@@ -2,10 +2,10 @@
 
 Each generator produces a positive sequence x_1, x_2, ... whose partial
 products are samples of a completely monotonic function, hence an even
-moment sequence.  The closed forms here are the quotient counterparts of
-the ``gamma_quotient``, ``q_gamma_quotient`` and ``grinshpan_ismail_s3``
-families in :mod:`nlcpoly.sequences`; this module adds the direct
-gamma-function evaluation routes used to cross-check them.
+moment sequence.  The closed forms are the ``gamma_quotient``,
+``q_gamma_quotient`` and ``grinshpan_ismail_s3`` families in
+:mod:`nlcpoly.sequences`; this module adds the direct gamma-function
+evaluation routes used to cross-check them.
 """
 
 from __future__ import annotations
@@ -20,32 +20,6 @@ import numpy as np
 
 from .sequences import ParameterDomainError, SequenceSpec, _x_minus_limit_closed, x_value
 from .special import log_gamma
-
-
-def xn_from_gamma_quotient(a, b, c, n: int):
-    """x_n = (c+n-1)(a+b-c+n-1) / ((a+n-1)(b+n-1)); exact for exact inputs."""
-    spec = SequenceSpec("gamma_quotient", a=a, b=b, c=c)
-    return x_value(spec, n)
-
-
-def xn_from_q_quotient(A, B, C, q, n: int):
-    """q-quotient sequence value.
-
-    x_n = (1 - C s)(1 - (AB/C) s) / ((1 - A s)(1 - B s)) with s = q^(n-1).
-    The second numerator factor carries the exponent a + b - c, which is the
-    combination AB/C; this is the unique reading consistent with the q -> 1
-    limit reproducing :func:`xn_from_gamma_quotient`.
-    """
-    spec = SequenceSpec("q_gamma_quotient", A=A, B=B, C=C, q=q)
-    return x_value(spec, n)
-
-
-def xn_grinshpan_ismail_s3(a1, a2, a3, n: int):
-    """x_n = n(n+a1+a2)(n+a1+a3)(n+a2+a3) / ((n+a1)(n+a2)(n+a3)(n+a1+a2+a3))
-    for a1 >= a2 >= a3 >= 0; satisfies x_n < 1 (nondegenerate) and
-    sqrt(x_n) - 1 = O(1/n^2)."""
-    spec = SequenceSpec("grinshpan_ismail_s3", a1=a1, a2=a2, a3=a3)
-    return x_value(spec, n)
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +77,11 @@ def fs_quotient_consistency(a0, a1, a2, a3, n_max: int) -> FsConsistencyReport:
     if not (a1 >= a2 >= a3 >= 0 and a0 >= 0):
         raise ParameterDomainError("need a1 >= a2 >= a3 >= 0 and a0 >= 0")
     a = (a1, a2, a3)
+    spec = SequenceSpec("grinshpan_ismail_s3", a1=a1, a2=a2, a3=a3)
     worst = 0.0
     for n in range(1, n_max + 1):
         via_gamma = fs_quotient(3, a, a0, n)
-        closed = float(xn_grinshpan_ismail_s3(a1, a2, a3, n))
+        closed = float(x_value(spec, n))
         worst = max(worst, abs(via_gamma - closed) / abs(closed))
     return FsConsistencyReport(float(a0), n_max, worst, a0 == 1)
 

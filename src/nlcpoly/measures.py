@@ -47,7 +47,6 @@ class MeasureSpec:
     density: Callable[[float], float]
     params: Dict[str, float] = field(default_factory=dict)
     density_edge: Optional[Callable[[float, float, float], float]] = None
-    notes: str = ""
 
     def radial_density(self) -> Callable[[float], float]:
         """Density of the radial projection: even measures contribute twice

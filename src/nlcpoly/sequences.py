@@ -6,8 +6,9 @@ with its parameters.  Everything downstream -- moments, recurrence
 polynomials, Jacobi truncations, measure checks -- is driven by ``x_value``
 and ``x_factorial``.
 
-Families with rational rules and rational parameters evaluate exactly as
-``fractions.Fraction``.  The floating view of a spec is one memoized array,
+Each family rule is one expression evaluated in the arithmetic of its
+parameters: exact parameters give ``fractions.Fraction`` values, float
+parameters give floats.  The floating view of a spec is one memoized array,
 ``x_floats``, shared by every consumer that reads x_1 .. x_n as floats.
 Diagnostic scans (monotonicity, the nonlinear necessary inequalities) return
 reports instead of raising, so sequences that fail to be moment sequences can
@@ -55,25 +56,28 @@ def _as_number(value) -> Number:
     raise TypeError(f"cannot interpret {value!r} as a number")
 
 
-def _is_exact(*values) -> bool:
-    return all(isinstance(v, (int, Fraction)) for v in values)
-
-
 # ---------------------------------------------------------------------------
 # family rules
 # ---------------------------------------------------------------------------
+#
+# Each rule x(*params, n) is one expression in the arithmetic of its
+# parameters: Fraction parameters give a Fraction and a float parameter a
+# float, since int and Fraction operands round once where they meet a float.
+# Half-integer offsets use doubled integers, (2n - 1) / (2 (nu + n)) for
+# (n - 1/2) / (nu + n): doubling is exact in binary, so a float rule rounds
+# as the plain float formula does, and no Fraction constant slows it.
 
 @dataclass(frozen=True)
 class _Family:
     name: str
     param_names: tuple
     validate: Callable          # (params, strict) -> None, raises ParameterDomainError
-    x: Callable                 # (params, n) -> Number
-    # (num_coeffs, den_coeffs) ascending in n, exact, or None if x is not a
-    # fixed rational function of n
+    x: Callable                 # (*params, n) -> Number, in param_names order
+    # (*params) -> (num_coeffs, den_coeffs) ascending in n, or None if x is
+    # not a fixed rational function of n; the limit of x_n is read from it
     poly_pair: Optional[Callable] = None
-    # exact limit of x_n: Fraction, math.inf, or None (must be probed)
-    limit: Optional[Callable] = None
+    # exact limit of x_n for a family without a poly_pair, or None (probed)
+    limit: Optional[Fraction] = None
 
 
 def _poly_eval(coeffs: Sequence, n) -> Number:
@@ -108,7 +112,7 @@ def _validate_half_integer_j(params, strict):
     j = params["j"]
     _require(j > 0, "j must be positive")
     if strict:
-        _require(_is_exact(j) and Fraction(2 * j).denominator == 1,
+        _require(isinstance(j, Fraction) and (2 * j).denominator == 1,
                  "j must be a positive half-integer (1/2, 1, 3/2, ...)")
 
 
@@ -187,105 +191,26 @@ def _validate_rational(params, strict):
         _require(nv / dv > 0, f"x_{n} is not positive")
 
 
-def _x_su11(p, n):
-    if _is_exact(p["j"], n):
-        return Fraction(n) / (2 * p["j"] + n - 1)
-    return n / (2 * float(p["j"]) + n - 1)
-
-
-def _x_bg(p, n):
-    exact = _is_exact(p["j"])
-    val = n * (2 * p["j"] + n - 1)
-    return Fraction(val) if exact else float(val)
-
-
-def _x_ultra(p, n):
-    nu = p["nu"]
-    if _is_exact(nu):
-        return (Fraction(n) - Fraction(1, 2)) / (nu + n)
-    return (n - 0.5) / (nu + n)
-
-
-def _x_jacobi(p, n):
-    a, b = p["alpha"], p["beta"]
-    if _is_exact(a, b):
-        return (a + n - Fraction(1, 2)) / (a + b + n + Fraction(1, 2))
-    return (a + n - 0.5) / (a + b + n + 0.5)
-
-
-def _x_mpb(p, n):
-    mu, nu, beta = p["mu"], p["nu"], p["beta"]
-    if _is_exact(mu, nu, beta):
-        return 4 * (mu + nu + n - 1) * (mu - nu + n - 1) / Fraction(beta) ** 2
-    return 4.0 / float(beta) ** 2 * (mu + nu + n - 1) * (mu - nu + n - 1)
-
-
-def _x_bessel_exp(p, n):
-    mu, nu = p["mu"], p["nu"]
-    if _is_exact(mu, nu):
-        return (mu + nu + n - 1) * (mu - nu + n - 1) / (2 * (mu + n - Fraction(1, 2)))
-    return (mu + nu + n - 1) * (mu - nu + n - 1) / (2 * (mu + n - 0.5))
-
-
-def _x_bessel_abs(p, n):
-    mu, nu = p["mu"], p["nu"]
-    half = Fraction(1, 2) if _is_exact(mu, nu) else 0.5
-    num = ((mu + nu + 2 * n - 2) * (mu + nu + 2 * n - 1)
-           * (mu - nu + 2 * n - 2) * (mu - nu + 2 * n - 1))
-    den = 4 * (mu + 2 * n - 1 - half) * (mu + 2 * n - half)
-    return Fraction(num, 1) / den if _is_exact(mu, nu) else float(num) / float(den)
-
-
-def _x_gamma_quotient(p, n):
-    a, b, c = p["a"], p["b"], p["c"]
-    num = (c + n - 1) * (a + b - c + n - 1)
-    den = (a + n - 1) * (b + n - 1)
-    return Fraction(num) / den if _is_exact(a, b, c) else float(num) / float(den)
-
-
-def _x_q_quotient(p, n):
+def _x_q_quotient(A, B, C, q, n):
     # q-analogue of the gamma quotient: the second numerator factor carries
     # the exponent a + b - c, i.e. the combination A*B/C.
-    A, B, C, q = p["A"], p["B"], p["C"], p["q"]
-    exact = _is_exact(A, B, C, q)
-    if not exact:
-        A, B, C, q = float(A), float(B), float(C), float(q)
     s = q ** (n - 1)
-    num = (1 - C * s) * (1 - (A * B / C) * s)
-    den = (1 - A * s) * (1 - B * s)
-    return num / den
+    return (1 - C * s) * (1 - (A * B / C) * s) / ((1 - A * s) * (1 - B * s))
 
 
-def _x_gi_s3(p, n):
-    a1, a2, a3 = p["a1"], p["a2"], p["a3"]
-    exact = _is_exact(a1, a2, a3)
-    num = n * (n + a1 + a2) * (n + a1 + a3) * (n + a2 + a3)
-    den = (n + a1) * (n + a2) * (n + a3) * (n + a1 + a2 + a3)
-    return Fraction(num) / den if exact else float(num) / float(den)
-
-
-def _x_taylor(p, n):
-    norms = p["taylor_norms"]
+def _x_taylor(norms, n):
+    # x_n = (rho(n) / rho(n-1))^2 from Taylor norms rho(0) = 1, rho(1), ...,
+    # so that x_n! = rho(n)^2 matches the series sum |z|^(2n) / rho(n)^2
     if n >= len(norms):
         raise SequenceRangeError(f"n = {n} exceeds the {len(norms) - 1} supplied Taylor norms")
-    r = Fraction(norms[n]) / norms[n - 1] if _is_exact(norms[n], norms[n - 1]) \
-        else norms[n] / norms[n - 1]
+    r = norms[n] / norms[n - 1]
     return r * r
 
 
-def _x_explicit(p, n):
-    values = p["values"]
+def _x_explicit(values, n):
     if n > len(values):
         raise SequenceRangeError(f"n = {n} exceeds the {len(values)} supplied values")
-    v = values[n - 1]
-    return Fraction(v) if _is_exact(v) else v
-
-
-def _x_rational(p, n):
-    num, den = p["num"], p["den"]
-    exact = _is_exact(*num, *den, n)
-    nn = n if exact else float(n)
-    return _poly_eval(num, nn) / _poly_eval(den, nn)
+    return values[n - 1]
 
 
 def _rational_limit(num, den):
@@ -305,79 +230,76 @@ def _register(fam: _Family) -> None:
 
 
 _register(_Family(
-    "canonical", (), lambda p, s: None,
-    lambda p, n: Fraction(n) if _is_exact(n) else float(n),
-    poly_pair=lambda p: ([Fraction(0), Fraction(1)], [Fraction(1)]),
-    limit=lambda p: math.inf))
+    "canonical", (), lambda p, s: None, lambda n: Fraction(n),
+    poly_pair=lambda: ([Fraction(0), Fraction(1)], [Fraction(1)])))
 
 _register(_Family(
-    "su11", ("j",), _validate_half_integer_j, _x_su11,
-    poly_pair=lambda p: ([Fraction(0), Fraction(1)], _linear(2 * p["j"] - 1)),
-    limit=lambda p: Fraction(1)))
+    "su11", ("j",), _validate_half_integer_j,
+    lambda j, n: n / (2 * j + n - 1),
+    poly_pair=lambda j: ([Fraction(0), Fraction(1)], _linear(2 * j - 1))))
 
 _register(_Family(
-    "barut_girardello", ("j",), _validate_half_integer_j, _x_bg,
-    poly_pair=lambda p: (_linear(0, 2 * p["j"] - 1), [Fraction(1)]),
-    limit=lambda p: math.inf))
+    "barut_girardello", ("j",), _validate_half_integer_j,
+    lambda j, n: n * (2 * j + n - 1),
+    poly_pair=lambda j: (_linear(0, 2 * j - 1), [Fraction(1)])))
 
 _register(_Family(
-    "ultraspherical", ("nu",), _validate_ultraspherical, _x_ultra,
-    poly_pair=lambda p: (_linear(Fraction(-1, 2)), _linear(p["nu"])),
-    limit=lambda p: Fraction(1)))
+    "ultraspherical", ("nu",), _validate_ultraspherical,
+    lambda nu, n: (2 * n - 1) / (2 * (nu + n)),
+    poly_pair=lambda nu: (_linear(Fraction(-1, 2)), _linear(nu))))
 
 _register(_Family(
-    "jacobi_type", ("alpha", "beta"), _validate_jacobi_type, _x_jacobi,
-    poly_pair=lambda p: (_linear(p["alpha"] - Fraction(1, 2)),
-                         _linear(p["alpha"] + p["beta"] + Fraction(1, 2))),
-    limit=lambda p: Fraction(1)))
+    "jacobi_type", ("alpha", "beta"), _validate_jacobi_type,
+    lambda a, b, n: (2 * (a + n) - 1) / (2 * (a + b + n) + 1),
+    poly_pair=lambda a, b: (_linear(a - Fraction(1, 2)), _linear(a + b + Fraction(1, 2)))))
 
 _register(_Family(
-    "meixner_pollaczek_bessel", ("mu", "nu", "beta"), _validate_mpb, _x_mpb,
-    poly_pair=lambda p: ([4 * c / Fraction(p["beta"]) ** 2 for c in
-                          _linear(p["mu"] + p["nu"] - 1, p["mu"] - p["nu"] - 1)],
-                         [Fraction(1)]),
-    limit=lambda p: math.inf))
+    "meixner_pollaczek_bessel", ("mu", "nu", "beta"), _validate_mpb,
+    lambda mu, nu, beta, n: 4 / beta ** 2 * (mu + nu + n - 1) * (mu - nu + n - 1),
+    poly_pair=lambda mu, nu, beta: (
+        [4 * c / Fraction(beta) ** 2 for c in _linear(mu + nu - 1, mu - nu - 1)],
+        [Fraction(1)])))
 
 _register(_Family(
-    "bessel_k_exp", ("mu", "nu"), _validate_bessel_orders, _x_bessel_exp,
-    poly_pair=lambda p: (_linear(p["mu"] + p["nu"] - 1, p["mu"] - p["nu"] - 1),
-                         [2 * c for c in _linear(p["mu"] - Fraction(1, 2))]),
-    limit=lambda p: math.inf))
+    "bessel_k_exp", ("mu", "nu"), _validate_bessel_orders,
+    lambda mu, nu, n: (mu + nu + n - 1) * (mu - nu + n - 1) / (2 * (mu + n) - 1),
+    poly_pair=lambda mu, nu: (_linear(mu + nu - 1, mu - nu - 1),
+                              [2 * c for c in _linear(mu - Fraction(1, 2))])))
 
 _register(_Family(
-    "bessel_k_abs", ("mu", "nu"), _validate_bessel_orders, _x_bessel_abs,
+    "bessel_k_abs", ("mu", "nu"), _validate_bessel_orders,
+    lambda mu, nu, n: ((mu + nu + 2 * n - 2) * (mu + nu + 2 * n - 1)
+                       * (mu - nu + 2 * n - 2) * (mu - nu + 2 * n - 1)
+                       / ((2 * (mu + 2 * n - 1) - 1) * (2 * (mu + 2 * n) - 1))),
     # quartic over quadratic in n; substitute m = 2n into linear factors
-    poly_pair=lambda p: (
-        _poly_mul(_poly_mul([p["mu"] + p["nu"] - 2, Fraction(2)],
-                            [p["mu"] + p["nu"] - 1, Fraction(2)]),
-                  _poly_mul([p["mu"] - p["nu"] - 2, Fraction(2)],
-                            [p["mu"] - p["nu"] - 1, Fraction(2)])),
-        [4 * c for c in _poly_mul([p["mu"] - Fraction(3, 2), Fraction(2)],
-                                  [p["mu"] - Fraction(1, 2), Fraction(2)])]),
-    limit=lambda p: math.inf))
+    poly_pair=lambda mu, nu: (
+        _poly_mul(_poly_mul([mu + nu - 2, Fraction(2)], [mu + nu - 1, Fraction(2)]),
+                  _poly_mul([mu - nu - 2, Fraction(2)], [mu - nu - 1, Fraction(2)])),
+        [4 * c for c in _poly_mul([mu - Fraction(3, 2), Fraction(2)],
+                                  [mu - Fraction(1, 2), Fraction(2)])])))
 
 _register(_Family(
-    "gamma_quotient", ("a", "b", "c"), _validate_gamma_quotient, _x_gamma_quotient,
-    poly_pair=lambda p: (_linear(p["c"] - 1, p["a"] + p["b"] - p["c"] - 1),
-                         _linear(p["a"] - 1, p["b"] - 1)),
-    limit=lambda p: Fraction(1)))
+    "gamma_quotient", ("a", "b", "c"), _validate_gamma_quotient,
+    lambda a, b, c, n: (c + n - 1) * (a + b - c + n - 1) / ((a + n - 1) * (b + n - 1)),
+    poly_pair=lambda a, b, c: (_linear(c - 1, a + b - c - 1), _linear(a - 1, b - 1))))
 
 _register(_Family(
     "q_gamma_quotient", ("A", "B", "C", "q"), _validate_q_quotient, _x_q_quotient,
-    limit=lambda p: Fraction(1)))
+    limit=Fraction(1)))
 
 _register(_Family(
-    "grinshpan_ismail_s3", ("a1", "a2", "a3"), _validate_gi_s3, _x_gi_s3,
-    poly_pair=lambda p: (_linear(0, p["a1"] + p["a2"], p["a1"] + p["a3"], p["a2"] + p["a3"]),
-                         _linear(p["a1"], p["a2"], p["a3"], p["a1"] + p["a2"] + p["a3"])),
-    limit=lambda p: Fraction(1)))
+    "grinshpan_ismail_s3", ("a1", "a2", "a3"), _validate_gi_s3,
+    lambda a1, a2, a3, n: (n * (n + a1 + a2) * (n + a1 + a3) * (n + a2 + a3)
+                           / ((n + a1) * (n + a2) * (n + a3) * (n + a1 + a2 + a3))),
+    poly_pair=lambda a1, a2, a3: (_linear(0, a1 + a2, a1 + a3, a2 + a3),
+                                  _linear(a1, a2, a3, a1 + a2 + a3))))
 
 _register(_Family("analytic_function", ("taylor_norms",), _validate_taylor_norms, _x_taylor))
 _register(_Family("explicit", ("values",), _validate_explicit, _x_explicit))
 _register(_Family(
-    "rational", ("num", "den"), _validate_rational, _x_rational,
-    poly_pair=lambda p: ([Fraction(c) for c in p["num"]], [Fraction(c) for c in p["den"]]),
-    limit=lambda p: _rational_limit(p["num"], p["den"])))
+    "rational", ("num", "den"), _validate_rational,
+    lambda num, den, n: _poly_eval(num, n) / _poly_eval(den, n),
+    poly_pair=lambda num, den: ([Fraction(c) for c in num], [Fraction(c) for c in den])))
 
 
 def family_names() -> list:
@@ -409,11 +331,12 @@ class SequenceSpec:
         Family parameters; ints, Fractions and strings like ``"3/2"`` stay
         exact, floats stay floating.
 
-    ``is_rational`` is True when x_n evaluates exactly (Fraction) at integer
-    n; it is decided once, from x_1, at construction.
+    ``is_rational`` is True when every parameter is exact, so that x_n
+    evaluates as a Fraction at every integer n.
     """
 
-    __slots__ = ("family", "params", "strict", "_fam", "is_rational", "_floats")
+    __slots__ = ("family", "params", "strict", "_fam", "_args", "_pair", "is_rational",
+                 "_floats")
 
     def __init__(self, family: str, strict: bool = True, **params):
         if family not in _FAMILIES:
@@ -437,11 +360,14 @@ class SequenceSpec:
         object.__setattr__(self, "params", clean)
         object.__setattr__(self, "strict", bool(strict))
         object.__setattr__(self, "_fam", fam)
-        try:
-            rational = isinstance(x_value(self, 1), Fraction)
-        except SequenceRangeError:
-            rational = False
-        object.__setattr__(self, "is_rational", rational)
+        args = tuple(clean[key] for key in fam.param_names)
+        object.__setattr__(self, "_args", args)
+        # built on the binary values of float parameters too: x_limit reads
+        # the limit from its degrees and leading coefficients
+        object.__setattr__(self, "_pair", fam.poly_pair and fam.poly_pair(*args))
+        object.__setattr__(self, "is_rational", all(
+            isinstance(v, Fraction)
+            for key, value in clean.items() for v in (value if key in _LIST_PARAMS else (value,))))
         object.__setattr__(self, "_floats", np.frombuffer(b""))  # empty, read-only
 
     def __setattr__(self, *args):
@@ -460,20 +386,16 @@ class SequenceSpec:
 
     def poly_pair(self):
         """Exact (numerator, denominator) coefficients of x as a rational
-        function of n, or None for list-backed and q-type families."""
-        if self._fam.poly_pair is None:
-            return None
-        if not _is_exact(*[v for v in self.params.values() if not isinstance(v, tuple)],
-                         *[w for v in self.params.values() if isinstance(v, tuple) for w in v]):
-            return None
-        return self._fam.poly_pair(self.params)
+        function of n, or None for a float spec and for list-backed and
+        q-type families."""
+        return self._pair if self.is_rational else None
 
 
 def x_value(spec: SequenceSpec, n: int) -> Number:
-    """x_n for n >= 1, exact when the family rule and parameters are rational."""
+    """x_n for n >= 1: a Fraction for a rational spec, a float otherwise."""
     if n < 1:
         raise SequenceRangeError("x_n is defined for n >= 1")
-    return spec._fam.x(spec.params, n)
+    return spec._fam.x(*spec._args, n)
 
 
 def x_float(spec: SequenceSpec, n: int) -> float:
@@ -531,16 +453,6 @@ def x_log_factorial(spec: SequenceSpec, n: int) -> float:
     return _last(x_log_factorials(x_floats(spec, n).tolist()))
 
 
-def x_from_taylor_norms(norms: Sequence[Number], n: int) -> Number:
-    """x_n from Taylor norms rho(0)=1, rho(1), ...: the squared quotient
-    (rho(n)/rho(n-1))^2, so that x_n! = rho(n)^2 matches the normalization
-    series sum |z|^(2n) / rho(n)^2."""
-    if n < 1:
-        raise SequenceRangeError("x_n is defined for n >= 1")
-    spec = SequenceSpec("analytic_function", taylor_norms=list(norms))
-    return x_value(spec, n)
-
-
 # ---------------------------------------------------------------------------
 # limits
 # ---------------------------------------------------------------------------
@@ -579,9 +491,8 @@ def x_limit(spec: SequenceSpec, probe_depth: int = 64) -> SequenceLimit:
     """
     if probe_depth < 16:
         raise ValueError("probe_depth must be at least 16")
-    fam = spec._fam
-    if fam.limit is not None:
-        value = fam.limit(spec.params)
+    value = _rational_limit(*spec._pair) if spec._pair else spec._fam.limit
+    if value is not None:
         if value == math.inf:
             return SequenceLimit("infinite")
         return SequenceLimit("finite", value, 0.0)

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from nlcpoly import (
-    cm_sequence_test, fs_quotient, fs_quotient_consistency, fs_subset_sums,
-    sqrt_deviation_scaled, xn_from_gamma_quotient, xn_from_q_quotient,
-    xn_grinshpan_ismail_s3,
+    SequenceSpec, cm_sequence_test, fs_quotient, fs_quotient_consistency, fs_subset_sums,
+    sqrt_deviation_scaled, x_value,
 )
 from nlcpoly.sequences import ParameterDomainError
 
@@ -16,53 +15,56 @@ from nlcpoly.sequences import ParameterDomainError
 # -- closed forms ------------------------------------------------------------
 
 def test_gamma_quotient_substitution():
-    assert xn_from_gamma_quotient(2, 1, 1, 1) == 1  # (1)(2)/((2)(1))
-    assert xn_from_gamma_quotient(3, 2, 1, 2) == Fraction(2 * 5, 4 * 3)
+    assert x_value(SequenceSpec("gamma_quotient", a=2, b=1, c=1), 1) == 1  # (1)(2)/((2)(1))
+    assert x_value(SequenceSpec("gamma_quotient", a=3, b=2, c=1), 2) == Fraction(2 * 5, 4 * 3)
 
 
 def test_gamma_quotient_full_cancellation():
+    spec = SequenceSpec("gamma_quotient", a=Fraction(3, 2), b=Fraction(3, 2), c=Fraction(3, 2))
     for n in (1, 2, 7):
-        assert xn_from_gamma_quotient(Fraction(3, 2), Fraction(3, 2), Fraction(3, 2), n) == 1
+        assert x_value(spec, n) == 1
 
 
 def test_gamma_quotient_ultraspherical_parameters():
     nu = Fraction(3, 2)
-    x1 = xn_from_gamma_quotient(nu + 1, nu, 1, 1)
+    x1 = x_value(SequenceSpec("gamma_quotient", a=nu + 1, b=nu, c=1), 1)
     assert x1 == 2 * nu / (nu * (nu + 1))
 
 
 def test_q_quotient_limit_one():
-    val = xn_from_q_quotient(0.125, 0.25, 0.5, 0.5, 60)
+    val = x_value(SequenceSpec("q_gamma_quotient", A=0.125, B=0.25, C=0.5, q=0.5), 60)
     assert val == pytest.approx(1.0, abs=1e-15)
 
 
 def test_q_quotient_exact_value():
     # s = q^(n-1) = 1 at n = 1; AB/C = 1/16
-    val = xn_from_q_quotient(Fraction(1, 8), Fraction(1, 4), Fraction(1, 2),
-                             Fraction(1, 2), 1)
+    val = x_value(SequenceSpec("q_gamma_quotient", A=Fraction(1, 8), B=Fraction(1, 4),
+                               C=Fraction(1, 2), q=Fraction(1, 2)), 1)
     expected = (1 - Fraction(1, 2)) * (1 - Fraction(1, 16)) \
         / ((1 - Fraction(1, 8)) * (1 - Fraction(1, 4)))
     assert val == expected
 
 
 def test_q_quotient_equal_parameters_constant():
+    half = Fraction(1, 2)
+    spec = SequenceSpec("q_gamma_quotient", A=half, B=half, C=half, q=half)
     for n in (1, 2, 5):
-        assert xn_from_q_quotient(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2),
-                                  Fraction(1, 2), n) == 1
+        assert x_value(spec, n) == 1
 
 
 def test_grinshpan_s3_substitution():
-    assert xn_grinshpan_ismail_s3(1, 0, 0, 1) == 1
-    assert xn_grinshpan_ismail_s3(1, 1, 0, 2) == Fraction(2 * 4 * 3 * 3, 3 * 3 * 2 * 4)
-    a = (1, Fraction(1, 2), Fraction(1, 4))
+    assert x_value(SequenceSpec("grinshpan_ismail_s3", a1=1, a2=0, a3=0), 1) == 1
+    assert x_value(SequenceSpec("grinshpan_ismail_s3", a1=1, a2=1, a3=0), 2) \
+        == Fraction(2 * 4 * 3 * 3, 3 * 3 * 2 * 4)
+    spec = SequenceSpec("grinshpan_ismail_s3", a1=1, a2=Fraction(1, 2), a3=Fraction(1, 4))
     direct = (3 * (3 + Fraction(3, 2)) * (3 + Fraction(5, 4)) * (3 + Fraction(3, 4))) \
         / ((3 + 1) * (3 + Fraction(1, 2)) * (3 + Fraction(1, 4)) * (3 + Fraction(7, 4)))
-    assert xn_grinshpan_ismail_s3(*a, 3) == direct
+    assert x_value(spec, 3) == direct
 
 
 def test_grinshpan_ordering_enforced():
     with pytest.raises(ParameterDomainError):
-        xn_grinshpan_ismail_s3(0, 1, 0, 1)
+        x_value(SequenceSpec("grinshpan_ismail_s3", a1=0, a2=1, a3=0), 1)
 
 
 # -- F_s machinery -------------------------------------------------------------
@@ -99,7 +101,8 @@ def test_fs_quotient_association_shift_differs():
     assert report.max_rel_deviation > 1e-6
     assert not report.closed_form_is_a0_one
     direct = fs_quotient(3, (1.0, 0.5, 0.25), 2.0, 1)
-    closed_shifted = float(xn_grinshpan_ismail_s3(1, Fraction(1, 2), Fraction(1, 4), 2))
+    closed_shifted = float(x_value(SequenceSpec(
+        "grinshpan_ismail_s3", a1=1, a2=Fraction(1, 2), a3=Fraction(1, 4)), 2))
     assert direct == pytest.approx(closed_shifted, rel=1e-12)
 
 
@@ -121,11 +124,12 @@ def test_fs_quotient_samples_are_cm():
 
 def test_q_quotient_approaches_gamma_quotient():
     a, b, c = 2.5, 1.5, 1.0
+    gamma = SequenceSpec("gamma_quotient", a=a, b=b, c=c)
     for n in range(1, 11):
         gaps = []
         for q in (0.9, 0.99, 0.999):
-            qv = xn_from_q_quotient(q ** a, q ** b, q ** c, q, n)
-            gv = float(xn_from_gamma_quotient(a, b, c, n))
+            qv = x_value(SequenceSpec("q_gamma_quotient", A=q ** a, B=q ** b, C=q ** c, q=q), n)
+            gv = float(x_value(gamma, n))
             gaps.append(abs(float(qv) - gv))
         assert gaps[0] > gaps[1] > gaps[2]
 
@@ -135,9 +139,10 @@ def test_q_quotient_approaches_gamma_quotient():
 def test_partial_product_matches_gamma_quotient_g():
     from nlcpoly import gamma_quotient_g
     a, b, c = 3.0, 2.0, 1.0
+    spec = SequenceSpec("gamma_quotient", a=a, b=b, c=c)
     product = 1.0
     for n in range(1, 51):
-        product *= float(xn_from_gamma_quotient(a, b, c, n))
+        product *= float(x_value(spec, n))
         assert product == pytest.approx(gamma_quotient_g(n, a, b, c), rel=1e-12)
 
 
@@ -157,7 +162,8 @@ def test_sqrt_deviation_scan_bounded_and_attained_early():
 
 def test_sqrt_deviation_scalar_matches_direct_math():
     a = (Fraction(1), Fraction(1, 2), Fraction(1, 4))
+    spec = SequenceSpec("grinshpan_ismail_s3", a1=a[0], a2=a[1], a3=a[2])
     for n in (1, 5, 50):
-        x = float(xn_grinshpan_ismail_s3(*a, n))
+        x = float(x_value(spec, n))
         assert sqrt_deviation_scaled(*a, n) == pytest.approx(
             n * n * abs(math.sqrt(x) - 1.0), rel=1e-9)

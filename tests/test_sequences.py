@@ -10,8 +10,8 @@ import pytest
 import nlcpoly.sequences
 from nlcpoly import (
     ParameterDomainError, SequenceRangeError, SequenceSpec,
-    check_monotone_and_bounded, check_nonlinear_inequalities, phi_value, x_factorial,
-    x_floats, x_from_taylor_norms, x_limit, x_log_factorial, x_minus_limit, x_value,
+    check_monotone_and_bounded, check_nonlinear_inequalities, monic_q_polynomials,
+    phi_value, x_factorial, x_floats, x_limit, x_log_factorial, x_minus_limit, x_value,
 )
 from nlcpoly.config import spec_from_config_text, spec_to_config_text
 
@@ -138,16 +138,105 @@ def test_non_finite_or_non_numeric_parameters_are_domain_errors(params):
         SequenceSpec(**params)
 
 
+# -- one expression per family: the rule, its pair and its float bits ----------
+
+# every family with a poly_pair, at its catalog parameters and one more exact set
+PAIR_SPECS = [spec for spec in catalog_specs() if spec.family != "q_gamma_quotient"] + [
+    SequenceSpec("su11", j=Fraction(5, 2)),
+    SequenceSpec("barut_girardello", j=Fraction(3, 2)),
+    SequenceSpec("ultraspherical", nu=Fraction(3, 10)),
+    SequenceSpec("jacobi_type", alpha=Fraction(1, 3), beta=Fraction(2, 7)),
+    SequenceSpec("meixner_pollaczek_bessel", mu=Fraction(7, 3), nu=Fraction(1, 5),
+                 beta=Fraction(3, 7)),
+    SequenceSpec("bessel_k_exp", mu=Fraction(5, 3), nu=Fraction(2, 7)),
+    SequenceSpec("bessel_k_abs", mu=Fraction(5, 3), nu=Fraction(2, 7)),
+    SequenceSpec("gamma_quotient", a=Fraction(7, 3), b=Fraction(5, 2), c=Fraction(4, 3)),
+    SequenceSpec("grinshpan_ismail_s3", a1=Fraction(5, 3), a2=Fraction(2, 3), a3=Fraction(1, 7)),
+    SequenceSpec("rational", num=[0, 1], den=[1]),
+    SequenceSpec("rational", num=[Fraction(1, 3), 3, Fraction(2, 7)], den=[2, Fraction(1, 5), 1]),
+]
+
+
+@pytest.mark.parametrize("spec", PAIR_SPECS, ids=repr)
+def test_rule_agrees_with_its_poly_pair(spec):
+    num, den = spec.poly_pair()
+    for n in range(1, 65):
+        value = x_value(spec, n)
+        assert type(value) is Fraction
+        assert value == (sum(c * n ** k for k, c in enumerate(num))
+                         / sum(c * n ** k for k, c in enumerate(den)))
+    lim = x_limit(spec)
+    if len(num) > len(den):
+        assert lim.kind == "infinite"
+    else:
+        assert lim.kind == "finite"
+        assert lim.value == (Fraction(num[-1]) / den[-1] if len(num) == len(den) else 0)
+
+
+# x_n by the README formula in Python floats.  The float bits are pinned: the
+# first nonpositive determinants and Berg-Duran orders of test_moments.py rest
+# on them.
+FLOAT_FORMULAS = [
+    (SequenceSpec("ultraspherical", nu=0.3),
+     lambda p, n: (n - 0.5) / (p["nu"] + n)),
+    (SequenceSpec("bessel_k_exp", mu=1.7, nu=0.3),
+     lambda p, n: ((p["mu"] + p["nu"] + n - 1) * (p["mu"] - p["nu"] + n - 1)
+                   / (2 * (p["mu"] + n - 0.5)))),
+    (SequenceSpec("jacobi_type", alpha=0.7, beta=1.3),
+     lambda p, n: (p["alpha"] + n - 0.5) / (p["alpha"] + p["beta"] + n + 0.5)),
+    (SequenceSpec("barut_girardello", strict=False, j=0.75),
+     lambda p, n: n * (2 * p["j"] + n - 1)),
+    (SequenceSpec("su11", strict=False, j=0.7),
+     lambda p, n: n / (2 * p["j"] + n - 1)),
+    (SequenceSpec("meixner_pollaczek_bessel", mu=1.3, nu=0.2, beta=0.7),
+     lambda p, n: 4 / p["beta"] ** 2 * (p["mu"] + p["nu"] + n - 1) * (p["mu"] - p["nu"] + n - 1)),
+    (SequenceSpec("bessel_k_abs", mu=1.7, nu=0.3),
+     lambda p, n: ((p["mu"] + p["nu"] + 2 * n - 2) * (p["mu"] + p["nu"] + 2 * n - 1)
+                   * (p["mu"] - p["nu"] + 2 * n - 2) * (p["mu"] - p["nu"] + 2 * n - 1)
+                   / (4 * (p["mu"] + 2 * n - 1.5) * (p["mu"] + 2 * n - 0.5)))),
+    (SequenceSpec("gamma_quotient", a=2.5, b=1.5, c=1.1),
+     lambda p, n: ((p["c"] + n - 1) * (p["a"] + p["b"] - p["c"] + n - 1)
+                   / ((p["a"] + n - 1) * (p["b"] + n - 1)))),
+    (SequenceSpec("q_gamma_quotient", A=0.1, B=0.2, C=0.3, q=0.7),
+     lambda p, n: ((1 - p["C"] * p["q"] ** (n - 1))
+                   * (1 - (p["A"] * p["B"] / p["C"]) * p["q"] ** (n - 1))
+                   / ((1 - p["A"] * p["q"] ** (n - 1)) * (1 - p["B"] * p["q"] ** (n - 1))))),
+    (SequenceSpec("grinshpan_ismail_s3", a1=1.3, a2=0.6, a3=0.1),
+     lambda p, n: (n * (n + p["a1"] + p["a2"]) * (n + p["a1"] + p["a3"]) * (n + p["a2"] + p["a3"])
+                   / ((n + p["a1"]) * (n + p["a2"]) * (n + p["a3"])
+                      * (n + p["a1"] + p["a2"] + p["a3"])))),
+    (SequenceSpec("rational", num=[1.1, 3.0, 2.0], den=[2.0, 1.0]),
+     lambda p, n: ((2.0 * n + 3.0) * n + 1.1) / (1.0 * n + 2.0)),
+]
+
+
+@pytest.mark.parametrize("spec,formula", FLOAT_FORMULAS, ids=lambda v: getattr(v, "family", ""))
+def test_float_rule_keeps_the_float_formula_bits(spec, formula):
+    assert not spec.is_rational and spec.poly_pair() is None
+    for n in range(1, 301):
+        value = x_value(spec, n)
+        assert type(value) is float and value == formula(spec.params, n), n
+
+
+def test_one_float_parameter_makes_the_spec_float():
+    # x_1 = (1/1)^2 is exact, but x_2 and x_3 are floats
+    spec = SequenceSpec("analytic_function",
+                        taylor_norms=[1, 1, 1.4142135623730951, 2.449489742783178])
+    assert not spec.is_rational
+    assert all(type(c) is float for q in monic_q_polynomials(spec, 3) for c in q)
+
+
 # -- Taylor norms -------------------------------------------------------------
 
 def test_taylor_norms_canonical():
     norms = [1.0] + [math.sqrt(math.factorial(n)) for n in range(1, 9)]
+    spec = SequenceSpec("analytic_function", taylor_norms=norms)
     for n in range(1, 8):
-        assert x_from_taylor_norms(norms, n) == pytest.approx(n, rel=1e-12)
+        assert x_value(spec, n) == pytest.approx(n, rel=1e-12)
 
 
 def test_taylor_norms_constant():
-    assert x_from_taylor_norms([1, 1, 1, 1], 2) == 1
+    assert x_value(SequenceSpec("analytic_function", taylor_norms=[1, 1, 1, 1]), 2) == 1
 
 
 def test_taylor_norms_su11():
@@ -454,4 +543,4 @@ def test_config_round_trip_explicit_list():
 
 def test_taylor_norms_range_error():
     with pytest.raises(SequenceRangeError):
-        x_from_taylor_norms([1, 2, 3], 3)
+        x_value(SequenceSpec("analytic_function", taylor_norms=[1, 2, 3]), 3)

@@ -219,11 +219,12 @@ def test_gamma_quotient_first_value():
 
 
 def test_gamma_quotient_telescopes_partial_products():
-    from nlcpoly import xn_from_gamma_quotient
+    from nlcpoly import SequenceSpec, x_value
     a, b, c = Fraction(5, 2), Fraction(3, 2), 1
+    spec = SequenceSpec("gamma_quotient", a=a, b=b, c=c)
     product = 1.0
     for n in range(1, 51):
-        product *= float(xn_from_gamma_quotient(a, b, c, n))
+        product *= float(x_value(spec, n))
         assert gamma_quotient_g(n, float(a), float(b), float(c)) == pytest.approx(
             product, rel=1e-12)
 
@@ -244,12 +245,12 @@ def test_gamma_quotient_samples_are_cm_sequences():
 
 
 def test_q_gamma_quotient_h_matches_x_products():
-    from nlcpoly import xn_from_q_quotient
+    from nlcpoly import SequenceSpec, x_value
     q, a, b, c = 0.5, 3.0, 2.0, 1.0
-    A, B, C = q ** a, q ** b, q ** c
+    spec = SequenceSpec("q_gamma_quotient", A=q ** a, B=q ** b, C=q ** c, q=q)
     product = 1.0
     for n in range(1, 21):
-        product *= float(xn_from_q_quotient(A, B, C, q, n))
+        product *= float(x_value(spec, n))
         assert q_gamma_quotient_h(float(n), a, b, c, q) == pytest.approx(
             product, rel=1e-11)
 
