@@ -50,6 +50,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# the steps of ``all``, in order; verify-measure runs when there is a measure
+_ALL_STEPS = ("moments", "hankel", "polys", "zeros", "bounds", "nevai", "cm-check",
+              "verify-measure")
+
+
 class _Runner:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
@@ -61,6 +66,7 @@ class _Runner:
         # shared by hankel and polys; both ask for their longest order first,
         # so one Chebyshev pass serves every shorter order as its prefix
         self.moments = MomentSequence(self.spec)
+        self.default_measure = default_measure_for(self.spec)
         os.makedirs(cfg.out_dir, exist_ok=True)
 
     def _path(self, suffix: str) -> str:
@@ -152,18 +158,17 @@ class _Runner:
 
     def _measure(self) -> Tuple[MeasureSpec, Dict[str, object]]:
         name = self.cfg.measure
-        try:
-            if name == "bessel_ladder_radial":
-                return _ladder_measure(self.cfg.measure_params or {"j": 1})
-            if name:
-                return get_measure(name, **self.cfg.measure_params), {}
-        except ValueError as exc:  # parameters outside the measure's domain
-            raise ConfigError(f"measure {name!r}: {exc}") from exc
-        measure = default_measure_for(self.spec)
-        if measure is None:
+        if name:
+            try:
+                measure = get_measure(name, **self.cfg.measure_params)
+            except ValueError as exc:  # parameters missing, unknown or outside the domain
+                raise ConfigError(f"measure {name!r}: {exc}") from exc
+        elif self.default_measure is None:
             raise ConfigError(
                 f"no default measure for family {self.spec.family!r}; "
                 "add a [measure] section")
+        else:
+            measure = self.default_measure
         if measure.name == "bessel_ladder_radial":
             return _ladder_measure(measure.params)
         return measure, {}
@@ -227,28 +232,12 @@ class _Runner:
 
     def run(self) -> int:
         command = self.cfg.command
-        handlers = {
-            "moments": [self.cmd_moments],
-            "hankel": [self.cmd_hankel],
-            "polys": [self.cmd_polys],
-            "zeros": [self.cmd_zeros],
-            "bounds": [self.cmd_bounds],
-            "verify-measure": [self.cmd_verify_measure],
-            "nevai": [self.cmd_nevai],
-            "amplitude": [self.cmd_amplitude],
-            "cm-check": [self.cmd_cm_check],
-        }
+        steps = (command,)
         if command == "all":
-            steps = (self.cmd_moments, self.cmd_hankel, self.cmd_polys,
-                     self.cmd_zeros, self.cmd_bounds, self.cmd_nevai,
-                     self.cmd_cm_check)
-            for step in steps:
-                step()
-            if default_measure_for(self.spec) is not None or self.cfg.measure:
-                self.cmd_verify_measure()
-        else:
-            for step in handlers[command]:
-                step()
+            with_measure = self.cfg.measure or self.default_measure is not None
+            steps = _ALL_STEPS if with_measure else _ALL_STEPS[:-1]
+        for step in steps:
+            getattr(self, "cmd_" + step.replace("-", "_"))()
 
         failed = [k for k, v in self.verdicts.items() if v is False]
         overall: Optional[bool] = None
@@ -330,21 +319,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# flags that override one config key each
+_FLAG_KEYS = (("command", "run.command"), ("n_max", "run.n_max"), ("order", "run.order"),
+              ("tolerance", "run.tolerance"), ("out_dir", "output.dir"),
+              ("prefix", "output.prefix"))
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     overrides = list(args.sets)
-    if args.command:
-        overrides.append(f"run.command={args.command}")
-    if args.n_max is not None:
-        overrides.append(f"run.n_max={args.n_max}")
-    if args.order is not None:
-        overrides.append(f"run.order={args.order}")
-    if args.tolerance is not None:
-        overrides.append(f"run.tolerance={args.tolerance!r}")
-    if args.out_dir:
-        overrides.append(f"output.dir={args.out_dir}")
-    if args.prefix:
-        overrides.append(f"output.prefix={args.prefix}")
+    for flag, key in _FLAG_KEYS:
+        value = getattr(args, flag)
+        if value is not None and value != "":  # an empty --out-dir or --prefix is ignored
+            overrides.append(f"{key}={value if isinstance(value, str) else repr(value)}")
     try:
         return _run(args.config, overrides)
     except Exception as exc:  # a crash must not read as a FAIL (1) or a config error (2)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from .measures import measure_names
 from .sequences import _LIST_PARAMS, SequenceSpec, _as_number, family_names
 
 COMMANDS = ("moments", "hankel", "polys", "zeros", "bounds", "verify-measure",
@@ -134,6 +135,9 @@ def _config_from_parser(parser: configparser.ConfigParser) -> RunConfig:
 
     if parser.has_section("measure"):
         cfg.measure = parser["measure"].get("name", "").strip() or None
+        if cfg.measure is not None and cfg.measure not in measure_names():
+            raise ConfigError(
+                f"unknown measure {cfg.measure!r}; known: {', '.join(measure_names())}")
         cfg.measure_params = _parse_params(parser["measure"])
 
     if parser.has_section("run"):

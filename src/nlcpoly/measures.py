@@ -14,6 +14,7 @@ selects the one actually solving the moment problem (see
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -48,34 +49,22 @@ class MeasureSpec:
     params: Dict[str, float] = field(default_factory=dict)
     density_edge: Optional[Callable[[float, float, float], float]] = None
 
-    def radial_density(self) -> Callable[[float], float]:
-        """Density of the radial projection: even measures contribute twice
-        their half-line density."""
-        if self.kind == "radial":
-            return self.density
-        return lambda r: 2.0 * self.density(r)
-
 
 def integrate(measure: MeasureSpec, integrand: Callable[[float], float],
               tolerance: float = 1e-11) -> QuadratureResult:
     """integral of integrand(t) d(measure) over the measure's full support."""
     if measure.kind == "radial":
-        return _integrate_half(measure, integrand, tolerance, double=False)
-    # even measures: one half-line integral per side
-    plus = _integrate_half(measure, integrand, tolerance, double=False)
-    minus = _integrate_half(measure, lambda r: integrand(-r), tolerance, double=False)
-    return QuadratureResult(
-        plus.value + minus.value,
-        plus.error_estimate + minus.error_estimate,
-        plus.nodes_used + minus.nodes_used,
-        plus.converged and minus.converged,
-        max(plus.levels, minus.levels),
-        plus.skipped_nodes + minus.skipped_nodes)
+        return _integrate_half(measure, integrand, tolerance)
+    # an even measure: its radial projection against the even part of the integrand
+    return _integrate_half(measure, lambda r: (integrand(r) + integrand(-r)) / 2.0, tolerance)
 
 
-def _integrate_half(measure: MeasureSpec, integrand, tolerance, double=True):
-    """integral over (0, L) of integrand * rho with rho the radial density."""
-    factor = 2.0 if (double and measure.kind == "even") else 1.0
+def _integrate_half(measure: MeasureSpec, integrand: Callable[[float], float],
+                    tolerance: float) -> QuadratureResult:
+    """integral over (0, L) of integrand against the radial projection of the
+    measure (twice the density of an even one): exp-sinh for L = inf, else
+    tanh-sinh, through the edge form of the density when it has one."""
+    factor = 2.0 if measure.kind == "even" else 1.0
     if math.isinf(measure.L):
         return exp_sinh(lambda r: factor * integrand(r) * measure.density(r), tolerance)
     if measure.density_edge is not None:
@@ -291,7 +280,12 @@ def measure_names() -> List[str]:
 def get_measure(name: str, **params) -> MeasureSpec:
     if name not in _CATALOG:
         raise KeyError(f"unknown measure {name!r}; known: {', '.join(measure_names())}")
-    return _CATALOG[name](**params)
+    build = _CATALOG[name]
+    names = tuple(inspect.signature(build).parameters)
+    if set(params) != set(names):
+        raise ValueError(f"measure {name!r} takes parameters {names}; "
+                         f"got {tuple(sorted(params))}")
+    return build(**params)
 
 
 # ---------------------------------------------------------------------------
@@ -325,23 +319,19 @@ def moment_integral(measure: MeasureSpec, n: int, tolerance: float,
                     log_scale: float = 0.0) -> QuadratureResult:
     """integral of r^(2n) against the radial projection of the measure,
     optionally damped by exp(-log_scale) for overflow-free comparison."""
-    rho = measure.radial_density()
-    if math.isinf(measure.L):
-        def f(r: float) -> float:
-            lr = math.log(r)
-            base = rho(r)
-            if base <= 0.0 or not math.isfinite(base):
-                return 0.0 if base == 0.0 else math.inf
-            return math.exp(2.0 * n * lr - log_scale + math.log(base))
-        return exp_sinh(f, tolerance)
-    if measure.density_edge is not None:
-        factor = 2.0 if measure.kind == "even" else 1.0
-        return tanh_sinh(None, 0.0, measure.L, tolerance,
-                         f_edge=lambda r, da, db:
-                             factor * r ** (2 * n) * measure.density_edge(r, da, db)
-                             * math.exp(-log_scale))
-    return tanh_sinh(lambda r: r ** (2 * n) * rho(r) * math.exp(-log_scale),
-                     0.0, measure.L, tolerance)
+    if not math.isinf(measure.L):
+        damping = math.exp(-log_scale)
+        return _integrate_half(measure, lambda r: r ** (2 * n) * damping, tolerance)
+    # on the half line r^(2n) overflows where the damped integrand is O(1)
+    factor = 2.0 if measure.kind == "even" else 1.0
+
+    def f(r: float) -> float:
+        lr = math.log(r)
+        base = factor * measure.density(r)
+        if base <= 0.0 or not math.isfinite(base):
+            return 0.0 if base == 0.0 else math.inf
+        return math.exp(2.0 * n * lr - log_scale + math.log(base))
+    return exp_sinh(f, tolerance)
 
 
 def verify_moment_problem(measure: MeasureSpec, spec: SequenceSpec, n_max: int,

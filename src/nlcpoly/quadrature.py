@@ -6,10 +6,12 @@ singularities) into double-exponentially decaying trapezoid tails, so one
 rule covers all the measure densities in the catalog.  Levels halve the mesh
 and reuse previous nodes; the error estimate is the difference between
 consecutive levels, and convergence is judged relative to the integral size.
-On the half line a node near 0 can underflow while the terms are still
-significant and growing (an integral like that of dr/r): the tail past it is
-cut off at every level, so refinement cannot converge and the result is
-reported unconverged at once.
+Each side of the trapezoid sum ends where the map leaves the float range:
+where the tanh-sinh weight underflows, or where the exp-sinh node would
+underflow or overflow.  If the terms there are still significant and growing
+(an integral like that of dr/r, or of dr/(1+r) on the half line), the tail
+past the end is cut off at every level, so refinement cannot converge and
+the result is reported unconverged at once.
 
 For densities that blow up at an interval endpoint the evaluation of
 ``1 - |x|`` in double precision is the accuracy bottleneck, not the rule:
@@ -35,8 +37,24 @@ class QuadratureResult:
     levels: int
     skipped_nodes: int = 0
 
-    def relative_error(self) -> float:
-        return self.error_estimate / max(1.0, abs(self.value))
+
+class _Nodes:
+    """The node guard both rules share: it counts every node, and a node
+    where the integrand raises or is not finite counts as skipped and adds 0."""
+
+    def __init__(self):
+        self.used = self.skipped = 0
+
+    def term(self, w: float, f: Callable[..., float], *args) -> float:
+        self.used += 1
+        try:
+            fx = f(*args)
+        except (ZeroDivisionError, ValueError, OverflowError):
+            fx = math.nan
+        if not math.isfinite(fx):
+            self.skipped += 1
+            return 0.0
+        return w * fx
 
 
 def _tanh_sinh_node(t: float):
@@ -71,33 +89,18 @@ def tanh_sinh(f: Callable[[float], float], a: float, b: float,
                                 r.converged, r.levels, r.skipped_nodes)
     mid = 0.5 * (a + b)
     halfspan = 0.5 * (b - a)
-    nodes = skipped = 0
+    if f_edge is None:
+        def f_edge(x, da, db):  # a node rounded onto a (possibly singular) endpoint is skipped
+            return f(x) if a < x < b else math.nan
+    nodes = _Nodes()
 
-    def sample(t: float) -> float:
-        nonlocal nodes, skipped
+    def sample(t: float) -> Optional[float]:
         u, w, ga, gb = _tanh_sinh_node(t)
-        if w == 0.0:
-            return 0.0
-        x = mid + halfspan * u
-        nodes += 1
-        try:
-            if f_edge is not None:
-                fx = f_edge(x, halfspan * ga, halfspan * gb)
-            else:
-                if not a < x < b:  # node rounded onto a (possibly singular) endpoint
-                    skipped += 1
-                    return 0.0
-                fx = f(x)
-        except (ZeroDivisionError, ValueError, OverflowError):
-            skipped += 1
-            return 0.0
-        if not math.isfinite(fx):
-            skipped += 1
-            return 0.0
-        return w * fx
+        if w == 0.0:  # the weight underflowed
+            return None
+        return nodes.term(w, f_edge, mid + halfspan * u, halfspan * ga, halfspan * gb)
 
-    return _refine(sample, halfspan, tolerance, max_level,
-                   lambda: (nodes, skipped))
+    return _refine(sample, halfspan, tolerance, max_level, nodes)
 
 
 def exp_sinh(f: Callable[[float], float], tolerance: float = 1e-9,
@@ -106,29 +109,19 @@ def exp_sinh(f: Callable[[float], float], tolerance: float = 1e-9,
     infinity and are integrable at 0."""
     if not tolerance >= 1e-15:
         raise ValueError("tolerance must be at least 1e-15")
-    nodes = skipped = 0
+    nodes = _Nodes()
 
-    def sample(t: float) -> float:
-        nonlocal nodes, skipped
+    def sample(t: float) -> Optional[float]:
         y = _HALF_PI * math.sinh(t)
-        if y > 690.0:  # x would overflow; decaying integrands are long dead here
-            return 0.0
+        if y > 690.0:  # x would overflow
+            return None
         x = math.exp(y)
         w = _HALF_PI * math.cosh(t) * x
         if w == 0.0 or x == 0.0:  # t < 0 and the node underflowed
             return None
-        nodes += 1
-        try:
-            fx = f(x)
-        except (ZeroDivisionError, ValueError, OverflowError):
-            skipped += 1
-            return 0.0
-        if not math.isfinite(fx):
-            skipped += 1
-            return 0.0
-        return w * fx
+        return nodes.term(w, f, x)
 
-    return _refine(sample, 1.0, tolerance, max_level, lambda: (nodes, skipped))
+    return _refine(sample, 1.0, tolerance, max_level, nodes)
 
 
 def _negligible(term: float, total: float) -> bool:
@@ -140,10 +133,11 @@ def _sum_level(sample: Callable[[float], Optional[float]], h: float, first: floa
     """Trapezoid contributions at t = +-(first + k*stride), k = 0, 1, ...;
     each side stops after its terms stay negligible.
 
-    ``sample`` returns None at a node that underflowed; the side ends there.
-    The second result tells whether that cut off a tail whose last term was
-    still significant and not decaying: a tail that still decays double
-    exponentially past the cut holds little, and refinement may converge."""
+    ``sample`` returns None where the map leaves the float range; the side
+    ends there.  The second result tells whether that cut off a tail whose
+    last term was still significant and not decaying: a tail that still
+    decays double exponentially past the cut holds little, and refinement
+    may converge."""
     total = 0.0
     cut = False
     for sign in (1.0, -1.0):
@@ -165,13 +159,11 @@ def _sum_level(sample: Callable[[float], Optional[float]], h: float, first: floa
             else:
                 quiet = 0
             k += 1
-            if first + k * stride > 7.0:  # gap below 1e-600: nothing left
-                break
     return total * h, cut
 
 
 def _refine(sample, jacobian: float, tolerance: float, max_level: int,
-            counters) -> QuadratureResult:
+            nodes: _Nodes) -> QuadratureResult:
     h = 1.0
     center = sample(0.0) * h
     level_sum, cut = _sum_level(sample, h, h, h)
@@ -191,8 +183,6 @@ def _refine(sample, jacobian: float, tolerance: float, max_level: int,
         if cut:  # a truncated tail: no finer level can repair it
             break
         if err <= tolerance * max(1.0, abs(value)) and level >= 3:
-            nodes, skipped = counters()
-            return QuadratureResult(value, err, nodes, True, level, skipped)
-    nodes, skipped = counters()
-    return QuadratureResult(value, abs(value - prev_value), nodes, False,
-                            level, skipped)
+            return QuadratureResult(value, err, nodes.used, True, level, nodes.skipped)
+    return QuadratureResult(value, abs(value - prev_value), nodes.used, False,
+                            level, nodes.skipped)

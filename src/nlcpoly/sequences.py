@@ -22,7 +22,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, zip_longest
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -185,6 +185,8 @@ def _validate_rational(params, strict):
     num, den = params["num"], params["den"]
     _require(len(num) >= 1 and len(den) >= 1, "need numerator and denominator coefficients")
     _require(num[-1] != 0 and den[-1] != 0, "leading coefficients must be nonzero")
+    _require(num[-1] / den[-1] > 0, "the leading ratio num[-1]/den[-1] must be positive, "
+             "or x_n turns negative for large n")
     for n in range(1, 65):
         nv, dv = _poly_eval(num, n), _poly_eval(den, n)
         _require(dv != 0, f"denominator vanishes at n = {n}")
@@ -541,28 +543,14 @@ def x_minus_limit(spec: SequenceSpec, n: int) -> float:
     return x_float(spec, n) - float(lim.value) if closed is None else float(closed)
 
 
-def _limit_gap(spec: SequenceSpec) -> Optional[Tuple[list, list]]:
-    """Exact (num - M den, den) with x_n - M = (num - M den)(n) / den(n) for
-    M = lim x_n, trailing zero coefficients of the difference dropped ([0]
-    when x_n = M identically); None without a poly_pair or a finite limit."""
-    pair, lim = spec.poly_pair(), x_limit(spec)
-    if pair is None or not lim.is_finite:
-        return None
-    num, den = pair
-    diff = [a - lim.value * b for a, b in zip_longest(num, den, fillvalue=0)]
-    while len(diff) > 1 and diff[-1] == 0:
-        diff.pop()
-    return diff, den
-
-
 def _x_minus_limit_closed(spec: SequenceSpec, n):
     """x_n - M over an int or an integer array n, without cancellation, or
     None when the family has no closed form for it.
 
-    Rational rules evaluate the exact difference of :func:`_limit_gap`,
-    rounded once per coefficient.  The q-quotient uses
-    (1-Cs)(1-(AB/C)s) - (1-As)(1-Bs) = -s (A-C)(B-C)/C with s = q^(n-1)
-    (the s^2 terms cancel), so it never forms q^n - 1.
+    Rational rules evaluate (num - M den)(n) / den(n), the difference
+    polynomial formed exactly and rounded once per coefficient.  The
+    q-quotient uses (1-Cs)(1-(AB/C)s) - (1-As)(1-Bs) = -s (A-C)(B-C)/C with
+    s = q^(n-1) (the s^2 terms cancel), so it never forms q^n - 1.
     """
     nn = np.asarray(n, dtype=float)
     if spec.family == "q_gamma_quotient":
@@ -570,10 +558,11 @@ def _x_minus_limit_closed(spec: SequenceSpec, n):
         with np.errstate(under="ignore"):
             s = np.exp((nn - 1.0) * math.log(q))
             return -s * (A - C) * (B - C) / (C * (1.0 - A * s) * (1.0 - B * s))
-    gap = _limit_gap(spec)
-    if gap is None:
+    pair, lim = spec.poly_pair(), x_limit(spec)
+    if pair is None or not lim.is_finite:
         return None
-    diff, den = gap
+    num, den = pair
+    diff = [a - lim.value * b for a, b in zip_longest(num, den, fillvalue=0)]
     return (np.polyval([float(c) for c in reversed(diff)], nn)
             / np.polyval([float(c) for c in reversed(den)], nn))
 
@@ -607,36 +596,20 @@ def check_monotone_and_bounded(spec: SequenceSpec, n_max: int) -> MonotoneReport
     if spec.family == "q_gamma_quotient":
         return _check_q_quotient_monotone(spec, limit)
 
-    pair = spec.poly_pair()
-    monotone, first_violation = True, None
-    if pair is not None:
-        num, den = pair
-        prev_n, prev_d = _poly_eval(num, 1), _poly_eval(den, 1)
-        for n in range(2, n_max + 1):
-            cur_n, cur_d = _poly_eval(num, n), _poly_eval(den, n)
-            # x_n > x_{n-1}  <=>  cur_n * prev_d > prev_n * cur_d  (positive dens)
-            if cur_n * prev_d <= prev_n * cur_d:
-                monotone, first_violation = False, n
-                break
-            prev_n, prev_d = cur_n, cur_d
-    else:
-        prev = x_value(spec, 1)
-        for n in range(2, n_max + 1):
-            cur = x_value(spec, n)
-            if cur <= prev:
-                monotone, first_violation = False, n
-                break
-            prev = cur
-
-    bounded, bound_violation = None, None
-    if limit.is_finite:
-        gap = _limit_gap(spec)  # x_n - M has the sign of its exact difference polynomial
-        for n in range(1, n_max + 1):
-            if (_poly_eval(gap[0], n) if gap else x_value(spec, n) - limit.value) >= 0:
-                bound_violation = n
-                break
-        bounded = bound_violation is None
-    return MonotoneReport(monotone, first_violation, bounded, bound_violation, limit)
+    bound = limit.value if limit.is_finite else None
+    first_violation = bound_violation = prev = None
+    for n in range(1, n_max + 1):
+        cur = x_value(spec, n)
+        if first_violation is None and prev is not None and cur <= prev:
+            first_violation = n
+        if bound_violation is None and bound is not None and cur - bound >= 0:
+            bound_violation = n
+        if first_violation is not None and (bound is None or bound_violation is not None):
+            break
+        prev = cur
+    bounded = None if bound is None else bound_violation is None
+    return MonotoneReport(first_violation is None, first_violation, bounded, bound_violation,
+                          limit)
 
 
 def _check_q_quotient_monotone(spec: SequenceSpec, limit: SequenceLimit) -> MonotoneReport:

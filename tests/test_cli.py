@@ -222,6 +222,21 @@ prefix = t
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("family, measure", [
+    ("family = su11\nj = 3/2", "name = nope"),
+    ("family = su11\nj = 3/2", "name = disc_radial"),
+    ("family = su11\nj = 3/2", "name = disc_radial\nj = 3/2\nk = 2"),
+    ("family = barut_girardello\nj = 3/2", "name = bessel_ladder_radial"),
+], ids=["unknown_name", "missing_j", "extra_key", "ladder_missing_j"])
+def test_every_measure_section_error_exits_2(tmp_path, capsys, family, measure):
+    text = (f"[sequence]\n{family}\n[measure]\n{measure}\n[run]\ncommand = all\n"
+            f"n_max = 4\n[output]\ndir = {tmp_path / 'out'}\nprefix = t\n")
+    assert main([write_config(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
 def test_default_ladder_measure_verifies_the_selected_form(tmp_path, monkeypatch):
     # whichever form the moment test selects is the one verified and reported
     import nlcpoly.cli as cli

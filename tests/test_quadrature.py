@@ -135,6 +135,20 @@ def test_slowly_decaying_cut_tail_is_refined_and_stays_unconverged():
     assert not res.converged
 
 
+@pytest.mark.parametrize("rule", [
+    lambda: exp_sinh(lambda r: 1.0 / (1.0 + r), 1e-9),
+    lambda: tanh_sinh(None, 0.0, 1.0, 1e-11, f_edge=lambda x, da, db: db ** -1.0),
+], ids=["exp_sinh_overflow_side", "tanh_sinh_weight_underflow"])
+def test_growing_terms_where_the_range_ends_stop_after_one_level(rule):
+    # dr/(1+r) and db^-1 diverge: the terms still grow where x would
+    # overflow, or where the tanh-sinh weight underflows, so the side is cut
+    # as on the exp-sinh underflow side
+    res = rule()
+    assert not res.converged
+    assert res.levels == 1
+    assert res.nodes_used < 100
+
+
 def test_integrable_endpoint_singularity_on_half_line_converges():
     res = exp_sinh(lambda r: math.exp(-r) / math.sqrt(r), 1e-12)
     assert res.converged

@@ -108,6 +108,12 @@ def test_rational_family():
     assert x_limit(spec).kind == "infinite"
 
 
+def test_rational_negative_leading_ratio_is_a_domain_error():
+    # x_n = 100 - n passes the check of n <= 64 but tends to -inf
+    with pytest.raises(ParameterDomainError, match="leading ratio"):
+        SequenceSpec("rational", num=[100, -1], den=[1])
+
+
 def test_explicit_range_error():
     spec = SequenceSpec("explicit", values=[1, 2])
     with pytest.raises(SequenceRangeError):
@@ -435,6 +441,17 @@ def test_sequence_equal_to_its_limit_is_not_bounded():
     assert (rep.monotone, rep.first_violation) == (False, 2)
     assert (rep.bounded_by_L2, rep.bound_first_violation) == (False, 1)
     assert x_minus_limit(spec, 7) == 0.0
+
+
+@pytest.mark.parametrize("num, den, report", [
+    ([-2, -1], [-1, -1], (False, 2, False, 1)),                       # (n+2)/(n+1)
+    (["-3/2", "-1/2", 1], ["-3/2", 1], (True, None, None, None)),      # n + 1
+    ([0, -1], [-1, -1], (True, None, True, None)),                     # n/(n+1)
+], ids=["decreasing_above_limit", "linear", "increasing_below_limit"])
+def test_scan_reads_values_not_signs_of_negative_denominators(num, den, report):
+    rep = check_monotone_and_bounded(SequenceSpec("rational", num=num, den=den), 100)
+    assert (rep.monotone, rep.first_violation,
+            rep.bounded_by_L2, rep.bound_first_violation) == report
 
 
 def test_monotone_canonical():
