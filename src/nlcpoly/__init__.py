@@ -10,9 +10,8 @@ from .sequences import (  # noqa: F401
     x_floats, x_limit, x_log_factorial, x_minus_limit, x_value,
 )
 from .special import (  # noqa: F401
-    CMReport, DomainError, QParams, bessel_k, cm_sequence_test, gamma,
-    gamma_quotient_g, log_gamma, pochhammer, q_gamma, q_gamma_quotient_h,
-    q_pochhammer,
+    CMReport, DomainError, bessel_k, cm_sequence_test, gamma, gamma_quotient_g,
+    log_gamma, pochhammer, q_gamma, q_gamma_quotient_h,
 )
 from .cm_generators import (  # noqa: F401
     FsConsistencyReport, fs_quotient, fs_quotient_consistency, fs_subset_sums,
@@ -25,7 +24,7 @@ from .moments import (  # noqa: F401
 from .recurrence import (  # noqa: F401
     RecurrenceCoeffs, general_monic_value, monic_polynomials,
     monic_q_coefficients, monic_q_polynomials, monic_q_value, phi_scaled,
-    phi_value, phi_window, pollaczek_parameter_warning, pollaczek_value,
+    phi_value, phi_window, pollaczek_value,
 )
 from .spectral import (  # noqa: F401
     SpectralResult, SupportEndpoints, TruncatedJacobi, build_truncated,
@@ -34,9 +33,8 @@ from .spectral import (  # noqa: F401
 from .quadrature import QuadratureResult, exp_sinh, tanh_sinh  # noqa: F401
 from .measures import (  # noqa: F401
     DivergenceError, GramReport, MeasureSpec, MomentCheckReport,
-    ResolutionCheck, coherent_normalization, get_measure, integrate,
-    measure_names, resolution_of_identity_check, select_bessel_ladder_measure,
-    verify_moment_problem, verify_orthonormality,
+    coherent_normalization, get_measure, integrate, measure_names,
+    select_bessel_ladder_measure, verify_moment_problem, verify_orthonormality,
 )
 from .asymptotics import (  # noqa: F401
     AmplitudeEstimate, NevaiDiagnostic, amplitude_extract, nevai_amplitude,

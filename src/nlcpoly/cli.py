@@ -18,15 +18,14 @@ import random
 import sys
 import traceback
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from . import __version__
 from .asymptotics import amplitude_extract, nevai_condition, rescaled_phi_window
 from .config import COMMANDS, ConfigError, RunConfig, load_config
-from .measures import (DEFAULT_MEASURES, MeasureSpec, get_measure,
-                       select_bessel_ladder_measure, verify_moment_problem)
+from .measures import DEFAULT_MEASURES, MeasureSpec, get_measure, verify_moment_problem
 from .moments import (DegenerateMomentsError, MomentSequence, berg_duran_check,
                       hankel_determinant, hankel_polynomial)
 from .recurrence import monic_q_polynomials, phi_window
@@ -66,7 +65,11 @@ class _Runner:
         # shared by hankel and polys; both ask for their longest order first,
         # so one Chebyshev pass serves every shorter order as its prefix
         self.moments = MomentSequence(self.spec)
-        self.default_measure = default_measure_for(self.spec)
+        # resolved before any step runs, so a bad [measure] section writes nothing
+        self.measure = _run_measure(cfg, self.spec)
+        if self.measure is None and cfg.command == "verify-measure":
+            raise ConfigError(f"no default measure for family {self.spec.family!r}; "
+                              "add a [measure] section")
         os.makedirs(cfg.out_dir, exist_ok=True)
 
     def _path(self, suffix: str) -> str:
@@ -153,41 +156,21 @@ class _Runner:
         self.summary["bounds"] = {
             "order": order, "A": a, "B": b, "contained": contained,
             "support_kind": supp.kind, "support_endpoint": supp.endpoint,
-            "support_endpoint_unhalved": supp.endpoint_unhalved,
         }
 
-    def _measure(self) -> Tuple[MeasureSpec, Dict[str, object]]:
-        name = self.cfg.measure
-        if name:
-            try:
-                measure = get_measure(name, **self.cfg.measure_params)
-            except ValueError as exc:  # parameters missing, unknown or outside the domain
-                raise ConfigError(f"measure {name!r}: {exc}") from exc
-        elif self.default_measure is None:
-            raise ConfigError(
-                f"no default measure for family {self.spec.family!r}; "
-                "add a [measure] section")
-        else:
-            measure = self.default_measure
-        if measure.name == "bessel_ladder_radial":
-            return _ladder_measure(measure.params)
-        return measure, {}
-
     def cmd_verify_measure(self) -> None:
-        measure, info = self._measure()
-        report = verify_moment_problem(measure, self.spec, self.cfg.n_max,
+        report = verify_moment_problem(self.measure, self.spec, self.cfg.n_max,
                                        self.cfg.tolerance)
         rows = [(r.n, r.computed, r.expected, r.rel_error, r.converged)
                 for r in report.rows]
         self._write_csv("measure_check.csv",
                         ["n", "computed", "expected", "rel_error", "converged"], rows)
         self.verdicts["measure"] = report.verdict
-        info.update({
-            "measure": measure.name,
+        self.summary["verify_measure"] = {
+            "measure": self.measure.name,
             "max_abs_rel_error": report.max_abs_rel_error,
             "verdict": _verdict_word(report.verdict),
-        })
-        self.summary["verify_measure"] = info
+        }
 
     def cmd_nevai(self) -> None:
         diag = nevai_condition(self.spec, self.cfg.nevai_n_max)
@@ -234,8 +217,7 @@ class _Runner:
         command = self.cfg.command
         steps = (command,)
         if command == "all":
-            with_measure = self.cfg.measure or self.default_measure is not None
-            steps = _ALL_STEPS if with_measure else _ALL_STEPS[:-1]
+            steps = _ALL_STEPS if self.measure is not None else _ALL_STEPS[:-1]
         for step in steps:
             getattr(self, "cmd_" + step.replace("-", "_"))()
 
@@ -273,20 +255,21 @@ class _Runner:
         return 0
 
 
-def _ladder_measure(params: Dict[str, object]) -> Tuple[MeasureSpec, Dict[str, object]]:
-    """The ladder-operator measure the moment test selects, with its record."""
-    measure, selection = select_bessel_ladder_measure(**params)
-    return measure, {"ladder_selection": {
-        "chosen": selection.chosen,
-        "max_rel_error_chosen": selection.max_rel_error_chosen,
-        "max_rel_error_rejected": selection.max_rel_error_rejected,
-    }}
-
-
 def _verdict_word(v: Optional[bool]) -> Optional[str]:
     if v is None:
         return None
     return "PASS" if v else "FAIL"
+
+
+def _run_measure(cfg: RunConfig, spec: SequenceSpec) -> Optional[MeasureSpec]:
+    """The run's measure: the [measure] section's density, else the family's
+    default, else None."""
+    if not cfg.measure:
+        return default_measure_for(spec)
+    try:
+        return get_measure(cfg.measure, **cfg.measure_params)
+    except ValueError as exc:  # parameters missing, unknown or outside the domain
+        raise ConfigError(f"measure {cfg.measure!r}: {exc}") from exc
 
 
 def default_measure_for(spec: SequenceSpec) -> Optional[MeasureSpec]:

@@ -503,22 +503,6 @@ def coherent_normalization(spec: SequenceSpec, r2: float) -> float:
                 f"normalization series did not settle within {_SERIES_MAX_TERMS} terms")
 
 
-@dataclass(frozen=True)
-class ResolutionCheck:
-    verdict: str  # 'PASS' | 'FAIL' | 'UNDETERMINED'
-    report: MomentCheckReport
-
-
-def resolution_of_identity_check(measure: MeasureSpec, spec: SequenceSpec,
-                                 n_max: int, tolerance: float = 1e-11) -> ResolutionCheck:
-    """The operator identity reduces exactly to the radial moment problem,
-    so the verdict is that of :func:`verify_moment_problem`."""
-    report = verify_moment_problem(measure, spec, n_max, tolerance)
-    if report.verdict is None:
-        return ResolutionCheck("UNDETERMINED", report)
-    return ResolutionCheck("PASS" if report.verdict else "FAIL", report)
-
-
 # closed-form even moments for the Bessel-kernel weights, used as oracles
 def bessel_mp_even_moment(mu, nu, beta, n: int) -> float:
     return float(4 ** n * pochhammer(mu + nu, n) * pochhammer(mu - nu, n)

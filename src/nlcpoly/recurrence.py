@@ -26,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -193,15 +193,3 @@ def pollaczek_value(lam: float, a: float, b: float, n: int, x: float) -> float:
         prev, cur = cur, nxt
     return cur
 
-
-def pollaczek_parameter_warning(lam: float, a: float, b: float) -> Optional[str]:
-    """None inside the classical orthogonality domain; otherwise a short
-    description.  Boundary values are flagged, not rejected: the recurrence
-    itself stays well defined."""
-    if lam + a <= 0:
-        return "lam + a <= 0: recurrence normalization is not positive"
-    if lam <= 0:
-        return "lam <= 0: outside the classical orthogonality domain"
-    if a < abs(b):
-        return "a < |b|: orthogonality measure may acquire a discrete part"
-    return None

@@ -73,14 +73,6 @@ def q_gamma(x: float, q: float) -> float:
     return math.exp((1.0 - x) * math.log1p(-q) + total)
 
 
-def q_pochhammer(a: float, q: float, n: int) -> float:
-    """(a; q)_n = prod_{k=0}^{n-1} (1 - a q^k)."""
-    acc = 1.0
-    for k in range(n):
-        acc *= 1.0 - a * q ** k
-    return acc
-
-
 # Taylor coefficients of 1/Gamma(1 + z) at z = 0 (Abramowitz-Stegun 6.1.34),
 # split by parity: 1/Gamma(1 + mu) = even(mu^2) + mu * odd(mu^2).  Terms past
 # these are below 1e-25 for |mu| <= 1/2.
@@ -246,33 +238,6 @@ def cm_sequence_test(a: Callable[[int], float], n_max: int, order: int = 8,
                 first_failure = (n_min + i, k)
         row = [b - c for b, c in zip(row[1:], row)]
     return CMReport(order, worst, first_failure is None, first_failure, tolerance)
-
-
-@dataclass(frozen=True)
-class QParams:
-    """Admissible q-quotient exponents: 0 < q < 1 and a >= c, b >= c, c >= 0."""
-    q: float
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        if not 0.0 < self.q < 1.0:
-            raise DomainError("q must lie in (0, 1)")
-        if not (self.c >= 0 and self.a >= self.c and self.b >= self.c):
-            raise DomainError("need a >= c, b >= c, c >= 0")
-
-    @property
-    def A(self) -> float:
-        return self.q ** self.a
-
-    @property
-    def B(self) -> float:
-        return self.q ** self.b
-
-    @property
-    def C(self) -> float:
-        return self.q ** self.c
 
 
 def gamma_quotient_g(x: float, a: float, b: float, c: float) -> float:

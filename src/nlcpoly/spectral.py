@@ -190,14 +190,11 @@ class SupportEndpoints:
 
     ``endpoint`` is +-sqrt(2 M) with M = lim x_n, the value forced by the
     monic coefficients beta_n = x_n/2 (endpoints of a Jacobi matrix spectrum
-    are +-2 sqrt(beta_infinity)).  ``endpoint_unhalved`` is 2 sqrt(M), the
-    value obtained if the halving in beta_n is dropped; both are reported so
-    either convention can be cross-checked.
+    are +-2 sqrt(beta_infinity)).
     """
     kind: str  # 'bounded' | 'unbounded' | 'undetermined'
     limit: Optional[float] = None
     endpoint: Optional[float] = None
-    endpoint_unhalved: Optional[float] = None
 
 
 def support_endpoints(spec: SequenceSpec) -> SupportEndpoints:
@@ -207,4 +204,4 @@ def support_endpoints(spec: SequenceSpec) -> SupportEndpoints:
     if lim.kind == "undetermined":
         return SupportEndpoints("undetermined")
     m = float(lim.value)
-    return SupportEndpoints("bounded", m, math.sqrt(2.0 * m), 2.0 * math.sqrt(m))
+    return SupportEndpoints("bounded", m, math.sqrt(2.0 * m))

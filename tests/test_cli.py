@@ -222,35 +222,33 @@ prefix = t
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("family, measure", [
-    ("family = su11\nj = 3/2", "name = nope"),
-    ("family = su11\nj = 3/2", "name = disc_radial"),
-    ("family = su11\nj = 3/2", "name = disc_radial\nj = 3/2\nk = 2"),
-    ("family = barut_girardello\nj = 3/2", "name = bessel_ladder_radial"),
-], ids=["unknown_name", "missing_j", "extra_key", "ladder_missing_j"])
-def test_every_measure_section_error_exits_2(tmp_path, capsys, family, measure):
-    text = (f"[sequence]\n{family}\n[measure]\n{measure}\n[run]\ncommand = all\n"
+@pytest.mark.parametrize("family, measure, command", [
+    ("family = su11\nj = 3/2", "[measure]\nname = nope\n", "all"),
+    ("family = su11\nj = 3/2", "[measure]\nname = disc_radial\n", "all"),
+    ("family = su11\nj = 3/2", "[measure]\nname = disc_radial\nj = 3/2\nk = 2\n", "all"),
+    ("family = barut_girardello\nj = 3/2", "[measure]\nname = bessel_ladder_radial\n", "all"),
+    ("family = gamma_quotient\na = 3\nb = 2\nc = 1", "", "verify-measure"),
+], ids=["unknown_name", "missing_j", "extra_key", "ladder_missing_j", "no_default_measure"])
+def test_every_measure_section_error_exits_2(tmp_path, capsys, family, measure, command):
+    # the measure is resolved before any step runs, so nothing is written
+    text = (f"[sequence]\n{family}\n{measure}[run]\ncommand = {command}\n"
             f"n_max = 4\n[output]\ndir = {tmp_path / 'out'}\nprefix = t\n")
     assert main([write_config(tmp_path, text)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
-def test_default_ladder_measure_verifies_the_selected_form(tmp_path, monkeypatch):
-    # whichever form the moment test selects is the one verified and reported
-    import nlcpoly.cli as cli
-    from nlcpoly.measures import LadderMeasureSelection, get_measure
-    plain = get_measure("bessel_ladder_radial_plain", j=1)
-    monkeypatch.setattr(cli, "select_bessel_ladder_measure", lambda j: (
-        plain, LadderMeasureSelection(float(j), plain.name, 0.0, 1.0, True)))
+def test_default_ladder_measure_is_the_catalog_form(tmp_path):
+    # barut_girardello pairs with bessel_ladder_radial, checked like every other pairing
     out = tmp_path / "out"
-    text = BASE.format(command="verify-measure", n_max=4, out=out).replace(
+    text = BASE.format(command="all", n_max=4, out=out).replace(
         "family = canonical", "family = barut_girardello\nj = 1")
-    main([write_config(tmp_path, text)])
-    info = json.loads((out / "t_summary.json").read_text())["results"]["verify_measure"]
-    assert info["measure"] == "bessel_ladder_radial_plain"
-    assert info["ladder_selection"]["chosen"] == "bessel_ladder_radial_plain"
+    assert main([write_config(tmp_path, text)]) == 0
+    results = json.loads((out / "t_summary.json").read_text())["results"]
+    assert results["verify_measure"]["measure"] == "bessel_ladder_radial"
+    assert "ladder_selection" not in results["verify_measure"]
 
 
 def _default_measure_chain(spec):

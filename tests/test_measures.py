@@ -7,8 +7,7 @@ import nlcpoly.measures
 import nlcpoly.sequences
 from nlcpoly import (
     DivergenceError, SequenceSpec, coherent_normalization, get_measure,
-    integrate, measure_names, resolution_of_identity_check,
-    select_bessel_ladder_measure, verify_moment_problem, verify_orthonormality,
+    integrate, measure_names, select_bessel_ladder_measure, verify_moment_problem, verify_orthonormality,
 )
 from nlcpoly.measures import (MomentRow, bessel_k_abs_even_moment, bessel_k_exp_even_moment,
                               bessel_mp_even_moment, moment_integral)
@@ -207,23 +206,11 @@ def test_moment_rows_carry_relative_errors():
 
 # -- resolution of the identity -------------------------------------------------------
 
-def test_resolution_pass_canonical():
-    check = resolution_of_identity_check(get_measure("gaussian_radial"),
-                                         SequenceSpec("canonical"), 10, 1e-10)
-    assert check.verdict == "PASS"
-
-
-def test_resolution_pass_su11():
-    check = resolution_of_identity_check(get_measure("disc_radial", j=1),
-                                         SequenceSpec("su11", j=1), 10, 1e-10)
-    assert check.verdict == "PASS"
-
-
 def test_resolution_fails_for_mismatched_pair():
-    check = resolution_of_identity_check(get_measure("disc_radial", j=1),
-                                         SequenceSpec("canonical"), 4, 1e-10)
-    assert check.verdict == "FAIL"
-    assert check.report.rows[1].rel_error > 0.4  # 1/2 against 1
+    report = verify_moment_problem(get_measure("disc_radial", j=1),
+                                   SequenceSpec("canonical"), 4, 1e-10)
+    assert report.verdict is False
+    assert report.rows[1].rel_error > 0.4  # 1/2 against 1
 
 
 # -- orthonormality --------------------------------------------------------------------

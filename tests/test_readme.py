@@ -1,10 +1,11 @@
-"""README.md examples stay runnable: the library quick start executes and
-every [sequence] block under "Families" parses into a spec."""
+"""README.md examples stay runnable: the library quick start executes,
+every [sequence] block under "Families" parses into a spec, and the
+"Measures" list names the measure catalog."""
 
 import re
 from pathlib import Path
 
-from nlcpoly import family_names
+from nlcpoly import family_names, measure_names
 from nlcpoly.config import spec_from_config_text
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -24,3 +25,9 @@ def test_every_family_block_parses():
     blocks = _first_block("### Families", "ini").split("[sequence]")[1:]
     families = [spec_from_config_text("[sequence]" + block).family for block in blocks]
     assert sorted(families) == family_names()
+
+
+def test_measures_list_names_the_catalog():
+    listed = README.split("Measures (`[measure] name = ...`):")[1].split("\n\n")[0]
+    names = re.findall(r"`(\w+)(?:\([^)]*\))?`", listed)
+    assert sorted(names) == measure_names()

@@ -7,7 +7,7 @@ import pytest
 from nlcpoly import (
     RecurrenceCoeffs, SequenceSpec, build_truncated, char_poly, general_monic_value,
     monic_polynomials, monic_q_coefficients, monic_q_polynomials, monic_q_value,
-    phi_scaled, phi_value, phi_window, pollaczek_parameter_warning, pollaczek_value,
+    phi_scaled, phi_value, phi_window, pollaczek_value,
     x_factorial, x_float, x_value,
 )
 from conftest import catalog_specs, gegenbauer_exact, hermite_orthonormal_oracle
@@ -227,12 +227,6 @@ def test_pollaczek_reduces_to_ultraspherical():
             assert pollaczek_value(lam, 0.0, 0.0, 3, x) == pytest.approx(
                 float(gegenbauer_exact(3, Fraction(lam).limit_denominator(10),
                                        Fraction(x))), rel=1e-9, abs=1e-9)
-
-
-def test_pollaczek_warning_flags():
-    assert pollaczek_parameter_warning(1.0, 0.5, 0.2) is None
-    assert pollaczek_parameter_warning(1.0, -1.0, 0.0) is not None
-    assert pollaczek_parameter_warning(-0.2, 0.1, 0.0) is not None
 
 
 def test_jacobi_type_half_matches_pollaczek_up_to_constants():

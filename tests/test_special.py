@@ -6,8 +6,8 @@ import mpmath
 import pytest
 
 from nlcpoly import (
-    DomainError, QParams, bessel_k, cm_sequence_test, gamma, gamma_quotient_g, log_gamma, pochhammer, q_gamma,
-    q_gamma_quotient_h, q_pochhammer, exp_sinh,
+    DomainError, bessel_k, cm_sequence_test, gamma, gamma_quotient_g, log_gamma, pochhammer, q_gamma,
+    q_gamma_quotient_h, exp_sinh,
 )
 
 
@@ -86,26 +86,11 @@ def test_q_gamma_tends_to_gamma():
         assert gaps[0] > gaps[1] > gaps[2]
 
 
-def test_q_gamma_against_q_pochhammer_oracle():
-    # Gamma_q(x) = (q;q)_inf / (q^x;q)_inf * (1-q)^(1-x), truncated products
-    q, x = 0.4, 2.7
-    num = q_pochhammer(q, q, 200)
-    den = q_pochhammer(q ** x, q, 200)
-    assert q_gamma(x, q) == pytest.approx((1 - q) ** (1 - x) * num / den, rel=1e-13)
-
-
 def test_q_gamma_domain_errors():
     with pytest.raises(DomainError):
         q_gamma(1.0, 1.5)
     with pytest.raises(DomainError):
         q_gamma(-1.0, 0.5)
-
-
-def test_qparams_admissibility():
-    p = QParams(q=0.5, a=2, b=1.5, c=1)
-    assert p.A == pytest.approx(0.25)
-    with pytest.raises(DomainError):
-        QParams(q=0.5, a=1, b=1, c=2)
 
 
 # -- Bessel ------------------------------------------------------------------------

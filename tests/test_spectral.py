@@ -175,7 +175,6 @@ def test_support_endpoints_values():
     assert support_endpoints(SequenceSpec("canonical")).kind == "unbounded"
     supp = support_endpoints(SequenceSpec("ultraspherical", nu=1))
     assert supp.endpoint == pytest.approx(math.sqrt(2.0))
-    assert supp.endpoint_unhalved == pytest.approx(2.0)
     supp2 = support_endpoints(SequenceSpec("jacobi_type", alpha=1, beta=1))
     assert supp2.endpoint == pytest.approx(math.sqrt(2.0))
 
