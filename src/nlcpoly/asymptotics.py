@@ -24,6 +24,9 @@ import numpy as np
 from .recurrence import _window
 from .sequences import SequenceSpec, _x_minus_limit_closed, x_floats, x_limit
 
+# the shortest scan nevai_condition accepts; a run's nevai_n_max is checked against it
+MIN_NEVAI_N = 32
+
 
 def zeta_log(spec: SequenceSpec, n: int) -> float:
     """log(beta_1 ... beta_n) for the monic coefficients beta_k = x_k / 2."""
@@ -59,8 +62,8 @@ def nevai_condition(spec: SequenceSpec, n_max: int = 4096) -> NevaiDiagnostic:
     'diverges', the band between is 'inconclusive'.  An unbounded sequence
     diverges trivially.
     """
-    if n_max < 32:
-        raise ValueError("n_max must be at least 32")
+    if n_max < MIN_NEVAI_N:
+        raise ValueError(f"n_max must be at least {MIN_NEVAI_N}")
     lim = x_limit(spec)
     if lim.kind == "infinite":
         return NevaiDiagnostic("diverges", None, None, (), n_max, None,

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import amplitude_extract, nevai_condition, rescaled_phi_window
-from .config import COMMANDS, ConfigError, RunConfig, load_config
+from .config import CONFIG_KEYS, ConfigError, RunConfig, load_config
 from .measures import DEFAULT_MEASURES, MeasureSpec, get_measure, verify_moment_problem
 from .moments import (DegenerateMomentsError, MomentSequence, berg_duran_check,
                       hankel_determinant, hankel_polynomial)
@@ -290,31 +290,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Moment, polynomial and spectral analyses for positive "
                     "coherent-state sequences.")
     parser.add_argument("config", help="path to the INI-style run config")
-    parser.add_argument("--command", choices=COMMANDS, help="override [run] command")
-    parser.add_argument("--n-max", type=int, help="override [run] n_max")
-    parser.add_argument("--order", type=int, help="override [run] order")
-    parser.add_argument("--tolerance", type=float, help="override [run] tolerance")
-    parser.add_argument("--out-dir", help="override [output] dir")
-    parser.add_argument("--prefix", help="override [output] prefix")
+    for k in CONFIG_KEYS:
+        if k.flag:  # the flag's text is read and checked like the key's
+            parser.add_argument("--" + k.field.replace("_", "-"), dest=k.field,
+                                help=f"override [{k.section}] {k.key}")
     parser.add_argument("--set", dest="sets", action="append", default=[],
                         metavar="SECTION.KEY=VALUE",
-                        help="generic override, repeatable; flags win over the file")
+                        help="generic override, repeatable; flags win over the file "
+                             "and over --set")
     return parser
-
-
-# flags that override one config key each
-_FLAG_KEYS = (("command", "run.command"), ("n_max", "run.n_max"), ("order", "run.order"),
-              ("tolerance", "run.tolerance"), ("out_dir", "output.dir"),
-              ("prefix", "output.prefix"))
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     overrides = list(args.sets)
-    for flag, key in _FLAG_KEYS:
-        value = getattr(args, flag)
-        if value is not None and value != "":  # an empty --out-dir or --prefix is ignored
-            overrides.append(f"{key}={value if isinstance(value, str) else repr(value)}")
+    for k in CONFIG_KEYS:
+        if k.flag and getattr(args, k.field):  # an empty --out-dir or --prefix is ignored
+            overrides.append(f"{k.section}.{k.key}={getattr(args, k.field)}")
     try:
         return _run(args.config, overrides)
     except Exception as exc:  # a crash must not read as a FAIL (1) or a config error (2)

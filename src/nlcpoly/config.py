@@ -14,17 +14,54 @@ import hashlib
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .measures import measure_names
-from .sequences import _LIST_PARAMS, SequenceSpec, _as_number, family_names
+from .asymptotics import MIN_NEVAI_N
+from .measures import measure_names, measure_params
+from .quadrature import MIN_TOLERANCE
+from .sequences import _FAMILIES, _LIST_PARAMS, SequenceSpec, _as_number, family_names
 
 COMMANDS = ("moments", "hankel", "polys", "zeros", "bounds", "verify-measure",
             "nevai", "amplitude", "cm-check", "all")
+SECTIONS = ("sequence", "measure", "run", "output")
 
 
 class ConfigError(ValueError):
     """Malformed or incomplete run configuration."""
+
+
+class ConfigKey(NamedTuple):
+    """A ``[run]`` or ``[output]`` key: the field it sets, how its text is read
+    and its range.  ``[run]`` keys enter the config hash; a ``flag`` key has a
+    CLI flag named after its field (``n_max`` -> ``--n-max``)."""
+    section: str
+    key: str
+    field: str
+    parse: Callable[[str], object]
+    rule: str  # the range, as an error message states it
+    ok: Callable[[object], bool]
+    flag: bool = False
+
+
+CONFIG_KEYS = (
+    ConfigKey("run", "command", "command", str, "one of " + ", ".join(COMMANDS),
+              lambda v: v in COMMANDS, True),
+    ConfigKey("run", "n_max", "n_max", int, ">= 0", lambda v: v >= 0, True),
+    ConfigKey("run", "order", "order", int, ">= 1", lambda v: v >= 1, True),
+    ConfigKey("run", "tolerance", "tolerance", float, f">= {MIN_TOLERANCE}",
+              lambda v: v >= MIN_TOLERANCE, True),
+    ConfigKey("run", "seed", "seed", int, "an integer", lambda v: True),
+    ConfigKey("run", "nevai_n_max", "nevai_n_max", int, f">= {MIN_NEVAI_N}",
+              lambda v: v >= MIN_NEVAI_N),
+    ConfigKey("run", "amplitude_window", "amplitude_window",
+              lambda s: tuple(int(v) for v in s.split(",")), "lo,hi with 0 <= lo < hi",
+              lambda v: len(v) == 2 and 0 <= v[0] < v[1]),
+    ConfigKey("run", "amplitude_points", "amplitude_points",
+              lambda s: tuple(float(v) for v in s.split(",") if v.strip()),
+              "values in (-1, 1)", lambda v: all(-1 < x < 1 for x in v)),
+    ConfigKey("output", "dir", "out_dir", str, "not empty", bool, True),
+    ConfigKey("output", "prefix", "prefix", str, "any text", lambda v: True, True),
+)
 
 
 def _format_number(value) -> str:
@@ -59,28 +96,12 @@ class RunConfig:
         """Deterministic re-serialization of the analysis-relevant sections;
         output paths are deliberately excluded so results are byte-identical
         wherever they are written."""
-        parser = configparser.ConfigParser()
-        parser.optionxform = str  # keep parameter case (A vs a)
-        parser["sequence"] = {"family": self.family}
-        for key in sorted(self.family_params):
-            parser["sequence"][key] = _format_param(self.family_params[key])
+        sections = {"sequence": _section("family", self.family, self.family_params)}
         if self.measure:
-            parser["measure"] = {"name": self.measure}
-            for key in sorted(self.measure_params):
-                parser["measure"][key] = _format_param(self.measure_params[key])
-        parser["run"] = {
-            "command": self.command,
-            "n_max": str(self.n_max),
-            "order": str(self.order),
-            "tolerance": repr(self.tolerance),
-            "seed": str(self.seed),
-            "nevai_n_max": str(self.nevai_n_max),
-            "amplitude_window": f"{self.amplitude_window[0]},{self.amplitude_window[1]}",
-            "amplitude_points": ",".join(repr(v) for v in self.amplitude_points),
-        }
-        buf = io.StringIO()
-        parser.write(buf)
-        return buf.getvalue()
+            sections["measure"] = _section("name", self.measure, self.measure_params)
+        sections["run"] = {k.key: _format_param(getattr(self, k.field))
+                           for k in CONFIG_KEYS if k.section == "run"}
+        return _write_sections(sections)
 
     def sha256(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
@@ -92,10 +113,34 @@ def _format_param(value) -> str:
     return _format_number(value)
 
 
-def _parse_params(section) -> Dict[str, object]:
+def _section(head: str, name: str, params: Dict[str, object]) -> Dict[str, str]:
+    return {head: name, **{key: _format_param(params[key]) for key in sorted(params)}}
+
+
+def _new_parser() -> configparser.ConfigParser:
+    parser = configparser.ConfigParser(interpolation=None)  # '%' is a plain character
+    parser.optionxform = str  # keep parameter case (A vs a)
+    return parser
+
+
+def _write_sections(sections: Dict[str, Dict[str, str]]) -> str:
+    parser = _new_parser()
+    parser.read_dict(sections)
+    buf = io.StringIO()
+    parser.write(buf)
+    return buf.getvalue()
+
+
+def _check_known(kind: str, names, known) -> None:
+    for name in names:
+        if name not in known:
+            raise ConfigError(f"unknown {kind} {name!r}; known: {', '.join(known)}")
+
+
+def _parse_params(section, head: str) -> Dict[str, object]:
     params: Dict[str, object] = {}
     for key, raw in section.items():
-        if key in ("family", "name"):
+        if key == head:
             continue
         if key in _LIST_PARAMS:
             params[key] = [_as_number(tok) for tok in raw.split(",") if tok.strip()]
@@ -107,9 +152,11 @@ def _parse_params(section) -> Dict[str, object]:
 def load_config(path: str, overrides: Optional[List[str]] = None) -> RunConfig:
     """Parse a config file; ``overrides`` are ``section.key=value`` strings
     that win over the file."""
-    parser = configparser.ConfigParser()
-    parser.optionxform = str  # keep parameter case (A vs a)
-    read = parser.read(path)
+    parser = _new_parser()
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:  # no section header, a duplicate key or section
+        raise ConfigError(f"cannot parse config file {path!r}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     for item in overrides or []:
@@ -117,6 +164,7 @@ def load_config(path: str, overrides: Optional[List[str]] = None) -> RunConfig:
             raise ConfigError(f"override {item!r} must look like section.key=value")
         target, value = item.split("=", 1)
         section, key = target.split(".", 1)
+        _check_known("section", [section], SECTIONS)
         if not parser.has_section(section):
             parser.add_section(section)
         parser[section][key] = value
@@ -124,67 +172,48 @@ def load_config(path: str, overrides: Optional[List[str]] = None) -> RunConfig:
 
 
 def _config_from_parser(parser: configparser.ConfigParser) -> RunConfig:
+    _check_known("section", parser.sections(), SECTIONS)
     if not parser.has_section("sequence"):
         raise ConfigError("config needs a [sequence] section")
     seq = parser["sequence"]
     family = seq.get("family", "").strip()
-    if family not in family_names():
-        raise ConfigError(
-            f"unknown family {family!r}; known: {', '.join(family_names())}")
-    cfg = RunConfig(family=family, family_params=_parse_params(seq))
+    _check_known("family", [family], family_names())
+    _check_known("[sequence] key", seq, ("family",) + _FAMILIES[family].param_names)
+    cfg = RunConfig(family=family, family_params=_parse_params(seq, "family"))
 
     if parser.has_section("measure"):
-        cfg.measure = parser["measure"].get("name", "").strip() or None
-        if cfg.measure is not None and cfg.measure not in measure_names():
-            raise ConfigError(
-                f"unknown measure {cfg.measure!r}; known: {', '.join(measure_names())}")
-        cfg.measure_params = _parse_params(parser["measure"])
+        section = parser["measure"]
+        cfg.measure = section.get("name", "").strip()
+        _check_known("[measure] name", [cfg.measure], measure_names())
+        _check_known("[measure] key", section, ("name",) + measure_params(cfg.measure))
+        cfg.measure_params = _parse_params(section, "name")
 
-    if parser.has_section("run"):
-        run = parser["run"]
-        cfg.command = run.get("command", cfg.command).strip()
-        if cfg.command not in COMMANDS:
-            raise ConfigError(
-                f"unknown command {cfg.command!r}; known: {', '.join(COMMANDS)}")
-        cfg.n_max = run.getint("n_max", cfg.n_max)
-        cfg.order = run.getint("order", cfg.order)
-        cfg.tolerance = run.getfloat("tolerance", cfg.tolerance)
-        cfg.seed = run.getint("seed", cfg.seed)
-        cfg.nevai_n_max = run.getint("nevai_n_max", cfg.nevai_n_max)
-        if run.get("amplitude_window", None):
-            lo, hi = (int(v) for v in run["amplitude_window"].split(","))
-            cfg.amplitude_window = (lo, hi)
-        if run.get("amplitude_points", None):
-            cfg.amplitude_points = tuple(
-                float(v) for v in run["amplitude_points"].split(",") if v.strip())
-        if cfg.tolerance <= 0:
-            raise ConfigError("tolerance must be positive")
-        if cfg.n_max < 0 or cfg.order < 1:
-            raise ConfigError("n_max must be >= 0 and order >= 1")
-
-    if parser.has_section("output"):
-        out = parser["output"]
-        cfg.out_dir = out.get("dir", cfg.out_dir)
-        cfg.prefix = out.get("prefix", cfg.prefix)
+    for section in ("run", "output"):
+        if parser.has_section(section):
+            keys = {k.key: k for k in CONFIG_KEYS if k.section == section}
+            _check_known(f"[{section}] key", parser[section], keys)
+            for key, raw in parser[section].items():
+                setattr(cfg, keys[key].field, _read_key(keys[key], raw))
     return cfg
+
+
+def _read_key(k: ConfigKey, raw: str):
+    try:
+        value = k.parse(raw.strip())
+    except ValueError:
+        raise ConfigError(f"cannot read {k.section}.{k.key} = {raw!r}") from None
+    if not k.ok(value):
+        raise ConfigError(f"{k.section}.{k.key} must be {k.rule}; got {raw!r}")
+    return value
 
 
 def spec_to_config_text(spec: SequenceSpec) -> str:
     """Serialize just a sequence spec; rational parameters round-trip
     losslessly through their p/q form."""
-    parser = configparser.ConfigParser()
-    parser.optionxform = str  # keep parameter case (A vs a)
-    parser["sequence"] = {"family": spec.family}
-    for key in sorted(spec.params):
-        parser["sequence"][key] = _format_param(spec.params[key])
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()
+    return _write_sections({"sequence": _section("family", spec.family, spec.params)})
 
 
 def spec_from_config_text(text: str) -> SequenceSpec:
-    parser = configparser.ConfigParser()
-    parser.optionxform = str  # keep parameter case (A vs a)
+    parser = _new_parser()
     parser.read_string(text)
-    seq = parser["sequence"]
-    return SequenceSpec(seq["family"], **_parse_params(seq))
+    return _config_from_parser(parser).spec()

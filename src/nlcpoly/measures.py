@@ -277,15 +277,19 @@ def measure_names() -> List[str]:
     return sorted(_CATALOG)
 
 
+def measure_params(name: str) -> Tuple[str, ...]:
+    """The parameter names of a catalog measure."""
+    return tuple(inspect.signature(_CATALOG[name]).parameters)
+
+
 def get_measure(name: str, **params) -> MeasureSpec:
     if name not in _CATALOG:
         raise KeyError(f"unknown measure {name!r}; known: {', '.join(measure_names())}")
-    build = _CATALOG[name]
-    names = tuple(inspect.signature(build).parameters)
+    names = measure_params(name)
     if set(params) != set(names):
         raise ValueError(f"measure {name!r} takes parameters {names}; "
                          f"got {tuple(sorted(params))}")
-    return build(**params)
+    return _CATALOG[name](**params)
 
 
 # ---------------------------------------------------------------------------

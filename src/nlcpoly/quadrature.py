@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 _HALF_PI = math.pi / 2.0
+# the smallest tolerance either rule accepts; a run's tolerance is checked against it
+MIN_TOLERANCE = 1e-15
 
 
 @dataclass(frozen=True)
@@ -79,8 +81,8 @@ def tanh_sinh(f: Callable[[float], float], a: float, b: float,
     the exact distances from the node to each endpoint; use it for weights
     that are singular at an endpoint.
     """
-    if not tolerance >= 1e-15:
-        raise ValueError("tolerance must be at least 1e-15")
+    if not tolerance >= MIN_TOLERANCE:
+        raise ValueError(f"tolerance must be at least {MIN_TOLERANCE}")
     if a == b:
         return QuadratureResult(0.0, 0.0, 0, True, 0)
     if a > b:
@@ -107,8 +109,8 @@ def exp_sinh(f: Callable[[float], float], tolerance: float = 1e-9,
              max_level: int = 12) -> QuadratureResult:
     """Integral of f over (0, infinity) for integrands that decay at
     infinity and are integrable at 0."""
-    if not tolerance >= 1e-15:
-        raise ValueError("tolerance must be at least 1e-15")
+    if not tolerance >= MIN_TOLERANCE:
+        raise ValueError(f"tolerance must be at least {MIN_TOLERANCE}")
     nodes = _Nodes()
 
     def sample(t: float) -> Optional[float]:

@@ -36,26 +36,23 @@ class TruncatedJacobi:
     matrix behind the exact characteristic polynomial to one rounding.
     """
     order: int
-    b: Tuple[float, ...]
     b2f: Tuple[float, ...]
     b_squared: Optional[Tuple[Fraction, ...]] = None  # exact x_k/2 when available
 
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("order must be at least 1")
-        if len(self.b) != self.order - 1 or len(self.b2f) != self.order - 1:
+        if len(self.b2f) != self.order - 1:
             raise ValueError("need exactly order-1 off-diagonal entries")
-        if any(not v > 0 for v in self.b):
+        if any(not v > 0 for v in self.b2f):
             raise ValueError("off-diagonal entries must be positive")
 
 
 def build_truncated(spec: SequenceSpec, n: int) -> TruncatedJacobi:
     """Truncation of the Jacobi matrix of ``spec`` to its first n rows/columns."""
     halves = [x_value(spec, k) / 2 for k in range(1, n)]
-    b2f = tuple(float(v) for v in halves)
-    b = tuple(math.sqrt(v) for v in b2f)
     b2 = tuple(halves) if spec.is_rational else None
-    return TruncatedJacobi(n, b, b2f, b2)
+    return TruncatedJacobi(n, tuple(float(v) for v in halves), b2)
 
 
 def char_poly(q: TruncatedJacobi, x):
@@ -130,7 +127,7 @@ def jacobi_zeros(q: TruncatedJacobi, tolerance: float = 1e-13) -> SpectralResult
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     n = q.order
-    radius = max((2.0 * b for b in q.b), default=0.0)  # Ismail--Li: |z| < 2 sqrt(beta)
+    radius = 2.0 * math.sqrt(max(q.b2f, default=0.0))  # Ismail--Li: |z| < 2 sqrt(beta)
     pad = 64.0 * math.ulp(max(radius, 1.0))
     lo0, hi0 = -radius - pad, radius + pad
     # one bisection lane per zero, invariant count(lo) < index <= count(hi);

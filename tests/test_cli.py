@@ -240,6 +240,56 @@ def test_every_measure_section_error_exits_2(tmp_path, capsys, family, measure, 
     assert not (tmp_path / "out").exists()
 
 
+SU11 = "[sequence]\nfamily = su11\nj = 3/2\n"
+CANONICAL = "[sequence]\nfamily = canonical\n"
+OUTPUT = "[output]\ndir = {out}\nprefix = t\n"
+
+
+@pytest.mark.parametrize("text, flags", [
+    (CANONICAL + "[run]\nn_max = abc\n" + OUTPUT, []),
+    (CANONICAL + "[run]\ntolerance = x\n" + OUTPUT, []),
+    (CANONICAL + "[run]\namplitude_points = a\n" + OUTPUT, []),
+    (CANONICAL + "[run]\namplitude_window = 2000\n" + OUTPUT, []),
+    (CANONICAL + "[run]\nnevai_n_max = 5\n" + OUTPUT, []),
+    (CANONICAL + "[run]\ntolerance = 1e-16\n" + OUTPUT, []),
+    (SU11 + "[run]\ncommand = amplitude\namplitude_points = 1.5\n" + OUTPUT, []),
+    (SU11 + "[run]\ncommand = amplitude\namplitude_window = 4000,2000\n" + OUTPUT, []),
+    (CANONICAL + "[output]\ndir =\n", []),
+    ("family = canonical\n" + OUTPUT, []),
+    (CANONICAL + "[run]\nn_max = 4\nn_max = 5\n" + OUTPUT, []),
+    (CANONICAL + "[run]\nn_max = 4\n[run]\norder = 5\n" + OUTPUT, []),
+    (SU11 + "[run]\nn_mx = 9\n" + OUTPUT, []),
+    (CANONICAL + OUTPUT + "prefx = u\n", []),
+    (CANONICAL + "[runn]\nn_max = 4\n" + OUTPUT, []),
+    (SU11 + "[measure]\nj = 5/2\n[run]\ncommand = verify-measure\n" + OUTPUT, []),
+    (CANONICAL + "name = foo\n" + OUTPUT, []),
+    (SU11 + "[measure]\nname = disc_radial\nj = 3/2\nfamily = su11\n" + OUTPUT, []),
+    ("[sequence]\nfamily = ultraspherical\nnu = -3/5\nstrict = 0\n[run]\ncommand = hankel\n"
+     + OUTPUT, []),
+    (CANONICAL + OUTPUT, ["--n-max", "abc"]),
+    (CANONICAL + OUTPUT, ["--command", "nope"]),
+], ids=["n_max_abc", "tolerance_x", "points_a", "window_one_value", "nevai_n_max_5",
+        "tolerance_1e-16", "point_1.5", "window_reversed", "empty_dir", "no_section_header",
+        "duplicate_key", "duplicate_section", "run_key_typo", "output_key_typo",
+        "unknown_section", "nameless_measure", "sequence_name", "measure_family",
+        "sequence_strict", "flag_n_max_abc", "flag_command_nope"])
+def test_every_bad_config_exits_2_before_writing(tmp_path, capsys, text, flags):
+    # each key is read and range-checked at load, so nothing is written
+    out = tmp_path / "out"
+    assert main([write_config(tmp_path, text.format(out=out)), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_percent_is_a_plain_character(tmp_path):
+    out = tmp_path / "out"
+    text = BASE.format(command="moments", n_max=4, out=out).replace("prefix = t", "prefix = 100%")
+    assert main([write_config(tmp_path, text)]) == 0
+    assert (out / "100%_summary.json").exists()
+
+
 def test_default_ladder_measure_is_the_catalog_form(tmp_path):
     # barut_girardello pairs with bessel_ladder_radial, checked like every other pairing
     out = tmp_path / "out"

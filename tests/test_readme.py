@@ -1,12 +1,13 @@
 """README.md examples stay runnable: the library quick start executes,
-every [sequence] block under "Families" parses into a spec, and the
-"Measures" list names the measure catalog."""
+every [sequence] block under "Families" parses into a spec, the
+"Configuration" example lists the config key table's [run] and [output]
+keys, and the "Measures" list names the measure catalog."""
 
 import re
 from pathlib import Path
 
 from nlcpoly import family_names, measure_names
-from nlcpoly.config import spec_from_config_text
+from nlcpoly.config import CONFIG_KEYS, spec_from_config_text
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -31,3 +32,14 @@ def test_measures_list_names_the_catalog():
     listed = README.split("Measures (`[measure] name = ...`):")[1].split("\n\n")[0]
     names = re.findall(r"`(\w+)(?:\([^)]*\))?`", listed)
     assert sorted(names) == measure_names()
+
+
+def test_configuration_example_lists_the_key_table():
+    section, listed = None, []
+    for line in _first_block("## Configuration", "ini").splitlines():
+        head = re.match(r"\[(\w+)\]", line)
+        if head:
+            section = head.group(1)
+        elif section in ("run", "output") and re.match(r"\w+ =", line):
+            listed.append((section, line.split("=")[0].strip()))
+    assert sorted(listed) == sorted((k.section, k.key) for k in CONFIG_KEYS)

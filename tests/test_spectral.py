@@ -17,19 +17,19 @@ from conftest import catalog_specs
 
 def test_build_canonical_order_two(canonical):
     q = build_truncated(canonical, 2)
-    assert q.b == (pytest.approx(math.sqrt(0.5)),)
+    assert q.b2f == (0.5,)
     assert q.b_squared == (Fraction(1, 2),)
 
 
 def test_build_su11_order_three(su11_j1):
     q = build_truncated(su11_j1, 3)
-    assert q.b[0] == pytest.approx(math.sqrt(0.25))
-    assert q.b[1] == pytest.approx(math.sqrt(1.0 / 3.0))
+    assert q.b_squared == (Fraction(1, 4), Fraction(1, 3))
+    assert q.b2f == (0.25, 1.0 / 3.0)
 
 
 def test_build_order_one_zero_matrix(canonical):
     q = build_truncated(canonical, 1)
-    assert q.b == ()
+    assert q.b2f == () and q.b_squared == ()
     assert jacobi_zeros(q).zeros == (0.0,)
 
 
@@ -195,7 +195,7 @@ def test_zeros_match_lapack_tridiagonal(spec):
     import numpy as np
     for n in (5, 12, 21):
         q = build_truncated(spec, n)
-        lam = eigh_tridiagonal(np.zeros(n), np.array(q.b),
+        lam = eigh_tridiagonal(np.zeros(n), np.sqrt(q.b2f),
                                eigvals_only=True)[::-1]
         mine = jacobi_zeros(q, 1e-13).zeros
         scale = max(1.0, abs(lam[0]))
@@ -233,7 +233,7 @@ def _reference_zeros(q, tolerance):
     """One scalar Sturm bisection per eigenvalue, then the +-pairing:
     (zeros, brackets, Sturm evaluations), zeros and brackets descending."""
     n = q.order
-    radius = max((2.0 * b for b in q.b), default=0.0)
+    radius = 2.0 * math.sqrt(max(q.b2f, default=0.0))
     pad = 64.0 * math.ulp(max(radius, 1.0))
     asc, brackets, steps = [], [], 0
     for index in range(1, n + 1):
@@ -313,7 +313,7 @@ def test_brackets_contain_lapack_eigenvalues_at_order_1000():
     q = build_truncated(SequenceSpec("grinshpan_ismail_s3", a1=1, a2=Fraction(1, 2),
                                      a3=Fraction(1, 4)), 1000)
     result = jacobi_zeros(q, tol)
-    oracle = eigvalsh_tridiagonal(np.zeros(q.order), np.array(q.b))[::-1]
+    oracle = eigvalsh_tridiagonal(np.zeros(q.order), np.sqrt(q.b2f))[::-1]
     for e, (lo, hi) in zip(oracle, result.brackets):
         assert lo - tol <= e <= hi + tol
     _, brackets, steps = _reference_zeros(q, tol)
