@@ -6,8 +6,8 @@ from __future__ import annotations
 from .sequences import (  # noqa: F401
     InequalityReport, MonotoneReport, ParameterDomainError, SequenceLimit,
     SequenceRangeError, SequenceSpec, check_monotone_and_bounded,
-    check_nonlinear_inequalities, family_names, x_factorial, x_float,
-    x_floats, x_limit, x_log_factorial, x_minus_limit, x_value,
+    check_nonlinear_inequalities, family_names, x_float, x_floats, x_limit,
+    x_minus_limit, x_value,
 )
 from .special import (  # noqa: F401
     CMReport, DomainError, bessel_k, cm_sequence_test, gamma, gamma_quotient_g,
@@ -23,8 +23,8 @@ from .moments import (  # noqa: F401
 )
 from .recurrence import (  # noqa: F401
     RecurrenceCoeffs, general_monic_value, monic_polynomials,
-    monic_q_coefficients, monic_q_polynomials, monic_q_value, phi_scaled,
-    phi_value, phi_window, pollaczek_value,
+    monic_q_coefficients, monic_q_polynomials, monic_q_value, phi_value,
+    phi_window, pollaczek_value,
 )
 from .spectral import (  # noqa: F401
     SpectralResult, SupportEndpoints, TruncatedJacobi, build_truncated,
@@ -38,7 +38,7 @@ from .measures import (  # noqa: F401
 )
 from .asymptotics import (  # noqa: F401
     AmplitudeEstimate, NevaiDiagnostic, amplitude_extract, nevai_amplitude,
-    nevai_condition, rescaled_phi_window, zeta_log,
+    nevai_condition, rescaled_phi_window,
 )
 
 __version__ = "0.1.0"

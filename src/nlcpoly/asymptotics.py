@@ -28,11 +28,6 @@ from .sequences import SequenceSpec, _x_minus_limit_closed, x_floats, x_limit
 MIN_NEVAI_N = 32
 
 
-def zeta_log(spec: SequenceSpec, n: int) -> float:
-    """log(beta_1 ... beta_n) for the monic coefficients beta_k = x_k / 2."""
-    return sum(math.log(v / 2.0) for v in x_floats(spec, n).tolist())
-
-
 def _sqrt_beta_deviation(spec: SequenceSpec, m: float, n_max: int) -> np.ndarray:
     """|sqrt(beta'_n) - 1/2| = |sqrt(x_n / M) - 1| / 2 for n = 1 .. n_max,
     cancellation-free where x_n - M has a closed form."""

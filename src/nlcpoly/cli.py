@@ -31,8 +31,8 @@ from .moments import (DegenerateMomentsError, MomentSequence, berg_duran_check,
 from .recurrence import monic_q_polynomials, phi_window
 from .sequences import (ParameterDomainError, SequenceRangeError, SequenceSpec, x_floats,
                         x_limit, x_log_factorials)
-from .spectral import (SpectralResult, build_truncated, ismail_li_bounds, jacobi_zeros,
-                       support_endpoints)
+from .spectral import (TruncatedJacobi, build_truncated, ismail_li_bounds, jacobi_zeros,
+                       sturm_count, support_endpoints)
 
 
 def _fmt(value) -> str:
@@ -61,7 +61,6 @@ class _Runner:
         self.files: List[str] = []
         self.summary: Dict[str, object] = {}
         self.verdicts: Dict[str, Optional[bool]] = {}
-        self._zeros_by_order: Dict[int, SpectralResult] = {}
         # shared by hankel and polys; both ask for their longest order first,
         # so one Chebyshev pass serves every shorter order as its prefix
         self.moments = MomentSequence(self.spec)
@@ -84,13 +83,6 @@ class _Runner:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
         self.files.append(path)
         return path
-
-    def _zeros(self, order: int) -> SpectralResult:
-        """Zeros of the order-n truncation, computed once per run and order."""
-        if order not in self._zeros_by_order:
-            self._zeros_by_order[order] = jacobi_zeros(
-                build_truncated(self.spec, order), self.cfg.tolerance)
-        return self._zeros_by_order[order]
 
     # -- commands ----------------------------------------------------------
 
@@ -137,7 +129,7 @@ class _Runner:
 
     def cmd_zeros(self) -> None:
         order = self.cfg.order
-        result = self._zeros(order)
+        result = jacobi_zeros(build_truncated(self.spec, order), self.cfg.tolerance)
         rows = [(order, j + 1, z, lo, hi)
                 for j, (z, (lo, hi)) in enumerate(zip(result.zeros, result.brackets))]
         self._write_csv("zeros.csv", ["n", "j", "zero", "lower_bracket", "upper_bracket"], rows)
@@ -150,7 +142,10 @@ class _Runner:
     def cmd_bounds(self) -> None:
         order = max(self.cfg.order, 2)
         a, b = ismail_li_bounds(self.spec, order)
-        contained = all(a < z < b for z in self._zeros(order).zeros)
+        # no zero at or below A and every zero below B; the spectrum is
+        # symmetric, so a zero pivot at either bound fails the first count
+        q = TruncatedJacobi(tuple((x_floats(self.spec, order - 1) / 2).tolist()))
+        contained = sturm_count(q, a) == 0 and sturm_count(q, b) == order
         supp = support_endpoints(self.spec)
         self.verdicts["zeros_within_bounds"] = contained
         self.summary["bounds"] = {

@@ -154,8 +154,9 @@ def load_config(path: str, overrides: Optional[List[str]] = None) -> RunConfig:
     that win over the file."""
     parser = _new_parser()
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:  # no section header, a duplicate key or section
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # no section header, a duplicate key or section, or bytes that are not UTF-8
         raise ConfigError(f"cannot parse config file {path!r}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")

@@ -426,7 +426,7 @@ def _orthonormal_hankel_evaluators(spec: SequenceSpec, n_max: int):
     cheb = MomentSequence(spec).chebyshev(n_max)
     if len(cheb.alpha) <= n_max:
         raise DegenerateMomentsError("degenerate moment sequence: a Hankel pivot is zero")
-    coeffs = RecurrenceCoeffs.general(map(float, cheb.alpha), map(float, cheb.beta))
+    coeffs = RecurrenceCoeffs(tuple(map(float, cheb.alpha)), tuple(map(float, cheb.beta)))
     norms = [math.sqrt(float(h)) for h in cheb.pivots]  # ||P_n||^2 = D_n / D_{n-1}
     return [(lambda n: lambda x: general_monic_value(coeffs, n, x) / norms[n])(n)
             for n in range(n_max + 1)]

@@ -68,22 +68,18 @@ def _window(b: Sequence[float], n_lo: int, x: float) -> np.ndarray:
     return np.array([_unscale(*step) for step in steps])
 
 
-def phi_scaled(spec: SequenceSpec, n: int, x: float) -> Tuple[float, int]:
-    """phi_n(x) as (mantissa, e) with value mantissa * 2**e.
+def phi_value(spec: SequenceSpec, n: int, x: float) -> float:
+    """phi_n(x); may overflow to +-inf for large n far outside the support.
 
-    Rescaling preserves the sign information that a log-space evaluation
-    would lose; outside the support the values grow exponentially in n.
+    The recurrence runs on a rescaled (mantissa, e) pair, which keeps the
+    sign information that a log-space evaluation would lose; outside the
+    support the values grow exponentially in n.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
     for step in _phi_steps(np.sqrt(x_floats(spec, n) / 2.0).tolist(), x):
         pass
-    return step
-
-
-def phi_value(spec: SequenceSpec, n: int, x: float) -> float:
-    """phi_n(x); may overflow to +-inf for large n far outside the support."""
-    return _unscale(*phi_scaled(spec, n, x))
+    return _unscale(*step)
 
 
 def phi_window(spec: SequenceSpec, n_lo: int, n_hi: int, x: float) -> np.ndarray:
@@ -103,10 +99,6 @@ class RecurrenceCoeffs:
     def __post_init__(self):
         if any(b <= 0 for b in self.beta[1:]):
             raise ValueError("beta_n must be positive for n >= 1")
-
-    @classmethod
-    def general(cls, alpha: Sequence, beta: Sequence) -> "RecurrenceCoeffs":
-        return cls(tuple(alpha), tuple(beta))
 
 
 def monic_polynomials(coeffs: RecurrenceCoeffs, one) -> List[list]:
@@ -149,7 +141,7 @@ def _q_coeffs(spec: SequenceSpec, n: int, exact: bool) -> RecurrenceCoeffs:
     """a_k = 0 and b_k = x_k / 2 for k < n, exact or from the float view."""
     xs = ([x_value(spec, k) for k in range(1, n)] if exact
           else x_floats(spec, max(n - 1, 0)).tolist())
-    return RecurrenceCoeffs.general([0] * n, [0] + [x / 2 for x in xs])
+    return RecurrenceCoeffs((0,) * n, (0, *(x / 2 for x in xs)))
 
 
 def monic_q_value(spec: SequenceSpec, n: int, x):

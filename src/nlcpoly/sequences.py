@@ -4,7 +4,7 @@ A sequence spec is the single source of truth for one model: it fixes a
 family (closed-form rule, explicit list, or Taylor-norm quotients) together
 with its parameters.  Everything downstream -- moments, recurrence
 polynomials, Jacobi truncations, measure checks -- is driven by ``x_value``
-and ``x_factorial``.
+and the running products ``x_factorials``.
 
 Each family rule is one expression evaluated in the arithmetic of its
 parameters: exact parameters give ``fractions.Fraction`` values, float
@@ -433,26 +433,6 @@ def x_log_factorials(xs: Iterable[float]) -> Iterator[float]:
     """log(x_0!), log(x_1!), ... summed term by term over ``xs`` = x_1, x_2,
     ... as floats; immune to overflow."""
     return accumulate(map(math.log, xs), initial=0)
-
-
-def _last(items: Iterable):
-    for item in items:
-        pass
-    return item
-
-
-def x_factorial(spec: SequenceSpec, n: int) -> Number:
-    """Partial product x_1 x_2 ... x_n with the empty product equal to 1."""
-    if n < 0:
-        raise SequenceRangeError("partial products need n >= 0")
-    return _last(x_factorials(spec, (x_value(spec, k) for k in range(1, n + 1))))
-
-
-def x_log_factorial(spec: SequenceSpec, n: int) -> float:
-    """log(x_n!), accumulated term by term; immune to overflow."""
-    if n < 0:
-        raise SequenceRangeError("partial products need n >= 0")
-    return _last(x_log_factorials(x_floats(spec, n).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -18,62 +18,66 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .sequences import SequenceSpec, x_floats, x_limit, x_value
+from .sequences import Number, SequenceSpec, x_floats, x_limit, x_value
 
 _TINY_PIVOT = 1e-300
 
 
 @dataclass(frozen=True)
 class TruncatedJacobi:
-    """Order-n truncation: zero diagonal, off-diagonal b_1 .. b_{n-1}.
+    """Order-n truncation: zero diagonal, squared off-diagonal entries
+    b_1^2 .. b_{n-1}^2 exactly as given (Fractions for a rational spec,
+    floats otherwise), so the order is one more than their number.
 
-    ``b2f`` holds the squared entries rounded once from their exact values;
-    Sturm counts work on these so that the bisected matrix matches the
-    matrix behind the exact characteristic polynomial to one rounding.
+    Sturm counts and bisection round the entries to floats once per call;
+    :func:`char_poly` stays exact when x and every entry are exact.
     """
-    order: int
-    b2f: Tuple[float, ...]
-    b_squared: Optional[Tuple[Fraction, ...]] = None  # exact x_k/2 when available
+    b_squared: Tuple[Number, ...]
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be at least 1")
-        if len(self.b2f) != self.order - 1:
-            raise ValueError("need exactly order-1 off-diagonal entries")
-        if any(not v > 0 for v in self.b2f):
+        if any(not v > 0 for v in self.b_squared):
             raise ValueError("off-diagonal entries must be positive")
+
+    @property
+    def order(self) -> int:
+        return len(self.b_squared) + 1
+
+
+def _float_entries(q: TruncatedJacobi) -> List[float]:
+    return [float(v) for v in q.b_squared]
 
 
 def build_truncated(spec: SequenceSpec, n: int) -> TruncatedJacobi:
     """Truncation of the Jacobi matrix of ``spec`` to its first n rows/columns."""
-    halves = [x_value(spec, k) / 2 for k in range(1, n)]
-    b2 = tuple(halves) if spec.is_rational else None
-    return TruncatedJacobi(n, tuple(float(v) for v in halves), b2)
+    if n < 1:
+        raise ValueError("order must be at least 1")
+    return TruncatedJacobi(tuple(x_value(spec, k) / 2 for k in range(1, n)))
 
 
 def char_poly(q: TruncatedJacobi, x):
     """det(x I_n - Q_n) by the tridiagonal determinant recurrence
-    d_k = x d_{k-1} - b_{k-1}^2 d_{k-2}; exact for rational x because the
-    squared entries b_k^2 = x_k/2 are rational even when b_k is not."""
-    exact = q.b_squared is not None and isinstance(x, (int, Fraction))
+    d_k = x d_{k-1} - b_{k-1}^2 d_{k-2}; exact for rational x and rational
+    squared entries, such as b_k^2 = x_k/2 of a rational spec, even when
+    b_k is irrational."""
+    exact = all(isinstance(v, (int, Fraction)) for v in (x, *q.b_squared))
     if exact:
         x = Fraction(x)
         b2 = q.b_squared
         prev, cur = Fraction(1), x
     else:
-        b2 = q.b2f
+        b2 = _float_entries(q)
         x = float(x)
         prev, cur = 1.0, x
-    for k in range(1, q.order):
-        prev, cur = cur, x * cur - b2[k - 1] * prev
+    for b in b2:
+        prev, cur = cur, x * cur - b * prev
     return cur
 
 
-def _sturm_counts(b2f: Sequence[float], sigmas: np.ndarray) -> np.ndarray:
+def _sturm_counts(b_squared: Sequence[float], sigmas: np.ndarray) -> np.ndarray:
     """Eigenvalues of Q_n strictly below each shift in ``sigmas``: the
     negative pivots of the shifted LDL^T factorization, one lane per shift.
 
@@ -85,7 +89,7 @@ def _sturm_counts(b2f: Sequence[float], sigmas: np.ndarray) -> np.ndarray:
     d = neg_sigma.copy()
     count = np.zeros(len(d), dtype=np.intp)
     below = np.empty(len(d), dtype=bool)
-    for b2 in b2f:
+    for b2 in b_squared:
         if np.count_nonzero(d) < len(d):
             d[d == 0.0] = -_TINY_PIVOT  # zero pivot: count as crossing from below
         count += np.less(d, 0.0, out=below)
@@ -99,7 +103,7 @@ def _sturm_counts(b2f: Sequence[float], sigmas: np.ndarray) -> np.ndarray:
 def sturm_count(q: TruncatedJacobi, sigma: float) -> int:
     """Number of eigenvalues of Q_n strictly below sigma (negative pivots of
     the shifted LDL^T factorization)."""
-    return int(_sturm_counts(q.b2f, np.array([sigma], dtype=float))[0])
+    return int(_sturm_counts(_float_entries(q), np.array([sigma], dtype=float))[0])
 
 
 @dataclass(frozen=True)
@@ -126,8 +130,8 @@ def jacobi_zeros(q: TruncatedJacobi, tolerance: float = 1e-13) -> SpectralResult
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    n = q.order
-    radius = 2.0 * math.sqrt(max(q.b2f, default=0.0))  # Ismail--Li: |z| < 2 sqrt(beta)
+    n, b_squared = q.order, _float_entries(q)
+    radius = 2.0 * math.sqrt(max(b_squared, default=0.0))  # Ismail--Li: |z| < 2 sqrt(beta)
     pad = 64.0 * math.ulp(max(radius, 1.0))
     lo0, hi0 = -radius - pad, radius + pad
     # one bisection lane per zero, invariant count(lo) < index <= count(hi);
@@ -145,7 +149,7 @@ def jacobi_zeros(q: TruncatedJacobi, tolerance: float = 1e-13) -> SpectralResult
             if not len(lanes):
                 break
         steps += len(lanes)
-        up = _sturm_counts(q.b2f, mid) > lanes  # count(mid) >= index = lane + 1
+        up = _sturm_counts(b_squared, mid) > lanes  # count(mid) >= index = lane + 1
         hi = np.where(up, mid, hi)
         lo = np.where(up, lo, mid)
     brackets = list(zip(lo_end.tolist(), hi_end.tolist()))

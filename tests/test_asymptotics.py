@@ -6,7 +6,7 @@ import pytest
 
 from nlcpoly import (
     SequenceSpec, amplitude_extract, get_measure, nevai_amplitude,
-    nevai_condition, rescaled_phi_window, zeta_log, x_float, x_limit,
+    nevai_condition, rescaled_phi_window, x_float, x_limit,
 )
 
 
@@ -62,12 +62,6 @@ def test_partial_sums_nondecreasing():
 def test_verdict_stable_under_doubling(family, params):
     spec = SequenceSpec(family, **params)
     assert nevai_condition(spec, 2048).verdict == nevai_condition(spec, 4096).verdict
-
-
-def test_zeta_log_matches_direct_sum():
-    spec = SequenceSpec("su11", j=1)
-    direct = sum(math.log(x_float(spec, k) / 2.0) for k in range(1, 31))
-    assert zeta_log(spec, 30) == pytest.approx(direct, abs=1e-12)
 
 
 # -- amplitude extraction -----------------------------------------------------------

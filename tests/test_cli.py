@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 import nlcpoly
+from nlcpoly import SequenceSpec, build_truncated, ismail_li_bounds, jacobi_zeros
 from nlcpoly.cli import _Runner, main
-from nlcpoly.config import ConfigError, load_config
+from nlcpoly.config import ConfigError, RunConfig, load_config
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -283,6 +284,26 @@ def test_every_bad_config_exits_2_before_writing(tmp_path, capsys, text, flags):
     assert not out.exists()
 
 
+def test_non_utf8_config_exits_2_before_writing(tmp_path, capsys):
+    # a Latin-1 e-acute in a comment is not UTF-8
+    out = tmp_path / "out"
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"; r\xe9sum\xe9\n" + BASE.format(command="all", n_max=4, out=out).encode())
+    assert main([str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_semicolon_is_a_plain_character_in_values(tmp_path):
+    # comments take whole lines, so a ';' inside a value is kept
+    out = tmp_path / "a;b"
+    text = BASE.format(command="moments", n_max=4, out=out).replace("prefix = t", "prefix = t;1")
+    assert main([write_config(tmp_path, text)]) == 0
+    assert (out / "t;1_summary.json").exists()
+
+
 def test_percent_is_a_plain_character(tmp_path):
     out = tmp_path / "out"
     text = BASE.format(command="moments", n_max=4, out=out).replace("prefix = t", "prefix = 100%")
@@ -329,7 +350,6 @@ def _default_measure_chain(spec):
 
 def test_default_measure_table_matches_the_family_chain():
     from conftest import catalog_specs
-    from nlcpoly import SequenceSpec
     from nlcpoly.cli import default_measure_for
     specs = catalog_specs() + [
         SequenceSpec("su11", j=Fraction(1, 2)),
@@ -358,6 +378,67 @@ def test_all_computes_zeros_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "jacobi_zeros", lambda *a: calls.append(1) or real(*a))
     main([write_config(tmp_path, BASE.format(command="all", n_max=4, out=tmp_path / "out"))])
     assert len(calls) == 1
+
+
+def test_bounds_computes_no_zeros(tmp_path, monkeypatch):
+    import nlcpoly.cli as cli
+    calls = []
+    real = cli.jacobi_zeros
+    monkeypatch.setattr(cli, "jacobi_zeros", lambda *a: calls.append(1) or real(*a))
+    out = tmp_path / "out"
+    assert main([write_config(tmp_path, BASE.format(command="bounds", n_max=4, out=out))]) == 0
+    assert calls == []
+    summary = json.loads((out / "t_summary.json").read_text())
+    assert summary["results"]["verdicts"] == {"zeros_within_bounds": "PASS"}
+
+
+HEAVY_SPECS = [
+    SequenceSpec("su11", j=Fraction(3, 2)),
+    SequenceSpec("grinshpan_ismail_s3", a1=1, a2=Fraction(1, 2), a3=Fraction(1, 4)),
+    SequenceSpec("ultraspherical", nu=Fraction(3, 10)),
+    SequenceSpec("barut_girardello", j=1),
+]
+
+
+def _bounds_verdicts(tmp_path, spec, orders):
+    """(count verdict of cmd_bounds, midpoint test on the bisected zeros) per order."""
+    cfg = RunConfig(family=spec.family, family_params=dict(spec.params),
+                    command="bounds", out_dir=str(tmp_path))
+    runner = _Runner(cfg)
+    pairs = []
+    for n in orders:
+        cfg.order = n
+        runner.cmd_bounds()
+        a, b = ismail_li_bounds(spec, n)
+        zeros = jacobi_zeros(build_truncated(spec, n), cfg.tolerance).zeros
+        pairs.append((runner.summary["bounds"]["contained"], all(a < z < b for z in zeros)))
+    return pairs
+
+
+def test_bounds_counts_agree_with_bisected_zeros(tmp_path):
+    from conftest import catalog_specs
+    for spec in catalog_specs():
+        for n, (counted, bisected) in enumerate(_bounds_verdicts(tmp_path, spec, range(2, 41)), 2):
+            assert counted is bisected, (spec.family, n)
+
+
+@pytest.mark.parametrize("spec", HEAVY_SPECS, ids=lambda s: s.family)
+def test_bounds_counts_agree_with_bisected_zeros_at_order_400(tmp_path, spec):
+    assert _bounds_verdicts(tmp_path, spec, [400]) == [(True, True)]
+
+
+def test_zero_on_a_bound_fails_the_strict_inequality(tmp_path, monkeypatch):
+    # x_1 = 2 gives the order-2 zeros +-1 exactly; with the bounds moved onto
+    # them the Sturm pivot at -1 is exactly zero and counts as a zero on A
+    import nlcpoly.cli as cli
+    monkeypatch.setattr(cli, "ismail_li_bounds", lambda spec, n: (-1.0, 1.0))
+    out = tmp_path / "out"
+    text = BASE.format(command="bounds", n_max=4, out=out).replace(
+        "family = canonical", "family = explicit\nvalues = 2, 3").replace(
+        "order = 6", "order = 2")
+    assert main([write_config(tmp_path, text)]) == 1
+    bounds = json.loads((out / "t_summary.json").read_text())["results"]["bounds"]
+    assert bounds["contained"] is False
 
 
 def test_repeated_runs_byte_identical(tmp_path):

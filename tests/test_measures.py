@@ -11,7 +11,8 @@ from nlcpoly import (
 )
 from nlcpoly.measures import (MomentRow, bessel_k_abs_even_moment, bessel_k_exp_even_moment,
                               bessel_mp_even_moment, moment_integral)
-from nlcpoly.sequences import x_factorial, x_log_factorial
+from nlcpoly.moments import MomentSequence
+from nlcpoly.sequences import x_floats, x_log_factorials
 
 
 # -- catalog ------------------------------------------------------------------
@@ -78,15 +79,18 @@ def test_disc_moments_singular_weight():
 
 
 def _moment_rows_by_partial_products(measure, spec, n_max, tolerance):
-    """Reference: the rows as formed by recomputing x_n! and log(x_n!) per row."""
+    """Reference: the rows as formed from the moments x_n! and the logs of
+    the float view."""
+    moments = MomentSequence(spec)
+    log_products = list(x_log_factorials(x_floats(spec, n_max).tolist()))
     rows = []
     for n in range(n_max + 1):
-        log_expected = x_log_factorial(spec, n)
+        log_expected = log_products[n]
         if log_expected > 640.0:
             res = moment_integral(measure, n, tolerance, log_scale=log_expected)
             rows.append(MomentRow(n, res.value, math.inf, abs(res.value - 1.0), res.converged))
         else:
-            expected = float(x_factorial(spec, n))
+            expected = float(moments.even_moment(n))
             res = moment_integral(measure, n, tolerance)
             rel = abs(res.value - expected) / max(abs(expected), 1e-300)
             rows.append(MomentRow(n, res.value, expected, rel, res.converged))

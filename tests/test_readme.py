@@ -1,13 +1,13 @@
 """README.md examples stay runnable: the library quick start executes,
 every [sequence] block under "Families" parses into a spec, the
-"Configuration" example lists the config key table's [run] and [output]
-keys, and the "Measures" list names the measure catalog."""
+"Configuration" example loads and lists the config key table's [run] and
+[output] keys, and the "Measures" list names the measure catalog."""
 
 import re
 from pathlib import Path
 
 from nlcpoly import family_names, measure_names
-from nlcpoly.config import CONFIG_KEYS, spec_from_config_text
+from nlcpoly.config import CONFIG_KEYS, load_config, spec_from_config_text
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -43,3 +43,13 @@ def test_configuration_example_lists_the_key_table():
         elif section in ("run", "output") and re.match(r"\w+ =", line):
             listed.append((section, line.split("=")[0].strip()))
     assert sorted(listed) == sorted((k.section, k.key) for k in CONFIG_KEYS)
+
+
+def test_configuration_example_loads(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text(_first_block("## Configuration", "ini"))
+    cfg = load_config(str(path))
+    assert (cfg.family, cfg.measure, cfg.command) == ("su11", "disc_radial", "all")
+    assert (cfg.n_max, cfg.order, cfg.tolerance, cfg.seed) == (12, 8, 1e-11, 20240101)
+    assert (cfg.amplitude_window, cfg.amplitude_points) == ((2000, 4000), (0.0, 0.3, 0.6))
+    assert (cfg.out_dir, cfg.prefix) == ("out", "run1")

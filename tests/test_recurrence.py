@@ -5,10 +5,9 @@ from fractions import Fraction
 import pytest
 
 from nlcpoly import (
-    RecurrenceCoeffs, SequenceSpec, build_truncated, char_poly, general_monic_value,
-    monic_polynomials, monic_q_coefficients, monic_q_polynomials, monic_q_value,
-    phi_scaled, phi_value, phi_window, pollaczek_value,
-    x_factorial, x_float, x_value,
+    MomentSequence, RecurrenceCoeffs, SequenceSpec, build_truncated, char_poly,
+    general_monic_value, monic_polynomials, monic_q_coefficients, monic_q_polynomials,
+    monic_q_value, phi_value, phi_window, pollaczek_value, x_float, x_value,
 )
 from conftest import catalog_specs, gegenbauer_exact, hermite_orthonormal_oracle
 
@@ -42,12 +41,14 @@ def test_phi_parity():
                 (-1) ** n * phi_value(spec, n, x), rel=1e-12)
 
 
-def test_phi_scaled_tracks_large_values(canonical):
-    mantissa, exponent = phi_scaled(canonical, 400, 60.0)
-    assert exponent > 0
-    assert math.isfinite(mantissa) and mantissa != 0
-    # the plain value overflows
-    assert phi_value(canonical, 400, 60.0) == math.inf
+def test_phi_value_tracks_large_values(canonical):
+    # the recurrence is rescaled past 2^512, so values beyond that stay
+    # finite and positive until they leave the float range
+    values = [phi_value(canonical, n, 60.0) for n in range(401)]
+    finite = [v for v in values if math.isfinite(v)]
+    assert max(finite) > 2.0 ** 512
+    assert all(v > 0 for v in values)
+    assert values[-1] == math.inf
 
 
 def test_phi_window_equals_pointwise_bit_for_bit():
@@ -152,7 +153,7 @@ def test_monic_orthonormal_scale_relation(spec):
     # q_n = sqrt(x_n!/2^n) phi_n
     rng = random.Random(29)
     for n in (1, 5, 12, 30):
-        scale = math.sqrt(float(x_factorial(spec, n)) / 2.0 ** n)
+        scale = math.sqrt(float(MomentSequence(spec).even_moment(n)) / 2.0 ** n)
         for _ in range(5):
             x = rng.uniform(-1.2, 1.2)
             assert monic_q_value(spec, n, x) == pytest.approx(
@@ -165,7 +166,7 @@ def test_monic_orthonormal_scale_relation(spec):
 def test_general_on_half_x_matches_char_poly(spec):
     # a_k = 0, b_k = x_k/2 is the shift recurrence; char_poly is its
     # determinant loop, so the two agree exactly at rational points
-    coeffs = RecurrenceCoeffs.general([0] * 12, [0] + [x_value(spec, k) / 2 for k in range(1, 12)])
+    coeffs = RecurrenceCoeffs((0,) * 12, (0, *(x_value(spec, k) / 2 for k in range(1, 12))))
     rng = random.Random(41)
     for n in range(1, 13):
         truncation = build_truncated(spec, n)
@@ -179,7 +180,7 @@ def test_coefficient_kernel_agrees_with_value_kernel():
     rng = random.Random(43)
     alpha = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(10)]
     beta = [0] + [Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(9)]
-    coeffs = RecurrenceCoeffs.general(alpha, beta)
+    coeffs = RecurrenceCoeffs(tuple(alpha), tuple(beta))
     polys = monic_polynomials(coeffs, Fraction(1))
     assert len(polys) == 11
     for n, poly in enumerate(polys):
@@ -189,24 +190,24 @@ def test_coefficient_kernel_agrees_with_value_kernel():
 
 
 def test_general_first_step():
-    coeffs = RecurrenceCoeffs.general([Fraction(1, 3)], [Fraction(0)])
+    coeffs = RecurrenceCoeffs((Fraction(1, 3),), (Fraction(0),))
     assert general_monic_value(coeffs, 1, Fraction(1)) == Fraction(2, 3)
 
 
 def test_general_chebyshev_like_value():
-    coeffs = RecurrenceCoeffs.general([0, 0, 0], [0, Fraction(1, 4), Fraction(1, 4)])
+    coeffs = RecurrenceCoeffs((0, 0, 0), (0, Fraction(1, 4), Fraction(1, 4)))
     assert general_monic_value(coeffs, 3, 1) == Fraction(1, 2)
 
 
 def test_general_missing_coefficients():
-    coeffs = RecurrenceCoeffs.general([0, 0], [0, Fraction(1, 4)])
+    coeffs = RecurrenceCoeffs((0, 0), (0, Fraction(1, 4)))
     with pytest.raises(IndexError):
         general_monic_value(coeffs, 3, 1.0)
 
 
 def test_beta_positivity_enforced():
     with pytest.raises(ValueError):
-        RecurrenceCoeffs.general([0, 0], [0, -1])
+        RecurrenceCoeffs((0, 0), (0, -1))
 
 
 # -- Pollaczek ---------------------------------------------------------------------------

@@ -9,11 +9,12 @@ import pytest
 
 import nlcpoly.sequences
 from nlcpoly import (
-    ParameterDomainError, SequenceRangeError, SequenceSpec,
+    MomentSequence, ParameterDomainError, SequenceRangeError, SequenceSpec,
     check_monotone_and_bounded, check_nonlinear_inequalities, monic_q_polynomials,
-    phi_value, x_factorial, x_floats, x_limit, x_log_factorial, x_minus_limit, x_value,
+    phi_value, x_floats, x_limit, x_minus_limit, x_value,
 )
 from nlcpoly.config import spec_from_config_text, spec_to_config_text
+from nlcpoly.sequences import x_factorials, x_log_factorials
 
 from conftest import CATALOG_DEFAULTS, atom_measure_sequence, catalog_specs
 
@@ -23,18 +24,19 @@ from conftest import CATALOG_DEFAULTS, atom_measure_sequence, catalog_specs
 def test_canonical_values():
     spec = SequenceSpec("canonical")
     assert x_value(spec, 3) == 3
-    assert x_factorial(spec, 4) == 24
-    assert x_factorial(spec, 0) == 1
+    assert MomentSequence(spec).even_moment(4) == 24
+    assert MomentSequence(spec).even_moment(0) == 1
 
 
 def test_su11_values():
     spec = SequenceSpec("su11", j=1)
     assert x_value(spec, 1) == Fraction(1, 2)
-    assert x_factorial(spec, 2) == Fraction(1, 3)  # 2!/((2)(3))
+    moments = MomentSequence(spec)
+    assert moments.even_moment(2) == Fraction(1, 3)  # 2!/((2)(3))
     # x_n! = n!/(2j)_n
     for n in range(6):
         poch = math.prod(2 + k for k in range(n))
-        assert x_factorial(spec, n) == Fraction(math.factorial(n), poch)
+        assert moments.even_moment(n) == Fraction(math.factorial(n), poch)
 
 
 def test_ultraspherical_value():
@@ -45,7 +47,7 @@ def test_barut_girardello_factorial():
     spec = SequenceSpec("barut_girardello", j=Fraction(3, 2))
     for n in range(5):
         poch = math.prod(3 + k for k in range(n))
-        assert x_factorial(spec, n) == math.factorial(n) * poch
+        assert MomentSequence(spec).even_moment(n) == math.factorial(n) * poch
 
 
 def test_jacobi_type_value():
@@ -261,25 +263,29 @@ def test_taylor_norms_su11():
 
 def test_log_factorial_matches_exact():
     spec = SequenceSpec("barut_girardello", j=1)
+    logs = list(x_log_factorials(x_floats(spec, 12).tolist()))
     for n in (0, 1, 5, 12):
-        assert x_log_factorial(spec, n) == pytest.approx(
-            math.log(float(x_factorial(spec, n))), rel=1e-13)
+        assert logs[n] == pytest.approx(
+            math.log(float(MomentSequence(spec).even_moment(n))), rel=1e-13)
 
 
 @pytest.mark.parametrize("spec", [SequenceSpec("su11", j=Fraction(3, 2)),
                                   SequenceSpec("bessel_k_exp", mu=1.7, nu=0.3)])
 def test_running_partial_products_match_the_single_ones(spec):
+    # the running products are the moments mu_2n = x_n!, in the rule's own
+    # arithmetic, and the running logs read the spec's one float view
     xs = [x_value(spec, k) for k in range(1, 31)]
-    products = list(nlcpoly.sequences.x_factorials(spec, xs))
-    logs = list(nlcpoly.sequences.x_log_factorials(map(float, xs)))
-    assert products == [x_factorial(spec, n) for n in range(31)]
-    assert logs == [x_log_factorial(spec, n) for n in range(31)]
-    assert all(type(p) is type(x_factorial(spec, 0)) for p in products)
+    products = list(x_factorials(spec, xs))
+    logs = list(x_log_factorials(map(float, xs)))
+    moments = MomentSequence(spec)
+    assert products == [moments.even_moment(n) for n in range(31)]
+    assert logs == list(x_log_factorials(x_floats(spec, 30).tolist()))
+    assert all(type(p) is (Fraction if spec.is_rational else float) for p in products)
 
 
 def test_log_factorial_beyond_overflow():
     spec = SequenceSpec("canonical")
-    val = x_log_factorial(spec, 400)
+    val = list(x_log_factorials(x_floats(spec, 400).tolist()))[-1]
     assert math.isfinite(val)
     assert val == pytest.approx(math.lgamma(401), rel=1e-12)
 

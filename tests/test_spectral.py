@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from nlcpoly import (
-    SequenceSpec, build_truncated, char_poly, ismail_li_bounds, jacobi_zeros,
-    monic_q_value, sturm_count, support_endpoints, x_float,
+    SequenceSpec, TruncatedJacobi, build_truncated, char_poly, ismail_li_bounds,
+    jacobi_zeros, monic_q_value, sturm_count, support_endpoints, x_float, x_floats,
 )
 from nlcpoly.spectral import _TINY_PIVOT
 from conftest import catalog_specs
@@ -17,19 +17,19 @@ from conftest import catalog_specs
 
 def test_build_canonical_order_two(canonical):
     q = build_truncated(canonical, 2)
-    assert q.b2f == (0.5,)
     assert q.b_squared == (Fraction(1, 2),)
+    assert q.order == 2
 
 
 def test_build_su11_order_three(su11_j1):
     q = build_truncated(su11_j1, 3)
     assert q.b_squared == (Fraction(1, 4), Fraction(1, 3))
-    assert q.b2f == (0.25, 1.0 / 3.0)
+    assert q.order == 3
 
 
 def test_build_order_one_zero_matrix(canonical):
     q = build_truncated(canonical, 1)
-    assert q.b2f == () and q.b_squared == ()
+    assert q.b_squared == () and q.order == 1
     assert jacobi_zeros(q).zeros == (0.0,)
 
 
@@ -195,7 +195,7 @@ def test_zeros_match_lapack_tridiagonal(spec):
     import numpy as np
     for n in (5, 12, 21):
         q = build_truncated(spec, n)
-        lam = eigh_tridiagonal(np.zeros(n), np.sqrt(q.b2f),
+        lam = eigh_tridiagonal(np.zeros(n), np.sqrt(np.array(q.b_squared, dtype=float)),
                                eigvals_only=True)[::-1]
         mine = jacobi_zeros(q, 1e-13).zeros
         scale = max(1.0, abs(lam[0]))
@@ -213,10 +213,10 @@ def test_zero_enclosures_respect_tolerance(su11_j1):
 
 # -- lane-parallel bisection against the scalar reference --------------------------------
 
-def _reference_count(b2f, sigma, tiny=_TINY_PIVOT):
+def _reference_count(b_squared, sigma, tiny=_TINY_PIVOT):
     count = 0
     d = -sigma
-    for b2 in b2f:
+    for b2 in b_squared:
         if d == 0.0 and tiny is not None:
             d = -tiny
         if d < 0.0:
@@ -233,7 +233,8 @@ def _reference_zeros(q, tolerance):
     """One scalar Sturm bisection per eigenvalue, then the +-pairing:
     (zeros, brackets, Sturm evaluations), zeros and brackets descending."""
     n = q.order
-    radius = 2.0 * math.sqrt(max(q.b2f, default=0.0))
+    b_squared = [float(v) for v in q.b_squared]  # rounded once, as jacobi_zeros does
+    radius = 2.0 * math.sqrt(max(b_squared, default=0.0))
     pad = 64.0 * math.ulp(max(radius, 1.0))
     asc, brackets, steps = [], [], 0
     for index in range(1, n + 1):
@@ -243,7 +244,7 @@ def _reference_zeros(q, tolerance):
             if mid <= lo or mid >= hi:
                 break
             steps += 1
-            if _reference_count(q.b2f, mid) >= index:
+            if _reference_count(b_squared, mid) >= index:
                 hi = mid
             else:
                 lo = mid
@@ -302,8 +303,8 @@ def test_symmetric_enclosure_takes_the_zero_pivot(su11_j1):
         # the first pivot at sigma = 0 is exactly zero and counts as a crossing
         # from below, so an odd order's middle zero 0 counts as below 0
         with pytest.raises(ZeroDivisionError):
-            _reference_count(q.b2f, 0.0, tiny=None)
-        assert sturm_count(q, 0.0) == _reference_count(q.b2f, 0.0) == (n + 1) // 2
+            _reference_count(q.b_squared, 0.0, tiny=None)
+        assert sturm_count(q, 0.0) == _reference_count(q.b_squared, 0.0) == (n + 1) // 2
 
 
 def test_brackets_contain_lapack_eigenvalues_at_order_1000():
@@ -313,8 +314,45 @@ def test_brackets_contain_lapack_eigenvalues_at_order_1000():
     q = build_truncated(SequenceSpec("grinshpan_ismail_s3", a1=1, a2=Fraction(1, 2),
                                      a3=Fraction(1, 4)), 1000)
     result = jacobi_zeros(q, tol)
-    oracle = eigvalsh_tridiagonal(np.zeros(q.order), np.sqrt(q.b2f))[::-1]
+    oracle = eigvalsh_tridiagonal(np.zeros(q.order),
+                                  np.sqrt(np.array(q.b_squared, dtype=float)))[::-1]
     for e, (lo, hi) in zip(oracle, result.brackets):
         assert lo - tol <= e <= hi + tol
     _, brackets, steps = _reference_zeros(q, tol)
     assert result.brackets == brackets and result.bisection_steps == steps
+
+
+# -- one tuple of squared off-diagonals ----------------------------------------------------
+
+def test_truncation_rejects_non_positive_entries():
+    for entries in ((Fraction(1, 2), Fraction(0)), (-1.0,), (math.nan,), (Fraction(-1, 3),)):
+        with pytest.raises(ValueError):
+            TruncatedJacobi(entries)
+    with pytest.raises(ValueError):
+        build_truncated(SequenceSpec("canonical"), 0)
+
+
+@pytest.mark.parametrize("spec", catalog_specs(), ids=lambda s: s.family)
+def test_float_and_exact_entries_give_identical_counts_and_brackets(spec):
+    # the float view x_floats / 2 is the rounding of the exact x_k / 2, and a
+    # float tuple lifted to Fractions rounds back to itself
+    for n in (2, 7, 30):
+        exact = build_truncated(spec, n)
+        floats = TruncatedJacobi(tuple((x_floats(spec, n - 1) / 2).tolist()))
+        lifted = TruncatedJacobi(tuple(map(Fraction, floats.b_squared)))
+        reference = jacobi_zeros(exact, 1e-12)
+        for q in (floats, lifted):
+            result = jacobi_zeros(q, 1e-12)
+            assert result.brackets == reference.brackets
+            assert result.bisection_steps == reference.bisection_steps
+            for sigma in (*ismail_li_bounds(spec, n), 0.0, reference.zeros[0]):
+                assert sturm_count(q, sigma) == sturm_count(exact, sigma)
+
+
+def test_char_poly_is_exact_only_for_exact_entries(su11_j1):
+    exact = build_truncated(su11_j1, 4)
+    floats = TruncatedJacobi(tuple(map(float, exact.b_squared)))
+    assert isinstance(char_poly(exact, Fraction(1, 3)), Fraction)
+    assert isinstance(char_poly(exact, 0.5), float)
+    assert isinstance(char_poly(floats, Fraction(1, 3)), float)
+    assert char_poly(floats, Fraction(1, 2)) == pytest.approx(float(char_poly(exact, Fraction(1, 2))))

@@ -6,10 +6,11 @@ Usage (from the repository root):
 
 Runs ``nlcpoly`` from the package under SRC (a ``src`` directory) on the 12
 ``cli_catalog`` and 4 ``cli_heavy`` configs of ``perfbench/workloads.py``,
-each in a fresh interpreter and an empty directory, and writes the exit code
-and the sha256 of stdout and of every output file to OUT.json. Two such files
-from two source trees are equal exactly when every run wrote the same bytes
-and exited the same way:
+each as its ``all`` run and as the single-step ``zeros`` and ``bounds`` runs
+(``--command``), each in a fresh interpreter and an empty directory, and
+writes the exit code and the sha256 of stdout and of every output file to
+OUT.json. Two such files from two source trees are equal exactly when every
+run wrote the same bytes and exited the same way:
 
     python3 tools/cli_digests.py ../parent/src /tmp/parent.json
     python3 tools/cli_digests.py src /tmp/change.json
@@ -33,14 +34,19 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
 SEED = 1
+STEPS = ("zeros", "bounds")  # single steps digested beside each ``all`` run
 _MAIN = "import sys; from nlcpoly.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 def benchmark_runs() -> List[Tuple[str, str, List[str]]]:
-    """(label, config text, flags) of every cli_catalog and cli_heavy run."""
-    return [(f"{workload}/{op.name}", op.config, op.argv)
-            for workload in ("cli_catalog", "cli_heavy")
-            for op in workloads.build(workload, SEED)]
+    """(label, config text, flags) of every cli_catalog and cli_heavy run,
+    then of its single-step runs."""
+    ops = [(f"{workload}/{op.name}", op)
+           for workload in ("cli_catalog", "cli_heavy")
+           for op in workloads.build(workload, SEED)]
+    return ([(label, op.config, op.argv) for label, op in ops]
+            + [(f"{label}/{step}", op.config, [*op.argv, "--command", step])
+               for step in STEPS for label, op in ops])
 
 
 def _sha256(data: bytes) -> str:
