@@ -18,7 +18,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .sequences import ParameterDomainError, SequenceSpec, _x_minus_limit_closed, x_value
+from .sequences import ParameterDomainError, SequenceSpec, _x_minus_limit_closed, x_float
 from .special import log_gamma
 
 
@@ -81,7 +81,7 @@ def fs_quotient_consistency(a0, a1, a2, a3, n_max: int) -> FsConsistencyReport:
     worst = 0.0
     for n in range(1, n_max + 1):
         via_gamma = fs_quotient(3, a, a0, n)
-        closed = float(x_value(spec, n))
+        closed = x_float(spec, n)
         worst = max(worst, abs(via_gamma - closed) / abs(closed))
     return FsConsistencyReport(float(a0), n_max, worst, a0 == 1)
 

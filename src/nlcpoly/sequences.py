@@ -6,10 +6,12 @@ with its parameters.  Everything downstream -- moments, recurrence
 polynomials, Jacobi truncations, measure checks -- is driven by ``x_value``
 and the running products ``x_factorials``.
 
-Each family rule is one expression evaluated in the arithmetic of its
-parameters: exact parameters give ``fractions.Fraction`` values, float
-parameters give floats.  The floating view of a spec is one memoized array,
-``x_floats``, shared by every consumer that reads x_1 .. x_n as floats.
+Exact parameters give ``fractions.Fraction`` values, float parameters give
+floats.  An exact closed-form spec evaluates x_n = N(n) / D(n) on integers
+built once from its rule; every other spec evaluates its family rule in the
+arithmetic of its parameters.  The floating view of a spec is one memoized
+array, ``x_floats``, shared by every consumer that reads x_1 .. x_n as
+floats.
 Diagnostic scans (monotonicity, the nonlinear necessary inequalities) return
 reports instead of raising, so sequences that fail to be moment sequences can
 still be analyzed.
@@ -63,6 +65,8 @@ def _as_number(value) -> Number:
 # Each rule x(*params, n) is one expression in the arithmetic of its
 # parameters: Fraction parameters give a Fraction and a float parameter a
 # float, since int and Fraction operands round once where they meet a float.
+# An exact spec of a family with a poly_pair or an s_pair reads the integer
+# form of that pair instead (_integer_rule, _x_ratio).
 # Half-integer offsets use doubled integers, (2n - 1) / (2 (nu + n)) for
 # (n - 1/2) / (nu + n): doubling is exact in binary, so a float rule rounds
 # as the plain float formula does, and no Fraction constant slows it.
@@ -78,6 +82,10 @@ class _Family:
     poly_pair: Optional[Callable] = None
     # exact limit of x_n for a family without a poly_pair, or None (probed)
     limit: Optional[Fraction] = None
+    # (*params) -> (num_coeffs, den_coeffs, q): x as a fixed rational function
+    # of s = q^(n-1), ascending in s; only the integer rule of an exact spec
+    # reads it, never x_limit or poly_pair()
+    s_pair: Optional[Callable] = None
 
 
 def _poly_eval(coeffs: Sequence, n) -> Number:
@@ -200,6 +208,10 @@ def _x_q_quotient(A, B, C, q, n):
     return (1 - C * s) * (1 - (A * B / C) * s) / ((1 - A * s) * (1 - B * s))
 
 
+def _q_quotient_s_pair(A, B, C, q):
+    return (_poly_mul([1, -C], [1, -(A * B / C)]), _poly_mul([1, -A], [1, -B]), q)
+
+
 def _x_taylor(norms, n):
     # x_n = (rho(n) / rho(n-1))^2 from Taylor norms rho(0) = 1, rho(1), ...,
     # so that x_n! = rho(n)^2 matches the series sum |z|^(2n) / rho(n)^2
@@ -222,6 +234,18 @@ def _rational_limit(num, den):
     if dn < dd:
         return Fraction(0)
     return Fraction(num[-1]) / Fraction(den[-1])
+
+
+def _integer_rule(num, den, q=None):
+    """The exact pair num/den with its coefficients cleared by the lcm of their
+    denominators, as integers highest first, both of one length, with
+    base (a, b) for a pair in s = q^(n-1), q = a/b, or None for a pair in n."""
+    scale = math.lcm(*(Fraction(c).denominator for c in (*num, *den)))
+    width = max(len(num), len(den))
+    num, den = ((*coeffs, *[0] * (width - len(coeffs))) for coeffs in (num, den))
+    return (tuple(int(c * scale) for c in reversed(num)),
+            tuple(int(c * scale) for c in reversed(den)),
+            None if q is None else (q.numerator, q.denominator))
 
 
 _FAMILIES = {}
@@ -287,7 +311,7 @@ _register(_Family(
 
 _register(_Family(
     "q_gamma_quotient", ("A", "B", "C", "q"), _validate_q_quotient, _x_q_quotient,
-    limit=Fraction(1)))
+    limit=Fraction(1), s_pair=_q_quotient_s_pair))
 
 _register(_Family(
     "grinshpan_ismail_s3", ("a1", "a2", "a3"), _validate_gi_s3,
@@ -338,7 +362,7 @@ class SequenceSpec:
     """
 
     __slots__ = ("family", "params", "strict", "_fam", "_args", "_pair", "is_rational",
-                 "_floats")
+                 "_ints", "_floats")
 
     def __init__(self, family: str, strict: bool = True, **params):
         if family not in _FAMILIES:
@@ -370,6 +394,9 @@ class SequenceSpec:
         object.__setattr__(self, "is_rational", all(
             isinstance(v, Fraction)
             for key, value in clean.items() for v in (value if key in _LIST_PARAMS else (value,))))
+        # the integer rule of an exact closed-form spec (see _x_ratio)
+        rule = self.is_rational and (self._pair or (fam.s_pair and fam.s_pair(*args)))
+        object.__setattr__(self, "_ints", _integer_rule(*rule) if rule else None)
         object.__setattr__(self, "_floats", np.frombuffer(b""))  # empty, read-only
 
     def __setattr__(self, *args):
@@ -393,15 +420,41 @@ class SequenceSpec:
         return self._pair if self.is_rational else None
 
 
+def _x_ratio(spec: SequenceSpec, n: int) -> tuple:
+    """Integers (N, D) with x_n = N / D and D > 0, for a spec with an integer
+    rule: its pair evaluated homogeneously at u / v = n / 1, or at
+    u / v = a^(n-1) / b^(n-1) for a pair in s = q^(n-1) with q = a / b."""
+    num, den, base = spec._ints
+    n = operator.index(n)
+    u, v = (n, 1) if base is None else (base[0] ** (n - 1), base[1] ** (n - 1))
+    N, D, w = num[0], den[0], 1
+    for a, b in zip(num[1:], den[1:]):
+        w *= v
+        N = N * u + a * w
+        D = D * u + b * w
+    if D == 0:
+        raise ParameterDomainError(f"the denominator of x_n vanishes at n = {n}")
+    return (N, D) if D > 0 else (-N, -D)
+
+
 def x_value(spec: SequenceSpec, n: int) -> Number:
     """x_n for n >= 1: a Fraction for a rational spec, a float otherwise."""
     if n < 1:
         raise SequenceRangeError("x_n is defined for n >= 1")
+    if spec._ints:
+        return Fraction(*_x_ratio(spec, n))
     return spec._fam.x(*spec._args, n)
 
 
 def x_float(spec: SequenceSpec, n: int) -> float:
-    return float(x_value(spec, n))
+    """x_n rounded once to the nearest float: the same bits as
+    ``float(x_value(spec, n))``.  An exact closed-form spec divides its
+    integers N(n) / D(n), which Python rounds correctly, and forms no
+    Fraction."""
+    if not spec._ints or n < 1:
+        return float(x_value(spec, n))
+    N, D = _x_ratio(spec, n)
+    return N / D
 
 
 def x_floats(spec: SequenceSpec, n: int) -> np.ndarray:
@@ -416,7 +469,9 @@ def x_floats(spec: SequenceSpec, n: int) -> np.ndarray:
         raise SequenceRangeError("x_floats needs n >= 0")
     kept = spec._floats
     if n > len(kept):
-        kept = np.concatenate([kept, [x_float(spec, k) for k in range(len(kept) + 1, n + 1)]])
+        ks = range(len(kept) + 1, n + 1)
+        kept = np.concatenate([kept, [N / D for N, D in (_x_ratio(spec, k) for k in ks)]
+                               if spec._ints else [x_float(spec, k) for k in ks]])
         kept.flags.writeable = False
         if len(kept) > len(spec._floats):
             object.__setattr__(spec, "_floats", kept)

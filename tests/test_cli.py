@@ -572,6 +572,29 @@ order = 9
     assert "exceeds" in capsys.readouterr().err
 
 
+def test_rational_denominator_vanishing_past_validation_exits_2(tmp_path, capsys):
+    # den = (n - 100)(n - 101) passes the load-time check of n <= 64; the
+    # step that first reads x_100 stops the run after earlier steps wrote
+    text = """
+[sequence]
+family = rational
+num = 1, 0, 1
+den = 10100, -201, 1
+
+[run]
+command = all
+
+[output]
+dir = %s
+prefix = t
+""" % (tmp_path / "out")
+    assert main([write_config(tmp_path, text), "--order", "120"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the denominator of x_n vanishes at n = 100")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in (tmp_path / "out").iterdir())[0] == "t_hankel.csv"
+
+
 FAMILY_BLOCKS = {
     "canonical": "family = canonical",
     "su11": "family = su11\nj = 1",

@@ -11,7 +11,7 @@ import nlcpoly.sequences
 from nlcpoly import (
     MomentSequence, ParameterDomainError, SequenceRangeError, SequenceSpec,
     check_monotone_and_bounded, check_nonlinear_inequalities, monic_q_polynomials,
-    phi_value, x_floats, x_limit, x_minus_limit, x_value,
+    phi_value, x_float, x_floats, x_limit, x_minus_limit, x_value,
 )
 from nlcpoly.config import spec_from_config_text, spec_to_config_text
 from nlcpoly.sequences import x_factorials, x_log_factorials
@@ -148,7 +148,38 @@ def test_non_finite_or_non_numeric_parameters_are_domain_errors(params):
 
 # -- one expression per family: the rule, its pair and its float bits ----------
 
-# every family with a poly_pair, at its catalog parameters and one more exact set
+HALF = Fraction(1, 2)
+
+# x_n by the README formula in Fractions: an oracle that shares no code with
+# the integer rule that x_value, x_float and x_floats evaluate
+EXACT_FORMULAS = {
+    "canonical": lambda p, n: Fraction(n),
+    "su11": lambda p, n: n / (2 * p["j"] + n - 1),
+    "barut_girardello": lambda p, n: n * (2 * p["j"] + n - 1),
+    "ultraspherical": lambda p, n: (n - HALF) / (p["nu"] + n),
+    "jacobi_type": lambda p, n: (p["alpha"] + n - HALF) / (p["alpha"] + p["beta"] + n + HALF),
+    "meixner_pollaczek_bessel": lambda p, n: (
+        4 / p["beta"] ** 2 * (p["mu"] + p["nu"] + n - 1) * (p["mu"] - p["nu"] + n - 1)),
+    "bessel_k_exp": lambda p, n: ((p["mu"] + p["nu"] + n - 1) * (p["mu"] - p["nu"] + n - 1)
+                                  / (2 * (p["mu"] + n - HALF))),
+    "bessel_k_abs": lambda p, n: (
+        (p["mu"] + p["nu"] + 2 * n - 2) * (p["mu"] + p["nu"] + 2 * n - 1)
+        * (p["mu"] - p["nu"] + 2 * n - 2) * (p["mu"] - p["nu"] + 2 * n - 1)
+        / (4 * (p["mu"] + 2 * n - 3 * HALF) * (p["mu"] + 2 * n - HALF))),
+    "gamma_quotient": lambda p, n: ((p["c"] + n - 1) * (p["a"] + p["b"] - p["c"] + n - 1)
+                                    / ((p["a"] + n - 1) * (p["b"] + n - 1))),
+    "q_gamma_quotient": lambda p, n: (
+        (1 - p["C"] * p["q"] ** (n - 1)) * (1 - p["A"] * p["B"] / p["C"] * p["q"] ** (n - 1))
+        / ((1 - p["A"] * p["q"] ** (n - 1)) * (1 - p["B"] * p["q"] ** (n - 1)))),
+    "grinshpan_ismail_s3": lambda p, n: (
+        n * (n + p["a1"] + p["a2"]) * (n + p["a1"] + p["a3"]) * (n + p["a2"] + p["a3"])
+        / ((n + p["a1"]) * (n + p["a2"]) * (n + p["a3"]) * (n + p["a1"] + p["a2"] + p["a3"]))),
+    "rational": lambda p, n: (sum(c * n ** k for k, c in enumerate(p["num"]))
+                              / sum(c * n ** k for k, c in enumerate(p["den"]))),
+}
+
+# every family with a poly_pair, at its catalog parameters and one more exact
+# set, and rational rules whose denominators are negative at some n
 PAIR_SPECS = [spec for spec in catalog_specs() if spec.family != "q_gamma_quotient"] + [
     SequenceSpec("su11", j=Fraction(5, 2)),
     SequenceSpec("barut_girardello", j=Fraction(3, 2)),
@@ -162,23 +193,74 @@ PAIR_SPECS = [spec for spec in catalog_specs() if spec.family != "q_gamma_quotie
     SequenceSpec("grinshpan_ismail_s3", a1=Fraction(5, 3), a2=Fraction(2, 3), a3=Fraction(1, 7)),
     SequenceSpec("rational", num=[0, 1], den=[1]),
     SequenceSpec("rational", num=[Fraction(1, 3), 3, Fraction(2, 7)], den=[2, Fraction(1, 5), 1]),
+    SequenceSpec("rational", num=[-2, -1], den=[-1, -1]),
+    SequenceSpec("rational", num=["-3/2", "-1/2", 1], den=["-3/2", 1]),  # den(1) < 0 < den(2)
+]
+
+# q = 1/2: s = q^(n-1) underflows a float past n = 1075; q = 9/10 and 2/3
+# give bases other than powers of two, and A > C > B (strict=False) makes x_n
+# decrease to 1
+Q_SPECS = [
+    SequenceSpec("q_gamma_quotient", A=Fraction(1, 8), B=Fraction(1, 4), C=Fraction(1, 2),
+                 q=Fraction(1, 2)),
+    SequenceSpec("q_gamma_quotient", A=Fraction(1, 3), B=Fraction(2, 7), C=Fraction(3, 5),
+                 q=Fraction(9, 10)),
+    SequenceSpec("q_gamma_quotient", strict=False, A=Fraction(3, 4), B=Fraction(1, 5),
+                 C=Fraction(1, 2), q=Fraction(2, 3)),
 ]
 
 
 @pytest.mark.parametrize("spec", PAIR_SPECS, ids=repr)
 def test_rule_agrees_with_its_poly_pair(spec):
+    # the pair is what x_limit and poly_pair() read; it must be the formula's
     num, den = spec.poly_pair()
+    formula = EXACT_FORMULAS[spec.family]
     for n in range(1, 65):
-        value = x_value(spec, n)
-        assert type(value) is Fraction
-        assert value == (sum(c * n ** k for k, c in enumerate(num))
-                         / sum(c * n ** k for k, c in enumerate(den)))
+        assert (sum(c * n ** k for k, c in enumerate(num))
+                / sum(c * n ** k for k, c in enumerate(den))) == formula(spec.params, n)
     lim = x_limit(spec)
     if len(num) > len(den):
         assert lim.kind == "infinite"
     else:
         assert lim.kind == "finite"
         assert lim.value == (Fraction(num[-1]) / den[-1] if len(num) == len(den) else 0)
+
+
+@pytest.mark.parametrize("spec", PAIR_SPECS + Q_SPECS, ids=repr)
+def test_exact_rule_matches_the_family_formula(spec):
+    n_max = 2000
+    expected = [EXACT_FORMULAS[spec.family](spec.params, n) for n in range(1, n_max + 1)]
+    values = [x_value(spec, n) for n in range(1, n_max + 1)]
+    assert all(type(v) is Fraction for v in values) and values == expected
+    # correctly rounded: the same bits as float() of the exact value
+    bits = [float(e).hex() for e in expected]
+    assert [v.hex() for v in x_floats(spec, n_max).tolist()] == bits
+    assert [x_float(spec, n).hex() for n in range(1, n_max + 1, 97)] == bits[::97]
+
+
+def test_q_quotient_rule_is_not_a_pair_in_n():
+    spec = Q_SPECS[0]
+    assert spec.poly_pair() is None
+    assert x_limit(spec) == x_limit(SequenceSpec("q_gamma_quotient", A=0.125, B=0.25, C=0.5,
+                                                 q=0.5))
+
+
+def test_numpy_integer_index_does_not_wrap():
+    # 32 n^4 overflows int64 at n = 10^5; the integer rule works in Python ints
+    spec = SequenceSpec("grinshpan_ismail_s3", a1=1, a2=Fraction(1, 2), a3=Fraction(1, 4))
+    assert x_value(spec, np.int64(10 ** 5)) == x_value(spec, 10 ** 5)
+    assert x_float(spec, np.int64(10 ** 5)) == x_float(spec, 10 ** 5)
+
+
+def test_vanishing_denominator_past_validation_is_a_domain_error():
+    # den = (n - 100)(n - 101) is positive for the n <= 64 that validation reads
+    spec = SequenceSpec("rational", num=[1, 0, 1], den=[10100, -201, 1])
+    assert x_value(spec, 99) == Fraction(99 ** 2 + 1, 2)
+    for read in (lambda: x_value(spec, 100), lambda: x_float(spec, 100),
+                 lambda: x_floats(spec, 120)):
+        with pytest.raises(ParameterDomainError, match="vanishes at n = 100"):
+            read()
+    assert x_value(spec, 102) == Fraction(102 ** 2 + 1, 2)
 
 
 # x_n by the README formula in Python floats.  The float bits are pinned: the
@@ -420,17 +502,18 @@ def test_x_floats_consistent_across_threads():
 
 
 def test_phi_value_reads_each_x_once(monkeypatch):
+    # x_floats builds an exact closed-form spec's floats from _x_ratio
     calls = []
-    real = nlcpoly.sequences.x_value
+    real = nlcpoly.sequences._x_ratio
 
     def counting(spec, n):
         calls.append(n)
         return real(spec, n)
 
     spec = SequenceSpec("grinshpan_ismail_s3", a1=1, a2=Fraction(1, 2), a3=Fraction(1, 4))
-    monkeypatch.setattr(nlcpoly.sequences, "x_value", counting)
+    monkeypatch.setattr(nlcpoly.sequences, "_x_ratio", counting)
     first = phi_value(spec, 1000, 0.3)
-    assert len(calls) <= 1000
+    assert calls == list(range(1, 1001))
     calls.clear()
     assert phi_value(spec, 1000, 0.3) == first
     assert phi_value(spec, 400, -0.7) == phi_value(spec, 400, -0.7)
