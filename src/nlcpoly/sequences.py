@@ -6,10 +6,13 @@ with its parameters.  Everything downstream -- moments, recurrence
 polynomials, Jacobi truncations, measure checks -- is driven by ``x_value``
 and the running products ``x_factorials``.
 
-Exact parameters give ``fractions.Fraction`` values, float parameters give
-floats.  An exact closed-form spec evaluates x_n = N(n) / D(n) on integers
-built once from its rule; every other spec evaluates its family rule in the
-arithmetic of its parameters.  The floating view of a spec is one memoized
+Each family states its formula once, as a rule that returns the numerator
+and denominator of x_n.  Run on a polynomial variable, the rule gives the
+spec's exact pair, from which the limit, ``poly_pair()`` and the integer
+form N(n) / D(n) that exact closed-form specs evaluate are read; run on
+numbers, it gives the x_n of float and list-backed specs in the arithmetic
+of their parameters.  Exact parameters give ``fractions.Fraction`` values,
+float parameters give floats.  The floating view of a spec is one memoized
 array, ``x_floats``, shared by every consumer that reads x_1 .. x_n as
 floats.
 Diagnostic scans (monotonicity, the nonlinear necessary inequalities) return
@@ -62,11 +65,13 @@ def _as_number(value) -> Number:
 # family rules
 # ---------------------------------------------------------------------------
 #
-# Each rule x(*params, n) is one expression in the arithmetic of its
-# parameters: Fraction parameters give a Fraction and a float parameter a
-# float, since int and Fraction operands round once where they meet a float.
-# An exact spec of a family with a poly_pair or an s_pair reads the integer
-# form of that pair instead (_integer_rule, _x_ratio).
+# Each rule(*params, t) returns (num, den) with x_n = num / den, where t is n,
+# or s = q^(n-1) for a family of variable "s".  Float and list-backed specs
+# run it on numbers: x_value is num / den, the float formula's operations in
+# its order (a den of 1 divides exactly).  Run once on the exact values of a
+# closed-form spec's parameters and the variable _Poly t, it gives the spec's
+# exact pair, defined up to a common factor, whose integer form an exact spec
+# evaluates (_integer_rule, _x_ratio).
 # Half-integer offsets use doubled integers, (2n - 1) / (2 (nu + n)) for
 # (n - 1/2) / (nu + n): doubling is exact in binary, so a float rule rounds
 # as the plain float formula does, and no Fraction constant slows it.
@@ -76,16 +81,8 @@ class _Family:
     name: str
     param_names: tuple
     validate: Callable          # (params, strict) -> None, raises ParameterDomainError
-    x: Callable                 # (*params, n) -> Number, in param_names order
-    # (*params) -> (num_coeffs, den_coeffs) ascending in n, or None if x is
-    # not a fixed rational function of n; the limit of x_n is read from it
-    poly_pair: Optional[Callable] = None
-    # exact limit of x_n for a family without a poly_pair, or None (probed)
-    limit: Optional[Fraction] = None
-    # (*params) -> (num_coeffs, den_coeffs, q): x as a fixed rational function
-    # of s = q^(n-1), ascending in s; only the integer rule of an exact spec
-    # reads it, never x_limit or poly_pair()
-    s_pair: Optional[Callable] = None
+    rule: Callable              # (*params, t) -> (num, den), in param_names order
+    variable: Optional[str] = None  # "n", "s" (t = q^(n-1)) or None (a list family)
 
 
 def _poly_eval(coeffs: Sequence, n) -> Number:
@@ -103,12 +100,33 @@ def _poly_mul(p, q):
     return out
 
 
-def _linear(*roots):
-    """Product of monic linear factors (n + r) as ascending coefficients."""
-    poly = [Fraction(1)]
-    for r in roots:
-        poly = _poly_mul(poly, [Fraction(r), Fraction(1)])
-    return poly
+class _Poly:
+    """An exact polynomial, ascending Fraction coefficients, with the + - *
+    a rule applies to its variable."""
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        self.coeffs = coeffs
+
+    @staticmethod
+    def of(value) -> "_Poly":
+        return value if isinstance(value, _Poly) else _Poly([Fraction(value)])
+
+    def __add__(self, other):
+        return _Poly([a + b for a, b in
+                      zip_longest(self.coeffs, _Poly.of(other).coeffs, fillvalue=0)])
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return self * -1 + other
+
+    def __mul__(self, other):
+        return _Poly(_poly_mul(self.coeffs, _Poly.of(other).coeffs))
+
+    __radd__ = __add__
+    __rmul__ = __mul__
 
 
 def _require(cond: bool, message: str) -> None:
@@ -169,6 +187,9 @@ def _validate_q_quotient(params, strict):
     if strict:
         # exponent admissibility a >= c, b >= c translates to A <= C, B <= C
         _require(A <= C and B <= C, "A <= C and B <= C required (a >= c, b >= c)")
+    # the factor 1 - (AB/C) s is positive for every s = q^(n-1) in (0, 1]
+    # exactly when it is at s = 1; strict mode implies it
+    _require(A * B < C, "A*B < C required to keep x_n positive")
 
 
 def _validate_gi_s3(params, strict):
@@ -201,30 +222,19 @@ def _validate_rational(params, strict):
         _require(nv / dv > 0, f"x_{n} is not positive")
 
 
-def _x_q_quotient(A, B, C, q, n):
-    # q-analogue of the gamma quotient: the second numerator factor carries
-    # the exponent a + b - c, i.e. the combination A*B/C.
-    s = q ** (n - 1)
-    return (1 - C * s) * (1 - (A * B / C) * s) / ((1 - A * s) * (1 - B * s))
-
-
-def _q_quotient_s_pair(A, B, C, q):
-    return (_poly_mul([1, -C], [1, -(A * B / C)]), _poly_mul([1, -A], [1, -B]), q)
-
-
 def _x_taylor(norms, n):
     # x_n = (rho(n) / rho(n-1))^2 from Taylor norms rho(0) = 1, rho(1), ...,
     # so that x_n! = rho(n)^2 matches the series sum |z|^(2n) / rho(n)^2
     if n >= len(norms):
         raise SequenceRangeError(f"n = {n} exceeds the {len(norms) - 1} supplied Taylor norms")
     r = norms[n] / norms[n - 1]
-    return r * r
+    return r * r, 1
 
 
 def _x_explicit(values, n):
     if n > len(values):
         raise SequenceRangeError(f"n = {n} exceeds the {len(values)} supplied values")
-    return values[n - 1]
+    return values[n - 1], 1
 
 
 def _rational_limit(num, den):
@@ -233,14 +243,14 @@ def _rational_limit(num, den):
         return math.inf
     if dn < dd:
         return Fraction(0)
-    return Fraction(num[-1]) / Fraction(den[-1])
+    return num[-1] / den[-1]
 
 
 def _integer_rule(num, den, q=None):
     """The exact pair num/den with its coefficients cleared by the lcm of their
     denominators, as integers highest first, both of one length, with
     base (a, b) for a pair in s = q^(n-1), q = a/b, or None for a pair in n."""
-    scale = math.lcm(*(Fraction(c).denominator for c in (*num, *den)))
+    scale = math.lcm(*(c.denominator for c in (*num, *den)))
     width = max(len(num), len(den))
     num, den = ((*coeffs, *[0] * (width - len(coeffs))) for coeffs in (num, den))
     return (tuple(int(c * scale) for c in reversed(num)),
@@ -248,84 +258,41 @@ def _integer_rule(num, den, q=None):
             None if q is None else (q.numerator, q.denominator))
 
 
-_FAMILIES = {}
-
-
-def _register(fam: _Family) -> None:
-    _FAMILIES[fam.name] = fam
-
-
-_register(_Family(
-    "canonical", (), lambda p, s: None, lambda n: Fraction(n),
-    poly_pair=lambda: ([Fraction(0), Fraction(1)], [Fraction(1)])))
-
-_register(_Family(
-    "su11", ("j",), _validate_half_integer_j,
-    lambda j, n: n / (2 * j + n - 1),
-    poly_pair=lambda j: ([Fraction(0), Fraction(1)], _linear(2 * j - 1))))
-
-_register(_Family(
-    "barut_girardello", ("j",), _validate_half_integer_j,
-    lambda j, n: n * (2 * j + n - 1),
-    poly_pair=lambda j: (_linear(0, 2 * j - 1), [Fraction(1)])))
-
-_register(_Family(
-    "ultraspherical", ("nu",), _validate_ultraspherical,
-    lambda nu, n: (2 * n - 1) / (2 * (nu + n)),
-    poly_pair=lambda nu: (_linear(Fraction(-1, 2)), _linear(nu))))
-
-_register(_Family(
-    "jacobi_type", ("alpha", "beta"), _validate_jacobi_type,
-    lambda a, b, n: (2 * (a + n) - 1) / (2 * (a + b + n) + 1),
-    poly_pair=lambda a, b: (_linear(a - Fraction(1, 2)), _linear(a + b + Fraction(1, 2)))))
-
-_register(_Family(
-    "meixner_pollaczek_bessel", ("mu", "nu", "beta"), _validate_mpb,
-    lambda mu, nu, beta, n: 4 / beta ** 2 * (mu + nu + n - 1) * (mu - nu + n - 1),
-    poly_pair=lambda mu, nu, beta: (
-        [4 * c / Fraction(beta) ** 2 for c in _linear(mu + nu - 1, mu - nu - 1)],
-        [Fraction(1)])))
-
-_register(_Family(
-    "bessel_k_exp", ("mu", "nu"), _validate_bessel_orders,
-    lambda mu, nu, n: (mu + nu + n - 1) * (mu - nu + n - 1) / (2 * (mu + n) - 1),
-    poly_pair=lambda mu, nu: (_linear(mu + nu - 1, mu - nu - 1),
-                              [2 * c for c in _linear(mu - Fraction(1, 2))])))
-
-_register(_Family(
-    "bessel_k_abs", ("mu", "nu"), _validate_bessel_orders,
-    lambda mu, nu, n: ((mu + nu + 2 * n - 2) * (mu + nu + 2 * n - 1)
-                       * (mu - nu + 2 * n - 2) * (mu - nu + 2 * n - 1)
-                       / ((2 * (mu + 2 * n - 1) - 1) * (2 * (mu + 2 * n) - 1))),
-    # quartic over quadratic in n; substitute m = 2n into linear factors
-    poly_pair=lambda mu, nu: (
-        _poly_mul(_poly_mul([mu + nu - 2, Fraction(2)], [mu + nu - 1, Fraction(2)]),
-                  _poly_mul([mu - nu - 2, Fraction(2)], [mu - nu - 1, Fraction(2)])),
-        [4 * c for c in _poly_mul([mu - Fraction(3, 2), Fraction(2)],
-                                  [mu - Fraction(1, 2), Fraction(2)])])))
-
-_register(_Family(
-    "gamma_quotient", ("a", "b", "c"), _validate_gamma_quotient,
-    lambda a, b, c, n: (c + n - 1) * (a + b - c + n - 1) / ((a + n - 1) * (b + n - 1)),
-    poly_pair=lambda a, b, c: (_linear(c - 1, a + b - c - 1), _linear(a - 1, b - 1))))
-
-_register(_Family(
-    "q_gamma_quotient", ("A", "B", "C", "q"), _validate_q_quotient, _x_q_quotient,
-    limit=Fraction(1), s_pair=_q_quotient_s_pair))
-
-_register(_Family(
-    "grinshpan_ismail_s3", ("a1", "a2", "a3"), _validate_gi_s3,
-    lambda a1, a2, a3, n: (n * (n + a1 + a2) * (n + a1 + a3) * (n + a2 + a3)
-                           / ((n + a1) * (n + a2) * (n + a3) * (n + a1 + a2 + a3))),
-    poly_pair=lambda a1, a2, a3: (_linear(0, a1 + a2, a1 + a3, a2 + a3),
-                                  _linear(a1, a2, a3, a1 + a2 + a3))))
-
-_register(_Family("analytic_function", ("taylor_norms",), _validate_taylor_norms, _x_taylor))
-_register(_Family("explicit", ("values",), _validate_explicit, _x_explicit))
-_register(_Family(
-    "rational", ("num", "den"), _validate_rational,
-    lambda num, den, n: _poly_eval(num, n) / _poly_eval(den, n),
-    poly_pair=lambda num, den: ([Fraction(c) for c in num], [Fraction(c) for c in den])))
+_FAMILIES = {fam.name: fam for fam in (
+    _Family("canonical", (), lambda p, s: None, lambda n: (n, 1), "n"),
+    _Family("su11", ("j",), _validate_half_integer_j,
+            lambda j, n: (n, 2 * j + n - 1), "n"),
+    _Family("barut_girardello", ("j",), _validate_half_integer_j,
+            lambda j, n: (n * (2 * j + n - 1), 1), "n"),
+    _Family("ultraspherical", ("nu",), _validate_ultraspherical,
+            lambda nu, n: (2 * n - 1, 2 * (nu + n)), "n"),
+    _Family("jacobi_type", ("alpha", "beta"), _validate_jacobi_type,
+            lambda a, b, n: (2 * (a + n) - 1, 2 * (a + b + n) + 1), "n"),
+    _Family("meixner_pollaczek_bessel", ("mu", "nu", "beta"), _validate_mpb,
+            lambda mu, nu, beta, n: (4 / beta ** 2 * (mu + nu + n - 1) * (mu - nu + n - 1), 1),
+            "n"),
+    _Family("bessel_k_exp", ("mu", "nu"), _validate_bessel_orders,
+            lambda mu, nu, n: ((mu + nu + n - 1) * (mu - nu + n - 1), 2 * (mu + n) - 1), "n"),
+    _Family("bessel_k_abs", ("mu", "nu"), _validate_bessel_orders,
+            lambda mu, nu, n: ((mu + nu + 2 * n - 2) * (mu + nu + 2 * n - 1)
+                               * (mu - nu + 2 * n - 2) * (mu - nu + 2 * n - 1),
+                               (2 * (mu + 2 * n - 1) - 1) * (2 * (mu + 2 * n) - 1)), "n"),
+    _Family("gamma_quotient", ("a", "b", "c"), _validate_gamma_quotient,
+            lambda a, b, c, n: ((c + n - 1) * (a + b - c + n - 1), (a + n - 1) * (b + n - 1)),
+            "n"),
+    # q-analogue of the gamma quotient in s = q^(n-1): the second numerator
+    # factor carries the exponent a + b - c, i.e. the combination A*B/C
+    _Family("q_gamma_quotient", ("A", "B", "C", "q"), _validate_q_quotient,
+            lambda A, B, C, q, s: ((1 - C * s) * (1 - (A * B / C) * s),
+                                   (1 - A * s) * (1 - B * s)), "s"),
+    _Family("grinshpan_ismail_s3", ("a1", "a2", "a3"), _validate_gi_s3,
+            lambda a1, a2, a3, n: (n * (n + a1 + a2) * (n + a1 + a3) * (n + a2 + a3),
+                                   (n + a1) * (n + a2) * (n + a3) * (n + a1 + a2 + a3)), "n"),
+    _Family("analytic_function", ("taylor_norms",), _validate_taylor_norms, _x_taylor),
+    _Family("explicit", ("values",), _validate_explicit, _x_explicit),
+    _Family("rational", ("num", "den"), _validate_rational,
+            lambda num, den, n: (_poly_eval(num, n), _poly_eval(den, n)), "n"),
+)}
 
 
 def family_names() -> list:
@@ -388,15 +355,19 @@ class SequenceSpec:
         object.__setattr__(self, "_fam", fam)
         args = tuple(clean[key] for key in fam.param_names)
         object.__setattr__(self, "_args", args)
-        # built on the binary values of float parameters too: x_limit reads
-        # the limit from its degrees and leading coefficients
-        object.__setattr__(self, "_pair", fam.poly_pair and fam.poly_pair(*args))
+        # the rule run on the variable t and the exact values of the
+        # parameters, float ones too: x_limit reads the limit from this pair
+        pair = fam.variable and tuple(_Poly.of(p).coeffs for p in fam.rule(
+            *(tuple(map(Fraction, a)) if isinstance(a, tuple) else Fraction(a) for a in args),
+            _Poly([Fraction(0), Fraction(1)])))
+        object.__setattr__(self, "_pair", pair)
         object.__setattr__(self, "is_rational", all(
             isinstance(v, Fraction)
             for key, value in clean.items() for v in (value if key in _LIST_PARAMS else (value,))))
         # the integer rule of an exact closed-form spec (see _x_ratio)
-        rule = self.is_rational and (self._pair or (fam.s_pair and fam.s_pair(*args)))
-        object.__setattr__(self, "_ints", _integer_rule(*rule) if rule else None)
+        base = clean["q"] if fam.variable == "s" else None
+        object.__setattr__(self, "_ints",
+                           _integer_rule(*pair, base) if pair and self.is_rational else None)
         object.__setattr__(self, "_floats", np.frombuffer(b""))  # empty, read-only
 
     def __setattr__(self, *args):
@@ -415,9 +386,9 @@ class SequenceSpec:
 
     def poly_pair(self):
         """Exact (numerator, denominator) coefficients of x as a rational
-        function of n, or None for a float spec and for list-backed and
-        q-type families."""
-        return self._pair if self.is_rational else None
+        function of n, ascending and defined up to a common factor, or None
+        for a float spec and for list-backed and q-type families."""
+        return self._pair if self.is_rational and self._fam.variable == "n" else None
 
 
 def _x_ratio(spec: SequenceSpec, n: int) -> tuple:
@@ -443,7 +414,9 @@ def x_value(spec: SequenceSpec, n: int) -> Number:
         raise SequenceRangeError("x_n is defined for n >= 1")
     if spec._ints:
         return Fraction(*_x_ratio(spec, n))
-    return spec._fam.x(*spec._args, n)
+    fam = spec._fam
+    num, den = fam.rule(*spec._args, spec.params["q"] ** (n - 1) if fam.variable == "s" else n)
+    return num / den
 
 
 def x_float(spec: SequenceSpec, n: int) -> float:
@@ -521,15 +494,17 @@ _INEQUALITY_SLACK = 1e-12  # relative, for float sequences
 def x_limit(spec: SequenceSpec, probe_depth: int = 64) -> SequenceLimit:
     """Limit of x_n as n grows.
 
-    Closed-form rational families report the exact limit of the rational
-    rule.  List-backed families are probed at doubling indices and
+    Closed-form families report the exact limit of their pair: the ratio of
+    its leading terms in n, or of its constant terms in s = q^(n-1).
+    List-backed families are probed at doubling indices and
     Richardson-extrapolated assuming a 1/n expansion; a noisy tail yields
     'undetermined', which is a valid outcome rather than an error.
     """
     if probe_depth < 16:
         raise ValueError("probe_depth must be at least 16")
-    value = _rational_limit(*spec._pair) if spec._pair else spec._fam.limit
-    if value is not None:
+    if spec._pair:
+        num, den = spec._pair
+        value = num[0] / den[0] if spec._fam.variable == "s" else _rational_limit(num, den)
         if value == math.inf:
             return SequenceLimit("infinite")
         return SequenceLimit("finite", value, 0.0)

@@ -131,6 +131,10 @@ def test_parameter_domain_errors():
         SequenceSpec("gamma_quotient", a=1, b=2, c=Fraction(3, 2))
     with pytest.raises(ParameterDomainError, match="ordering|a1"):
         SequenceSpec("grinshpan_ismail_s3", a1=0, a2=1, a3=0)
+    # A*B >= C would make x_1 = (1 - C)(1 - AB/C) / ((1 - A)(1 - B)) = -2/3
+    with pytest.raises(ParameterDomainError, match="A\\*B < C"):
+        SequenceSpec("q_gamma_quotient", strict=False, A=Fraction(3, 4), B=Fraction(1, 2),
+                     C=Fraction(1, 3), q=Fraction(2, 3))
     with pytest.raises(ParameterDomainError, match="unknown family"):
         SequenceSpec("nope")
 
@@ -382,6 +386,11 @@ def test_log_factorial_beyond_overflow():
     ("barut_girardello", {"j": 1}, "infinite", None),
     ("gamma_quotient", {"a": 3, "b": 2, "c": 1}, "finite", 1),
     ("grinshpan_ismail_s3", {"a1": 1, "a2": 0, "a3": 0}, "finite", 1),
+    # float parameters: the limit of the pair built on their binary values
+    ("rational", {"num": [1.0, 0.1], "den": [1.0, 0.3]}, "finite", Fraction(0.1) / Fraction(0.3)),
+    ("q_gamma_quotient", {"A": 0.1, "B": 0.2, "C": 0.3, "q": 0.7}, "finite", 1),
+    ("jacobi_type", {"alpha": 0.7, "beta": 1.3}, "finite", 1),
+    ("meixner_pollaczek_bessel", {"mu": 1.3, "nu": 0.2, "beta": 0.7}, "infinite", None),
 ])
 def test_closed_form_limits(family, params, kind, value):
     lim = x_limit(SequenceSpec(family, **params))

@@ -15,7 +15,12 @@ the exact and float spec lists of ``tests/test_sequences.py`` and
   ``check_nonlinear_inequalities`` reports, violations included;
 * the ``hankel_determinant`` values and the ``phi_value`` and
   ``amplitude_extract`` results; the ``library_long`` specs run the calls of
-  that workload, every other spec runs ``TEST_CALLS``.
+  that workload, every other spec runs ``TEST_CALLS``;
+* every reader of the spec's exact pair: ``x_limit``, ``x_minus_limit`` at
+  n in ``MINUS_LIMIT_AT`` where the limit is finite, ``nevai_condition`` at
+  ``NEVAI_N``, and ``poly_pair()`` divided by the leading coefficient of its
+  denominator, so that two pairs of one function that differ by a common
+  factor digest equal.
 
 Fractions are written as ``str`` and floats by ``repr``, and an exception as
 its type and message, so two such files from two source trees are equal
@@ -48,6 +53,8 @@ TEST_CALLS = [
     ["phi_value", 300, 0.3],
     ["amplitude_extract", 0.3, [200, 400]],
 ]
+MINUS_LIMIT_AT = (1, 10, 100, 1000)
+NEVAI_N = 256
 
 
 def _plain(value):
@@ -89,8 +96,26 @@ def _values(nl, spec) -> List[list]:
     return out
 
 
+def _monic_pair(spec):
+    pair = spec.poly_pair()
+    if pair is None:
+        return None
+    lead = pair[1][-1]
+    return [[c / lead for c in coeffs] for coeffs in pair]
+
+
+def _minus_limit(nl, spec):
+    if not nl.x_limit(spec).is_finite:
+        return None
+    return [[n, _guarded(lambda: nl.x_minus_limit(spec, n))] for n in MINUS_LIMIT_AT]
+
+
 def digest_spec(nl, spec, calls: List[list]) -> Dict[str, object]:
     return {"values": _guarded(lambda: _values(nl, spec)),
+            "x_limit": _guarded(lambda: nl.x_limit(spec)),
+            "x_minus_limit": _guarded(lambda: _minus_limit(nl, spec)),
+            "nevai_condition": _guarded(lambda: nl.nevai_condition(spec, NEVAI_N)),
+            "poly_pair": _guarded(lambda: _monic_pair(spec)),
             "calls": [[name, *args, _guarded(lambda: _call(nl, spec, name, *args))]
                       for name, *args in calls]}
 
