@@ -31,8 +31,8 @@ from .moments import (DegenerateMomentsError, MomentSequence, berg_duran_check,
 from .recurrence import monic_q_polynomials, phi_window
 from .sequences import (ParameterDomainError, SequenceRangeError, SequenceSpec, x_floats,
                         x_limit, x_log_factorials)
-from .spectral import (TruncatedJacobi, build_truncated, ismail_li_bounds, jacobi_zeros,
-                       sturm_count, support_endpoints)
+from .spectral import (TruncatedJacobi, ismail_li_bounds, jacobi_zeros, sturm_count,
+                       support_endpoints)
 
 
 def _fmt(value) -> str:
@@ -127,14 +127,19 @@ class _Runner:
         self._write_csv("phi_samples.csv", ["n", "x", "phi"], rows)
         self.summary["polys"] = {"n_max": self.cfg.n_max}
 
+    def _truncation(self, order: int) -> TruncatedJacobi:
+        """The float truncation x_floats(spec, order - 1) / 2: the bits of the
+        exact x_k / 2 rounded once, with no Fraction formed."""
+        return TruncatedJacobi(tuple((x_floats(self.spec, order - 1) / 2).tolist()))
+
     def cmd_zeros(self) -> None:
         order = self.cfg.order
-        result = jacobi_zeros(build_truncated(self.spec, order), self.cfg.tolerance)
+        result = jacobi_zeros(self._truncation(order), self.cfg.tolerance)
         rows = [(order, j + 1, z, lo, hi)
                 for j, (z, (lo, hi)) in enumerate(zip(result.zeros, result.brackets))]
         self._write_csv("zeros.csv", ["n", "j", "zero", "lower_bracket", "upper_bracket"], rows)
         self.summary["zeros"] = {
-            "order": order, "pairing_defect": result.pairing_defect,
+            "order": order, "count_mismatches": result.count_mismatches,
             "max_residual": max(result.residual_bounds),
             "bisection_steps": result.bisection_steps,
         }
@@ -144,7 +149,7 @@ class _Runner:
         a, b = ismail_li_bounds(self.spec, order)
         # no zero at or below A and every zero below B; the spectrum is
         # symmetric, so a zero pivot at either bound fails the first count
-        q = TruncatedJacobi(tuple((x_floats(self.spec, order - 1) / 2).tolist()))
+        q = self._truncation(order)
         contained = sturm_count(q, a) == 0 and sturm_count(q, b) == order
         supp = support_endpoints(self.spec)
         self.verdicts["zeros_within_bounds"] = contained

@@ -6,11 +6,12 @@ b_k = sqrt(x_k / 2); the characteristic polynomial of its order-n truncation
 is exactly the monic polynomial q_n, so eigenvalues of the truncation are
 the polynomial zeros.
 
-Eigenvalues are found by bisection on Sturm sign counts: deterministic,
-with a certified enclosure per zero, and bit-reproducible across runs.  All
-zeros are bisected together, one numpy lane per zero; each lane does the
-float operations of a scalar bisection, so the enclosures do not depend on
-how many zeros are computed at once.
+Zeros are found on Sturm sign counts: deterministic, with an enclosure per
+zero, and bit-reproducible across runs.  :func:`jacobi_zeros` searches the
+positive zeros on the half-order block of Q_n^2 and confirms each enclosure
+with counts on Q_n itself; all zeros advance together, one numpy lane per
+zero, and each lane does the float operations of a scalar search, so the
+enclosures do not depend on how many zeros are computed at once.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,24 +78,47 @@ def char_poly(q: TruncatedJacobi, x):
     return cur
 
 
-def _sturm_counts(b_squared: Sequence[float], sigmas: np.ndarray) -> np.ndarray:
-    """Eigenvalues of Q_n strictly below each shift in ``sigmas``: the
-    negative pivots of the shifted LDL^T factorization, one lane per shift.
+def _half_block(b_squared: Sequence[Number]) -> Tuple[list, list]:
+    """Diagonal and squared off-diagonal of the block of Q_n^2 on the odd
+    rows, of order ceil(n/2), in the arithmetic of the entries.
+
+    With beta_k = b_k^2 and beta_0 = beta_n = 0 the diagonal is
+    beta_{2i-2} + beta_{2i-1} and the squared off-diagonal
+    beta_{2i-1} beta_{2i}: no square root, so exact for exact entries.
+    Ordered odd rows first, Q_n = [[0, B], [B^T, 0]], and this block is
+    B B^T, whose eigenvalues are the squares of the positive zeros, plus
+    the structural zero of an odd order (Chihara 1978, Ch. I Sec. 8).
+    """
+    beta = [0, *b_squared, 0]
+    rows = len(beta) // 2
+    diagonal = [beta[2 * i] + beta[2 * i + 1] for i in range(rows)]
+    off_squared = [beta[2 * i + 1] * beta[2 * i + 2] for i in range(rows - 1)]
+    return diagonal, off_squared
+
+
+def _sturm_counts(diagonal: Sequence[float], off_squared: Sequence[float],
+                  sigmas: np.ndarray) -> np.ndarray:
+    """Eigenvalues strictly below each shift in ``sigmas`` of the symmetric
+    tridiagonal matrix with ``diagonal`` and squared off-diagonals
+    ``off_squared``: the negative pivots of the shifted LDL^T factorization,
+    one lane per shift.
 
     Every lane does the float operations of the scalar recurrence
-    d <- -sigma - b^2/d in the same order, so the counts do not depend on
-    how many shifts share the pass.
+    d <- (a - sigma) - b^2/d in the same order, so the counts do not depend
+    on how many shifts share the pass.
     """
     neg_sigma = np.negative(sigmas)
-    d = neg_sigma.copy()
+    d = neg_sigma + diagonal[0]
+    shift = np.empty(len(d))
     count = np.zeros(len(d), dtype=np.intp)
     below = np.empty(len(d), dtype=bool)
-    for b2 in b_squared:
+    for a, b2 in zip(diagonal[1:], off_squared):
         if np.count_nonzero(d) < len(d):
             d[d == 0.0] = -_TINY_PIVOT  # zero pivot: count as crossing from below
         count += np.less(d, 0.0, out=below)
         np.divide(b2, d, out=d)
-        np.subtract(neg_sigma, d, out=d)
+        np.add(neg_sigma, a, out=shift)
+        np.subtract(shift, d, out=d)
     if np.count_nonzero(d) < len(d):
         d[d == 0.0] = -_TINY_PIVOT
     return count + (d < 0.0)
@@ -103,7 +127,8 @@ def _sturm_counts(b_squared: Sequence[float], sigmas: np.ndarray) -> np.ndarray:
 def sturm_count(q: TruncatedJacobi, sigma: float) -> int:
     """Number of eigenvalues of Q_n strictly below sigma (negative pivots of
     the shifted LDL^T factorization)."""
-    return int(_sturm_counts(_float_entries(q), np.array([sigma], dtype=float))[0])
+    return int(_sturm_counts([0.0] * q.order, _float_entries(q),
+                             np.array([sigma], dtype=float))[0])
 
 
 @dataclass(frozen=True)
@@ -113,62 +138,126 @@ class SpectralResult:
     zeros: Tuple[float, ...]
     brackets: Tuple[Tuple[float, float], ...]  # enclosure per zero, same order
     residual_bounds: Tuple[float, ...]
-    pairing_defect: float
+    count_mismatches: int  # positive brackets that the counts on Q_n refute
     enclosure: Tuple[float, float]  # zero-free outer interval (A, B)
     tolerance: float
-    bisection_steps: int  # Sturm counts evaluated, summed over the zeros
+    bisection_steps: int  # Sturm counts evaluated, on the block and on Q_n
+
+
+# each sweep splits a lane's bracket into this many equal parts; 8 measured no
+# faster at order 400 and slower at order 2000
+_SECTIONS = 4
+_POSITIONS = np.arange(1, _SECTIONS)
+_FRACTIONS = _POSITIONS / _SECTIONS
+
+
+def _quadrisect(count: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
+                hi: np.ndarray, index: np.ndarray,
+                tolerance: float) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Narrow each lane's bracket of eigenvalue ``index`` (1-based,
+    ascending), invariant count(lo) < index <= count(hi), where ``count``
+    maps points to eigenvalues below them.  Each sweep counts at the
+    _SECTIONS - 1 interior points of every live lane and keeps the part from
+    the last point below the eigenvalue to the next point; a lane retires at
+    width <= tolerance or once its points no longer fall strictly inside its
+    bracket.  Returns the final brackets and the number of counts."""
+    lanes = np.arange(len(lo))
+    lo_end, hi_end = np.empty(len(lo)), np.empty(len(lo))
+    steps = 0
+    while len(lanes):
+        grid = np.empty((len(lanes), _SECTIONS + 1))
+        grid[:, 0], grid[:, -1] = lo, hi
+        grid[:, 1:-1] = lo[:, None] + (hi - lo)[:, None] * _FRACTIONS
+        live = (hi - lo > tolerance) & (np.diff(grid, axis=1) > 0.0).all(axis=1)
+        if not live.all():
+            lo_end[lanes], hi_end[lanes] = lo, hi
+            lanes, grid = lanes[live], grid[live]
+            if not len(lanes):
+                break
+        points = grid[:, 1:-1]
+        counts = count(points.ravel())
+        steps += counts.size
+        below = counts.reshape(points.shape) < index[lanes][:, None]
+        # the last point below and the next one keep the invariant whatever
+        # order the counts come in
+        k = (below * _POSITIONS).max(axis=1)
+        rows = np.arange(len(lanes))
+        lo, hi = grid[rows, k], grid[rows, k + 1]
+    return lo_end, hi_end, steps
+
+
+def _encloses(count: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
+              hi: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Per lane, whether count(lo) < index <= count(hi): one pass for both ends."""
+    counts = count(np.concatenate((lo, hi)))
+    return (counts[:len(lo)] < index) & (index <= counts[len(lo):])
 
 
 def jacobi_zeros(q: TruncatedJacobi, tolerance: float = 1e-13) -> SpectralResult:
     """All eigenvalues of the truncation, i.e. the zeros of q_n.
 
-    Each zero is enclosed by Sturm bisection to width <= tolerance (or to
-    floating-point resolution), all zeros advancing together, then the
-    +-lambda pairs forced by the zero diagonal are averaged in magnitude and
-    the middle zero of an odd order is pinned to exactly 0; the pre-pairing
-    defect is reported.
+    Ordered odd rows first, Q_n = [[0, B], [B^T, 0]], so the spectrum is
+    symmetric and the squares of the floor(n/2) positive zeros are
+    eigenvalues of B B^T, the half-order block of :func:`_half_block`.  Only
+    the positive zeros are searched, each in its own lane, by quadrisection
+    (:func:`_quadrisect`) on [0, R + pad] with R = 2 sqrt(max b_k^2), counting
+    on the block at sigma = t^2.  The negative zeros and brackets are the
+    mirror images, and the middle zero of an odd order is exactly 0.0 with
+    bracket (0.0, 0.0), since Q_n is then singular.
+
+    A count on the block is exact for a block a few ulps away, which can
+    move a small zero t by about eps R^2 / t, against eps R for a count on
+    Q_n.  So one Sturm sweep on Q_n itself checks every positive bracket,
+    count(lo) < index <= count(hi) with no pad.  A bracket it refutes is
+    widened by 16 eps R^2 / (lo + hi), a bound on the block's rounding; if
+    Q_n's counts enclose the zero there, the lane is quadrisected again on
+    Q_n, so every returned bracket holds its zero up to the rounding of the
+    counts on Q_n.  ``count_mismatches`` is the number of brackets still
+    refuted: the block missed by more than its rounding.
+    ``bisection_steps`` is the number of Sturm counts evaluated, on the
+    block and on Q_n.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     n, b_squared = q.order, _float_entries(q)
     radius = 2.0 * math.sqrt(max(b_squared, default=0.0))  # Ismail--Li: |z| < 2 sqrt(beta)
-    pad = 64.0 * math.ulp(max(radius, 1.0))
-    lo0, hi0 = -radius - pad, radius + pad
-    # one bisection lane per zero, invariant count(lo) < index <= count(hi);
-    # a lane retires at width <= tolerance or at floating-point resolution
-    lanes = np.arange(n)
-    lo, hi = np.full(n, lo0), np.full(n, hi0)
-    lo_end, hi_end = np.empty(n), np.empty(n)
-    steps = 0
-    while True:
-        mid = 0.5 * (lo + hi)
-        live = (hi - lo > tolerance) & (mid > lo) & (mid < hi)
-        if not live.all():
-            lo_end[lanes], hi_end[lanes] = lo, hi
-            lanes, lo, hi, mid = lanes[live], lo[live], hi[live], mid[live]
-            if not len(lanes):
-                break
-        steps += len(lanes)
-        up = _sturm_counts(b_squared, mid) > lanes  # count(mid) >= index = lane + 1
-        hi = np.where(up, mid, hi)
-        lo = np.where(up, lo, mid)
-    brackets = list(zip(lo_end.tolist(), hi_end.tolist()))
-    asc = [0.5 * (a + b) for a, b in brackets]
-    defect = 0.0
-    sym = list(asc)
-    for i in range(n // 2):
-        j = n - 1 - i
-        defect = max(defect, abs(asc[i] + asc[j]))
-        mag = 0.5 * (abs(asc[i]) + abs(asc[j]))
-        sym[i], sym[j] = -mag, mag
-    if n % 2 == 1:
-        defect = max(defect, abs(asc[n // 2]))
-        sym[n // 2] = 0.0  # parity is structural, not numerical
-    zeros = tuple(reversed(sym))
-    desc_brackets = tuple(reversed(brackets))
-    residuals = tuple(0.5 * (hi - lo) for (lo, hi) in desc_brackets)
-    return SpectralResult(n, zeros, desc_brackets, residuals, defect,
-                          (lo0, hi0), tolerance, steps)
+    top = radius + 64.0 * math.ulp(max(radius, 1.0))
+    diagonal, off_squared = _half_block(b_squared)
+    zero_diagonal = [0.0] * n
+
+    def on_block(t):
+        return _sturm_counts(diagonal, off_squared, np.square(t))
+
+    def on_q(t):
+        return _sturm_counts(zero_diagonal, b_squared, t)
+
+    # lane j holds t_j, the (j+1)-th positive zero: eigenvalue j + 1 + n % 2
+    # of the block and n - half + 1 + j of Q_n
+    half = n // 2
+    lo, hi, steps = _quadrisect(on_block, np.zeros(half), np.full(half, top),
+                                np.arange(half) + (1 + n % 2), tolerance)
+    index = np.arange(half) + (n - half + 1)
+    refuted = np.flatnonzero(~_encloses(on_q, lo, hi, index))
+    steps += 2 * half
+    mismatches = len(refuted)
+    if mismatches:
+        pad = 16.0 * math.ulp(1.0) * radius ** 2 / (lo[refuted] + hi[refuted])
+        wide_lo = np.maximum(lo[refuted] - pad, 0.0)
+        wide_hi = np.minimum(hi[refuted] + pad, top)
+        held = _encloses(on_q, wide_lo, wide_hi, index[refuted])
+        steps += 2 * mismatches
+        redo = refuted[held]
+        lo[redo], hi[redo], more = _quadrisect(on_q, wide_lo[held], wide_hi[held],
+                                               index[redo], tolerance)
+        steps += more
+        mismatches -= len(redo)
+    positive = list(zip(lo.tolist(), hi.tolist()))
+    brackets = (positive[::-1] + [(0.0, 0.0)] * (n % 2)
+                + [(0.0 - hi, 0.0 - lo) for lo, hi in positive])  # 0.0 - 0.0 is +0.0
+    zeros = tuple(0.5 * (lo + hi) for lo, hi in brackets)
+    residuals = tuple(0.5 * (hi - lo) for lo, hi in brackets)
+    return SpectralResult(n, zeros, tuple(brackets), residuals, mismatches,
+                          (-top, top), tolerance, steps)
 
 
 def ismail_li_bounds(spec: SequenceSpec, n: int) -> Tuple[float, float]:

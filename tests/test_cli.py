@@ -105,6 +105,7 @@ def test_zeros_summary_reports_bisection_steps(tmp_path):
     zeros = json.loads((out / "t_summary.json").read_text())["results"]["zeros"]
     expected = jacobi_zeros(build_truncated(load_config(path).spec(), 7), 1e-11)
     assert zeros["bisection_steps"] == expected.bisection_steps > 0
+    assert zeros["count_mismatches"] == expected.count_mismatches == 0
 
 
 def test_verify_measure_pass_exit_zero(tmp_path):

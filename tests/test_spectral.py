@@ -9,6 +9,7 @@ from nlcpoly import (
     SequenceSpec, TruncatedJacobi, build_truncated, char_poly, ismail_li_bounds,
     jacobi_zeros, monic_q_value, sturm_count, support_endpoints, x_float, x_floats,
 )
+from nlcpoly import spectral
 from nlcpoly.spectral import _TINY_PIVOT
 from conftest import catalog_specs
 
@@ -94,7 +95,7 @@ def test_zeros_strictly_descending_and_symmetric(canonical):
     assert all(a > b for a, b in zip(zs, zs[1:]))
     for j in range(9):
         assert zs[j] == -zs[9 - 1 - j]
-    assert result.pairing_defect <= 10 * result.tolerance
+    assert result.count_mismatches == 0
 
 
 @pytest.mark.parametrize("spec", catalog_specs(), ids=lambda s: s.family)
@@ -103,7 +104,7 @@ def test_zero_structure_through_order_twelve(spec):
     prev = None
     for n in range(1, 13):
         result = jacobi_zeros(build_truncated(spec, n), tol)
-        assert result.pairing_defect <= 10 * tol
+        assert result.count_mismatches == 0
         if n >= 2:
             a, b = ismail_li_bounds(spec, n)
             assert all(a < z < b for z in result.zeros)
@@ -211,17 +212,18 @@ def test_zero_enclosures_respect_tolerance(su11_j1):
             assert hi - lo <= tol
 
 
-# -- lane-parallel bisection against the scalar reference --------------------------------
+# -- lane-parallel quadrisection against the scalar reference -----------------------------
 
-def _reference_count(b_squared, sigma, tiny=_TINY_PIVOT):
+def _reference_count(b_squared, sigma, tiny=_TINY_PIVOT, diagonal=None):
+    diagonal = diagonal or [0.0] * (len(b_squared) + 1)
     count = 0
-    d = -sigma
-    for b2 in b_squared:
+    d = diagonal[0] - sigma
+    for a, b2 in zip(diagonal[1:], b_squared):
         if d == 0.0 and tiny is not None:
             d = -tiny
         if d < 0.0:
             count += 1
-        d = -sigma - b2 / d
+        d = (a - sigma) - b2 / d
     if d == 0.0 and tiny is not None:
         d = -tiny
     if d < 0.0:
@@ -229,42 +231,70 @@ def _reference_count(b_squared, sigma, tiny=_TINY_PIVOT):
     return count
 
 
+def _reference_quadrisect(count, lo, hi, index, tolerance):
+    steps = 0
+    while True:
+        grid = [lo, lo + (hi - lo) * 0.25, lo + (hi - lo) * 0.5, lo + (hi - lo) * 0.75, hi]
+        if not (hi - lo > tolerance and all(a < b for a, b in zip(grid, grid[1:]))):
+            return lo, hi, steps
+        last_below = 0
+        for k, t in enumerate(grid[1:-1], 1):
+            steps += 1
+            if count(t) < index:
+                last_below = k
+        lo, hi = grid[last_below], grid[last_below + 1]
+
+
 def _reference_zeros(q, tolerance):
-    """One scalar Sturm bisection per eigenvalue, then the +-pairing:
-    (zeros, brackets, Sturm evaluations), zeros and brackets descending."""
+    """One scalar quadrisection per positive zero on the odd-row block of
+    Q_n^2, checked by counts on Q_n and quadrisected again on Q_n from the
+    widened bracket where they refute it, then the mirror images: (zeros,
+    brackets, Sturm evaluations, mismatches, lanes re-narrowed on Q_n), zeros
+    and brackets descending."""
     n = q.order
     b_squared = [float(v) for v in q.b_squared]  # rounded once, as jacobi_zeros does
-    radius = 2.0 * math.sqrt(max(b_squared, default=0.0))
-    pad = 64.0 * math.ulp(max(radius, 1.0))
-    asc, brackets, steps = [], [], 0
-    for index in range(1, n + 1):
-        lo, hi = -radius - pad, radius + pad
-        while hi - lo > tolerance:
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            steps += 1
-            if _reference_count(b_squared, mid) >= index:
-                hi = mid
+    beta = [0.0, *b_squared, 0.0]
+    rows, half = (n + 1) // 2, n // 2
+    diagonal = [beta[2 * i - 2] + beta[2 * i - 1] for i in range(1, rows + 1)]
+    off_squared = [beta[2 * i - 1] * beta[2 * i] for i in range(1, rows)]
+    radius = 2.0 * math.sqrt(max(beta))
+    top = radius + 64.0 * math.ulp(max(radius, 1.0))
+
+    def on_block(t):
+        return _reference_count(off_squared, t * t, diagonal=diagonal)
+
+    def on_q(t):
+        return _reference_count(b_squared, t)
+
+    positive, steps, mismatches, repaired = [], 0, 0, 0
+    for j in range(half):
+        lo, hi, used = _reference_quadrisect(on_block, 0.0, top, j + 1 + n % 2, tolerance)
+        index = n - half + 1 + j  # t_j among the eigenvalues of Q_n, ascending
+        steps += used + 2
+        if not on_q(lo) < index <= on_q(hi):
+            pad = 16.0 * math.ulp(1.0) * radius ** 2 / (lo + hi)
+            wide_lo, wide_hi = max(lo - pad, 0.0), min(hi + pad, top)
+            steps += 2
+            if on_q(wide_lo) < index <= on_q(wide_hi):
+                lo, hi, used = _reference_quadrisect(on_q, wide_lo, wide_hi, index, tolerance)
+                steps += used
+                repaired += 1
             else:
-                lo = mid
-        asc.append(0.5 * (lo + hi))
-        brackets.append((lo, hi))
-    sym = list(asc)
-    for i in range(n // 2):
-        mag = 0.5 * (abs(asc[i]) + abs(asc[n - 1 - i]))
-        sym[i], sym[n - 1 - i] = -mag, mag
-    if n % 2:
-        sym[n // 2] = 0.0
-    return tuple(reversed(sym)), tuple(reversed(brackets)), steps
+                mismatches += 1
+        positive.append((lo, hi))
+    brackets = (positive[::-1] + [(0.0, 0.0)] * (n % 2)
+                + [(0.0 - hi, 0.0 - lo) for lo, hi in positive])
+    zeros = tuple(0.5 * (lo + hi) for lo, hi in brackets)
+    return zeros, tuple(brackets), steps, mismatches, repaired
 
 
 def _assert_matches_reference(q, tolerance):
     result = jacobi_zeros(q, tolerance)
-    zeros, brackets, steps = _reference_zeros(q, tolerance)
+    zeros, brackets, steps, mismatches, _ = _reference_zeros(q, tolerance)
     assert result.brackets == brackets
     assert result.zeros == zeros
     assert result.bisection_steps == steps
+    assert result.count_mismatches == mismatches == 0
     return result
 
 
@@ -277,34 +307,98 @@ def test_brackets_bit_identical_to_scalar_bisection_through_order_64(spec):
 def test_brackets_bit_identical_at_order_400():
     result = _assert_matches_reference(
         build_truncated(SequenceSpec("su11", j=Fraction(3, 2)), 400), 1e-11)
-    assert result.bisection_steps == 39 * 400
+    # 19 sweeps of 3 points on the block for each of the 200 positive zeros,
+    # then both ends of each on Q_n, where none is refuted
+    assert result.bisection_steps == 19 * 3 * 200 + 2 * 200
 
 
 def test_lanes_stop_at_floating_point_resolution(canonical):
-    # below every zero's ulp, each lane ends where the midpoint no longer
-    # falls strictly inside its bracket
+    # below every zero's ulp, each lane ends where its quarter points no
+    # longer fall strictly inside its bracket
     q = build_truncated(canonical, 12)
     done = []
     worker = threading.Thread(target=lambda: done.append(jacobi_zeros(q, 1e-300)),
                               daemon=True)
     worker.start()
     worker.join(timeout=30)
-    assert done, "bisection did not stop at floating-point resolution"
+    assert done, "quadrisection did not stop at floating-point resolution"
     assert done[0].brackets == _reference_zeros(q, 1e-300)[1]
     for lo, hi in done[0].brackets:
-        assert hi - lo > 1e-300 and 0.5 * (lo + hi) in (lo, hi)
+        quarters = [lo + (hi - lo) * f for f in (0.25, 0.5, 0.75)]
+        assert hi - lo > 1e-300 and not lo < quarters[0] < quarters[1] < quarters[2] < hi
 
 
 def test_symmetric_enclosure_takes_the_zero_pivot(su11_j1):
     for n in range(2, 13):
         q = build_truncated(su11_j1, n)
         lo0, hi0 = jacobi_zeros(q).enclosure
-        assert lo0 == -hi0 and 0.5 * (lo0 + hi0) == 0.0  # the first midpoint
+        assert lo0 == -hi0 and 0.5 * (lo0 + hi0) == 0.0  # symmetric about 0
         # the first pivot at sigma = 0 is exactly zero and counts as a crossing
         # from below, so an odd order's middle zero 0 counts as below 0
         with pytest.raises(ZeroDivisionError):
             _reference_count(q.b_squared, 0.0, tiny=None)
         assert sturm_count(q, 0.0) == _reference_count(q.b_squared, 0.0) == (n + 1) // 2
+
+
+def test_structural_zero_is_exact_through_order_three(canonical):
+    one = jacobi_zeros(build_truncated(canonical, 1))
+    assert one.zeros == (0.0,) and one.bisection_steps == 0
+    for n in (1, 2, 3):
+        result = jacobi_zeros(build_truncated(canonical, n), 1e-13)
+        assert ((0.0, 0.0) in result.brackets) is (n % 2 == 1)
+        if n % 2:
+            assert result.zeros[n // 2] == 0.0 and result.brackets[n // 2] == (0.0, 0.0)
+            assert result.residual_bounds[n // 2] == 0.0
+        assert result.count_mismatches == 0
+
+
+def test_half_block_is_exact_in_t_squared():
+    # det(t I - Q_n) t^(n mod 2) = det(t^2 I - block), in exact arithmetic
+    spec = SequenceSpec("su11", j=Fraction(3, 2))
+    for n in range(1, 12):
+        q = build_truncated(spec, n)
+        diagonal, off_squared = spectral._half_block(q.b_squared)
+        assert len(diagonal) == (n + 1) // 2
+        for t in (Fraction(0), Fraction(1, 3), Fraction(-5, 2), Fraction(7)):
+            s = t * t
+            prev, cur = Fraction(1), s - diagonal[0]
+            for a, e in zip(diagonal[1:], off_squared):
+                prev, cur = cur, (s - a) * cur - e * prev
+            assert char_poly(q, t) * t ** (n % 2) == cur, (n, t)
+
+
+def test_count_mismatches_catch_a_wrong_block(monkeypatch):
+    # the block's counts steer the search and the counts on Q_n judge it: a
+    # block scaled by (1 + r)^2 moves every positive zero t up by r t, here
+    # at least 3 tolerances, far beyond the block's rounding
+    tol = 1e-12
+    q = build_truncated(SequenceSpec("su11", j=Fraction(3, 2)), 12)
+    right = jacobi_zeros(q, tol)
+    assert right.count_mismatches == 0
+    r = 3 * tol / right.zeros[q.order // 2 - 1]
+    half_block = spectral._half_block
+
+    def wrong(b_squared):
+        diagonal, off_squared = half_block(b_squared)
+        return ([(1 + r) ** 2 * a for a in diagonal],
+                [(1 + r) ** 4 * e for e in off_squared])
+
+    monkeypatch.setattr(spectral, "_half_block", wrong)
+    result = jacobi_zeros(q, tol)
+    for (lo, _), (_, right_hi) in zip(result.brackets, right.brackets[:q.order // 2]):
+        assert lo > right_hi + tol  # the bracket misses its zero
+    assert result.count_mismatches == q.order // 2
+
+
+def test_repaired_brackets_bit_identical_to_scalar_reference():
+    # at 1e-13 the block's rounding at small zeros of these growing families
+    # exceeds the tolerance, so counts on Q_n refute and re-narrow some lanes
+    for spec in catalog_specs():
+        if spec.family not in ("barut_girardello", "meixner_pollaczek_bessel"):
+            continue
+        q = build_truncated(spec, 64)
+        _assert_matches_reference(q, 1e-13)
+        assert _reference_zeros(q, 1e-13)[4] > 0, spec.family
 
 
 def test_brackets_contain_lapack_eigenvalues_at_order_1000():
@@ -318,7 +412,7 @@ def test_brackets_contain_lapack_eigenvalues_at_order_1000():
                                   np.sqrt(np.array(q.b_squared, dtype=float)))[::-1]
     for e, (lo, hi) in zip(oracle, result.brackets):
         assert lo - tol <= e <= hi + tol
-    _, brackets, steps = _reference_zeros(q, tol)
+    _, brackets, steps, _, _ = _reference_zeros(q, tol)
     assert result.brackets == brackets and result.bisection_steps == steps
 
 
@@ -356,3 +450,37 @@ def test_char_poly_is_exact_only_for_exact_entries(su11_j1):
     assert isinstance(char_poly(exact, 0.5), float)
     assert isinstance(char_poly(floats, Fraction(1, 3)), float)
     assert char_poly(floats, Fraction(1, 2)) == pytest.approx(float(char_poly(exact, Fraction(1, 2))))
+
+
+def _exact_sign(b_squared, t):
+    """Sign of det(t I - Q_n) for float t and entries, in integers: every
+    value scaled by a common power of two, so char_poly's recurrence runs
+    without a gcd."""
+    ratios = [v.as_integer_ratio() for v in (t, *b_squared)]
+    scale = max(den for _, den in ratios)  # each denominator is a power of two
+    x, *entries = [num * (scale // den) for num, den in ratios]
+    prev, cur = 1, x
+    for b2 in entries:
+        prev, cur = cur, x * cur - b2 * scale * prev
+    return (cur > 0) - (cur < 0)
+
+
+def test_brackets_hold_small_zeros_of_a_growing_family_at_order_1000():
+    # barut_girardello's x_n grows like n^2, so R^2 / t is largest at its
+    # small zeros: there the block's counts alone miss by more than 1e-12
+    import numpy as np
+    from scipy.linalg import eigvalsh_tridiagonal
+    tol, eps = 1e-12, np.finfo(float).eps
+    spec = SequenceSpec("barut_girardello", j=1)
+    q = TruncatedJacobi(tuple((x_floats(spec, 999) / 2).tolist()))
+    result = jacobi_zeros(q, tol)
+    assert result.count_mismatches == 0
+    oracle = eigvalsh_tridiagonal(np.zeros(q.order), np.sqrt(np.array(q.b_squared)))[::-1]
+    slack = tol + 64 * eps * abs(oracle[0])  # LAPACK's own error, as perfbench allows
+    for e, (lo, hi) in zip(oracle, result.brackets):
+        assert lo - slack <= e <= hi + slack
+    # LAPACK's error hides that of the small zeros; the exact polynomial of
+    # the float entries changes sign across each of the 20 smallest positive
+    # brackets
+    for lo, hi in result.brackets[q.order // 2 - 20:q.order // 2]:
+        assert _exact_sign(q.b_squared, lo) != _exact_sign(q.b_squared, hi), (lo, hi)
