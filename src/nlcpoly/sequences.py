@@ -15,7 +15,9 @@ of their parameters.  Exact parameters give ``fractions.Fraction`` values,
 float parameters give floats.  The floating view of a spec is one memoized
 array, ``x_floats``, shared by every consumer that reads x_1 .. x_n as
 floats.
-Diagnostic scans (monotonicity, the nonlinear necessary inequalities) return
+The diagnostic checks (monotonicity, the nonlinear necessary inequalities)
+certify their claims for every n from an exact spec's pair where a sign
+certificate applies, and scan x_1 .. x_{n_max} otherwise.  They return
 reports instead of raising, so sequences that fail to be moment sequences can
 still be analyzed.
 """
@@ -93,7 +95,7 @@ def _poly_eval(coeffs: Sequence, n) -> Number:
 
 
 def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
             out[i + j] += a * b
@@ -101,8 +103,9 @@ def _poly_mul(p, q):
 
 
 class _Poly:
-    """An exact polynomial, ascending Fraction coefficients, with the + - *
-    a rule applies to its variable."""
+    """An exact polynomial, ascending int or Fraction coefficients, with the
+    + - * a rule applies to its variable, an index shift and a sign
+    certificate."""
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
@@ -110,7 +113,38 @@ class _Poly:
 
     @staticmethod
     def of(value) -> "_Poly":
-        return value if isinstance(value, _Poly) else _Poly([Fraction(value)])
+        return value if isinstance(value, _Poly) else _Poly([value])
+
+    def shift(self, k: int, base=None) -> "_Poly":
+        """p(t + k), or, for base (a, b) and q = a / b, p(q^k s) times
+        b^(k deg), which keeps integer coefficients integer; deg is the
+        formal degree len(coeffs) - 1, so a numerator and a denominator of
+        one length keep their quotient."""
+        c = list(self.coeffs)
+        if base is not None:
+            a, b = base[0] ** k, base[1] ** k
+            d = len(c) - 1
+            return _Poly([ci * a ** i * b ** (d - i) for i, ci in enumerate(c)])
+        for i in range(len(c) - 1):  # Taylor shift by repeated synthetic division
+            for j in range(len(c) - 2, i - 1, -1):
+                c[j] += k * c[j + 1]
+        return _Poly(c)
+
+    def positive(self, base=None) -> bool:
+        """True when p is certified positive at every t >= 0, or, with a
+        base, at every s in (0, 1]: no coefficient is negative and the
+        constant term is positive, after dividing out the power of s and
+        substituting s = 1 / (1 + u), u >= 0, for a polynomial in s
+        (Descartes' rule of signs with no sign change; Collins & Akritas
+        1976).  False means only that this test does not decide it."""
+        c = self.coeffs
+        if base is not None:
+            support = [i for i, ci in enumerate(c) if ci]
+            if not support:
+                return False
+            # (1 + u)^d p(1 / (1 + u)) / s^low is the reversed p shifted by 1
+            c = _Poly(c[support[0]:support[-1] + 1][::-1]).shift(1).coeffs
+        return c[0] > 0 and all(ci >= 0 for ci in c)
 
     def __add__(self, other):
         return _Poly([a + b for a, b in
@@ -120,7 +154,10 @@ class _Poly:
         return self + -other
 
     def __rsub__(self, other):
-        return self * -1 + other
+        return -self + other
+
+    def __neg__(self):
+        return _Poly([-c for c in self.coeffs])
 
     def __mul__(self, other):
         return _Poly(_poly_mul(self.coeffs, _Poly.of(other).coeffs))
@@ -357,7 +394,7 @@ class SequenceSpec:
         object.__setattr__(self, "_args", args)
         # the rule run on the variable t and the exact values of the
         # parameters, float ones too: x_limit reads the limit from this pair
-        pair = fam.variable and tuple(_Poly.of(p).coeffs for p in fam.rule(
+        pair = fam.variable and tuple(list(map(Fraction, _Poly.of(p).coeffs)) for p in fam.rule(
             *(tuple(map(Fraction, a)) if isinstance(a, tuple) else Fraction(a) for a in args),
             _Poly([Fraction(0), Fraction(1)])))
         object.__setattr__(self, "_pair", pair)
@@ -442,13 +479,35 @@ def x_floats(spec: SequenceSpec, n: int) -> np.ndarray:
         raise SequenceRangeError("x_floats needs n >= 0")
     kept = spec._floats
     if n > len(kept):
-        ks = range(len(kept) + 1, n + 1)
-        kept = np.concatenate([kept, [N / D for N, D in (_x_ratio(spec, k) for k in ks)]
-                               if spec._ints else [x_float(spec, k) for k in ks]])
+        kept = np.concatenate([kept, _more_floats(spec, len(kept) + 1, n,
+                                                  kept[-1] if len(kept) else None)])
         kept.flags.writeable = False
         if len(kept) > len(spec._floats):
             object.__setattr__(spec, "_floats", kept)
     return kept[:n]
+
+
+def _more_floats(spec: SequenceSpec, start: int, n: int, last) -> list:
+    """x_float(spec, k) for k = start .. n, where ``last`` is x_float at
+    start - 1 (None at start = 1).
+
+    An exact q-quotient has |x_n - 1| = s |(A-C)(B-C)| / (C (1-As)(1-Bs))
+    with s = q^(n-1), which does not increase with n, and x_n - 1 keeps one
+    sign; rounding is monotone, so once an entry is 1.0 every later one is,
+    and the rest is filled with 1.0 rather than dividing the ever longer
+    integers a^(n-1), b^(n-1).  For (A, B, C, q) = (1/8, 1/4, 1/2, 1/2), the
+    library_long benchmark spec, that happens from n = 53 on.
+    """
+    if not spec._ints:
+        return [x_float(spec, k) for k in range(start, n + 1)]
+    out = []
+    for k in range(start, n + 1):
+        if last == 1.0 and spec._ints[2]:
+            return out + [1.0] * (n + 1 - k)
+        N, D = _x_ratio(spec, k)
+        last = N / D
+        out.append(last)
+    return out
 
 
 def x_factorials(spec: SequenceSpec, xs: Iterable[Number]) -> Iterator[Number]:
@@ -588,24 +647,76 @@ class MonotoneReport:
     bounded_by_L2: Optional[bool]
     bound_first_violation: Optional[int]
     limit: SequenceLimit
+    # True when every field was decided for all n from the closed form; False
+    # when a scan to n_max decided it, so a claim it passes holds to n_max only
+    certified_all_n: bool
+
+
+def _index_pair(spec: SequenceSpec):
+    """(num, den, at) for an exact closed-form spec, or None.
+
+    num and den are the spec's integer rule as _Poly's, both negated when
+    den is negative, and at(p, k) is p at the index n = t + k as a
+    polynomial in t >= 0, or in s = q^t in (0, 1] for a rule in
+    s = q^(n-1).  None for any other spec, and when den is not certified
+    to keep one sign at every n >= 1.
+    """
+    if not spec._ints:
+        return None
+    num, den, base = spec._ints
+    num, den = _Poly(list(num[::-1])), _Poly(list(den[::-1]))
+
+    def at(p, k):
+        return p.shift(k) if base is None else p.shift(k - 1, base)
+
+    first = at(den, 1)
+    if (-first).positive(base):
+        num, den = -num, -den
+    elif not first.positive(base):
+        return None
+    return num, den, at
+
+
+def _certified_monotone(spec: SequenceSpec, bound) -> bool:
+    """True when x_n > x_{n-1} for every n >= 2 and, for a finite limit
+    ``bound`` = M, x_n < M for every n >= 1, each certified on the sign of
+    num(n) den(n-1) - num(n-1) den(n) and of M den(n) - num(n)."""
+    pair = _index_pair(spec)
+    if pair is None:
+        return False
+    num, den, at = pair
+    base = spec._ints[2]
+    if not (at(num, 2) * at(den, 1) - at(num, 1) * at(den, 2)).positive(base):
+        return False
+    return bound is None or (bound * at(den, 1) - at(num, 1)).positive(base)
 
 
 def check_monotone_and_bounded(spec: SequenceSpec, n_max: int) -> MonotoneReport:
-    """Scan x_1 .. x_{n_max} for strict increase and, when the limit M is
-    finite, for x_n < M throughout.  Violations are report fields, not
-    errors: they falsify the claim that the sequence came from a moment
-    representation.
+    """Strict increase of x_n and, when the limit M is finite, x_n < M.
+
+    An exact closed-form spec first tries to certify both claims for every
+    n from its pair, reading no x_n; the q-quotient is decided for all n by
+    the sign of (A - C)(B - C).  Otherwise x_1 .. x_{n_max} are scanned,
+    and ``first_violation`` and ``bound_first_violation`` are the first n
+    that break each claim.  Violations are report fields, not errors: they
+    falsify the claim that the sequence came from a moment representation.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
+    limit = x_limit(spec)
+    if spec.family == "q_gamma_quotient":
+        return _check_q_quotient_monotone(spec, limit)
+    bound = limit.value if limit.is_finite else None
+    if _certified_monotone(spec, bound):
+        return MonotoneReport(True, None, None if bound is None else True, None, limit, True)
+    return _scan_monotone(spec, n_max, limit)
+
+
+def _scan_monotone(spec: SequenceSpec, n_max: int, limit: SequenceLimit) -> MonotoneReport:
+    """The monotone and bound claims scanned on x_1 .. x_{n_max}."""
     top = _max_index(spec)
     if top is not None:
         n_max = min(n_max, top)
-    limit = x_limit(spec)
-
-    if spec.family == "q_gamma_quotient":
-        return _check_q_quotient_monotone(spec, limit)
-
     bound = limit.value if limit.is_finite else None
     first_violation = bound_violation = prev = None
     for n in range(1, n_max + 1):
@@ -619,7 +730,7 @@ def check_monotone_and_bounded(spec: SequenceSpec, n_max: int) -> MonotoneReport
         prev = cur
     bounded = None if bound is None else bound_violation is None
     return MonotoneReport(first_violation is None, first_violation, bounded, bound_violation,
-                          limit)
+                          limit, False)
 
 
 def _check_q_quotient_monotone(spec: SequenceSpec, limit: SequenceLimit) -> MonotoneReport:
@@ -629,10 +740,10 @@ def _check_q_quotient_monotone(spec: SequenceSpec, limit: SequenceLimit) -> Mono
     p = spec.params
     sign = (p["A"] - p["C"]) * (p["B"] - p["C"])
     if sign == 0:  # constant sequence x_n = 1 = L^2
-        return MonotoneReport(False, 2, False, 1, limit)
+        return MonotoneReport(False, 2, False, 1, limit, True)
     if sign > 0:   # x_n < 1, |x_n - 1| strictly decreasing
-        return MonotoneReport(True, None, True, None, limit)
-    return MonotoneReport(False, 2, False, 1, limit)
+        return MonotoneReport(True, None, True, None, limit, True)
+    return MonotoneReport(False, 2, False, 1, limit, True)
 
 
 @dataclass(frozen=True)
@@ -640,6 +751,9 @@ class InequalityReport:
     ineq1_ok: bool
     ineq2_ok: bool
     violations: tuple  # of (name, n, lhs, rhs)
+    # True when both were certified for all n; False when the window was
+    # scanned, so an inequality that passes holds to n_max only
+    certified_all_n: bool
 
 
 def _ineq1_sides(y1, y2, y3, y4):
@@ -654,17 +768,46 @@ def _ineq2_sides(y1, y2, y3, y4):
     return lhs, rhs
 
 
+def _certified_inequalities(spec: SequenceSpec) -> bool:
+    """True when both window inequalities are certified for every n >= 0.
+
+    The window x_{n+1} .. x_{n+4} over its positive common denominator
+    P = den_1 ... den_4 is Y_i / P with Y_i = num_i prod_{j != i} den_j.
+    Both sides are homogeneous in the y's, of degree 2 and 3, so lhs - rhs
+    has the sign of the same expression in the polynomial Y's.
+    """
+    pair = _index_pair(spec)
+    if pair is None:
+        return False
+    num, den, at = pair
+    base = spec._ints[2]
+    nums, dens = [at(num, k) for k in (1, 2, 3, 4)], [at(den, k) for k in (1, 2, 3, 4)]
+    ys = [math.prod((d for j, d in enumerate(dens) if j != i), start=nums[i])
+          for i in range(4)]
+    return all((lhs - rhs).positive(base)
+               for lhs, rhs in (_ineq1_sides(*ys), _ineq2_sides(*ys)))
+
+
 def check_nonlinear_inequalities(spec: SequenceSpec, n_max: int) -> InequalityReport:
     """Necessary nonlinear inequalities for moment-derived sequences.
 
     Both follow from positivity of integrals of t^{2n} (t^2 - x_{n+1})^2 ...
     against the even measure; the second one from positivity of the order-4
-    Hankel determinant of the shifted measure.  Checked for n = 0 ..
-    n_max - 4 in the window (x_{n+1}, ..., x_{n+4}).  Comparison is exact
-    for rational sequences, otherwise strict up to a relative slack.
+    Hankel determinant of the shifted measure.  An exact closed-form spec
+    first tries to certify both for every n from its pair, reading no x_n.
+    Otherwise the window (x_{n+1}, ..., x_{n+4}) is scanned for n = 0 ..
+    n_max - 4; the comparison is exact for rational sequences, otherwise
+    strict up to a relative slack.
     """
     if n_max < 5:
         raise ValueError("n_max must be at least 5")
+    if _certified_inequalities(spec):
+        return InequalityReport(True, True, (), True)
+    return _scan_inequalities(spec, n_max)
+
+
+def _scan_inequalities(spec: SequenceSpec, n_max: int) -> InequalityReport:
+    """Both window inequalities scanned for n = 0 .. n_max - 4."""
     top = _max_index(spec)
     if top is not None:
         n_max = min(n_max, top)
@@ -685,4 +828,4 @@ def check_nonlinear_inequalities(spec: SequenceSpec, n_max: int) -> InequalityRe
                     ok2 = False
         if n + 5 <= n_max:
             window = window[1:] + [x_value(spec, n + 5)]
-    return InequalityReport(ok1, ok2, tuple(violations))
+    return InequalityReport(ok1, ok2, tuple(violations), False)

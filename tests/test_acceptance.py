@@ -180,11 +180,12 @@ def test_criterion_06_monotonicity_and_bound():
             assert rep.monotone, (family, params, rep.first_violation)
             if rep.limit.is_finite:
                 assert rep.bounded_by_L2, (family, params, rep.bound_first_violation)
+            assert rep.certified_all_n, (family, params)
     bad = check_monotone_and_bounded(
         SequenceSpec("ultraspherical", nu=-0.6, strict=False), 100)
     assert not bad.monotone and bad.first_violation == 2
     _report(6, "strict increase and x_n < L^2 on the catalog (3 settings each, "
-               "n <= 10^4); nu = -0.6 violation detected", True)
+               "certified for all n); nu = -0.6 violation detected", True)
 
 
 def test_criterion_07_nonlinear_inequalities():
@@ -192,11 +193,12 @@ def test_criterion_07_nonlinear_inequalities():
         for params in settings:
             rep = check_nonlinear_inequalities(SequenceSpec(family, **params), 100)
             assert rep.ineq1_ok and rep.ineq2_ok, (family, params, rep.violations[:2])
+            assert rep.certified_all_n, (family, params)
     violator = check_nonlinear_inequalities(
         SequenceSpec("explicit", values=[1, 2, 3, 4, 100, 4.01]), 6)
     assert not (violator.ineq1_ok and violator.ineq2_ok)
-    _report(7, "window inequalities hold on the catalog (n <= 100) and are "
-               "violated by the constructed list", True)
+    _report(7, "window inequalities hold on the catalog (certified for all n) and "
+               "are violated by the constructed list", True)
 
 
 def test_criterion_08_zero_structure():

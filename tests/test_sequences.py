@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import threading
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from nlcpoly.config import spec_from_config_text, spec_to_config_text
 from nlcpoly.sequences import x_factorials, x_log_factorials
 
 from conftest import CATALOG_DEFAULTS, atom_measure_sequence, catalog_specs
+from test_acceptance import CATALOG_SETTINGS
 
 
 # -- family formulas ---------------------------------------------------------
@@ -463,6 +465,49 @@ def test_x_floats_equal_x_value_rounded_once(spec):
     assert values.tolist() == [float(x_value(spec, k)) for k in range(1, n + 1)]
 
 
+def _count_calls(monkeypatch, name):
+    """The n of every call of nlcpoly.sequences.<name>(spec, n) from now on."""
+    calls = []
+    real = getattr(nlcpoly.sequences, name)
+
+    def counting(spec, n):
+        calls.append(n)
+        return real(spec, n)
+
+    monkeypatch.setattr(nlcpoly.sequences, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("spec", Q_SPECS + [
+    SequenceSpec("q_gamma_quotient", A=Fraction(1, 3), B=Fraction(1, 5), C=Fraction(1, 3),
+                 q=Fraction(3, 4))], ids=repr)
+def test_q_quotient_float_view_settles_on_one_bit_for_bit(spec):
+    # from its first entry 1.0 on, x_floats fills 1.0 without evaluating x_n;
+    # A = C gives x_n = 1 from n = 1.  The exact x_n is read at every n to
+    # 100 past that entry and at every 97th n beyond: Fraction(N, D) at every
+    # n to 8000 would take many seconds for q = 9/10.
+    n = 8000
+    view = x_floats(spec, n).tolist()
+    settled = view.index(1.0) + 1
+    ks = [*range(1, settled + 101), *range(settled + 101, n, 97), n]
+    assert [view[k - 1].hex() for k in ks] == [float(x_value(spec, k)).hex() for k in ks]
+    assert set(view[settled - 1:]) == {1.0}
+
+
+def test_q_quotient_float_view_extends_a_settled_prefix(monkeypatch):
+    spec = SequenceSpec("q_gamma_quotient", A=Fraction(1, 8), B=Fraction(1, 4),
+                        C=Fraction(1, 2), q=Fraction(1, 2))
+    calls = _count_calls(monkeypatch, "_x_ratio")
+    short = x_floats(spec, 40).tolist()
+    assert calls == list(range(1, 41)) and short[-1] != 1.0
+    long = x_floats(spec, 6000).tolist()
+    # x_53 is the first entry that rounds to 1.0; nothing past it is evaluated
+    assert calls == list(range(1, 54))
+    assert long[:40] == short and long[51] != 1.0 and set(long[52:]) == {1.0}
+    calls.clear()
+    assert x_floats(spec, 7000).tolist() == long + [1.0] * 1000 and calls == []
+
+
 def test_x_floats_serves_prefixes_read_only():
     spec = SequenceSpec("grinshpan_ismail_s3", a1=1, a2=Fraction(1, 2), a3=Fraction(1, 4))
     assert len(x_floats(spec, 0)) == 0
@@ -512,15 +557,8 @@ def test_x_floats_consistent_across_threads():
 
 def test_phi_value_reads_each_x_once(monkeypatch):
     # x_floats builds an exact closed-form spec's floats from _x_ratio
-    calls = []
-    real = nlcpoly.sequences._x_ratio
-
-    def counting(spec, n):
-        calls.append(n)
-        return real(spec, n)
-
     spec = SequenceSpec("grinshpan_ismail_s3", a1=1, a2=Fraction(1, 2), a3=Fraction(1, 4))
-    monkeypatch.setattr(nlcpoly.sequences, "_x_ratio", counting)
+    calls = _count_calls(monkeypatch, "_x_ratio")
     first = phi_value(spec, 1000, 0.3)
     assert calls == list(range(1, 1001))
     calls.clear()
@@ -621,6 +659,110 @@ def test_inequality_violating_list():
 def test_inequality_precondition():
     with pytest.raises(ValueError):
         check_nonlinear_inequalities(SequenceSpec("canonical"), 4)
+
+
+# -- all-n certificates ------------------------------------------------------------
+
+# specs that break a claim, or whose denominator changes sign: ultraspherical
+# below nu = -1/2 (exact and float), su11 at j = 1/2 (x_n = 1 = M), the three
+# rational rules with negative denominators ((n+2)/(n+1) decreases above its
+# limit, n + 1 has den(1) < 0 < den(2), n/(n+1) holds every claim), and the
+# q-quotient with C < A, which decreases to 1
+VIOLATOR_SPECS = [
+    SequenceSpec("ultraspherical", strict=False, nu=Fraction(-3, 5)),
+    SequenceSpec("ultraspherical", strict=False, nu=-0.6),
+    SequenceSpec("su11", j=Fraction(1, 2)),
+    SequenceSpec("rational", num=[-2, -1], den=[-1, -1]),
+    SequenceSpec("rational", num=["-3/2", "-1/2", 1], den=["-3/2", 1]),
+    SequenceSpec("rational", num=[0, -1], den=[-1, -1]),
+    Q_SPECS[2],
+]
+
+
+def _label(spec):
+    return repr(spec) + ("" if spec.strict else " strict=False")
+
+
+CERTIFICATE_SPECS = list({_label(spec): spec for spec in (
+    [SequenceSpec(family, **params)
+     for family, settings in CATALOG_SETTINGS.items() for params in settings]
+    + PAIR_SPECS + Q_SPECS + VIOLATOR_SPECS)}.values())
+
+
+@pytest.mark.parametrize("spec", CERTIFICATE_SPECS, ids=_label)
+def test_certified_reports_equal_the_scans(spec):
+    # a certificate decides a claim only where the scan finds no violation,
+    # and a spec it leaves to the scan gets the scan's report unchanged
+    n_max = 300 if spec.family == "q_gamma_quotient" else 2000
+    mono = check_monotone_and_bounded(spec, n_max)
+    scan = nlcpoly.sequences._scan_monotone(spec, n_max, mono.limit)
+    assert replace(mono, certified_all_n=False) == scan
+    ineq = check_nonlinear_inequalities(spec, 300)
+    assert replace(ineq, certified_all_n=False) == nlcpoly.sequences._scan_inequalities(spec, 300)
+    if spec in VIOLATOR_SPECS[:3]:  # x_2 <= x_1 and a window inequality fails
+        assert mono.first_violation == 2 and not ineq.ineq1_ok
+    # every exact claim that holds here is certified, except on n + 1, whose
+    # denominator changes sign; the q-quotient's monotone report is exact
+    certifiable = spec.is_rational and spec != VIOLATOR_SPECS[4]
+    assert mono.certified_all_n == (spec.family == "q_gamma_quotient" or (
+        certifiable and mono.monotone and mono.bounded_by_L2 is not False))
+    assert ineq.certified_all_n == (certifiable and ineq.ineq1_ok and ineq.ineq2_ok)
+
+
+@pytest.mark.parametrize("spec", [
+    SequenceSpec("grinshpan_ismail_s3", a1=1, a2=Fraction(1, 2), a3=Fraction(1, 4)),
+    SequenceSpec("jacobi_type", alpha=1, beta=1),
+    Q_SPECS[0],
+], ids=lambda s: s.family)
+def test_certified_path_reads_no_x_value(spec, monkeypatch):
+    calls = _count_calls(monkeypatch, "x_value")
+    mono = check_monotone_and_bounded(spec, 10 ** 4)
+    ineq = check_nonlinear_inequalities(spec, 10 ** 3)
+    assert (mono.monotone, mono.bounded_by_L2, mono.certified_all_n) == (True, True, True)
+    assert ineq == nlcpoly.InequalityReport(True, True, (), True)
+    assert calls == []
+
+
+def test_uncertified_claims_fall_back_to_the_scan(monkeypatch):
+    calls = _count_calls(monkeypatch, "x_value")
+    # n + 1 holds every claim, but den(n) = n - 3/2 changes sign at n = 1, 2
+    linear = SequenceSpec("rational", num=["-3/2", "-1/2", 1], den=["-3/2", 1])
+    mono = check_monotone_and_bounded(linear, 100)
+    assert (mono.monotone, mono.bounded_by_L2, mono.certified_all_n) == (True, None, False)
+    assert calls == list(range(1, 101))
+    calls.clear()
+    ineq = check_nonlinear_inequalities(linear, 100)
+    assert ineq == nlcpoly.InequalityReport(True, True, (), False)
+    assert calls == list(range(1, 101))
+    # here the first inequality is certified, but the second is broken at
+    # every window, so both are scanned and only ineq2 is reported
+    spec = SequenceSpec("rational", num=[Fraction(1, 3), 3, Fraction(2, 7)],
+                        den=[2, Fraction(1, 5), 1])
+    calls.clear()
+    ineq = check_nonlinear_inequalities(spec, 100)
+    assert (ineq.ineq1_ok, ineq.ineq2_ok, ineq.certified_all_n) == (True, False, False)
+    assert [(name, n) for name, n, *_ in ineq.violations] == [("ineq2", n) for n in range(97)]
+    assert calls == list(range(1, 101))
+
+
+@pytest.mark.parametrize("spec", [SequenceSpec("ultraspherical", nu=0.3),
+                                  SequenceSpec("explicit", values=[1, 2, 3, 4, 5, 6])],
+                         ids=lambda s: s.family)
+def test_float_and_list_specs_keep_their_scans(spec):
+    assert not check_monotone_and_bounded(spec, 100).certified_all_n
+    assert not check_nonlinear_inequalities(spec, 100).certified_all_n
+
+
+def test_poly_shift_and_sign_certificate():
+    Poly = nlcpoly.sequences._Poly
+    p = Poly([2, -3, 1])  # (t - 1)(t - 2)
+    assert p.shift(3).coeffs == [2, 3, 1] and p.shift(3).positive()  # (t + 2)(t + 1)
+    assert not p.positive() and not p.shift(1).positive()  # zero at t = 0
+    # in s = q^t with q = 1/2: 1 - s/4 is positive on (0, 1], 1 - 2s is not
+    assert Poly([4, -1]).positive((1, 2)) and not Poly([1, -2]).positive((1, 2))
+    assert Poly([1, -2]).shift(1, (1, 2)).coeffs == [2, -2]  # 2 (1 - s): zero at s = 1
+    assert not Poly([2, -2]).positive((1, 2)) and not Poly([0, 0]).positive((1, 2))
+    assert Poly([0, 0, 3, -1]).positive((1, 2))  # s^2 (3 - s)
 
 
 # -- grinshpan tail --------------------------------------------------------------
