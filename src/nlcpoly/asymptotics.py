@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .recurrence import _window
-from .sequences import SequenceSpec, _x_minus_limit_closed, x_floats, x_limit
+from .sequences import SequenceSpec, _x_minus_limit, x_floats, x_limit
 
 # the shortest scan nevai_condition accepts; a run's nevai_n_max is checked against it
 MIN_NEVAI_N = 32
@@ -30,12 +30,9 @@ MIN_NEVAI_N = 32
 
 def _sqrt_beta_deviation(spec: SequenceSpec, m: float, n_max: int) -> np.ndarray:
     """|sqrt(beta'_n) - 1/2| = |sqrt(x_n / M) - 1| / 2 for n = 1 .. n_max,
-    cancellation-free where x_n - M has a closed form."""
-    d = _x_minus_limit_closed(spec, np.arange(1, n_max + 1))
-    if d is not None:
-        ratio = 1.0 + d / m
-        return np.abs(d / m) / (np.sqrt(np.maximum(ratio, 0.0)) + 1.0) / 2.0
-    return np.abs(np.sqrt(x_floats(spec, n_max) / m) - 1.0) / 2.0
+    from x_n - M without cancellation."""
+    d = _x_minus_limit(spec, np.arange(1, n_max + 1)) / m
+    return np.abs(d) / (np.sqrt(np.maximum(1.0 + d, 0.0)) + 1.0) / 2.0
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .sequences import ParameterDomainError, SequenceSpec, _x_minus_limit_closed, x_float
+from .sequences import ParameterDomainError, SequenceSpec, _x_minus_limit, x_float
 from .special import log_gamma
 
 
@@ -89,13 +89,12 @@ def fs_quotient_consistency(a0, a1, a2, a3, n_max: int) -> FsConsistencyReport:
 def sqrt_deviation_scaled(a1, a2, a3, n) -> float:
     """n^2 * |sqrt(x_n) - 1| for the s = 3 sequence, without cancellation.
 
-    Accepts a scalar n or an integer array; stays accurate far beyond the
-    point where x_n is indistinguishable from 1 in floats.  Float parameters
-    enter through their exact binary values.
+    Accepts a scalar n >= 1 or an integer array; stays accurate far beyond
+    the point where x_n is indistinguishable from 1 in floats.  Float
+    parameters enter by their exact binary values, as in ``x_minus_limit``.
     """
-    spec = SequenceSpec("grinshpan_ismail_s3",
-                        a1=Fraction(a1), a2=Fraction(a2), a3=Fraction(a3))
+    spec = SequenceSpec("grinshpan_ismail_s3", a1=a1, a2=a2, a3=a3)
     nn = np.asarray(n, dtype=float)
-    dval = _x_minus_limit_closed(spec, nn)
+    dval = _x_minus_limit(spec, n)
     out = nn * nn * np.abs(dval) / (np.sqrt(1.0 + dval) + 1.0)
     return float(out) if np.isscalar(n) or getattr(n, "ndim", 0) == 0 else out

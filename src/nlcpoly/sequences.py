@@ -7,17 +7,19 @@ polynomials, Jacobi truncations, measure checks -- is driven by ``x_value``
 and the running products ``x_factorials``.
 
 Each family states its formula once, as a rule that returns the numerator
-and denominator of x_n.  Run on a polynomial variable, the rule gives the
-spec's exact pair, from which the limit, ``poly_pair()`` and the integer
-form N(n) / D(n) that exact closed-form specs evaluate are read; run on
-numbers, it gives the x_n of float and list-backed specs in the arithmetic
-of their parameters.  Exact parameters give ``fractions.Fraction`` values,
-float parameters give floats.  The floating view of a spec is one memoized
+and denominator of x_n.  Run on a polynomial variable and the exact values
+of a closed-form spec's parameters (a float by its binary value), the rule
+gives the spec's exact pair, which answers every exact question about the
+spec: the limit, x_n - lim x, ``poly_pair()``, the all-n certificates, and
+the integer form N(n) / D(n) that exact specs evaluate.  Run on numbers, it
+gives the x_n of float and list-backed specs in the arithmetic of their
+parameters.  Exact parameters give ``fractions.Fraction`` values, float
+parameters give floats.  The floating view of a spec is one memoized
 array, ``x_floats``, shared by every consumer that reads x_1 .. x_n as
 floats.
 The diagnostic checks (monotonicity, the nonlinear necessary inequalities)
-certify their claims for every n from an exact spec's pair where a sign
-certificate applies, and scan x_1 .. x_{n_max} otherwise.  They return
+certify their claims for every n from a closed-form spec's pair where a
+sign certificate applies, and scan x_1 .. x_{n_max} otherwise.  They return
 reports instead of raising, so sequences that fail to be moment sequences can
 still be analyzed.
 """
@@ -25,6 +27,7 @@ still be analyzed.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,7 +51,7 @@ def _as_number(value) -> Number:
     """Coerce config-style values ('3/2', '0.25', 2) to Fraction, and keep
     a finite float; NaN, infinities and unparsable strings are
     ParameterDomainError."""
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, numbers.Rational):  # int, Fraction, numpy integers
         return Fraction(value)
     if isinstance(value, float):
         if not math.isfinite(value):
@@ -393,7 +396,8 @@ class SequenceSpec:
         args = tuple(clean[key] for key in fam.param_names)
         object.__setattr__(self, "_args", args)
         # the rule run on the variable t and the exact values of the
-        # parameters, float ones too: x_limit reads the limit from this pair
+        # parameters, float ones too: x_limit, _x_minus_limit and the
+        # certificates read this pair
         pair = fam.variable and tuple(list(map(Fraction, _Poly.of(p).coeffs)) for p in fam.rule(
             *(tuple(map(Fraction, a)) if isinstance(a, tuple) else Fraction(a) for a in args),
             _Poly([Fraction(0), Fraction(1)])))
@@ -598,42 +602,43 @@ def x_limit(spec: SequenceSpec, probe_depth: int = 64) -> SequenceLimit:
 
 
 def x_minus_limit(spec: SequenceSpec, n: int) -> float:
-    """x_n - lim x for finite-limit families, evaluated without cancellation.
+    """x_n - lim x for n >= 1, evaluated without cancellation.
 
-    For rational rules the difference polynomial num - M*den is formed
-    exactly and rounded once per coefficient, so deviations far below machine
-    epsilon relative to x_n come out clean.  Raises for families without a
-    finite limit.
+    A closed-form spec forms num - M*den exactly from its pair, a float
+    parameter by its binary value, and rounds it once per coefficient, so
+    deviations far below machine epsilon relative to x_n come out clean; a
+    list-backed spec subtracts its probed limit from x_n.  Raises
+    ValueError when the limit is not finite.
     """
+    return float(_x_minus_limit(spec, n))
+
+
+def _x_minus_limit(spec: SequenceSpec, n):
+    """x_n - M over an int or an integer array n >= 1, for a finite limit M.
+
+    A closed-form spec evaluates (num - M den)(t) / den(t) from its exact
+    pair, at t = n or at t = s = q^(n-1), with the difference polynomial
+    formed exactly and rounded once per coefficient: a deviation far below
+    machine epsilon relative to x_n comes out clean, and q^n - 1 is never
+    formed.  Float parameters enter by their binary values.  A list-backed
+    spec reads x_floats - M.
+    """
+    nn = np.asarray(n)
+    if nn.size and nn.min() < 1:
+        raise SequenceRangeError("x_n is defined for n >= 1")
     lim = x_limit(spec)
     if not lim.is_finite:
-        raise ValueError("x_minus_limit needs a finite closed-form limit")
-    closed = _x_minus_limit_closed(spec, n)
-    return x_float(spec, n) - float(lim.value) if closed is None else float(closed)
-
-
-def _x_minus_limit_closed(spec: SequenceSpec, n):
-    """x_n - M over an int or an integer array n, without cancellation, or
-    None when the family has no closed form for it.
-
-    Rational rules evaluate (num - M den)(n) / den(n), the difference
-    polynomial formed exactly and rounded once per coefficient.  The
-    q-quotient uses (1-Cs)(1-(AB/C)s) - (1-As)(1-Bs) = -s (A-C)(B-C)/C with
-    s = q^(n-1) (the s^2 terms cancel), so it never forms q^n - 1.
-    """
-    nn = np.asarray(n, dtype=float)
-    if spec.family == "q_gamma_quotient":
-        A, B, C, q = (float(spec.params[k]) for k in ("A", "B", "C", "q"))
-        with np.errstate(under="ignore"):
-            s = np.exp((nn - 1.0) * math.log(q))
-            return -s * (A - C) * (B - C) / (C * (1.0 - A * s) * (1.0 - B * s))
-    pair, lim = spec.poly_pair(), x_limit(spec)
-    if pair is None or not lim.is_finite:
-        return None
-    num, den = pair
+        raise ValueError("x_minus_limit needs a finite limit")
+    if not spec._pair:
+        return x_floats(spec, int(nn.max(initial=0)))[nn - 1] - float(lim.value)
+    num, den = spec._pair
     diff = [a - lim.value * b for a, b in zip_longest(num, den, fillvalue=0)]
-    return (np.polyval([float(c) for c in reversed(diff)], nn)
-            / np.polyval([float(c) for c in reversed(den)], nn))
+    t = nn.astype(float)
+    if spec._fam.variable == "s":
+        with np.errstate(under="ignore"):
+            t = np.exp((t - 1.0) * math.log(spec.params["q"]))
+    return (np.polyval([float(c) for c in reversed(diff)], t)
+            / np.polyval([float(c) for c in reversed(den)], t))
 
 
 # ---------------------------------------------------------------------------
@@ -653,17 +658,20 @@ class MonotoneReport:
 
 
 def _index_pair(spec: SequenceSpec):
-    """(num, den, at) for an exact closed-form spec, or None.
+    """(num, den, at, base) for a closed-form spec, or None.
 
-    num and den are the spec's integer rule as _Poly's, both negated when
-    den is negative, and at(p, k) is p at the index n = t + k as a
-    polynomial in t >= 0, or in s = q^t in (0, 1] for a rule in
-    s = q^(n-1).  None for any other spec, and when den is not certified
-    to keep one sign at every n >= 1.
+    num and den are the spec's exact pair as the integer rule's _Poly's,
+    read from the binary values of float parameters, both negated when den
+    is negative; base is (a, b) for a pair in s = q^(n-1) with q = a / b,
+    else None; and at(p, k) is p at the index n = t + k as a polynomial in
+    t >= 0, or in s = q^t in (0, 1] for a pair in s.  None for a
+    list-backed spec, and when den is not certified to keep one sign at
+    every n >= 1.
     """
-    if not spec._ints:
+    if not spec._pair:
         return None
-    num, den, base = spec._ints
+    num, den, base = spec._ints or _integer_rule(
+        *spec._pair, Fraction(spec.params["q"]) if spec._fam.variable == "s" else None)
     num, den = _Poly(list(num[::-1])), _Poly(list(den[::-1]))
 
     def at(p, k):
@@ -674,7 +682,7 @@ def _index_pair(spec: SequenceSpec):
         num, den = -num, -den
     elif not first.positive(base):
         return None
-    return num, den, at
+    return num, den, at, base
 
 
 def _certified_monotone(spec: SequenceSpec, bound) -> bool:
@@ -684,8 +692,7 @@ def _certified_monotone(spec: SequenceSpec, bound) -> bool:
     pair = _index_pair(spec)
     if pair is None:
         return False
-    num, den, at = pair
-    base = spec._ints[2]
+    num, den, at, base = pair
     if not (at(num, 2) * at(den, 1) - at(num, 1) * at(den, 2)).positive(base):
         return False
     return bound is None or (bound * at(den, 1) - at(num, 1)).positive(base)
@@ -694,18 +701,16 @@ def _certified_monotone(spec: SequenceSpec, bound) -> bool:
 def check_monotone_and_bounded(spec: SequenceSpec, n_max: int) -> MonotoneReport:
     """Strict increase of x_n and, when the limit M is finite, x_n < M.
 
-    An exact closed-form spec first tries to certify both claims for every
-    n from its pair, reading no x_n; the q-quotient is decided for all n by
-    the sign of (A - C)(B - C).  Otherwise x_1 .. x_{n_max} are scanned,
-    and ``first_violation`` and ``bound_first_violation`` are the first n
-    that break each claim.  Violations are report fields, not errors: they
-    falsify the claim that the sequence came from a moment representation.
+    A closed-form spec first tries to certify both claims for every n from
+    its pair, reading no x_n; a float parameter enters by its binary value.
+    Otherwise x_1 .. x_{n_max} are scanned, and ``first_violation`` and
+    ``bound_first_violation`` are the first n that break each claim.
+    Violations are report fields, not errors: they falsify the claim that
+    the sequence came from a moment representation.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     limit = x_limit(spec)
-    if spec.family == "q_gamma_quotient":
-        return _check_q_quotient_monotone(spec, limit)
     bound = limit.value if limit.is_finite else None
     if _certified_monotone(spec, bound):
         return MonotoneReport(True, None, None if bound is None else True, None, limit, True)
@@ -731,19 +736,6 @@ def _scan_monotone(spec: SequenceSpec, n_max: int, limit: SequenceLimit) -> Mono
     bounded = None if bound is None else bound_violation is None
     return MonotoneReport(first_violation is None, first_violation, bounded, bound_violation,
                           limit, False)
-
-
-def _check_q_quotient_monotone(spec: SequenceSpec, limit: SequenceLimit) -> MonotoneReport:
-    # x_n - 1 = -s (A-C)(B-C) / (C (1-As)(1-Bs)) with s = q^(n-1); the sign
-    # and the geometric decay of |x_n - 1| decide the scan exactly, without
-    # evaluating q^n (which underflows long before typical n_max).
-    p = spec.params
-    sign = (p["A"] - p["C"]) * (p["B"] - p["C"])
-    if sign == 0:  # constant sequence x_n = 1 = L^2
-        return MonotoneReport(False, 2, False, 1, limit, True)
-    if sign > 0:   # x_n < 1, |x_n - 1| strictly decreasing
-        return MonotoneReport(True, None, True, None, limit, True)
-    return MonotoneReport(False, 2, False, 1, limit, True)
 
 
 @dataclass(frozen=True)
@@ -779,8 +771,7 @@ def _certified_inequalities(spec: SequenceSpec) -> bool:
     pair = _index_pair(spec)
     if pair is None:
         return False
-    num, den, at = pair
-    base = spec._ints[2]
+    num, den, at, base = pair
     nums, dens = [at(num, k) for k in (1, 2, 3, 4)], [at(den, k) for k in (1, 2, 3, 4)]
     ys = [math.prod((d for j, d in enumerate(dens) if j != i), start=nums[i])
           for i in range(4)]
@@ -793,8 +784,8 @@ def check_nonlinear_inequalities(spec: SequenceSpec, n_max: int) -> InequalityRe
 
     Both follow from positivity of integrals of t^{2n} (t^2 - x_{n+1})^2 ...
     against the even measure; the second one from positivity of the order-4
-    Hankel determinant of the shifted measure.  An exact closed-form spec
-    first tries to certify both for every n from its pair, reading no x_n.
+    Hankel determinant of the shifted measure.  A closed-form spec first
+    tries to certify both for every n from its pair, reading no x_n.
     Otherwise the window (x_{n+1}, ..., x_{n+4}) is scanned for n = 0 ..
     n_max - 4; the comparison is exact for rational sequences, otherwise
     strict up to a relative slack.

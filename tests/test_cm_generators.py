@@ -167,3 +167,5 @@ def test_sqrt_deviation_scalar_matches_direct_math():
         x = float(x_value(spec, n))
         assert sqrt_deviation_scaled(*a, n) == pytest.approx(
             n * n * abs(math.sqrt(x) - 1.0), rel=1e-9)
+    # a numpy integer parameter is exact, as a Python int is
+    assert sqrt_deviation_scaled(np.int64(1), *a[1:], 5) == sqrt_deviation_scaled(*a, 5)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -446,6 +447,22 @@ def test_x_minus_limit_q_family():
                                                        abs=1e-15)
 
 
+# a list-backed spec long enough for a finite probed limit: x_n = n / (n + 1)
+LONG_LIST_SPEC = SequenceSpec("explicit", values=[Fraction(n, n + 1) for n in range(1, 401)])
+
+
+@pytest.mark.parametrize("spec", [SequenceSpec("su11", j=Fraction(3, 2)), Q_SPECS[0],
+                                  LONG_LIST_SPEC], ids=lambda s: s.family)
+def test_x_minus_limit_starts_at_n_one(spec):
+    m = x_limit(spec).value
+    assert x_minus_limit(spec, 1) == pytest.approx(float(x_value(spec, 1) - m), rel=1e-15)
+    for n in (0, -3):
+        with pytest.raises(SequenceRangeError):
+            x_minus_limit(spec, n)
+    with pytest.raises(SequenceRangeError):
+        nlcpoly.sequences._x_minus_limit(spec, np.arange(0, 5))
+
+
 # -- float view ------------------------------------------------------------------
 
 FLOAT_VIEW_SPECS = catalog_specs() + [
@@ -702,10 +719,10 @@ def test_certified_reports_equal_the_scans(spec):
     if spec in VIOLATOR_SPECS[:3]:  # x_2 <= x_1 and a window inequality fails
         assert mono.first_violation == 2 and not ineq.ineq1_ok
     # every exact claim that holds here is certified, except on n + 1, whose
-    # denominator changes sign; the q-quotient's monotone report is exact
+    # denominator changes sign
     certifiable = spec.is_rational and spec != VIOLATOR_SPECS[4]
-    assert mono.certified_all_n == (spec.family == "q_gamma_quotient" or (
-        certifiable and mono.monotone and mono.bounded_by_L2 is not False))
+    assert mono.certified_all_n == (
+        certifiable and mono.monotone and mono.bounded_by_L2 is not False)
     assert ineq.certified_all_n == (certifiable and ineq.ineq1_ok and ineq.ineq2_ok)
 
 
@@ -745,12 +762,91 @@ def test_uncertified_claims_fall_back_to_the_scan(monkeypatch):
     assert calls == list(range(1, 101))
 
 
-@pytest.mark.parametrize("spec", [SequenceSpec("ultraspherical", nu=0.3),
-                                  SequenceSpec("explicit", values=[1, 2, 3, 4, 5, 6])],
-                         ids=lambda s: s.family)
-def test_float_and_list_specs_keep_their_scans(spec):
-    assert not check_monotone_and_bounded(spec, 100).certified_all_n
-    assert not check_nonlinear_inequalities(spec, 100).certified_all_n
+# The q-quotient's pair, with K = (A - C)(B - C) / C and s = q^(n-1),
+# satisfies
+#     num(qs) den(s) - num(s) den(qs) = K s (1 - q) (1 - ABq s^2),
+#     M den(s) - num(s) = K s            (M = 1).
+# Divided by s and at s = 1 / (1 + u), u >= 0, the first is
+# K (1 - q) ((1 + u)^2 - ABq), and den(1 / (1 + u)) (1 + u)^2 has the
+# coefficients (1 - A)(1 - B), 2 - A - B, 1: for K > 0 every coefficient is
+# positive, so the sign certificate decides both claims for every n.  For
+# K <= 0, x_1 >= 1 = M and x_2 <= x_1, which the scan finds at n = 1 and 2.
+Q_GRID = [(A, B, C, q) for q in (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
+          for A, B, C in itertools.product([Fraction(k, 6) for k in range(1, 6)], repeat=3)
+          if A * B < C]
+
+
+def _q_spec(A, B, C, q):
+    # A, B > C needs strict=False
+    return SequenceSpec("q_gamma_quotient", strict=A <= C and B <= C, A=A, B=B, C=C, q=q)
+
+
+def test_q_quotient_holding_specs_are_certified(monkeypatch):
+    calls = _count_calls(monkeypatch, "x_value")
+    holding = [_q_spec(*p) for p in Q_GRID if (p[0] - p[2]) * (p[1] - p[2]) > 0]
+    assert any(not spec.strict for spec in holding)
+    for spec in holding:
+        mono = check_monotone_and_bounded(spec, 100)
+        assert (mono.monotone, mono.bounded_by_L2, mono.certified_all_n) == (True, True, True)
+        assert check_nonlinear_inequalities(spec, 100) == nlcpoly.InequalityReport(
+            True, True, (), True)
+    assert calls == []
+
+
+def test_q_quotient_violators_stop_at_n_two(monkeypatch):
+    calls = _count_calls(monkeypatch, "x_value")
+    for spec in [_q_spec(*p) for p in Q_GRID if (p[0] - p[2]) * (p[1] - p[2]) <= 0]:
+        calls.clear()
+        rep = check_monotone_and_bounded(spec, 100)
+        assert (rep.monotone, rep.first_violation, rep.bounded_by_L2, rep.bound_first_violation,
+                rep.certified_all_n) == (False, 2, False, 1, False), spec
+        assert calls == [1, 2]
+
+
+def test_list_specs_keep_their_scans():
+    for spec in (SequenceSpec("explicit", values=[1, 2, 3, 4, 5, 6]), LONG_LIST_SPEC):
+        assert not check_monotone_and_bounded(spec, 100).certified_all_n
+        assert not check_nonlinear_inequalities(spec, 100).certified_all_n
+
+
+def _lifted(spec):
+    """The spec on the exact binary values of its float parameters."""
+    return SequenceSpec(spec.family, strict=spec.strict, **{
+        key: tuple(map(Fraction, value)) if isinstance(value, tuple) else Fraction(value)
+        for key, value in spec.params.items()})
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in FLOAT_FORMULAS], ids=lambda s: s.family)
+def test_float_spec_reports_equal_the_scans_of_its_binary_values(spec):
+    # a float spec is certified on the binary values of its parameters, and
+    # every one here certifies both checks; the exact window scan of the
+    # lifted q-quotient takes 37 s to n = 300
+    lifted = _lifted(spec)
+    n_mono, n_ineq = (300, 100) if spec.family == "q_gamma_quotient" else (2000, 300)
+    mono = check_monotone_and_bounded(spec, n_mono)
+    assert mono.limit == x_limit(lifted)
+    assert replace(mono, certified_all_n=False) == nlcpoly.sequences._scan_monotone(
+        lifted, n_mono, mono.limit)
+    ineq = check_nonlinear_inequalities(spec, n_ineq)
+    assert replace(ineq, certified_all_n=False) == nlcpoly.sequences._scan_inequalities(
+        lifted, n_ineq)
+    assert mono.certified_all_n and ineq.certified_all_n
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in FLOAT_FORMULAS
+                                  if x_limit(spec).is_finite], ids=lambda s: s.family)
+def test_float_spec_x_minus_limit_is_its_binary_values_rounded(spec):
+    # the exact x_n - M of the lifted spec from its integer rule, N/D - M:
+    # the integers of the q-quotient at n = 10^5 have millions of bits, and
+    # Fraction(N, D) would reduce them.  The q-quotient forms s = q^(n-1) as
+    # exp((n - 1) log q), which adds up to 2 |(n - 1) log q| ulps.
+    lifted, m = _lifted(spec), x_limit(spec).value
+    for n in (1, 10, 10 ** 3, 10 ** 5):
+        N, D = nlcpoly.sequences._x_ratio(lifted, n)
+        exact = (N * m.denominator - m.numerator * D) / (D * m.denominator)
+        ulps = 2 + (2 * (n - 1) * abs(math.log(spec.params["q"]))
+                    if spec.family == "q_gamma_quotient" else 0)
+        assert abs(x_minus_limit(spec, n) - exact) <= ulps * math.ulp(exact), n
 
 
 def test_poly_shift_and_sign_certificate():

@@ -7,9 +7,11 @@ Usage (from the repository root):
 Imports ``nlcpoly`` from the package under SRC (a ``src`` directory). The
 specs are the four ``library_long`` specs of ``perfbench/workloads.py``,
 the exact and float spec lists of ``tests/test_sequences.py`` and
-``tests/test_moments.py``, and the exact specs of
+``tests/test_moments.py``, the exact specs of
 ``test_sequences.VIOLATOR_SPECS``, whose claims the checks leave to their
-scans. For each spec OUT.json holds:
+scans, and ``test_sequences.LONG_LIST_SPEC``, a list-backed spec with a
+finite limit, whose ``x_minus_limit`` and Nevai deviations read its float
+view. For each spec OUT.json holds:
 
 * ``x_value`` as ``str`` and ``x_float`` as ``repr`` for n <= 2000 (or up
   to the length of a list-backed spec);
@@ -142,7 +144,7 @@ def main(argv: List[str]) -> int:
         digests[f"library_long/{op.name}"] = digest_spec(nl, spec, op.calls)
     tests = [*ts.PAIR_SPECS, *ts.Q_SPECS, *(s for s, _ in ts.FLOAT_FORMULAS),
              *ts.FLOAT_VIEW_SPECS, *test_moments.FLOAT_SPECS,
-             *(spec for spec in ts.VIOLATOR_SPECS if spec.is_rational)]
+             *(spec for spec in ts.VIOLATOR_SPECS if spec.is_rational), ts.LONG_LIST_SPEC]
     for spec in tests:
         label = f"tests/{spec!r}" + ("" if spec.strict else " strict=False")
         if label not in digests:
