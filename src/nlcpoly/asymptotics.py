@@ -157,29 +157,25 @@ def amplitude_extract(spec: SequenceSpec, x: float,
                                  math.nan, math.nan, True,
                                  "window shorter than four oscillation periods")
     s = np.sqrt(1.0 - x * x) * rescaled_phi_window(spec, n_lo, n_hi, x)
-    ns = np.arange(n_lo, n_hi + 1, dtype=float)
 
-    def fit(th: float):
-        arg = (ns + 1.0) * th
-        basis = np.column_stack([np.sin(arg), np.cos(arg)])
-        coef, residual, *_ = np.linalg.lstsq(basis, s, rcond=None)
-        res = float(residual[0]) if len(residual) else float(np.sum((basis @ coef - s) ** 2))
-        return coef, res
-
-    # refine the frequency on a small grid around arccos(x)
-    best_theta, best_coef, best_res = theta, None, math.inf
-    for th in np.linspace(0.98 * theta, 1.02 * theta, 81):
-        coef, res = fit(float(th))
-        if res < best_res:
-            best_theta, best_coef, best_res = float(th), coef, res
-    a, b = best_coef
-    amplitude = math.hypot(float(a), float(b))
-    phase = math.atan2(-float(b), float(a))
+    # refine the frequency on a small grid around arccos(x): the least-squares
+    # a sin + b cos at every grid point at once, from its 2 x 2 normal equations;
+    # the residual |s|^2 - a <sin, s> - b <cos, s> picks the best one
+    thetas = np.linspace(0.98 * theta, 1.02 * theta, 81)
+    arg = np.outer(thetas, np.arange(n_lo + 1, n_hi + 2, dtype=float))  # (n + 1) theta
+    sin, cos = np.sin(arg), np.cos(arg)
+    ss, sc, cc = (np.einsum("ij,ij->i", u, v) for u, v in ((sin, sin), (sin, cos), (cos, cos)))
+    ps, pc = sin @ s, cos @ s
+    det = ss * cc - sc * sc
+    a, b = (cc * ps - sc * pc) / det, (ss * pc - sc * ps) / det
+    best = int(np.argmin(s @ s - a * ps - b * pc))
+    a, b = float(a[best]), float(b[best])
+    amplitude = math.hypot(a, b)
+    phase = math.atan2(-b, a)
 
     # sliding max over ~2 periods
     span = max(int(2 * period), 4)
-    maxima = [float(np.max(np.abs(s[i:i + span])))
-              for i in range(0, width - span + 1, span)]
+    maxima = np.abs(s[:width // span * span]).reshape(-1, span).max(axis=1)
     envelope = float(np.mean(maxima))
     return AmplitudeEstimate(x, (n_lo, n_hi), amplitude, envelope,
-                             abs(amplitude - envelope), phase, best_theta, False)
+                             abs(amplitude - envelope), phase, float(thetas[best]), False)

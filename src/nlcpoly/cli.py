@@ -61,8 +61,7 @@ class _Runner:
         self.files: List[str] = []
         self.summary: Dict[str, object] = {}
         self.verdicts: Dict[str, Optional[bool]] = {}
-        # shared by hankel and polys; both ask for their longest order first,
-        # so one Chebyshev pass serves every shorter order as its prefix
+        # shared by hankel and polys: one Chebyshev pass serves both
         self.moments = MomentSequence(self.spec)
         # resolved before any step runs, so a bad [measure] section writes nothing
         self.measure = _run_measure(cfg, self.spec)
@@ -98,8 +97,7 @@ class _Runner:
         self.summary["moments"] = {"n_max": n_max, "exact": True}
 
     def cmd_hankel(self) -> None:
-        results = [hankel_determinant(self.moments, n)
-                   for n in reversed(range(self.cfg.n_max + 1))][::-1]
+        results = [hankel_determinant(self.moments, n) for n in range(self.cfg.n_max + 1)]
         all_positive = all(res.positive for res in results)
         rows = [(n, float(res.value), res.positive, res.exact)
                 for n, res in enumerate(results)]
@@ -113,8 +111,7 @@ class _Runner:
                 for n, poly in enumerate(monic_q_polynomials(spec, self.cfg.n_max))
                 for k, c in enumerate(poly)]
         self._write_csv("polys_monic.csv", ["n", "k", "coeff", "coeff_exact"], rows)
-        polys = [hankel_polynomial(self.moments, n)
-                 for n in reversed(range(1, self.cfg.n_max + 1))][::-1]
+        polys = [hankel_polynomial(self.moments, n) for n in range(1, self.cfg.n_max + 1)]
         rows = [(0, 0, 1.0, "1")]
         for n, poly in enumerate(polys, 1):
             rows.extend((n, k, float(c), str(c)) for k, c in enumerate(poly))

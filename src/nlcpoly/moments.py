@@ -15,10 +15,12 @@ is formed.  One pass of the exact Chebyshev algorithm (Gautschi,
 section 2.1.7) turns mu_0 .. mu_{2n+1} into the recurrence coefficients
 P_{k+1} = (x - a_k) P_k - b_k P_{k-1} and the pivots
 sigma_kk = <P_k, x^k> = D_k / D_{k-1} for k <= n, in O(n^2) exact
-operations.  D_n is then the product of the pivots and P_n follows from the
-recurrence.  The pass stops at a pivot that is exactly zero (a singular
-leading Hankel block); beyond it, fraction-free (Bareiss) elimination and
-bordered minors give the same quantities.
+operations.  D_n is then the running product of the pivots and P_n follows
+from the recurrence.  A MomentSequence keeps its pass and extends it by two
+moments when a larger order is asked for, so D_0, D_1, ..., D_n asked in
+any order cost one O(n^2) pass.  The pass stops at a pivot that is exactly
+zero (a singular leading Hankel block); beyond it, fraction-free (Bareiss)
+elimination and bordered minors give the same quantities.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Union
 
-from .recurrence import monic_polynomials
+from .recurrence import _extend_monic_polynomials, monic_polynomials
 from .sequences import SequenceSpec, _max_index, x_floats, x_value
 from .special import cm_sequence_test, CMReport
 
@@ -49,9 +51,10 @@ class MomentSequence:
 
     mu_{2n} = x_n! and mu_{2n+1} = 0, all Fractions.  A float sequence
     rule multiplies its running product in floats, x_1, x_2, ... in order,
-    and each product is kept as the exact dyadic rational it is.  Extension,
-    and the longest Chebyshev pass with its polynomials, are memoized behind
-    a lock so concurrent readers see value-identical prefixes.
+    and each product is kept as the exact dyadic rational it is.  The
+    moments, one Chebyshev pass and its polynomials are kept behind a lock
+    and extended when a larger order is asked for, so concurrent readers
+    see value-identical prefixes and any order of calls costs one pass.
     """
 
     def __init__(self, spec: SequenceSpec):
@@ -59,9 +62,8 @@ class MomentSequence:
         self._even: List[Fraction] = [Fraction(1)]
         self._product: Union[Fraction, float] = 1  # x_k! in the rule's own arithmetic
         self._lock = threading.RLock()
-        self._pass: Optional[ChebyshevPass] = None
-        self._pass_order = -1
-        self._polys: Optional[List[list]] = None
+        self._pass = _GrowingPass()
+        self._polys: List[list] = [[Fraction(1)]]
 
     def _extend(self, count: int) -> None:
         with self._lock:
@@ -96,24 +98,20 @@ class MomentSequence:
     def chebyshev(self, n: int) -> "ChebyshevPass":
         """:func:`exact_chebyshev` over mu_0 .. mu_{2n+1}, i.e. for k <= n.
 
-        a_k, b_k and sigma_kk depend only on mu_0 .. mu_{2k+1}, so the
-        longest pass run so far is kept and a shorter order is its prefix.
+        a_k, b_k and sigma_kk depend only on mu_0 .. mu_{2k+1}, so one pass
+        is kept: a shorter order is its prefix, and a longer one grows it
+        by two moments per order.
         """
         with self._lock:
-            if n > self._pass_order:
-                self._pass = exact_chebyshev([self.moment(m) for m in range(2 * n + 2)])
-                self._pass_order = n
-                self._polys = None
-            full = self._pass
-        return ChebyshevPass(full.alpha[:n + 1], full.beta[:n + 1], full.pivots[:n + 1])
+            self._extend(n + 1)
+            return self._pass.grow_to(n, self.moment)
 
     def chebyshev_polynomials(self, n: int) -> List[list]:
-        """``chebyshev(n).polynomials()``, built once from the kept pass."""
-        degree = len(self.chebyshev(n).alpha)
+        """``chebyshev(n).polynomials()``, appended to the kept P_k."""
         with self._lock:
-            if self._polys is None:
-                self._polys = self._pass.polynomials()
-            return [list(p) for p in self._polys[:degree + 1]]
+            cheb = self.chebyshev(n)
+            _extend_monic_polynomials(self._polys, cheb)
+            return [list(p) for p in self._polys[:len(cheb.alpha) + 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -126,49 +124,82 @@ class ChebyshevPass:
 
     ``alpha[k]``, ``beta[k]`` give P_{k+1} = (x - a_k) P_k - b_k P_{k-1}
     (b_0 = mu_0 multiplies P_{-1} = 0); ``pivots[k]`` is
-    sigma_kk = <P_k, x^k> = D_k / D_{k-1}.  A pass that meets a zero pivot
-    ends with it: ``pivots`` then has one entry more than ``alpha``.
+    sigma_kk = <P_k, x^k> = D_k / D_{k-1} and ``determinants[k]`` is
+    D_k = sigma_00 ... sigma_kk.  A pass that meets a zero pivot ends with
+    it: ``pivots`` and ``determinants`` then have one entry more than
+    ``alpha``.
     """
     alpha: tuple
     beta: tuple
     pivots: tuple
+    determinants: tuple
 
     def polynomials(self) -> List[list]:
         """P_0 .. P_m (m = len(alpha)) as ascending coefficient lists."""
         return monic_polynomials(self, Fraction(1))
 
 
-def exact_chebyshev(moments: Sequence) -> ChebyshevPass:
-    """Exact Chebyshev algorithm on mu_0 .. mu_{2n+1}: a_k, b_k and sigma_kk
-    for k <= n (Gautschi 2004, section 2.1.7).
+class _GrowingPass:
+    """The exact Chebyshev pass (Gautschi 2004, section 2.1.7), grown two
+    moments at a time.
 
     sigma_{k,l} = <P_k, x^l> obeys sigma_{k,l} = sigma_{k-1,l+1}
     - a_{k-1} sigma_{k-1,l} - b_{k-1} sigma_{k-2,l}, with
     a_k = sigma_{k,k+1}/sigma_kk - sigma_{k-1,k}/sigma_{k-1,k-1} and
-    b_k = sigma_kk/sigma_{k-1,k-1}.  O(n^2) exact operations; the pass stops
-    at the first pivot that is exactly zero.
+    b_k = sigma_kk/sigma_{k-1,k-1}.  At order n row k reaches l = 2n+1-k.
+    The next moments mu_{2n+2}, mu_{2n+3} add l = 2n+2-k and 2n+3-k to every
+    row, in increasing k, and the last row they fill is the new row n+1.
+    The new entries read those of row k-1 and the top two entries that rows
+    k-1 and k-2 had before the step, so each row keeps only its top two.
+    Reaching order n costs O(n^2) exact operations however the growth is
+    split.  The pass stops at the first pivot that is exactly zero.
     """
-    n = len(moments) // 2 - 1
-    alpha: list = []
-    beta: list = []
-    pivots: list = []
-    prev: list = [0] * len(moments)  # sigma_{k-1, l}, indexed by l
-    cur = moments                    # sigma_{k, l}
-    prev_pivot = Fraction(1)
-    for k in range(n + 1):
-        if k:
-            nxt = [0] * len(moments)
-            for l in range(k, 2 * n + 2 - k):
-                nxt[l] = cur[l + 1] - alpha[-1] * cur[l] - beta[-1] * prev[l]
-            prev, cur = cur, nxt
-        pivot = cur[k]
-        pivots.append(pivot)
+
+    def __init__(self):
+        self.alpha: list = []
+        self.beta: list = []
+        self.pivots: list = []
+        self.determinants: list = []
+        self._tops: list = []  # (sigma_{k,2n-k}, sigma_{k,2n+1-k}) for k <= n
+
+    def grow_to(self, n: int, moment) -> ChebyshevPass:
+        """Grow to order n, reading mu_m as ``moment(m)``, and return the
+        pass for k <= n as far as it went."""
+        # a zero pivot leaves alpha one entry short and ends the growth
+        while len(self.pivots) <= n and len(self.alpha) == len(self.pivots):
+            k = len(self.pivots)
+            self._grow(moment(2 * k), moment(2 * k + 1))
+        return ChebyshevPass(tuple(self.alpha[:n + 1]), tuple(self.beta[:n + 1]),
+                             tuple(self.pivots[:n + 1]), tuple(self.determinants[:n + 1]))
+
+    def _grow(self, even, odd) -> None:
+        """Take mu_{2n+2} and mu_{2n+3} and add row n+1, where n + 1 is the
+        number of pivots so far."""
+        old = self._tops
+        new = [(even, odd)]
+        for k, (a, b) in enumerate(zip(self.alpha, self.beta), 1):
+            upper = new[k - 1]  # sigma_{k-1,l} for l = 2n+3-k, 2n+4-k
+            below = old[k - 2] if k > 1 else (0, 0)  # sigma_{k-2,l}, l = 2n+2-k, 2n+3-k
+            new.append((upper[0] - a * old[k - 1][1] - b * below[0],
+                        upper[1] - a * upper[0] - b * below[1]))
+        self._tops = new
+        pivot, next_entry = new[-1]
+        # sigma_{-1,-1} = 1 and sigma_{-1,0} = 0 start the pass at k = 0
+        prev_pivot, prev_entry = old[-1] if old else (Fraction(1), 0)
+        self.pivots.append(pivot)
+        self.determinants.append(
+            pivot * self.determinants[-1] if self.determinants else pivot)
         if pivot == 0:
-            break
-        alpha.append(cur[k + 1] / pivot - prev[k] / prev_pivot)
-        beta.append(pivot / prev_pivot)
-        prev_pivot = pivot
-    return ChebyshevPass(tuple(alpha), tuple(beta), tuple(pivots))
+            return
+        self.alpha.append(next_entry / pivot - prev_entry / prev_pivot)
+        self.beta.append(pivot / prev_pivot)
+
+
+def exact_chebyshev(moments: Sequence) -> ChebyshevPass:
+    """Exact Chebyshev algorithm on mu_0 .. mu_{2n+1}: a_k, b_k, sigma_kk and
+    D_k for k <= n, in one O(n^2) pass that stops at the first pivot that
+    is exactly zero (see :class:`_GrowingPass`)."""
+    return _GrowingPass().grow_to(len(moments) // 2 - 1, moments.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +247,14 @@ def hankel_determinant(moments: MomentSequence, n: int) -> HankelResult:
     """D_n = det [mu_{i+j}], 0 <= i, j <= n.
 
     Positive for every moment sequence of a measure with infinite support.
-    The product of the Chebyshev pivots sigma_00 .. sigma_nn, or Bareiss
-    elimination when an earlier pivot is zero; exact either way.
+    The running product of the Chebyshev pivots sigma_00 .. sigma_nn, or
+    Bareiss elimination when an earlier pivot is zero; exact either way.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
-    pivots = moments.chebyshev(n).pivots
-    if len(pivots) == n + 1:
-        value = math.prod(pivots)
+    determinants = moments.chebyshev(n).determinants
+    if len(determinants) == n + 1:
+        value = determinants[n]
     else:
         value = bareiss_determinant(moments.hankel_matrix(n))
     return HankelResult(n, value, value > 0)

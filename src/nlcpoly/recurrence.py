@@ -106,20 +106,25 @@ def monic_polynomials(coeffs: RecurrenceCoeffs, one) -> List[list]:
     one pass of the monic recurrence, with P_0 = ``one``, in the arithmetic
     of the inputs.  ``coeffs`` is anything with ``alpha`` and ``beta``, such
     as a :class:`RecurrenceCoeffs` or a Chebyshev pass."""
-    zero = one - one
     polys = [[one]]
-    prev: list = []
-    for a, b in zip(coeffs.alpha, coeffs.beta):
-        cur = polys[-1]
+    _extend_monic_polynomials(polys, coeffs)
+    return polys
+
+
+def _extend_monic_polynomials(polys: List[list], coeffs: RecurrenceCoeffs) -> None:
+    """Append P_{m+1} .. P_{len(coeffs.alpha)} to ``polys`` = [P_0, ..., P_m]
+    in place: the coefficient loop of :func:`monic_polynomials`."""
+    zero = polys[0][0] - polys[0][0]
+    for k in range(len(polys) - 1, len(coeffs.alpha)):
+        a, b = coeffs.alpha[k], coeffs.beta[k]
+        cur = polys[k]
         nxt = [zero] + cur  # x P_k
         if a:  # a_k = 0 for q_n and every even moment functional
             for i, c in enumerate(cur):
                 nxt[i] -= a * c
-        for i, c in enumerate(prev):
+        for i, c in enumerate(polys[k - 1] if k else ()):
             nxt[i] -= b * c
-        prev = cur
         polys.append(nxt)
-    return polys
 
 
 def general_monic_value(coeffs: RecurrenceCoeffs, n: int, x):

@@ -633,10 +633,11 @@ def _x_minus_limit(spec: SequenceSpec, n):
         return x_floats(spec, int(nn.max(initial=0)))[nn - 1] - float(lim.value)
     num, den = spec._pair
     diff = [a - lim.value * b for a, b in zip_longest(num, den, fillvalue=0)]
-    t = nn.astype(float)
     if spec._fam.variable == "s":
         with np.errstate(under="ignore"):
-            t = np.exp((t - 1.0) * math.log(spec.params["q"]))
+            t = np.power(float(spec.params["q"]), nn - 1)  # exact for q = 1/2
+    else:
+        t = nn.astype(float)
     return (np.polyval([float(c) for c in reversed(diff)], t)
             / np.polyval([float(c) for c in reversed(den)], t))
 

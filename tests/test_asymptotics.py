@@ -130,6 +130,40 @@ def test_amplitude_rejects_outside_support():
         amplitude_extract(spec, 1.5, (100, 200))
 
 
+def _amplitude_reference(spec, x, n_lo, n_hi):
+    """(sine fit, envelope, phase, theta) from one lstsq fit per grid
+    frequency and a list of window slices for the sliding max."""
+    theta = math.acos(x)
+    s = math.sqrt(1.0 - x * x) * rescaled_phi_window(spec, n_lo, n_hi, x)
+    ns = np.arange(n_lo, n_hi + 1, dtype=float)
+    best = (math.inf, None, None)
+    for th in np.linspace(0.98 * theta, 1.02 * theta, 81):
+        basis = np.column_stack([np.sin((ns + 1.0) * th), np.cos((ns + 1.0) * th)])
+        coef, residual, *_ = np.linalg.lstsq(basis, s, rcond=None)
+        if residual[0] < best[0]:
+            best = (residual[0], coef, float(th))
+    (a, b), th = best[1], best[2]
+    span = max(int(2 * (2.0 * math.pi / theta)), 4)
+    maxima = [float(np.max(np.abs(s[i:i + span]))) for i in range(0, len(s) - span + 1, span)]
+    return math.hypot(a, b), float(np.mean(maxima)), math.atan2(-b, a), th
+
+
+@pytest.mark.parametrize("spec", [
+    SequenceSpec("grinshpan_ismail_s3", a1=1, a2=Fraction(1, 2), a3=Fraction(1, 4)),
+    SequenceSpec("ultraspherical", nu=0.3),
+], ids=lambda s: s.family)
+def test_amplitude_fit_matches_one_lstsq_per_frequency(spec):
+    # the batched 2 x 2 normal equations round differently from lstsq, so
+    # the fit agrees to a tolerance; the frequency and the envelope are equal
+    for x in (-0.55, 0.1, 0.45):
+        for n_lo, n_hi in ((200, 400), (2000, 4000)):
+            est = amplitude_extract(spec, x, (n_lo, n_hi))
+            amplitude, envelope, phase, theta = _amplitude_reference(spec, x, n_lo, n_hi)
+            assert est.theta_fit == theta and est.envelope_amplitude == envelope
+            assert est.sine_fit_amplitude == pytest.approx(amplitude, rel=1e-12, abs=0)
+            assert est.phase == pytest.approx(phase, rel=0, abs=1e-12)
+
+
 def _rescaled_window_reference(spec, n_lo, n_hi, x):
     """The unscaled forward loop psi_{k+1} = (x psi_k - a_k psi_{k-1}) / a_{k+1}
     with a_k = sqrt(x_k / (4M)), reading every x_k as x_float."""

@@ -539,7 +539,8 @@ prefix = t
 
 
 def test_degenerate_moment_sequence_exits_2(tmp_path, capsys):
-    # x = 1, 1, 2, ... makes D_2 = D_3 = 0, so no monic P_4 exists
+    # x = 1, 1, 2, ... makes D_2 = D_3 = 0, so no monic P_3 or P_4 exists;
+    # the polynomials are built in ascending degree, so P_3 is reported
     text = """
 [sequence]
 family = explicit
@@ -555,7 +556,8 @@ prefix = t
 """ % (tmp_path / "out")
     assert main([write_config(tmp_path, text)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: degenerate moment sequence: D_3 = 0")
+    assert err.startswith("config error: degenerate moment sequence: D_2 = 0, "
+                          "no monic polynomial of degree 3")
     assert "Traceback" not in err
 
 

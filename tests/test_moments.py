@@ -9,7 +9,7 @@ from nlcpoly import (
     DegenerateMomentsError, MomentSequence, SequenceSpec, bareiss_determinant,
     berg_duran_check, hankel_determinant, hankel_polynomial, monic_q_coefficients,
 )
-from nlcpoly.moments import PrecisionError
+from nlcpoly.moments import PrecisionError, exact_chebyshev
 from nlcpoly.sequences import x_value
 from conftest import catalog_specs, det_cofactor
 from test_acceptance import RATIONAL_FAMILIES
@@ -164,7 +164,6 @@ def test_first_nonpositive_determinant_of_the_float_moments(spec, first):
     # negative at these orders; D_n is exact on the moments as rounded, so
     # the sign is theirs, not an artefact of the elimination
     ms = MomentSequence(spec)
-    ms.chebyshev(first)  # one pass serves every shorter order
     signs = [hankel_determinant(ms, n).positive for n in range(first + 1)]
     assert signs == [True] * first + [False]
 
@@ -302,6 +301,37 @@ def test_kept_pass_keeps_the_zero_pivot_stop():
     assert ms.chebyshev(2).pivots == (1, 1, 0) and len(ms.chebyshev(2).alpha) == 2
     with pytest.raises(DegenerateMomentsError, match="D_3 = 0"):
         hankel_polynomial(ms, 4)
+
+
+ORDERS = list(range(17))
+
+
+@pytest.mark.parametrize("spec", RATIONAL_FAMILIES + [SequenceSpec("ultraspherical", nu=0.3)],
+                         ids=lambda s: f"{s.family}-{'exact' if s.is_rational else 'float'}")
+@pytest.mark.parametrize("orders", [ORDERS, ORDERS[::-1], random.Random(19).sample(ORDERS, 17)],
+                         ids=["ascending", "descending", "shuffled"])
+def test_kept_pass_is_the_same_under_any_call_order(spec, orders):
+    # the kept pass grows in place: whatever order the orders come in, each
+    # answer equals a one-shot pass and a fresh moment sequence
+    shared = MomentSequence(spec)
+    for n in orders:
+        fresh = MomentSequence(spec)
+        one_shot = exact_chebyshev([fresh.moment(m) for m in range(2 * n + 2)])
+        assert shared.chebyshev(n) == one_shot == fresh.chebyshev(n), n
+        assert shared.chebyshev_polynomials(n) == one_shot.polynomials(), n
+        assert hankel_determinant(shared, n) == hankel_determinant(MomentSequence(spec), n), n
+        if n:
+            assert hankel_polynomial(shared, n) == hankel_polynomial(MomentSequence(spec), n), n
+
+
+def test_kept_pass_grown_one_order_at_a_time_keeps_its_stop():
+    spec = SequenceSpec("explicit", values=[1, 1, 2, 3, 4, 5])
+    d4 = bareiss_determinant(MomentSequence(spec).hankel_matrix(4))
+    ms = MomentSequence(spec)
+    for n in range(6):
+        assert ms.chebyshev(n).pivots == (1, 1, 0)[:n + 1], n
+        assert len(ms.chebyshev(n).alpha) == min(n + 1, 2), n
+    assert hankel_determinant(ms, 4).value == d4 == -1
 
 
 def test_decreasing_sequence_has_negative_d2():

@@ -447,6 +447,18 @@ def test_x_minus_limit_q_family():
                                                        abs=1e-15)
 
 
+def test_x_minus_limit_q_family_uses_the_exact_powers_of_one_half():
+    # s = q^(n-1) = 2^-(n-1) is exact in floats, so every deviation up to
+    # n = 4096 is within one ulp of the exact x_n - 1, subnormal ones too;
+    # a rounded exp((n - 1) log q) is up to 538 ulps off by n = 1020
+    spec = SequenceSpec("q_gamma_quotient", A=Fraction(1, 8), B=Fraction(1, 4),
+                        C=Fraction(1, 2), q=Fraction(1, 2))
+    deviations = nlcpoly.sequences._x_minus_limit(spec, np.arange(1, 4097))
+    for n, deviation in enumerate(deviations.tolist(), 1):
+        exact = float(x_value(spec, n) - 1)
+        assert abs(deviation - exact) <= math.ulp(exact), n
+
+
 # a list-backed spec long enough for a finite probed limit: x_n = n / (n + 1)
 LONG_LIST_SPEC = SequenceSpec("explicit", values=[Fraction(n, n + 1) for n in range(1, 401)])
 
@@ -838,15 +850,13 @@ def test_float_spec_reports_equal_the_scans_of_its_binary_values(spec):
 def test_float_spec_x_minus_limit_is_its_binary_values_rounded(spec):
     # the exact x_n - M of the lifted spec from its integer rule, N/D - M:
     # the integers of the q-quotient at n = 10^5 have millions of bits, and
-    # Fraction(N, D) would reduce them.  The q-quotient forms s = q^(n-1) as
-    # exp((n - 1) log q), which adds up to 2 |(n - 1) log q| ulps.
+    # Fraction(N, D) would reduce them.  The q-quotient's s = q^(n-1) is one
+    # rounded power, so it needs no wider bound than the others.
     lifted, m = _lifted(spec), x_limit(spec).value
     for n in (1, 10, 10 ** 3, 10 ** 5):
         N, D = nlcpoly.sequences._x_ratio(lifted, n)
         exact = (N * m.denominator - m.numerator * D) / (D * m.denominator)
-        ulps = 2 + (2 * (n - 1) * abs(math.log(spec.params["q"]))
-                    if spec.family == "q_gamma_quotient" else 0)
-        assert abs(x_minus_limit(spec, n) - exact) <= ulps * math.ulp(exact), n
+        assert abs(x_minus_limit(spec, n) - exact) <= 2 * math.ulp(exact), n
 
 
 def test_poly_shift_and_sign_certificate():
