@@ -52,7 +52,8 @@ def nevai_condition(spec: SequenceSpec, n_max: int = 4096) -> NevaiDiagnostic:
     The exponent p of the deviation ~ C n^(-p) is fitted by least squares
     over the last decade of n; p > 1.1 reports 'converges', p < 0.9
     'diverges', the band between is 'inconclusive'.  An unbounded sequence
-    diverges trivially.
+    diverges trivially; a limit of 0 leaves nothing to rescale by and is
+    'inconclusive'.
     """
     if n_max < MIN_NEVAI_N:
         raise ValueError(f"n_max must be at least {MIN_NEVAI_N}")
@@ -63,6 +64,9 @@ def nevai_condition(spec: SequenceSpec, n_max: int = 4096) -> NevaiDiagnostic:
     if lim.kind == "undetermined":
         return NevaiDiagnostic("inconclusive", None, None, (), n_max, None,
                                "limit of x_n could not be determined")
+    if not lim.value > 0:
+        return NevaiDiagnostic("inconclusive", None, None, (), n_max, 0.0,
+                               "limit of x_n is 0: no rescaling to [-1, 1]")
     m = float(lim.value)
     ns = np.arange(1, n_max + 1)
     dev = _sqrt_beta_deviation(spec, m, n_max)
@@ -102,12 +106,15 @@ def rescaled_phi_window(spec: SequenceSpec, n_lo: int, n_hi: int, x: float,
                         ) -> np.ndarray:
     """psi_n(x) for n = n_lo .. n_hi, where psi_n(y) = phi_n(sqrt(2M) y) is
     the orthonormal family rescaled to essential support [-1, 1]: the
-    off-diagonal entries of its recurrence are sqrt(x_k / (4M))."""
+    off-diagonal entries of its recurrence are sqrt(x_k / (4M)), for a
+    finite limit M > 0."""
     if not 0 <= n_lo <= n_hi:
         raise ValueError("need 0 <= n_lo <= n_hi")
     lim = x_limit(spec)
     if not lim.is_finite:
         raise ValueError("rescaling needs a finite limit of x_n")
+    if not lim.value > 0:
+        raise ValueError("rescaling needs a positive limit of x_n")
     m = float(lim.value)
     return _window(np.sqrt(x_floats(spec, n_hi) / (4.0 * m)).tolist(), n_lo, x)
 

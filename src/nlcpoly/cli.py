@@ -180,8 +180,9 @@ class _Runner:
 
     def cmd_amplitude(self) -> None:
         lim = x_limit(self.spec)
-        if not lim.is_finite:
-            self.summary["amplitude"] = {"note": "sequence limit not finite; skipped"}
+        if not (lim.is_finite and lim.value > 0):
+            reason = "is 0" if lim.is_finite else "not finite"
+            self.summary["amplitude"] = {"note": f"sequence limit {reason}; skipped"}
             return
         lo, hi = self.cfg.amplitude_window
         estimates = []

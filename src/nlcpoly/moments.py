@@ -323,8 +323,8 @@ def berg_duran_check(spec: SequenceSpec, n_max: int, order: int = 8) -> BergDura
     """
     top = _max_index(spec)
     if top is not None:
-        order = min(order, max(1, top - 2))
-        n_max = max(1, min(n_max, top - order - 1))
+        order = min(order, max(1, top - 2), top - 1)
+        n_max = max(0, min(n_max, top - order - 1))
     xs = x_floats(spec, n_max + order + 1).tolist()
     cm = cm_sequence_test(lambda n: 1.0 / xs[n], n_max, order)
 

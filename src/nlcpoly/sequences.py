@@ -7,16 +7,16 @@ polynomials, Jacobi truncations, measure checks -- is driven by ``x_value``
 and the running products ``x_factorials``.
 
 Each family states its formula once, as a rule that returns the numerator
-and denominator of x_n.  Run on a polynomial variable and the exact values
-of a closed-form spec's parameters (a float by its binary value), the rule
-gives the spec's exact pair, which answers every exact question about the
-spec: the limit, x_n - lim x, ``poly_pair()``, the all-n certificates, and
-the integer form N(n) / D(n) that exact specs evaluate.  Run on numbers, it
-gives the x_n of float and list-backed specs in the arithmetic of their
-parameters.  Exact parameters give ``fractions.Fraction`` values, float
-parameters give floats.  The floating view of a spec is one memoized
-array, ``x_floats``, shared by every consumer that reads x_1 .. x_n as
-floats.
+and denominator of x_n.  Run once on a polynomial variable and the exact
+values of a closed-form spec's parameters (a float by its binary value), the
+rule gives the spec's exact pair of integer polynomials, which answers every
+exact question about the spec: positivity of every x_n, the limit,
+x_n - lim x, ``poly_pair()``, the all-n certificates, and the values
+N(n) / D(n) that exact specs evaluate.  Run on numbers, it gives the x_n of
+float and list-backed specs in the arithmetic of their parameters.  Exact
+parameters give ``fractions.Fraction`` values, float parameters give
+floats.  The floating view of a spec is one memoized array, ``x_floats``,
+shared by every consumer that reads x_1 .. x_n as floats.
 The diagnostic checks (monotonicity, the nonlinear necessary inequalities)
 certify their claims for every n from a closed-form spec's pair where a
 sign certificate applies, and scan x_1 .. x_{n_max} otherwise.  They return
@@ -75,8 +75,8 @@ def _as_number(value) -> Number:
 # run it on numbers: x_value is num / den, the float formula's operations in
 # its order (a den of 1 divides exactly).  Run once on the exact values of a
 # closed-form spec's parameters and the variable _Poly t, it gives the spec's
-# exact pair, defined up to a common factor, whose integer form an exact spec
-# evaluates (_integer_rule, _x_ratio).
+# exact pair, defined up to a common factor (_exact_pair), which an exact
+# spec evaluates on integers (_x_ratio).
 # Half-integer offsets use doubled integers, (2n - 1) / (2 (nu + n)) for
 # (n - 1/2) / (nu + n): doubling is exact in binary, so a float rule rounds
 # as the plain float formula does, and no Fraction constant slows it.
@@ -95,14 +95,6 @@ def _poly_eval(coeffs: Sequence, n) -> Number:
     for c in reversed(coeffs[:-1]):
         acc = acc * n + c
     return acc
-
-
-def _poly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
 
 
 class _Poly:
@@ -163,7 +155,12 @@ class _Poly:
         return _Poly([-c for c in self.coeffs])
 
     def __mul__(self, other):
-        return _Poly(_poly_mul(self.coeffs, _Poly.of(other).coeffs))
+        other = _Poly.of(other).coeffs
+        out = [0] * (len(self.coeffs) + len(other) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other):
+                out[i + j] += a * b
+        return _Poly(out)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -182,23 +179,18 @@ def _validate_half_integer_j(params, strict):
                  "j must be a positive half-integer (1/2, 1, 3/2, ...)")
 
 
+# A validator states what positivity does not imply: the weight clauses of
+# strict mode and a family's ranges.  x_n > 0 is _require_positive's.
+
 def _validate_ultraspherical(params, strict):
-    nu = params["nu"]
     if strict:
-        _require(nu > Fraction(-1, 2), "nu > -1/2 required (weight integrability)")
-    else:
-        # positivity of x_n for all n >= 1 only needs nu > -1
-        _require(nu > -1, "nu > -1 required to keep x_n positive")
+        _require(params["nu"] > Fraction(-1, 2), "nu > -1/2 required (weight integrability)")
 
 
 def _validate_jacobi_type(params, strict):
-    a, b = params["alpha"], params["beta"]
     if strict:
-        _require(a > Fraction(-1, 2), "alpha > -1/2 required")
-        _require(b > -1, "beta > -1 required")
-    else:
-        _require(a > Fraction(-1, 2), "alpha > -1/2 required to keep x_n positive")
-        _require(a + b > Fraction(-3, 2), "alpha + beta > -3/2 required to keep x_n positive")
+        _require(params["alpha"] > Fraction(-1, 2), "alpha > -1/2 required")
+        _require(params["beta"] > -1, "beta > -1 required")
 
 
 def _validate_bessel_orders(params, strict):
@@ -212,12 +204,8 @@ def _validate_mpb(params, strict):
 
 
 def _validate_gamma_quotient(params, strict):
-    a, b, c = params["a"], params["b"], params["c"]
-    _require(c > 0, "c > 0 required to keep x_1 positive")
     if strict:
-        _require(a >= c and b >= c, "a >= c and b >= c required")
-    else:
-        _require(a > 0 and b > 0, "a > 0 and b > 0 required")
+        _require(min(params["a"], params["b"]) >= params["c"], "a >= c and b >= c required")
 
 
 def _validate_q_quotient(params, strict):
@@ -227,9 +215,6 @@ def _validate_q_quotient(params, strict):
     if strict:
         # exponent admissibility a >= c, b >= c translates to A <= C, B <= C
         _require(A <= C and B <= C, "A <= C and B <= C required (a >= c, b >= c)")
-    # the factor 1 - (AB/C) s is positive for every s = q^(n-1) in (0, 1]
-    # exactly when it is at s = 1; strict mode implies it
-    _require(A * B < C, "A*B < C required to keep x_n positive")
 
 
 def _validate_gi_s3(params, strict):
@@ -254,12 +239,6 @@ def _validate_rational(params, strict):
     num, den = params["num"], params["den"]
     _require(len(num) >= 1 and len(den) >= 1, "need numerator and denominator coefficients")
     _require(num[-1] != 0 and den[-1] != 0, "leading coefficients must be nonzero")
-    _require(num[-1] / den[-1] > 0, "the leading ratio num[-1]/den[-1] must be positive, "
-             "or x_n turns negative for large n")
-    for n in range(1, 65):
-        nv, dv = _poly_eval(num, n), _poly_eval(den, n)
-        _require(dv != 0, f"denominator vanishes at n = {n}")
-        _require(nv / dv > 0, f"x_{n} is not positive")
 
 
 def _x_taylor(norms, n):
@@ -275,27 +254,6 @@ def _x_explicit(values, n):
     if n > len(values):
         raise SequenceRangeError(f"n = {n} exceeds the {len(values)} supplied values")
     return values[n - 1], 1
-
-
-def _rational_limit(num, den):
-    dn, dd = len(num) - 1, len(den) - 1
-    if dn > dd:
-        return math.inf
-    if dn < dd:
-        return Fraction(0)
-    return num[-1] / den[-1]
-
-
-def _integer_rule(num, den, q=None):
-    """The exact pair num/den with its coefficients cleared by the lcm of their
-    denominators, as integers highest first, both of one length, with
-    base (a, b) for a pair in s = q^(n-1), q = a/b, or None for a pair in n."""
-    scale = math.lcm(*(c.denominator for c in (*num, *den)))
-    width = max(len(num), len(den))
-    num, den = ((*coeffs, *[0] * (width - len(coeffs))) for coeffs in (num, den))
-    return (tuple(int(c * scale) for c in reversed(num)),
-            tuple(int(c * scale) for c in reversed(den)),
-            None if q is None else (q.numerator, q.denominator))
 
 
 _FAMILIES = {fam.name: fam for fam in (
@@ -339,6 +297,41 @@ def family_names() -> list:
     return sorted(_FAMILIES)
 
 
+def _exact_pair(fam: _Family, args: tuple, q) -> tuple:
+    """(num, den, base): the rule run on the variable t and the exact values of
+    ``args`` (a float by its binary value), cleared of denominators.  num and
+    den are integer _Poly's of one length, ascending; base is (a, b) for a
+    pair in s = q^(n-1) with q = a / b, else None."""
+    exact = (tuple(map(Fraction, a)) if isinstance(a, tuple) else Fraction(a) for a in args)
+    pair = [_Poly.of(p).coeffs for p in fam.rule(*exact, _Poly([0, 1]))]
+    scale = math.lcm(*(c.denominator for coeffs in pair for c in coeffs))
+    width = max(map(len, pair))
+    num, den = (_Poly([int(c * scale) for c in coeffs] + [0] * (width - len(coeffs)))
+                for coeffs in pair)
+    return num, den, None if q is None else Fraction(q).as_integer_ratio()
+
+
+def _at(p: _Poly, k: int, base) -> _Poly:
+    """p at the index n = t + k as a polynomial in t >= 0, or, for a pair in
+    s = q^(n-1) with base (a, b), in s = q^t in (0, 1]."""
+    return p.shift(k) if base is None else p.shift(k - 1, base)
+
+
+def _require_positive(spec: "SequenceSpec") -> None:
+    """Raise ParameterDomainError unless x_n > 0 for every n >= 1, certified
+    by the sign test of num den at n = t + 1.  Only a rational spec falls
+    back, to a positive leading ratio and x_1 .. x_64 > 0."""
+    num, den, base = spec._pair
+    if (_at(num, 1, base) * _at(den, 1, base)).positive(base):
+        return
+    _require(spec.family == "rational", "x_n is not certified positive for every n >= 1")
+    num, den = spec._args
+    _require(num[-1] / den[-1] > 0, "the leading ratio num[-1]/den[-1] must be positive, "
+             "or x_n turns negative for large n")
+    for n in range(1, 65):
+        _require(_x_ratio(spec, n)[0] > 0, f"x_{n} is not positive")
+
+
 # ---------------------------------------------------------------------------
 # spec
 # ---------------------------------------------------------------------------
@@ -359,7 +352,8 @@ class SequenceSpec:
         range tied to an orthogonality weight (e.g. ``nu > -1/2`` for the
         ultraspherical rule).  ``strict=False`` relaxes to the positivity
         domain so that failure of the moment-sequence necessary conditions
-        can be demonstrated.
+        can be demonstrated.  In both modes a closed-form spec must be
+        certified positive, x_n > 0 for every n >= 1, from its exact pair.
     **params
         Family parameters; ints, Fractions and strings like ``"3/2"`` stay
         exact, floats stay floating.
@@ -369,7 +363,7 @@ class SequenceSpec:
     """
 
     __slots__ = ("family", "params", "strict", "_fam", "_args", "_pair", "is_rational",
-                 "_ints", "_floats")
+                 "_floats")
 
     def __init__(self, family: str, strict: bool = True, **params):
         if family not in _FAMILIES:
@@ -395,21 +389,17 @@ class SequenceSpec:
         object.__setattr__(self, "_fam", fam)
         args = tuple(clean[key] for key in fam.param_names)
         object.__setattr__(self, "_args", args)
-        # the rule run on the variable t and the exact values of the
-        # parameters, float ones too: x_limit, _x_minus_limit and the
-        # certificates read this pair
-        pair = fam.variable and tuple(list(map(Fraction, _Poly.of(p).coeffs)) for p in fam.rule(
-            *(tuple(map(Fraction, a)) if isinstance(a, tuple) else Fraction(a) for a in args),
-            _Poly([Fraction(0), Fraction(1)])))
-        object.__setattr__(self, "_pair", pair)
+        # the one exact form of a closed-form spec: positivity, x_limit,
+        # _x_minus_limit, poly_pair(), the certificates and, for an exact
+        # spec, every x_n read it
+        object.__setattr__(self, "_pair", fam.variable and _exact_pair(
+            fam, args, clean["q"] if fam.variable == "s" else None))
         object.__setattr__(self, "is_rational", all(
             isinstance(v, Fraction)
             for key, value in clean.items() for v in (value if key in _LIST_PARAMS else (value,))))
-        # the integer rule of an exact closed-form spec (see _x_ratio)
-        base = clean["q"] if fam.variable == "s" else None
-        object.__setattr__(self, "_ints",
-                           _integer_rule(*pair, base) if pair and self.is_rational else None)
         object.__setattr__(self, "_floats", np.frombuffer(b""))  # empty, read-only
+        if self._pair:
+            _require_positive(self)
 
     def __setattr__(self, *args):
         raise AttributeError("SequenceSpec is immutable")
@@ -427,23 +417,32 @@ class SequenceSpec:
 
     def poly_pair(self):
         """Exact (numerator, denominator) coefficients of x as a rational
-        function of n, ascending and defined up to a common factor, or None
+        function of n, ascending and defined up to a common factor (the
+        integer pair with its trailing zeros trimmed, as Fractions), or None
         for a float spec and for list-backed and q-type families."""
-        return self._pair if self.is_rational and self._fam.variable == "n" else None
+        if not (self.is_rational and self._fam.variable == "n"):
+            return None
+        num, den, _ = self._pair
+        return tuple([Fraction(c) for c in p[:max(i for i, c in enumerate(p) if c) + 1]]
+                     for p in (num.coeffs, den.coeffs))
 
 
 def _x_ratio(spec: SequenceSpec, n: int) -> tuple:
-    """Integers (N, D) with x_n = N / D and D > 0, for a spec with an integer
-    rule: its pair evaluated homogeneously at u / v = n / 1, or at
+    """Integers (N, D) with x_n = N / D and D > 0 from the spec's integer
+    pair, evaluated at n by Horner's rule, or homogeneously at
     u / v = a^(n-1) / b^(n-1) for a pair in s = q^(n-1) with q = a / b."""
-    num, den, base = spec._ints
-    n = operator.index(n)
-    u, v = (n, 1) if base is None else (base[0] ** (n - 1), base[1] ** (n - 1))
-    N, D, w = num[0], den[0], 1
-    for a, b in zip(num[1:], den[1:]):
-        w *= v
-        N = N * u + a * w
-        D = D * u + b * w
+    num, den, base = spec._pair
+    num, den, n = reversed(num.coeffs), reversed(den.coeffs), operator.index(n)
+    N, D = next(num), next(den)
+    if base is None:
+        for a, b in zip(num, den):
+            N, D = N * n + a, D * n + b
+    else:
+        u, v = base[0] ** (n - 1), base[1] ** (n - 1)
+        w = 1
+        for a, b in zip(num, den):
+            w *= v
+            N, D = N * u + a * w, D * u + b * w
     if D == 0:
         raise ParameterDomainError(f"the denominator of x_n vanishes at n = {n}")
     return (N, D) if D > 0 else (-N, -D)
@@ -453,7 +452,7 @@ def x_value(spec: SequenceSpec, n: int) -> Number:
     """x_n for n >= 1: a Fraction for a rational spec, a float otherwise."""
     if n < 1:
         raise SequenceRangeError("x_n is defined for n >= 1")
-    if spec._ints:
+    if spec.is_rational and spec._pair:
         return Fraction(*_x_ratio(spec, n))
     fam = spec._fam
     num, den = fam.rule(*spec._args, spec.params["q"] ** (n - 1) if fam.variable == "s" else n)
@@ -465,7 +464,7 @@ def x_float(spec: SequenceSpec, n: int) -> float:
     ``float(x_value(spec, n))``.  An exact closed-form spec divides its
     integers N(n) / D(n), which Python rounds correctly, and forms no
     Fraction."""
-    if not spec._ints or n < 1:
+    if not (spec.is_rational and spec._pair) or n < 1:
         return float(x_value(spec, n))
     N, D = _x_ratio(spec, n)
     return N / D
@@ -502,11 +501,11 @@ def _more_floats(spec: SequenceSpec, start: int, n: int, last) -> list:
     integers a^(n-1), b^(n-1).  For (A, B, C, q) = (1/8, 1/4, 1/2, 1/2), the
     library_long benchmark spec, that happens from n = 53 on.
     """
-    if not spec._ints:
+    if not (spec.is_rational and spec._pair):
         return [x_float(spec, k) for k in range(start, n + 1)]
     out = []
     for k in range(start, n + 1):
-        if last == 1.0 and spec._ints[2]:
+        if last == 1.0 and spec._pair[2]:
             return out + [1.0] * (n + 1 - k)
         N, D = _x_ratio(spec, k)
         last = N / D
@@ -550,30 +549,29 @@ def _max_index(spec: SequenceSpec) -> Optional[int]:
     return None
 
 
+_PROBE_DEPTH = 64
 _RICHARDSON_ORDER = 4  # probes at depth / 2^4, ..., depth / 2, depth
 _INEQUALITY_SLACK = 1e-12  # relative, for float sequences
 
 
-def x_limit(spec: SequenceSpec, probe_depth: int = 64) -> SequenceLimit:
+def x_limit(spec: SequenceSpec) -> SequenceLimit:
     """Limit of x_n as n grows.
 
     Closed-form families report the exact limit of their pair: the ratio of
     its leading terms in n, or of its constant terms in s = q^(n-1).
-    List-backed families are probed at doubling indices and
+    List-backed families are probed at doubling indices up to n = 64 and
     Richardson-extrapolated assuming a 1/n expansion; a noisy tail yields
     'undetermined', which is a valid outcome rather than an error.
     """
-    if probe_depth < 16:
-        raise ValueError("probe_depth must be at least 16")
     if spec._pair:
-        num, den = spec._pair
-        value = num[0] / den[0] if spec._fam.variable == "s" else _rational_limit(num, den)
-        if value == math.inf:
+        num, den, base = spec._pair
+        i = 0 if base else -1  # num and den have one length
+        if den.coeffs[i] == 0:
             return SequenceLimit("infinite")
-        return SequenceLimit("finite", value, 0.0)
+        return SequenceLimit("finite", Fraction(num.coeffs[i], den.coeffs[i]), 0.0)
 
     top = _max_index(spec)
-    depth = probe_depth if top is None else min(probe_depth, top)
+    depth = _PROBE_DEPTH if top is None else min(_PROBE_DEPTH, top)
     if depth < 16:
         return SequenceLimit("undetermined")
     nodes = [max(1, depth >> (_RICHARDSON_ORDER - j)) for j in range(_RICHARDSON_ORDER)]
@@ -616,12 +614,12 @@ def x_minus_limit(spec: SequenceSpec, n: int) -> float:
 def _x_minus_limit(spec: SequenceSpec, n):
     """x_n - M over an int or an integer array n >= 1, for a finite limit M.
 
-    A closed-form spec evaluates (num - M den)(t) / den(t) from its exact
-    pair, at t = n or at t = s = q^(n-1), with the difference polynomial
-    formed exactly and rounded once per coefficient: a deviation far below
-    machine epsilon relative to x_n comes out clean, and q^n - 1 is never
-    formed.  Float parameters enter by their binary values.  A list-backed
-    spec reads x_floats - M.
+    A closed-form spec evaluates (r num - p den)(t) / (r den)(t) for
+    M = p / r from its integer pair, at t = n or at t = s = q^(n-1), with
+    the difference polynomial's integer coefficients formed exactly and
+    rounded once each: a deviation far below machine epsilon relative to x_n
+    comes out clean, and q^n - 1 is never formed.  Float parameters enter
+    by their binary values.  A list-backed spec reads x_floats - M.
     """
     nn = np.asarray(n)
     if nn.size and nn.min() < 1:
@@ -631,15 +629,16 @@ def _x_minus_limit(spec: SequenceSpec, n):
         raise ValueError("x_minus_limit needs a finite limit")
     if not spec._pair:
         return x_floats(spec, int(nn.max(initial=0)))[nn - 1] - float(lim.value)
-    num, den = spec._pair
-    diff = [a - lim.value * b for a, b in zip_longest(num, den, fillvalue=0)]
-    if spec._fam.variable == "s":
+    num, den, base = spec._pair
+    p, r = lim.value.as_integer_ratio()
+    diff = [r * a - p * b for a, b in zip(num.coeffs, den.coeffs)]
+    if base:
         with np.errstate(under="ignore"):
-            t = np.power(float(spec.params["q"]), nn - 1)  # exact for q = 1/2
+            t = np.power(base[0] / base[1], nn - 1)  # exact for q = 1/2
     else:
         t = nn.astype(float)
     return (np.polyval([float(c) for c in reversed(diff)], t)
-            / np.polyval([float(c) for c in reversed(den)], t))
+            / np.polyval([float(r * c) for c in reversed(den.coeffs)], t))
 
 
 # ---------------------------------------------------------------------------
@@ -658,45 +657,35 @@ class MonotoneReport:
     certified_all_n: bool
 
 
-def _index_pair(spec: SequenceSpec):
-    """(num, den, at, base) for a closed-form spec, or None.
-
-    num and den are the spec's exact pair as the integer rule's _Poly's,
-    read from the binary values of float parameters, both negated when den
-    is negative; base is (a, b) for a pair in s = q^(n-1) with q = a / b,
-    else None; and at(p, k) is p at the index n = t + k as a polynomial in
-    t >= 0, or in s = q^t in (0, 1] for a pair in s.  None for a
-    list-backed spec, and when den is not certified to keep one sign at
-    every n >= 1.
+def _index_pair(spec: SequenceSpec, top: int):
+    """(nums, dens, base) for a closed-form spec, or None: its integer pair
+    at n = t + k for k = 1 .. top (see _at), both negated when den is
+    negative.  None for a list-backed spec, and when den is not certified to
+    keep one sign at every n >= 1.
     """
     if not spec._pair:
         return None
-    num, den, base = spec._ints or _integer_rule(
-        *spec._pair, Fraction(spec.params["q"]) if spec._fam.variable == "s" else None)
-    num, den = _Poly(list(num[::-1])), _Poly(list(den[::-1]))
-
-    def at(p, k):
-        return p.shift(k) if base is None else p.shift(k - 1, base)
-
-    first = at(den, 1)
+    num, den, base = spec._pair
+    first = _at(den, 1, base)
     if (-first).positive(base):
         num, den = -num, -den
     elif not first.positive(base):
         return None
-    return num, den, at, base
+    return ([_at(num, k, base) for k in range(1, top + 1)],
+            [_at(den, k, base) for k in range(1, top + 1)], base)
 
 
 def _certified_monotone(spec: SequenceSpec, bound) -> bool:
     """True when x_n > x_{n-1} for every n >= 2 and, for a finite limit
     ``bound`` = M, x_n < M for every n >= 1, each certified on the sign of
     num(n) den(n-1) - num(n-1) den(n) and of M den(n) - num(n)."""
-    pair = _index_pair(spec)
+    pair = _index_pair(spec, 2)
     if pair is None:
         return False
-    num, den, at, base = pair
-    if not (at(num, 2) * at(den, 1) - at(num, 1) * at(den, 2)).positive(base):
+    (num1, num2), (den1, den2), base = pair
+    if not (num2 * den1 - num1 * den2).positive(base):
         return False
-    return bound is None or (bound * at(den, 1) - at(num, 1)).positive(base)
+    return bound is None or (bound * den1 - num1).positive(base)
 
 
 def check_monotone_and_bounded(spec: SequenceSpec, n_max: int) -> MonotoneReport:
@@ -769,11 +758,10 @@ def _certified_inequalities(spec: SequenceSpec) -> bool:
     Both sides are homogeneous in the y's, of degree 2 and 3, so lhs - rhs
     has the sign of the same expression in the polynomial Y's.
     """
-    pair = _index_pair(spec)
+    pair = _index_pair(spec, 4)
     if pair is None:
         return False
-    num, den, at, base = pair
-    nums, dens = [at(num, k) for k in (1, 2, 3, 4)], [at(den, k) for k in (1, 2, 3, 4)]
+    nums, dens, base = pair
     ys = [math.prod((d for j, d in enumerate(dens) if j != i), start=nums[i])
           for i in range(4)]
     return all((lhs - rhs).positive(base)
@@ -799,10 +787,13 @@ def check_nonlinear_inequalities(spec: SequenceSpec, n_max: int) -> InequalityRe
 
 
 def _scan_inequalities(spec: SequenceSpec, n_max: int) -> InequalityReport:
-    """Both window inequalities scanned for n = 0 .. n_max - 4."""
+    """Both window inequalities scanned for n = 0 .. n_max - 4; a list of
+    fewer than four values has no window and reports none."""
     top = _max_index(spec)
     if top is not None:
         n_max = min(n_max, top)
+    if n_max < 4:
+        return InequalityReport(True, True, (), False)
     exact = spec.is_rational
     violations = []
     ok1 = ok2 = True

@@ -47,6 +47,19 @@ def test_chebyshev_form_converges_with_zero_deviation():
     assert diag.partial_sum == 0.0
 
 
+def test_zero_limit_is_inconclusive_without_nan():
+    # x_n = 1/n -> 0: the deviations (x_n - M) / M have nothing to divide by
+    spec = SequenceSpec("rational", num=[1], den=[0, 1])
+    assert x_limit(spec).value == 0
+    diag = nevai_condition(spec, 256)
+    assert diag.verdict == "inconclusive" and "is 0" in diag.note
+    assert (diag.tail_exponent, diag.partial_sum, diag.partial_sums_checkpoints) == (None, None, ())
+    with pytest.raises(ValueError, match="positive limit"):
+        rescaled_phi_window(spec, 0, 10, 0.3)
+    with pytest.raises(ValueError, match="positive limit"):
+        amplitude_extract(spec, 0.3, (200, 400))
+
+
 def test_partial_sums_nondecreasing():
     diag = nevai_condition(SequenceSpec("su11", j=1), 2048)
     sums = [s for _, s in diag.partial_sums_checkpoints]

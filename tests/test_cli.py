@@ -519,6 +519,23 @@ def test_nevai_command_unbounded_family(tmp_path):
     assert summary["results"]["nevai"]["verdict"] == "diverges"
 
 
+@pytest.mark.parametrize("command", ["nevai", "amplitude"])
+def test_zero_limit_writes_no_nan(tmp_path, command):
+    # x_n = 1/n: the rescaling by M = lim x_n = 0 is undefined
+    out = tmp_path / "out"
+    text = BASE.format(command=command, n_max=6, out=out).replace(
+        "family = canonical", "family = rational\nnum = 1\nden = 0, 1")
+    assert main([write_config(tmp_path, text)]) == 0
+    written = {path.name: path.read_text() for path in out.iterdir()}
+    assert not any("nan" in body.lower() for body in written.values())
+    results = json.loads(written["t_summary.json"])["results"]
+    if command == "nevai":
+        assert results["nevai"]["verdict"] == "inconclusive"
+        assert results["nevai"]["tail_exponent"] is None
+    else:
+        assert results["amplitude"] == {"note": "sequence limit is 0; skipped"}
+
+
 def test_explicit_family_through_pipeline(tmp_path):
     out = tmp_path / "out"
     text = """

@@ -369,6 +369,14 @@ def test_berg_duran_first_nonpositive_hankel_matches_bareiss_loop(values, n_max)
     assert not report.stieltjes_hankels_ok
 
 
+@pytest.mark.parametrize("count, n_max, order", [(1, 0, 0), (2, 0, 1), (3, 1, 1), (4, 1, 2)])
+def test_berg_duran_on_a_short_list_reads_only_its_values(count, n_max, order):
+    # a(n) = 1/x_{n+1} is differenced up to n_max + order <= count - 1
+    report = berg_duran_check(SequenceSpec("explicit", values=[1, 2, 3, 4][:count]), 10)
+    assert (report.effective_n_max, report.cm_report.tested_order) == (n_max, order)
+    assert report.hausdorff_ok and report.stieltjes_hankels_ok
+
+
 def test_berg_duran_su11():
     report = berg_duran_check(SequenceSpec("su11", j=1), 24, 8)
     assert report.hausdorff_ok and report.stieltjes_hankels_ok

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -135,7 +136,7 @@ def test_parameter_domain_errors():
     with pytest.raises(ParameterDomainError, match="ordering|a1"):
         SequenceSpec("grinshpan_ismail_s3", a1=0, a2=1, a3=0)
     # A*B >= C would make x_1 = (1 - C)(1 - AB/C) / ((1 - A)(1 - B)) = -2/3
-    with pytest.raises(ParameterDomainError, match="A\\*B < C"):
+    with pytest.raises(ParameterDomainError, match="not certified positive"):
         SequenceSpec("q_gamma_quotient", strict=False, A=Fraction(3, 4), B=Fraction(1, 2),
                      C=Fraction(1, 3), q=Fraction(2, 3))
     with pytest.raises(ParameterDomainError, match="unknown family"):
@@ -153,12 +154,105 @@ def test_non_finite_or_non_numeric_parameters_are_domain_errors(params):
         SequenceSpec(**params)
 
 
+# -- positivity of x_n ----------------------------------------------------------
+
+def test_gamma_quotient_with_a_nonpositive_x_n_is_rejected():
+    # x_1 = c (a + b - c) / (a b) = -3 and x_2 = 0; c > 0, a > 0, b > 0 hold
+    with pytest.raises(ParameterDomainError, match="not certified positive"):
+        SequenceSpec("gamma_quotient", strict=False, a=1, b=1, c=3)
+
+
+# the clauses a validator keeps at strict=False: positivity does not imply them
+KEPT_CLAUSES = {
+    "su11": lambda p: p["j"] > 0,
+    "barut_girardello": lambda p: p["j"] > 0,
+    "meixner_pollaczek_bessel": lambda p: p["mu"] > abs(p["nu"]) and p["beta"] > 0,
+    "bessel_k_exp": lambda p: p["mu"] > abs(p["nu"]),
+    "bessel_k_abs": lambda p: p["mu"] > abs(p["nu"]),
+    "grinshpan_ismail_s3": lambda p: p["a1"] >= p["a2"] >= p["a3"] >= 0,
+}
+
+
+def _positivity_grid():
+    """(family, params) over every closed-form family: a quarter step on
+    [-2, 2] for one or two parameters, a half step for three, and (0, 1) in
+    quarters for the q-quotient; ``rational`` is (n + a) / (n + b)."""
+    quarter, half = [k / 4 for k in range(-8, 9)], [k / 2 for k in range(-4, 5)]
+    yield "canonical", {}
+    for family, names in [("su11", ("j",)), ("barut_girardello", ("j",)),
+                          ("ultraspherical", ("nu",)), ("jacobi_type", ("alpha", "beta")),
+                          ("bessel_k_exp", ("mu", "nu")), ("bessel_k_abs", ("mu", "nu")),
+                          ("meixner_pollaczek_bessel", ("mu", "nu", "beta")),
+                          ("gamma_quotient", ("a", "b", "c")),
+                          ("grinshpan_ismail_s3", ("a1", "a2", "a3")),
+                          ("q_gamma_quotient", ("A", "B", "C", "q"))]:
+        grid = ([0.25, 0.5, 0.75] if family == "q_gamma_quotient"
+                else half if len(names) == 3 else quarter)
+        for values in itertools.product(grid, repeat=len(names)):
+            yield family, dict(zip(names, values))
+    for a, b in itertools.product(quarter, repeat=2):
+        yield "rational", {"num": [a, 1], "den": [b, 1]}
+
+
+def test_positivity_is_decided_on_every_real_n():
+    # A spec is accepted exactly when x(n) > 0 at every real n >= 1, which
+    # the grid samples at n = 1, 1 + 1/16, ..., 12 (every numerator or
+    # denominator root of these parameters lies on it) and at n <= 300.  On
+    # this grid every factor of the float formula is exact in binary, so the
+    # signs are the exact ones.  Positivity at real n is more than at the
+    # integers: 15 jacobi_type and 38 gamma_quotient specs have
+    # x_1 .. x_300 > 0 with a numerator and a denominator that change sign
+    # between the same two integers (alpha = -3/4, beta = -1 and
+    # a = c = -3/2 give x_n = 1), and are rejected.  Only a rational spec
+    # that is not certified falls back to the integers.
+    formulas = {spec.family: formula for spec, formula in FLOAT_FORMULAS}
+    formulas["canonical"] = lambda p, n: n
+    formulas["rational"] = lambda p, n: (n + p["num"][0]) / (n + p["den"][0])
+    n = np.concatenate([1 + np.arange(11 * 16 + 1) / 16, np.arange(13, 301)])
+    integers = n == np.round(n)
+    between_integers = []
+    for family, params in _positivity_grid():
+        exact = {k: [Fraction(v) for v in p] if isinstance(p, list) else Fraction(p)
+                 for k, p in params.items()}
+        try:
+            SequenceSpec(family, strict=False, **exact)
+            accepted = True
+        except ParameterDomainError:
+            accepted = False
+        if not KEPT_CLAUSES.get(family, lambda p: True)(params):
+            assert not accepted, (family, params)
+            continue
+        with np.errstate(all="ignore"):
+            x = formulas[family](params, n)
+        positive = np.isfinite(x) & (x > 0)
+        if family == "rational":  # when not certified, x_1 .. x_64 are scanned
+            assert accepted == positive[integers].all(), params
+            continue
+        assert accepted == positive.all(), (family, params)
+        if not accepted and positive[integers].all():
+            between_integers.append((family, params))
+    assert collections.Counter(family for family, _ in between_integers) == {
+        "jacobi_type": 15, "gamma_quotient": 38}
+    assert ("jacobi_type", {"alpha": -0.75, "beta": -1}) in between_integers
+
+
+def test_certified_rational_spec_is_not_scanned(monkeypatch):
+    calls = _count_calls(monkeypatch, "_x_ratio")
+    # (n^2 + 1) / (n + 2): num den at n = t + 1 has positive coefficients
+    SequenceSpec("rational", num=[1, 0, 1], den=[2, 1])
+    assert calls == []
+    # (n - 5)^2 + 1/100 > 0 is not certified (t^2 - 8t + 1601/100 at
+    # n = t + 1), so x_1 .. x_64 are read
+    SequenceSpec("rational", num=["2501/100", -10, 1], den=[1])
+    assert calls == list(range(1, 65))
+
+
 # -- one expression per family: the rule, its pair and its float bits ----------
 
 HALF = Fraction(1, 2)
 
 # x_n by the README formula in Fractions: an oracle that shares no code with
-# the integer rule that x_value, x_float and x_floats evaluate
+# the integer pair that x_value, x_float and x_floats evaluate
 EXACT_FORMULAS = {
     "canonical": lambda p, n: Fraction(n),
     "su11": lambda p, n: n / (2 * p["j"] + n - 1),
@@ -253,7 +347,7 @@ def test_q_quotient_rule_is_not_a_pair_in_n():
 
 
 def test_numpy_integer_index_does_not_wrap():
-    # 32 n^4 overflows int64 at n = 10^5; the integer rule works in Python ints
+    # 32 n^4 overflows int64 at n = 10^5; the integer pair works in Python ints
     spec = SequenceSpec("grinshpan_ismail_s3", a1=1, a2=Fraction(1, 2), a3=Fraction(1, 4))
     assert x_value(spec, np.int64(10 ** 5)) == x_value(spec, 10 ** 5)
     assert x_float(spec, np.int64(10 ** 5)) == x_float(spec, 10 ** 5)
@@ -409,7 +503,7 @@ def test_jacobi_limit_matches_large_n_probe():
 
 def test_probed_limit_explicit_list():
     values = [(n - 0.5) / (n + 1.0) for n in range(1, 200)]
-    lim = x_limit(SequenceSpec("explicit", values=values), probe_depth=128)
+    lim = x_limit(SequenceSpec("explicit", values=values))
     assert lim.kind == "finite"
     assert lim.value == pytest.approx(1.0, abs=5e-3)
 
@@ -421,13 +515,7 @@ def test_probed_limit_undetermined_for_short_noise():
 
 def test_probed_limit_growing_taylor():
     norms = [1.0] + [math.sqrt(math.factorial(n)) for n in range(1, 130)]
-    assert x_limit(SequenceSpec("analytic_function", taylor_norms=norms),
-                   probe_depth=64).kind == "infinite"
-
-
-def test_probe_depth_precondition():
-    with pytest.raises(ValueError):
-        x_limit(SequenceSpec("canonical"), probe_depth=8)
+    assert x_limit(SequenceSpec("analytic_function", taylor_norms=norms)).kind == "infinite"
 
 
 # -- stable deviation ----------------------------------------------------------
@@ -685,6 +773,16 @@ def test_inequality_violating_list():
     assert any(name == "ineq2" for name, *_ in rep.violations)
 
 
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_short_lists_get_reports(count):
+    # fewer than four values leave no window x_{n+1} .. x_{n+4}; four leave one
+    spec = SequenceSpec("explicit", values=[1, 2, 3, 4][:count])
+    assert check_nonlinear_inequalities(spec, 10) == nlcpoly.InequalityReport(
+        True, True, (), False)
+    mono = check_monotone_and_bounded(spec, 10)
+    assert (mono.monotone, mono.first_violation, mono.certified_all_n) == (True, None, False)
+
+
 def test_inequality_precondition():
     with pytest.raises(ValueError):
         check_nonlinear_inequalities(SequenceSpec("canonical"), 4)
@@ -848,7 +946,7 @@ def test_float_spec_reports_equal_the_scans_of_its_binary_values(spec):
 @pytest.mark.parametrize("spec", [spec for spec, _ in FLOAT_FORMULAS
                                   if x_limit(spec).is_finite], ids=lambda s: s.family)
 def test_float_spec_x_minus_limit_is_its_binary_values_rounded(spec):
-    # the exact x_n - M of the lifted spec from its integer rule, N/D - M:
+    # the exact x_n - M of the lifted spec from its integer pair, N/D - M:
     # the integers of the q-quotient at n = 10^5 have millions of bits, and
     # Fraction(N, D) would reduce them.  The q-quotient's s = q^(n-1) is one
     # rounded power, so it needs no wider bound than the others.

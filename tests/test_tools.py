@@ -1,7 +1,10 @@
 """Smoke tests of the digest tools, which compare the outputs of two source
-trees: a renamed benchmark workload, test spec list or library name breaks
-here and not only when the tools are next run."""
+trees, and of the names the benchmark traces: a renamed benchmark workload,
+test spec list or library name breaks here and not only when the tools or
+a traced benchmark run are next run."""
 
+import importlib
+import inspect
 import json
 import sys
 from fractions import Fraction
@@ -12,9 +15,12 @@ from nlcpoly import SequenceSpec
 
 from test_sequences import PAIR_SPECS
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "perfbench")]
 import cli_digests  # noqa: E402
 import library_digests  # noqa: E402
+import run as perfbench_run  # noqa: E402
+import tracer  # noqa: E402
 
 
 def test_cli_digests_cover_every_benchmark_run():
@@ -37,3 +43,17 @@ def test_library_digest_of_a_pair_spec_is_json():
     assert digest["nevai_condition"]["n_max"] == library_digests.NEVAI_N
     assert len(digest["values"]) == library_digests.N_VALUES
     assert [name for name, *_ in digest["calls"]] == [c[0] for c in library_digests.TEST_CALLS]
+
+
+def test_traced_names_are_public_layer_functions():
+    # the tracer wraps only public functions defined in a layer module, and a
+    # traced run reads every TIMED and COUNTED name from its report
+    names = {*perfbench_run.TIMED, *perfbench_run.COUNTED, *tracer.HOT,
+             *tracer.QUADRATURE_RULES}
+    for name in sorted(names):
+        layer, attr = name.split(".")
+        assert layer in tracer.LAYERS, name
+        module = importlib.import_module(f"nlcpoly.{layer}")
+        fn = getattr(module, attr, None)
+        assert inspect.isfunction(fn) and not attr.startswith("_"), name
+        assert fn.__module__ == module.__name__, name
