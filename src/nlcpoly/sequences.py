@@ -429,20 +429,16 @@ class SequenceSpec:
 
 def _x_ratio(spec: SequenceSpec, n: int) -> tuple:
     """Integers (N, D) with x_n = N / D and D > 0 from the spec's integer
-    pair, evaluated at n by Horner's rule, or homogeneously at
+    pair, evaluated homogeneously at u / v = n / 1, or at
     u / v = a^(n-1) / b^(n-1) for a pair in s = q^(n-1) with q = a / b."""
     num, den, base = spec._pair
-    num, den, n = reversed(num.coeffs), reversed(den.coeffs), operator.index(n)
-    N, D = next(num), next(den)
-    if base is None:
-        for a, b in zip(num, den):
-            N, D = N * n + a, D * n + b
-    else:
-        u, v = base[0] ** (n - 1), base[1] ** (n - 1)
-        w = 1
-        for a, b in zip(num, den):
-            w *= v
-            N, D = N * u + a * w, D * u + b * w
+    n = operator.index(n)
+    u, v = (n, 1) if base is None else (base[0] ** (n - 1), base[1] ** (n - 1))
+    num, den = reversed(num.coeffs), reversed(den.coeffs)
+    N, D, w = next(num), next(den), 1
+    for a, b in zip(num, den):
+        w *= v
+        N, D = N * u + a * w, D * u + b * w
     if D == 0:
         raise ParameterDomainError(f"the denominator of x_n vanishes at n = {n}")
     return (N, D) if D > 0 else (-N, -D)
@@ -631,14 +627,17 @@ def _x_minus_limit(spec: SequenceSpec, n):
         return x_floats(spec, int(nn.max(initial=0)))[nn - 1] - float(lim.value)
     num, den, base = spec._pair
     p, r = lim.value.as_integer_ratio()
-    diff = [r * a - p * b for a, b in zip(num.coeffs, den.coeffs)]
+    # scaled by a power of two as rounded (int / int rounds once, at any
+    # size), so huge cleared integers neither overflow nor reach inf
+    m = 2 ** (r * max(map(abs, den.coeffs))).bit_length()
+    diff = [(r * a - p * b) / m for a, b in zip(num.coeffs, den.coeffs)]
     if base:
         with np.errstate(under="ignore"):
             t = np.power(base[0] / base[1], nn - 1)  # exact for q = 1/2
     else:
         t = nn.astype(float)
-    return (np.polyval([float(c) for c in reversed(diff)], t)
-            / np.polyval([float(r * c) for c in reversed(den.coeffs)], t))
+    return (np.polyval(diff[::-1], t)
+            / np.polyval([r * c / m for c in reversed(den.coeffs)], t))
 
 
 # ---------------------------------------------------------------------------

@@ -957,6 +957,20 @@ def test_float_spec_x_minus_limit_is_its_binary_values_rounded(spec):
         assert abs(x_minus_limit(spec, n) - exact) <= 2 * math.ulp(exact), n
 
 
+@pytest.mark.parametrize("nu", [1e-300, 1e-290])
+def test_x_minus_limit_of_a_tiny_float_parameter(nu):
+    # the binary value of nu clears to integers of over 1000 bits, past the
+    # float range; x_n - M still matches the lifted spec's exact value
+    spec = SequenceSpec("ultraspherical", nu=nu)
+    lifted = SequenceSpec("ultraspherical", nu=Fraction(nu))
+    m = x_limit(spec).value
+    for n in (1, 10, 10 ** 3, 10 ** 6):
+        exact = float(x_value(lifted, n) - m)
+        assert abs(x_minus_limit(spec, n) - exact) <= 2 * math.ulp(exact), n
+    deviations = nlcpoly.sequences._x_minus_limit(spec, np.arange(1, 4097))
+    assert np.all(np.isfinite(deviations)) and np.all(deviations < 0)
+
+
 def test_poly_shift_and_sign_certificate():
     Poly = nlcpoly.sequences._Poly
     p = Poly([2, -3, 1])  # (t - 1)(t - 2)
