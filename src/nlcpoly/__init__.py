@@ -24,7 +24,7 @@ from .moments import (  # noqa: F401
 from .recurrence import (  # noqa: F401
     RecurrenceCoeffs, general_monic_value, monic_polynomials,
     monic_q_coefficients, monic_q_polynomials, monic_q_value, phi_value,
-    phi_window, pollaczek_value,
+    phi_window,
 )
 from .spectral import (  # noqa: F401
     SpectralResult, SupportEndpoints, TruncatedJacobi, build_truncated,

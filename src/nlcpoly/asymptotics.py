@@ -142,14 +142,56 @@ def nevai_amplitude(weight_at_x: float, x: float) -> float:
     return math.sqrt(2.0 * math.sqrt(1.0 - x * x) / (math.pi * weight_at_x))
 
 
+def _phase_table(phis: np.ndarray, js: np.ndarray) -> np.ndarray:
+    """e^(i j phi) for every phi of phis (rows) and integer j of js (columns).
+
+    phi is split as phi_hi + phi_lo with phi_hi rounded to 26 significant
+    bits, so j phi_hi is an exact float for j < 2^27 and j phi_lo is tiny:
+    the product j phi, thousands of radians, is never rounded."""
+    mant, expo = np.frexp(phis)
+    hi = np.ldexp(np.round(np.ldexp(mant, 26)), expo - 26)
+    return _cis(np.multiply.outer(hi, js)) * _cis(np.multiply.outer(phis - hi, js))
+
+
+def _cis(arg: np.ndarray) -> np.ndarray:
+    """cos(arg) + i sin(arg), from the real cos and sin (faster than np.exp(1j arg))."""
+    out = np.empty(arg.shape, dtype=complex)
+    out.real, out.imag = np.cos(arg), np.sin(arg)
+    return out
+
+
+def _window_sums(values: np.ndarray, phis: np.ndarray, j0: int) -> np.ndarray:
+    """sum_k values[k] e^(i (j0 + k) phi) for every phi of phis.
+
+    With B = ceil(sqrt(len(values))) and k = k1 + B k2 the sum factorizes as
+    e^(i j0 phi) sum_k2 e^(i B k2 phi) sum_k1 V[k2, k1] e^(i k1 phi), V the
+    values zero-padded to B x B: O(B) exponentials per phi, not one per value."""
+    size = math.isqrt(len(values) - 1) + 1
+    grid = np.zeros(size * size)
+    grid[:len(values)] = values
+    ks = np.arange(size, dtype=float)
+    inner = np.einsum("ab,gb->ga", grid.reshape(size, size), _phase_table(phis, ks))
+    outer = np.einsum("ga,ga->g", inner, _phase_table(phis, size * ks))
+    return _phase_table(phis, np.array([float(j0)]))[:, 0] * outer
+
+
 def amplitude_extract(spec: SequenceSpec, x: float,
                       n_window: Tuple[int, int]) -> AmplitudeEstimate:
-    """Envelope of s_n(x) = sqrt(1-x^2) psi_n(x) over the index window.
+    """Amplitude of s_n(x) = sqrt(1-x^2) psi_n(x) over n = n_lo .. n_hi.
 
-    Returns a sinusoid least-squares estimate (frequency refined around
-    theta = arccos x) and a sliding-max envelope estimate; the sine fit is
-    the primary value, the max envelope is biased low between extrema.  The
-    fitted phase is reported but has no closed-form reference.
+    The primary estimate is the least-squares sinusoid
+    a sin((n+1) t) + b cos((n+1) t), amplitude hypot(a, b) and phase
+    atan2(-b, a), at the frequency t of an 81-point grid over
+    [0.98, 1.02] * arccos(x) whose residual is smallest.  Every grid point
+    is fitted at once from its 2 x 2 normal equations; their sums
+    <s, e^(i(n+1)t)> and <1, e^(2i(n+1)t)> come from factorized
+    exponential tables (``_window_sums``) with the argument split so that
+    no product (n+1) t is rounded, in O(81 sqrt(width)) exponentials and
+    O(81 width) multiply-adds.  The second estimate is the mean of the
+    sliding maxima of |s_n| over blocks of about two periods, biased low
+    between extrema; ``spread`` is the distance between the two.  The phase
+    has no closed-form reference.  A window shorter than four periods is
+    inconclusive and every value is NaN.
     """
     n_lo, n_hi = n_window
     if not 0 <= n_lo < n_hi:
@@ -167,12 +209,14 @@ def amplitude_extract(spec: SequenceSpec, x: float,
 
     # refine the frequency on a small grid around arccos(x): the least-squares
     # a sin + b cos at every grid point at once, from its 2 x 2 normal equations;
-    # the residual |s|^2 - a <sin, s> - b <cos, s> picks the best one
+    # <s, e^(i(n+1)t)> = pc + i ps, and <1, e^(2i(n+1)t)> gives ss, cc and sc
+    # by sin^2 = (1 - cos 2u) / 2 and sin cos = sin 2u / 2; the residual
+    # |s|^2 - a ps - b pc picks the best one
     thetas = np.linspace(0.98 * theta, 1.02 * theta, 81)
-    arg = np.outer(thetas, np.arange(n_lo + 1, n_hi + 2, dtype=float))  # (n + 1) theta
-    sin, cos = np.sin(arg), np.cos(arg)
-    ss, sc, cc = (np.einsum("ij,ij->i", u, v) for u, v in ((sin, sin), (sin, cos), (cos, cos)))
-    ps, pc = sin @ s, cos @ s
+    z = _window_sums(s, thetas, n_lo + 1)
+    z2 = _window_sums(np.ones(width), 2.0 * thetas, n_lo + 1)
+    pc, ps = z.real, z.imag
+    ss, cc, sc = (width - z2.real) / 2.0, (width + z2.real) / 2.0, z2.imag / 2.0
     det = ss * cc - sc * sc
     a, b = (cc * ps - sc * pc) / det, (ss * pc - sc * ps) / det
     best = int(np.argmin(s @ s - a * ps - b * pc))

@@ -173,9 +173,11 @@ class _Runner:
         diag = nevai_condition(self.spec, self.cfg.nevai_n_max)
         self._write_csv("nevai.csv", ["N", "partial_sum"],
                         list(diag.partial_sums_checkpoints))
+        tail, note = diag.tail_exponent, diag.note
+        if tail is not None and not math.isfinite(tail):  # strict JSON has no Infinity
+            tail, note = None, f"{note}; tail exponent {_fmt(diag.tail_exponent)} written as null"
         self.summary["nevai"] = {
-            "verdict": diag.verdict, "tail_exponent": diag.tail_exponent,
-            "n_max": diag.n_max, "note": diag.note,
+            "verdict": diag.verdict, "tail_exponent": tail, "n_max": diag.n_max, "note": note,
         }
 
     def cmd_amplitude(self) -> None:
@@ -189,11 +191,11 @@ class _Runner:
         rows = []
         for x in self.cfg.amplitude_points:
             est = amplitude_extract(self.spec, x, (lo, hi))
-            estimates.append({
-                "x": x, "sine_fit": est.sine_fit_amplitude,
-                "envelope": est.envelope_amplitude, "spread": est.spread,
-                "theta_fit": est.theta_fit, "inconclusive": est.inconclusive,
-            })
+            fit = {"sine_fit": est.sine_fit_amplitude, "envelope": est.envelope_amplitude,
+                   "spread": est.spread, "theta_fit": est.theta_fit}
+            # an inconclusive estimate's NaNs are written as null (strict JSON)
+            estimates.append({"x": x, "inconclusive": est.inconclusive,
+                              **{k: v if math.isfinite(v) else None for k, v in fit.items()}})
             s = np.sqrt(1.0 - x * x) * rescaled_phi_window(self.spec, lo, min(lo + 64, hi), x)
             rows.extend((x, lo + i, float(v)) for i, v in enumerate(s))
         self._write_csv("amplitude_trace.csv", ["x", "n", "s_n"], rows)
@@ -239,7 +241,7 @@ class _Runner:
         }
         path = self._path("summary.json")
         with open(path, "w", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, default=_fmt)
+            json.dump(payload, fh, indent=2, sort_keys=True, default=_fmt, allow_nan=False)
             fh.write("\n")
         self.files.append(path)
 

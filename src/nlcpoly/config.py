@@ -206,15 +206,3 @@ def _read_key(k: ConfigKey, raw: str):
     if not k.ok(value):
         raise ConfigError(f"{k.section}.{k.key} must be {k.rule}; got {raw!r}")
     return value
-
-
-def spec_to_config_text(spec: SequenceSpec) -> str:
-    """Serialize just a sequence spec; rational parameters round-trip
-    losslessly through their p/q form."""
-    return _write_sections({"sequence": _section("family", spec.family, spec.params)})
-
-
-def spec_from_config_text(text: str) -> SequenceSpec:
-    parser = _new_parser()
-    parser.read_string(text)
-    return _config_from_parser(parser).spec()

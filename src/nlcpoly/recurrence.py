@@ -171,22 +171,3 @@ def monic_q_polynomials(spec: SequenceSpec, n: int) -> List[list]:
 def monic_q_coefficients(spec: SequenceSpec, n: int) -> list:
     """Ascending coefficients of q_n (the last of :func:`monic_q_polynomials`)."""
     return monic_q_polynomials(spec, n)[-1]
-
-
-def pollaczek_value(lam: float, a: float, b: float, n: int, x: float) -> float:
-    """Pollaczek polynomial P_n^lam(x; a, b).
-
-    Defined by (n+1) P_{n+1} = 2[(n+lam+a)x + b] P_n - (n+2lam-1) P_{n-1}
-    with P_0 = 1 and P_1 = 2(lam+a)x + 2b.
-    """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    if n == 0:
-        return 1.0
-    prev = 1.0
-    cur = 2.0 * (lam + a) * x + 2.0 * b
-    for k in range(1, n):
-        nxt = (2.0 * ((k + lam + a) * x + b) * cur - (k + 2.0 * lam - 1.0) * prev) / (k + 1.0)
-        prev, cur = cur, nxt
-    return cur
-

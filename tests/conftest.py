@@ -1,4 +1,4 @@
-"""Shared fixtures and independent oracles for the test suite.
+"""Shared fixtures, config-text helpers and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own recurrence and
 elimination code paths: determinants are expanded by cofactors, and the
@@ -6,11 +6,14 @@ classical polynomial families are evaluated from their explicit finite sums
 with exact rational coefficients.
 """
 
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
 
 from nlcpoly import SequenceSpec
+from nlcpoly.config import RunConfig, load_config
 
 
 def det_cofactor(matrix):
@@ -71,6 +74,37 @@ def gegenbauer_exact(n: int, nu: Fraction, x: Fraction) -> Fraction:
             fr *= k
         total += Fraction((-1) ** m, fm * fr) * poch * (2 * x) ** (n - 2 * m)
     return total
+
+
+def pollaczek_value(lam: float, a: float, b: float, n: int, x: float) -> float:
+    """Pollaczek polynomial P_n^lam(x; a, b).
+
+    Defined by (n+1) P_{n+1} = 2[(n+lam+a)x + b] P_n - (n+2lam-1) P_{n-1}
+    with P_0 = 1 and P_1 = 2(lam+a)x + 2b.
+    """
+    if n == 0:
+        return 1.0
+    prev = 1.0
+    cur = 2.0 * (lam + a) * x + 2.0 * b
+    for k in range(1, n):
+        nxt = (2.0 * ((k + lam + a) * x + b) * cur - (k + 2.0 * lam - 1.0) * prev) / (k + 1.0)
+        prev, cur = cur, nxt
+    return cur
+
+
+def spec_to_config_text(spec: SequenceSpec) -> str:
+    """The config text of a spec with default [run] keys, as the run's
+    canonical text writes it; rational parameters keep their p/q form."""
+    return RunConfig(spec.family, dict(spec.params)).canonical_text()
+
+
+def spec_from_config_text(text: str) -> SequenceSpec:
+    """The spec of a config text, read by load_config from a file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.ini")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return load_config(path).spec()
 
 
 def atom_measure_sequence(points, weights, n_terms: int):

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -161,20 +162,48 @@ def _amplitude_reference(spec, x, n_lo, n_hi):
     return math.hypot(a, b), float(np.mean(maxima)), math.atan2(-b, a), th
 
 
-@pytest.mark.parametrize("spec", [
+FIT_SPECS = [
     SequenceSpec("grinshpan_ismail_s3", a1=1, a2=Fraction(1, 2), a3=Fraction(1, 4)),
     SequenceSpec("ultraspherical", nu=0.3),
-], ids=lambda s: s.family)
+]
+
+
+@pytest.mark.parametrize("spec", FIT_SPECS, ids=lambda s: s.family)
 def test_amplitude_fit_matches_one_lstsq_per_frequency(spec):
     # the batched 2 x 2 normal equations round differently from lstsq, so
     # the fit agrees to a tolerance; the frequency and the envelope are equal
-    for x in (-0.55, 0.1, 0.45):
+    for x in (-0.95, -0.55, 0.1, 0.45, 0.95):
         for n_lo, n_hi in ((200, 400), (2000, 4000)):
             est = amplitude_extract(spec, x, (n_lo, n_hi))
             amplitude, envelope, phase, theta = _amplitude_reference(spec, x, n_lo, n_hi)
             assert est.theta_fit == theta and est.envelope_amplitude == envelope
             assert est.sine_fit_amplitude == pytest.approx(amplitude, rel=1e-12, abs=0)
             assert est.phase == pytest.approx(phase, rel=0, abs=1e-12)
+
+
+def _exact_argument_fit(spec, x, n_lo, n_hi, theta):
+    """(amplitude, phase) of the lstsq a sin + b cos at theta, with every
+    sin((n + 1) theta) and cos((n + 1) theta) taken by mpmath at the exact
+    argument and rounded once."""
+    s = math.sqrt(1.0 - x * x) * rescaled_phi_window(spec, n_lo, n_hi, x)
+    with mpmath.workprec(120):
+        th = mpmath.mpf(theta)
+        basis = np.array([[float(mpmath.sin(j * th)), float(mpmath.cos(j * th))]
+                          for j in range(n_lo + 1, n_hi + 2)])
+    (a, b), *_ = np.linalg.lstsq(basis, s, rcond=None)
+    return math.hypot(a, b), math.atan2(-b, a)
+
+
+@pytest.mark.parametrize("spec", FIT_SPECS, ids=lambda s: s.family)
+def test_amplitude_fit_matches_the_exact_argument_fit(spec):
+    # (n + 1) theta reaches thousands of radians; a rounded product there
+    # shifts the phase by up to 4.5e-13, so the fit must not round it
+    for x in (-0.99, -0.55, 0.1, 0.45, 0.95):
+        for n_lo, n_hi in ((200, 400), (2000, 4000)):
+            est = amplitude_extract(spec, x, (n_lo, n_hi))
+            amplitude, phase = _exact_argument_fit(spec, x, n_lo, n_hi, est.theta_fit)
+            assert est.sine_fit_amplitude == pytest.approx(amplitude, rel=1e-14, abs=0)
+            assert est.phase == pytest.approx(phase, rel=0, abs=1e-14)
 
 
 def _rescaled_window_reference(spec, n_lo, n_hi, x):

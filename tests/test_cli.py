@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -534,6 +535,36 @@ def test_zero_limit_writes_no_nan(tmp_path, command):
         assert results["nevai"]["tail_exponent"] is None
     else:
         assert results["amplitude"] == {"note": "sequence limit is 0; skipped"}
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_every_summary_is_strict_json(tmp_path, monkeypatch):
+    # the 12 README catalog `all` runs, a nevai run whose deviations all vanish
+    # (tail exponent inf) and an amplitude window too short to fit (NaN fit)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+    configs = [(op.name, op.config) for op in workloads.build("cli_catalog", 1)]
+    chebyshev = "[sequence]\nfamily = gamma_quotient\na = 2\nb = 1\nc = 1\n\n[run]\n"
+    configs += [("nevai", chebyshev + "command = nevai\n"),
+                ("amplitude", chebyshev + "command = amplitude\namplitude_window = 100,110\n"
+                                          "amplitude_points = 0.999\n")]
+    assert len(configs) == 14
+    for name, text in configs:
+        out = tmp_path / name
+        text += f"\n[output]\ndir = {out}\nprefix = t\n"
+        assert main([write_config(tmp_path, text, name + ".cfg")]) == 0, name
+    summaries = {path.parent.name: json.loads(path.read_text(), parse_constant=_reject_constant)
+                 for path in tmp_path.glob("*/*_summary.json")}
+    assert sorted(summaries) == sorted(name for name, _ in configs)
+    nevai = summaries["nevai"]["results"]["nevai"]
+    assert nevai["verdict"] == "converges" and nevai["tail_exponent"] is None
+    assert nevai["note"] == "deviations below noise floor; tail exponent inf written as null"
+    estimate, = summaries["amplitude"]["results"]["amplitude"]["estimates"]
+    assert estimate["inconclusive"] is True
+    assert [estimate[k] for k in ("sine_fit", "envelope", "spread", "theta_fit")] == [None] * 4
 
 
 def test_explicit_family_through_pipeline(tmp_path):

@@ -7,7 +7,9 @@ import re
 from pathlib import Path
 
 from nlcpoly import family_names, measure_names
-from nlcpoly.config import CONFIG_KEYS, load_config, spec_from_config_text
+from nlcpoly.config import CONFIG_KEYS, load_config
+
+from conftest import spec_from_config_text
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 

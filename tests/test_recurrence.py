@@ -7,9 +7,10 @@ import pytest
 from nlcpoly import (
     MomentSequence, RecurrenceCoeffs, SequenceSpec, build_truncated, char_poly,
     general_monic_value, monic_polynomials, monic_q_coefficients, monic_q_polynomials,
-    monic_q_value, phi_value, phi_window, pollaczek_value, x_float, x_value,
+    monic_q_value, phi_value, phi_window, x_float, x_value,
 )
-from conftest import catalog_specs, gegenbauer_exact, hermite_orthonormal_oracle
+from conftest import (catalog_specs, gegenbauer_exact, hermite_orthonormal_oracle,
+                      pollaczek_value)
 
 
 # -- orthonormal family ---------------------------------------------------------

@@ -16,10 +16,10 @@ from nlcpoly import (
     check_monotone_and_bounded, check_nonlinear_inequalities, monic_q_polynomials,
     phi_value, x_float, x_floats, x_limit, x_minus_limit, x_value,
 )
-from nlcpoly.config import spec_from_config_text, spec_to_config_text
 from nlcpoly.sequences import x_factorials, x_log_factorials
 
-from conftest import CATALOG_DEFAULTS, atom_measure_sequence, catalog_specs
+from conftest import (CATALOG_DEFAULTS, atom_measure_sequence, catalog_specs,
+                      spec_from_config_text, spec_to_config_text)
 from test_acceptance import CATALOG_SETTINGS
 
 

@@ -56,6 +56,8 @@ TEST_CALLS = [
     ["hankel_determinant", 10],
     ["phi_value", 300, 0.3],
     ["amplitude_extract", 0.3, [200, 400]],
+    ["amplitude_extract", -0.95, [200, 400]],
+    ["amplitude_extract", 0.95, [200, 400]],
 ]
 MINUS_LIMIT_AT = (1, 10, 100, 1000)
 NEVAI_N = 256
