@@ -198,14 +198,19 @@ def amplitude_extract(spec: SequenceSpec, x: float,
         raise ValueError("need 0 <= n_lo < n_hi")
     if not -1.0 < x < 1.0:
         raise ValueError("x must lie inside (-1, 1)")
+    return _fit_window(x, n_lo, np.sqrt(1.0 - x * x) * rescaled_phi_window(spec, n_lo, n_hi, x))
+
+
+def _fit_window(x: float, n_lo: int, s: np.ndarray) -> AmplitudeEstimate:
+    """The estimates of :func:`amplitude_extract` from s_n, n = n_lo .. n_lo + len(s) - 1."""
     theta = math.acos(x)
     period = 2.0 * math.pi / theta
-    width = n_hi - n_lo + 1
+    width = len(s)
+    n_hi = n_lo + width - 1
     if width < 4 * period:
         return AmplitudeEstimate(x, (n_lo, n_hi), math.nan, math.nan, math.nan,
                                  math.nan, math.nan, True,
                                  "window shorter than four oscillation periods")
-    s = np.sqrt(1.0 - x * x) * rescaled_phi_window(spec, n_lo, n_hi, x)
 
     # refine the frequency on a small grid around arccos(x): the least-squares
     # a sin + b cos at every grid point at once, from its 2 x 2 normal equations;

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import __version__
-from .asymptotics import amplitude_extract, nevai_condition, rescaled_phi_window
+from .asymptotics import _fit_window, nevai_condition, rescaled_phi_window
 from .config import CONFIG_KEYS, ConfigError, RunConfig, load_config
 from .measures import DEFAULT_MEASURES, MeasureSpec, get_measure, verify_moment_problem
 from .moments import (DegenerateMomentsError, MomentSequence, berg_duran_check,
@@ -190,14 +190,15 @@ class _Runner:
         estimates = []
         rows = []
         for x in self.cfg.amplitude_points:
-            est = amplitude_extract(self.spec, x, (lo, hi))
+            # one psi_n window per point: the fit reads all of it, the trace its head
+            s = np.sqrt(1.0 - x * x) * rescaled_phi_window(self.spec, lo, hi, x)
+            est = _fit_window(x, lo, s)
             fit = {"sine_fit": est.sine_fit_amplitude, "envelope": est.envelope_amplitude,
                    "spread": est.spread, "theta_fit": est.theta_fit}
             # an inconclusive estimate's NaNs are written as null (strict JSON)
             estimates.append({"x": x, "inconclusive": est.inconclusive,
                               **{k: v if math.isfinite(v) else None for k, v in fit.items()}})
-            s = np.sqrt(1.0 - x * x) * rescaled_phi_window(self.spec, lo, min(lo + 64, hi), x)
-            rows.extend((x, lo + i, float(v)) for i, v in enumerate(s))
+            rows.extend((x, lo + i, float(v)) for i, v in enumerate(s[:65]))
         self._write_csv("amplitude_trace.csv", ["x", "n", "s_n"], rows)
         self.summary["amplitude"] = {"window": [lo, hi], "estimates": estimates}
 

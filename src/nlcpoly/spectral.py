@@ -12,6 +12,13 @@ positive zeros on the half-order block of Q_n^2 and confirms each enclosure
 with counts on Q_n itself; all zeros advance together, one numpy lane per
 zero, and each lane does the float operations of a scalar search, so the
 enclosures do not depend on how many zeros are computed at once.
+
+A Sturm count is the LDL^T pivot recurrence run down a block of rows, two
+numpy calls per row for every lane at once.  A zero pivot needs no test:
+IEEE infinities carry it through the next row (Demmel, Dhillon & Ren 1995),
+with the counts of the classical rule that takes it as a tiny negative.
+The zero search runs on the entries scaled by a power of four, which is
+exact and keeps the block's products finite.
 """
 
 from __future__ import annotations
@@ -25,7 +32,10 @@ import numpy as np
 
 from .sequences import Number, SequenceSpec, x_floats, x_limit, x_value
 
-_TINY_PIVOT = 1e-300
+# pivot rows per block of the Sturm sweep, at most 255 for its uint8 counts:
+# the scratch is (_ROWS + 1) x lanes floats at every order
+_ROWS = 64
+_LEAST = math.ulp(0.0)
 
 
 @dataclass(frozen=True)
@@ -40,8 +50,8 @@ class TruncatedJacobi:
     b_squared: Tuple[Number, ...]
 
     def __post_init__(self):
-        if any(not v > 0 for v in self.b_squared):
-            raise ValueError("off-diagonal entries must be positive")
+        if any(not 0 < v < math.inf for v in self.b_squared):
+            raise ValueError("off-diagonal entries must be positive and finite")
 
     @property
     def order(self) -> int:
@@ -96,38 +106,38 @@ def _half_block(b_squared: Sequence[Number]) -> Tuple[list, list]:
     return diagonal, off_squared
 
 
-def _sturm_counts(diagonal: Sequence[float], off_squared: Sequence[float],
+def _sturm_counts(diagonal: np.ndarray, off_squared: Sequence[float],
                   sigmas: np.ndarray) -> np.ndarray:
     """Eigenvalues strictly below each shift in ``sigmas`` of the symmetric
     tridiagonal matrix with ``diagonal`` and squared off-diagonals
     ``off_squared``: the negative pivots of the shifted LDL^T factorization,
-    one lane per shift.
-
-    Every lane does the float operations of the scalar recurrence
-    d <- (a - sigma) - b^2/d in the same order, so the counts do not depend
-    on how many shifts share the pass.
+    one lane per shift and _ROWS rows at a time.  Every lane does the float
+    operations of the scalar d <- (a - sigma) - b^2/d in the same order, so
+    the counts do not depend on how many shifts share the pass.  A zero
+    pivot +-0 makes the next one -+inf, whose b^2/d = -+0 leaves the one
+    after unchanged: exactly one of the two counts by its sign bit (Demmel,
+    Dhillon & Ren 1995).  A zero last pivot counts as negative.
     """
-    neg_sigma = np.negative(sigmas)
-    d = neg_sigma + diagonal[0]
-    shift = np.empty(len(d))
-    count = np.zeros(len(d), dtype=np.intp)
-    below = np.empty(len(d), dtype=bool)
-    for a, b2 in zip(diagonal[1:], off_squared):
-        if np.count_nonzero(d) < len(d):
-            d[d == 0.0] = -_TINY_PIVOT  # zero pivot: count as crossing from below
-        count += np.less(d, 0.0, out=below)
-        np.divide(b2, d, out=d)
-        np.add(neg_sigma, a, out=shift)
-        np.subtract(shift, d, out=d)
-    if np.count_nonzero(d) < len(d):
-        d[d == 0.0] = -_TINY_PIVOT
-    return count + (d < 0.0)
+    off_squared = np.maximum(off_squared, _LEAST)  # no lane computes 0/0
+    n, lanes = len(diagonal), len(sigmas)
+    block = np.empty((min(n, _ROWS) + 1, lanes))  # row 0: the last pivot carried over
+    rows, quotient, count = list(block), np.empty(lanes), np.zeros(lanes, dtype=np.intp)
+    with np.errstate(divide="ignore"):
+        for start in range(0, n, _ROWS):
+            m = min(n - start, _ROWS)
+            block[0] = block[-1]
+            np.subtract.outer(diagonal[start:start + m], sigmas, out=block[1:m + 1])
+            for i in range(1 + (start == 0), m + 1):
+                np.divide(off_squared[start + i - 2], rows[i - 1], out=quotient)
+                np.subtract(rows[i], quotient, out=rows[i])
+            count += np.signbit(block[(start == 0):m]).sum(axis=0, dtype=np.uint8)
+    return count + (block[m] <= 0.0)
 
 
 def sturm_count(q: TruncatedJacobi, sigma: float) -> int:
     """Number of eigenvalues of Q_n strictly below sigma (negative pivots of
     the shifted LDL^T factorization)."""
-    return int(_sturm_counts([0.0] * q.order, _float_entries(q),
+    return int(_sturm_counts(np.zeros(q.order), _float_entries(q),
                              np.array([sigma], dtype=float))[0])
 
 
@@ -216,14 +226,24 @@ def jacobi_zeros(q: TruncatedJacobi, tolerance: float = 1e-13) -> SpectralResult
     refuted: the block missed by more than its rounding.
     ``bisection_steps`` is the number of Sturm counts evaluated, on the
     block and on Q_n.
+
+    The search runs on the entries times 4^-k, the largest in [1/2, 2), and
+    on t / 2^k, so the block's products beta_{2i-1} beta_{2i} stay finite
+    at any scale of x_k; the brackets are scaled back.  Scaling by a power
+    of two is exact, so wherever nothing over- or underflowed the brackets
+    are those of the unscaled search.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     n, b_squared = q.order, _float_entries(q)
-    radius = 2.0 * math.sqrt(max(b_squared, default=0.0))  # Ismail--Li: |z| < 2 sqrt(beta)
+    largest = max(b_squared, default=0.0)
+    radius = 2.0 * math.sqrt(largest)  # Ismail--Li: |z| < 2 sqrt(beta)
     top = radius + 64.0 * math.ulp(max(radius, 1.0))
-    diagonal, off_squared = _half_block(b_squared)
-    zero_diagonal = [0.0] * n
+    k = math.frexp(largest)[1] // 2  # the search runs on t / unit, b^2 / unit^2
+    unit = math.ldexp(1.0, k)
+    b_squared = np.ldexp(b_squared, -2 * k)
+    diagonal, off_squared = map(np.array, _half_block(b_squared))
+    zero_diagonal = np.zeros(n)
 
     def on_block(t):
         return _sturm_counts(diagonal, off_squared, np.square(t))
@@ -234,24 +254,24 @@ def jacobi_zeros(q: TruncatedJacobi, tolerance: float = 1e-13) -> SpectralResult
     # lane j holds t_j, the (j+1)-th positive zero: eigenvalue j + 1 + n % 2
     # of the block and n - half + 1 + j of Q_n
     half = n // 2
-    lo, hi, steps = _quadrisect(on_block, np.zeros(half), np.full(half, top),
-                                np.arange(half) + (1 + n % 2), tolerance)
+    lo, hi, steps = _quadrisect(on_block, np.zeros(half), np.full(half, top / unit),
+                                np.arange(half) + (1 + n % 2), tolerance / unit)
     index = np.arange(half) + (n - half + 1)
     refuted = np.flatnonzero(~_encloses(on_q, lo, hi, index))
     steps += 2 * half
     mismatches = len(refuted)
     if mismatches:
-        pad = 16.0 * math.ulp(1.0) * radius ** 2 / (lo[refuted] + hi[refuted])
+        pad = 16.0 * math.ulp(1.0) * (radius / unit) ** 2 / (lo[refuted] + hi[refuted])
         wide_lo = np.maximum(lo[refuted] - pad, 0.0)
-        wide_hi = np.minimum(hi[refuted] + pad, top)
+        wide_hi = np.minimum(hi[refuted] + pad, top / unit)
         held = _encloses(on_q, wide_lo, wide_hi, index[refuted])
         steps += 2 * mismatches
         redo = refuted[held]
         lo[redo], hi[redo], more = _quadrisect(on_q, wide_lo[held], wide_hi[held],
-                                               index[redo], tolerance)
+                                               index[redo], tolerance / unit)
         steps += more
         mismatches -= len(redo)
-    positive = list(zip(lo.tolist(), hi.tolist()))
+    positive = list(zip((lo * unit).tolist(), (hi * unit).tolist()))
     brackets = (positive[::-1] + [(0.0, 0.0)] * (n % 2)
                 + [(0.0 - hi, 0.0 - lo) for lo, hi in positive])  # 0.0 - 0.0 is +0.0
     zeros = tuple(0.5 * (lo + hi) for lo, hi in brackets)

@@ -512,6 +512,31 @@ prefix = t
     assert (out / "t_amplitude_trace.csv").exists()
 
 
+def test_amplitude_runs_one_psi_window_per_point(tmp_path, monkeypatch):
+    # the fit reads the whole window n_lo .. n_hi and the trace its first 65 rows
+    import numpy as np
+    from nlcpoly import amplitude_extract, asymptotics, rescaled_phi_window
+    out = tmp_path / "out"
+    text = ("[sequence]\nfamily = gamma_quotient\na = 3\nb = 2\nc = 1\n\n[run]\n"
+            "command = amplitude\namplitude_window = 300,600\namplitude_points = 0.3,-0.7\n"
+            f"\n[output]\ndir = {out}\nprefix = t\n")
+    calls, window = [], asymptotics._window
+    monkeypatch.setattr(asymptotics, "_window",
+                        lambda b, n_lo, x: calls.append((n_lo, x)) or window(b, n_lo, x))
+    assert main([write_config(tmp_path, text)]) == 0
+    assert calls == [(300, 0.3), (300, -0.7)]
+    monkeypatch.undo()
+    spec = SequenceSpec("gamma_quotient", a=3, b=2, c=1)
+    estimates = json.loads((out / "t_summary.json").read_text())["results"]["amplitude"]["estimates"]
+    rows = [line.split(",") for line in (out / "t_amplitude_trace.csv").read_text().splitlines()[2:]]
+    for x, est in zip((0.3, -0.7), estimates):
+        ref = amplitude_extract(spec, x, (300, 600))
+        assert (est["sine_fit"], est["envelope"], est["theta_fit"]) == (
+            ref.sine_fit_amplitude, ref.envelope_amplitude, ref.theta_fit)
+        head = np.sqrt(1.0 - x * x) * rescaled_phi_window(spec, 300, 364, x)
+        assert [float(s) for r, n, s in rows if float(r) == x] == head.tolist()
+
+
 def test_nevai_command_unbounded_family(tmp_path):
     out = tmp_path / "out"
     path = write_config(tmp_path, BASE.format(command="nevai", n_max=6, out=out))

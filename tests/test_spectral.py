@@ -1,8 +1,10 @@
 import math
 import random
 import threading
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nlcpoly import (
@@ -10,7 +12,6 @@ from nlcpoly import (
     jacobi_zeros, monic_q_value, sturm_count, support_endpoints, x_float, x_floats,
 )
 from nlcpoly import spectral
-from nlcpoly.spectral import _TINY_PIVOT
 from conftest import catalog_specs
 
 
@@ -214,6 +215,11 @@ def test_zero_enclosures_respect_tolerance(su11_j1):
 
 # -- lane-parallel quadrisection against the scalar reference -----------------------------
 
+# the scalar reference counts a zero pivot as the tiny negative -_TINY_PIVOT;
+# the lane kernel lets IEEE infinities carry it, with the same counts
+_TINY_PIVOT = 1e-300
+
+
 def _reference_count(b_squared, sigma, tiny=_TINY_PIVOT, diagonal=None):
     diagonal = diagonal or [0.0] * (len(b_squared) + 1)
     count = 0
@@ -414,6 +420,117 @@ def test_brackets_contain_lapack_eigenvalues_at_order_1000():
         assert lo - tol <= e <= hi + tol
     _, brackets, steps, _, _ = _reference_zeros(q, tol)
     assert result.brackets == brackets and result.bisection_steps == steps
+
+
+# -- the lane kernel at zero pivots, its scratch, and entries of any scale -----------------
+
+def _zero_pivot_rows(diagonal, b_squared, sigma):
+    """Rows where the recurrence d <- (a - sigma) - b^2/d meets an exact zero
+    pivot when, as in the lane kernel, IEEE infinities carry it."""
+    rows, d = [], np.float64(diagonal[0]) - sigma
+    with np.errstate(divide="ignore"):
+        for k, (a, b2) in enumerate(zip(diagonal[1:], b_squared)):
+            rows += [k] * bool(d == 0.0)
+            d = (a - sigma) - b2 / d
+    return rows + [len(diagonal) - 1] * bool(d == 0.0)
+
+
+def test_lane_counts_equal_the_scalar_reference_at_zero_pivots():
+    # small integers (and -0.0) with half-integer shifts make exact zero
+    # pivots of either sign, which the kernel carries by infinities and the
+    # reference by -_TINY_PIVOT: in the first row, several in one sweep,
+    # across a block edge and in the last row
+    rng = random.Random(22)
+    sigmas = [k / 2 for k in range(-2, 10)]
+    seen = dict.fromkeys(("first", "several", "block edge", "last"), 0)
+    for _ in range(300):
+        n = rng.randint(1, 150)
+        diagonal = [rng.choice((-0.0, 0.0, 1.0, 2.0, 3.0)) for _ in range(n)]
+        if rng.random() < 0.25:  # at sigma = a, a zero pivot in every other row
+            diagonal = [diagonal[0]] * n
+        b_squared = [float(rng.randint(1, 4)) for _ in range(n - 1)]
+        counts = spectral._sturm_counts(np.array(diagonal), b_squared, np.array(sigmas))
+        for sigma, count in zip(sigmas, counts):
+            assert count == _reference_count(b_squared, sigma, diagonal=diagonal)
+            rows = _zero_pivot_rows(diagonal, b_squared, sigma)
+            seen["first"] += 0 in rows
+            seen["several"] += len(rows) > 1
+            seen["block edge"] += bool({63, 64} & set(rows))
+            seen["last"] += n - 1 in rows
+    assert min(seen.values()) > 0, seen
+    # at sigma = 0 an odd zero-diagonal Q_n has a zero pivot in every other row
+    for n in (1, 3, 63, 65, 129):
+        b_squared = [float(k) for k in range(1, n)]
+        count = spectral._sturm_counts(np.zeros(n), b_squared, np.zeros(1))[0]
+        assert count == _reference_count(b_squared, 0.0) == (n + 1) // 2
+
+
+def test_a_lane_counts_the_same_alone_and_in_a_batch():
+    rng = random.Random(7)
+    diagonal = np.array([float(rng.randint(0, 3)) for _ in range(100)])
+    b_squared = [float(rng.randint(1, 4)) for _ in range(99)]
+    sigmas = np.array([rng.randint(-4, 14) / 2 for _ in range(1000)])
+    batch = spectral._sturm_counts(diagonal, b_squared, sigmas)
+    alone = [spectral._sturm_counts(diagonal, b_squared, sigmas[j:j + 1])[0]
+             for j in range(len(sigmas))]
+    assert batch.tolist() == alone
+
+
+def test_sturm_scratch_does_not_grow_with_the_order():
+    sigmas = np.linspace(0.0, 4.0, 2000)
+    peaks = []
+    for n in (1000, 8000):
+        diagonal, b_squared = np.full(n, 2.0), np.ones(n - 1)
+        tracemalloc.start()
+        spectral._sturm_counts(diagonal, b_squared, sigmas)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0], peaks
+
+
+def test_zeros_where_the_block_products_overflow():
+    # x_n = n^60 at order 400: the largest b^2 is 5.7e155, so the products
+    # beta_{2i-1} beta_{2i} of the block overflow unless the entries are scaled
+    from scipy.linalg import eigvalsh_tridiagonal
+    spec = SequenceSpec("rational", num=(0,) * 60 + (1,), den=(1,))
+    q = TruncatedJacobi(tuple((x_floats(spec, 399) / 2).tolist()))
+    assert q.b_squared[-2] * q.b_squared[-1] == math.inf
+    result = jacobi_zeros(q, 1e-11)
+    assert result.count_mismatches == 0
+    oracle = eigvalsh_tridiagonal(np.zeros(q.order), np.sqrt(np.array(q.b_squared)))[::-1]
+    slack = 64 * np.finfo(float).eps * oracle[0]  # LAPACK's own error
+    for e, (lo, hi) in zip(oracle, result.brackets):
+        assert lo - slack <= e <= hi + slack
+    assert result.zeros[:4] == pytest.approx(oracle[:4], rel=1e-14)
+
+
+def test_scaled_entries_give_scaled_brackets_bit_for_bit():
+    q = build_truncated(SequenceSpec("su11", j=Fraction(3, 2)), 40)
+    result = jacobi_zeros(q, 1e-12)
+    for k in (1, 2, 200, 500):  # R = 1.38 times 2^k stays above 1, where top scales too
+        scaled = jacobi_zeros(TruncatedJacobi(tuple(math.ldexp(float(v), 2 * k)
+                                                    for v in q.b_squared)),
+                              math.ldexp(1e-12, k))
+        assert scaled.brackets == tuple((math.ldexp(lo, k), math.ldexp(hi, k))
+                                        for lo, hi in result.brackets)
+        assert scaled.bisection_steps == result.bisection_steps
+
+
+def test_truncation_rejects_non_finite_entries():
+    for entries in ((1.0, math.inf, 2.0), (math.inf,), (Fraction(1), -math.inf)):
+        with pytest.raises(ValueError):
+            TruncatedJacobi(entries)
+
+
+def test_no_lane_forms_nan_where_an_entry_rounds_to_zero():
+    # b_2^2 = 10^-400 is positive but its float is 0.0; at sigma = 1 the second
+    # pivot is 0, so a zero coupling would make the third pivot 0/0
+    q = TruncatedJacobi((1.0, Fraction(1, 10 ** 400), 1.0))
+    with np.errstate(invalid="raise"):
+        assert [sturm_count(q, s) for s in (-1.5, -0.5, 0.5, 1.5)] == [0, 2, 2, 4]
+        assert 2 <= sturm_count(q, 1.0) <= 4
+        zeros = jacobi_zeros(q, 1e-12).zeros
+    assert zeros == pytest.approx((1.0, 1.0, -1.0, -1.0), abs=1e-12)
 
 
 # -- one tuple of squared off-diagonals ----------------------------------------------------

@@ -24,9 +24,10 @@ import tracer  # noqa: E402
 
 
 def test_cli_digests_cover_every_benchmark_run():
-    # 12 cli_catalog and 4 cli_heavy configs, each as `all`, `zeros` and `bounds`
+    # 12 cli_catalog and 4 cli_heavy configs, each as `all`, `zeros`, `bounds`
+    # and `amplitude`, and the order-1000 barut_girardello zeros run
     labels = [label for label, _, _ in cli_digests.benchmark_runs()]
-    assert len(labels) == len(set(labels)) == 48
+    assert len(labels) == len(set(labels)) == 65
 
 
 def test_library_digest_of_a_pair_spec_is_json():

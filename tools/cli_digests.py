@@ -6,8 +6,11 @@ Usage (from the repository root):
 
 Runs ``nlcpoly`` from the package under SRC (a ``src`` directory) on the 12
 ``cli_catalog`` and 4 ``cli_heavy`` configs of ``perfbench/workloads.py``,
-each as its ``all`` run and as the single-step ``zeros`` and ``bounds`` runs
-(``--command``), each in a fresh interpreter and an empty directory, and
+each as its ``all`` run and as the single-step ``zeros``, ``bounds`` and
+``amplitude`` runs (``--command``), plus one ``zeros`` run of
+barut_girardello j = 1 at order 1000 and tolerance 1e-12, where the counts on
+Q_n refute and re-narrow 33 of the block's brackets, a path no benchmark
+config reaches.  Each runs in a fresh interpreter and an empty directory, and
 writes the exit code and the sha256 of stdout and of every output file to
 OUT.json. Two such files from two source trees are equal exactly when every
 run wrote the same bytes and exited the same way:
@@ -34,19 +37,23 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
 SEED = 1
-STEPS = ("zeros", "bounds")  # single steps digested beside each ``all`` run
+STEPS = ("zeros", "bounds", "amplitude")  # single steps digested beside each ``all`` run
+REPAIR = ("barut_girardello", {"j": "1"},
+          ["--command", "zeros", "--order", "1000", "--tolerance", "1e-12"])
 _MAIN = "import sys; from nlcpoly.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 def benchmark_runs() -> List[Tuple[str, str, List[str]]]:
     """(label, config text, flags) of every cli_catalog and cli_heavy run,
-    then of its single-step runs."""
+    then of its single-step runs, then of the repair run."""
     ops = [(f"{workload}/{op.name}", op)
            for workload in ("cli_catalog", "cli_heavy")
            for op in workloads.build(workload, SEED)]
+    family, params, flags = REPAIR
     return ([(label, op.config, op.argv) for label, op in ops]
             + [(f"{label}/{step}", op.config, [*op.argv, "--command", step])
-               for step in STEPS for label, op in ops])
+               for step in STEPS for label, op in ops]
+            + [(f"repair/{family}/zeros", workloads._config_text(family, params, SEED), flags)])
 
 
 def _sha256(data: bytes) -> str:
