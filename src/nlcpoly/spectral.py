@@ -35,7 +35,7 @@ from .sequences import Number, SequenceSpec, x_floats, x_limit, x_value
 # pivot rows per block of the Sturm sweep, at most 255 for its uint8 counts:
 # the scratch is (_ROWS + 1) x lanes floats at every order
 _ROWS = 64
-_LEAST = math.ulp(0.0)
+_LEAST = math.ulp(0.0)  # the least subnormal, to which a zero off-diagonal is raised
 
 
 @dataclass(frozen=True)
