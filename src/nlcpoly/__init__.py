@@ -10,13 +10,9 @@ from .sequences import (  # noqa: F401
     x_minus_limit, x_value,
 )
 from .special import (  # noqa: F401
-    CMReport, DomainError, bessel_k, cm_sequence_test, gamma, gamma_quotient_g,
-    log_gamma, pochhammer, q_gamma, q_gamma_quotient_h,
+    CMReport, DomainError, bessel_k, cm_sequence_test, log_gamma,
 )
-from .cm_generators import (  # noqa: F401
-    FsConsistencyReport, fs_quotient, fs_quotient_consistency, fs_subset_sums,
-    log_fs, sqrt_deviation_scaled,
-)
+from .cm_generators import sqrt_deviation_scaled  # noqa: F401
 from .moments import (  # noqa: F401
     BergDuranReport, DegenerateMomentsError, HankelResult, MomentSequence,
     bareiss_determinant, berg_duran_check, hankel_determinant, hankel_polynomial,
@@ -32,9 +28,9 @@ from .spectral import (  # noqa: F401
 )
 from .quadrature import QuadratureResult, exp_sinh, tanh_sinh  # noqa: F401
 from .measures import (  # noqa: F401
-    DivergenceError, GramReport, MeasureSpec, MomentCheckReport,
-    coherent_normalization, get_measure, integrate, measure_names,
-    select_bessel_ladder_measure, verify_moment_problem, verify_orthonormality,
+    GramReport, MeasureSpec, MomentCheckReport, get_measure, integrate,
+    measure_names, select_bessel_ladder_measure, verify_moment_problem,
+    verify_orthonormality,
 )
 from .asymptotics import (  # noqa: F401
     AmplitudeEstimate, NevaiDiagnostic, amplitude_extract, nevai_amplitude,

@@ -3,8 +3,8 @@
 Each catalog entry is a named density -- radial on [0, L) or even on
 [-L, L] / the real line -- normalized to unit mass; ``DEFAULT_MEASURES``
 pairs each sequence family with the density whose even moments are its
-partial products.  The module verifies moment problems, Gram matrices and
-coherent-state normalization by double-exponential quadrature.
+partial products.  The module verifies moment problems and Gram matrices
+by double-exponential quadrature.
 
 The ladder-operator measure with the Bessel kernel appears in the sources in
 two inequivalent forms; both candidates are kept and a numerical moment test
@@ -23,13 +23,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .moments import DegenerateMomentsError, MomentSequence
 from .quadrature import QuadratureResult, exp_sinh, tanh_sinh
 from .recurrence import RecurrenceCoeffs, general_monic_value, phi_value
-from .sequences import (SequenceSpec, x_factorials, x_float, x_limit, x_log_factorials,
-                        x_value)
-from .special import bessel_k, log_gamma, pochhammer
-
-
-class DivergenceError(ValueError):
-    """Series argument at or beyond the convergence radius."""
+from .sequences import SequenceSpec, x_factorials, x_log_factorials, x_value
+from .special import bessel_k, log_gamma
 
 
 @dataclass(frozen=True)
@@ -472,52 +467,3 @@ def verify_orthonormality(measure: MeasureSpec, spec: SequenceSpec, n_max: int,
     return GramReport(measure.name, spec.family, side, n_max, worst,
                       tuple(bad), tuple(tuple(row) for row in gram))
 
-
-# ---------------------------------------------------------------------------
-# coherent-state checks
-# ---------------------------------------------------------------------------
-
-_SERIES_TOLERANCE = 1e-14  # stop once a term is below this share of the sum
-_SERIES_MAX_TERMS = 200000
-
-
-def coherent_normalization(spec: SequenceSpec, r2: float) -> float:
-    """Normalization series N(r^2) = sum_n r^(2n) / x_n!.
-
-    Converges for r^2 below the squared convergence radius; at or beyond it
-    a DivergenceError names the radius.
-    """
-    if r2 < 0:
-        raise ValueError("r2 must be nonnegative")
-    lim = x_limit(spec)
-    if lim.is_finite and r2 >= float(lim.value):
-        raise DivergenceError(
-            f"normalization series diverges: r2 = {r2} >= L^2 = {float(lim.value)}")
-    total = 1.0
-    term = 1.0
-    n = 0
-    while True:
-        n += 1
-        term *= r2 / x_float(spec, n)
-        total += term
-        if term < _SERIES_TOLERANCE * total:
-            return total
-        if n >= _SERIES_MAX_TERMS:
-            raise ArithmeticError(
-                f"normalization series did not settle within {_SERIES_MAX_TERMS} terms")
-
-
-# closed-form even moments for the Bessel-kernel weights, used as oracles
-def bessel_mp_even_moment(mu, nu, beta, n: int) -> float:
-    return float(4 ** n * pochhammer(mu + nu, n) * pochhammer(mu - nu, n)
-                 / beta ** (2 * n))
-
-
-def bessel_k_exp_even_moment(mu, nu, n: int) -> float:
-    num = pochhammer(mu + nu, n) * pochhammer(mu - nu, n)
-    return float(num / (2 ** n * pochhammer(mu + Fraction(1, 2), n)))
-
-
-def bessel_k_abs_even_moment(mu, nu, n: int) -> float:
-    num = pochhammer(mu + nu, 2 * n) * pochhammer(mu - nu, 2 * n)
-    return float(num / (4 ** n * pochhammer(mu + Fraction(1, 2), 2 * n)))

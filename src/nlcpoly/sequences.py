@@ -459,11 +459,14 @@ def x_float(spec: SequenceSpec, n: int) -> float:
     """x_n rounded once to the nearest float: the same bits as
     ``float(x_value(spec, n))``.  An exact closed-form spec divides its
     integers N(n) / D(n), which Python rounds correctly, and forms no
-    Fraction."""
-    if not (spec.is_rational and spec._pair) or n < 1:
-        return float(x_value(spec, n))
-    N, D = _x_ratio(spec, n)
-    return N / D
+    Fraction.  An x_n beyond the float range raises SequenceRangeError."""
+    try:
+        if not (spec.is_rational and spec._pair) or n < 1:
+            return float(x_value(spec, n))
+        N, D = _x_ratio(spec, n)
+        return N / D
+    except OverflowError:
+        raise SequenceRangeError(f"x_{n} exceeds the float range") from None
 
 
 def x_floats(spec: SequenceSpec, n: int) -> np.ndarray:
@@ -500,12 +503,15 @@ def _more_floats(spec: SequenceSpec, start: int, n: int, last) -> list:
     if not (spec.is_rational and spec._pair):
         return [x_float(spec, k) for k in range(start, n + 1)]
     out = []
-    for k in range(start, n + 1):
-        if last == 1.0 and spec._pair[2]:
-            return out + [1.0] * (n + 1 - k)
-        N, D = _x_ratio(spec, k)
-        last = N / D
-        out.append(last)
+    try:
+        for k in range(start, n + 1):
+            if last == 1.0 and spec._pair[2]:
+                return out + [1.0] * (n + 1 - k)
+            N, D = _x_ratio(spec, k)
+            last = N / D
+            out.append(last)
+    except OverflowError:
+        raise SequenceRangeError(f"x_{k} exceeds the float range") from None
     return out
 
 

@@ -1,9 +1,9 @@
-"""Gamma, q-gamma, the modified Bessel function K_nu and complete-monotonicity
-tests.
+"""Log-gamma, the modified Bessel function K_nu and the complete-monotonicity
+test.
 
-Gamma delegates to the math module.  K_nu (Temme's series and Steed's
-continued fraction), the q-gamma infinite product and the Hausdorff
-finite-difference criterion are implemented directly.
+Log-gamma delegates to the math module.  K_nu (Temme's series and Steed's
+continued fraction) and the Hausdorff finite-difference criterion are
+implemented directly.
 """
 
 from __future__ import annotations
@@ -11,66 +11,17 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Tuple
-
-import numpy as np
 
 
 class DomainError(ValueError):
     """Argument outside the implemented domain of a special function."""
 
 
-def gamma(x: float) -> float:
-    """Gamma(x) for x > 0; relative error <= 1e-13 up to the overflow edge."""
-    if x <= 0:
-        raise DomainError("gamma requires x > 0")
-    if x > 171.6:
-        return math.inf  # use log_gamma beyond the double-precision range
-    return math.gamma(x)
-
-
 def log_gamma(x: float) -> float:
     if x <= 0:
         raise DomainError("log_gamma requires x > 0")
     return math.lgamma(x)
-
-
-def pochhammer(a, n: int):
-    """Shifted factorial (a)_n = a (a+1) ... (a+n-1); exact for exact a."""
-    acc = Fraction(1) if isinstance(a, (int, Fraction)) else 1.0
-    for k in range(n):
-        acc = acc * (a + k)
-    return acc
-
-
-def q_gamma(x: float, q: float) -> float:
-    """q-gamma function for 0 < q < 1 and x > 0.
-
-    Computed as (1-q)^(1-x) * prod_{k>=0} (1-q^(k+1)) / (1-q^(x+k)), summed
-    in the log domain with a first-order analytic tail correction, so the
-    functional equation q_gamma(x+1) = (1-q^x)/(1-q) * q_gamma(x) holds to
-    better than 1e-12 relative even for q close to 1.
-    """
-    if not 0.0 < q < 1.0:
-        raise DomainError("q_gamma requires 0 < q < 1")
-    if x <= 0:
-        raise DomainError("q_gamma requires x > 0")
-    q = float(q)
-    x = float(x)
-    logq = math.log(q)
-    # truncate once the factor deviation q^k |q^x - q| is negligible next to
-    # the accumulated tail weight 1/(1-q)
-    dev = abs(q ** x - q)
-    if dev == 0.0:
-        return (1.0 - q) ** (1.0 - x)
-    n_terms = int(math.ceil((math.log(1e-19) + math.log1p(-q) - math.log(dev)) / logq))
-    n_terms = max(n_terms, 8)
-    k = np.arange(n_terms, dtype=float)
-    total = float(np.sum(np.log1p(-(q ** (k + 1.0))) - np.log1p(-(q ** (x + k)))))
-    # first-order tail: sum_{k>=N} (q^(x+k) - q^(k+1)) = q^N (q^x - q)/(1-q)
-    total += (q ** n_terms) * (q ** x - q) / (1.0 - q)
-    return math.exp((1.0 - x) * math.log1p(-q) + total)
 
 
 # Taylor coefficients of 1/Gamma(1 + z) at z = 0 (Abramowitz-Stegun 6.1.34),
@@ -212,58 +163,28 @@ class CMReport:
     tolerance: float
 
 
-def cm_sequence_test(a: Callable[[int], float], n_max: int, order: int = 8,
-                     tolerance: Optional[float] = None, n_min: int = 0) -> CMReport:
-    """Check (-1)^k Delta^k a(n) >= -tol for 0 <= k <= order, n_min <= n <= n_max.
+def cm_sequence_test(a: Callable[[int], float], n_max: int, order: int = 8) -> CMReport:
+    """Check (-1)^k Delta^k a(n) >= -tol for 0 <= k <= order, 0 <= n <= n_max.
 
     This is the finite-difference necessary criterion for {a(n)} to be a
     Hausdorff moment sequence (samples of a completely monotonic function).
-    Differencing amplifies rounding error, so the default tolerance scales
-    with |a(n_min)| and orders much beyond 8 are not recommended.
+    Differencing amplifies rounding error, so the tolerance is
+    1e-12 |a(0)| and orders much beyond 8 are not recommended.
     """
     if n_max < 0 or order < 0:
         raise ValueError("n_max and order must be nonnegative")
-    values = [float(a(n)) for n in range(n_min, n_max + order + 1)]
-    if tolerance is None:
-        tolerance = 1e-12 * max(abs(values[0]), 1e-300)
+    values = [float(a(n)) for n in range(n_max + order + 1)]
+    tolerance = 1e-12 * max(abs(values[0]), 1e-300)
     worst = math.inf
     first_failure = None
     row = values
     for k in range(order + 1):
-        signed = [(-1) ** k * v for v in row[: n_max - n_min + 1]]
+        signed = [(-1) ** k * v for v in row[: n_max + 1]]
         for i, v in enumerate(signed):
             if v < worst:
                 worst = v
             if v < -tolerance and first_failure is None:
-                first_failure = (n_min + i, k)
+                first_failure = (i, k)
         row = [b - c for b, c in zip(row[1:], row)]
     return CMReport(order, worst, first_failure is None, first_failure, tolerance)
 
-
-def gamma_quotient_g(x: float, a: float, b: float, c: float) -> float:
-    """Normalized gamma quotient.
-
-    g(x) = [Gamma(a)Gamma(b) / (Gamma(c)Gamma(a+b-c))]
-           * Gamma(x+c)Gamma(x+a+b-c) / (Gamma(x+a)Gamma(x+b)),
-
-    completely monotonic for a >= c, b >= c, c >= 0, with g(0) = 1 and
-    g(n) = x_1 x_2 ... x_n for the associated quotient sequence.  Evaluated
-    through log-gamma to dodge overflow.
-    """
-    args = (a, b, c, a + b - c, x + c, x + a + b - c, x + a, x + b)
-    if any(t <= 0 for t in args):
-        raise DomainError("gamma_quotient_g requires all gamma arguments positive")
-    log_val = (log_gamma(a) + log_gamma(b) - log_gamma(c) - log_gamma(a + b - c)
-               + log_gamma(x + c) + log_gamma(x + a + b - c)
-               - log_gamma(x + a) - log_gamma(x + b))
-    return math.exp(log_val)
-
-
-def q_gamma_quotient_h(x: float, a: float, b: float, c: float, q: float) -> float:
-    """q-analogue of :func:`gamma_quotient_g`, built from q-gamma factors."""
-    args = (a, b, c, a + b - c, x + c, x + a + b - c, x + a, x + b)
-    if any(t <= 0 for t in args):
-        raise DomainError("q_gamma_quotient_h requires all arguments positive")
-    num = q_gamma(a, q) * q_gamma(b, q) * q_gamma(x + c, q) * q_gamma(x + a + b - c, q)
-    den = q_gamma(c, q) * q_gamma(a + b - c, q) * q_gamma(x + a, q) * q_gamma(x + b, q)
-    return num / den

@@ -14,13 +14,14 @@ import random
 import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from nlcpoly import (
     MomentSequence, SequenceSpec, amplitude_extract, berg_duran_check,
     build_truncated, char_poly, check_monotone_and_bounded,
-    check_nonlinear_inequalities, cm_sequence_test, gamma_quotient_g,
+    check_nonlinear_inequalities, cm_sequence_test,
     get_measure, hankel_polynomial, ismail_li_bounds, jacobi_zeros,
     monic_q_coefficients, monic_q_value, nevai_amplitude, phi_value,
     select_bessel_ladder_measure, sqrt_deviation_scaled, verify_moment_problem,
@@ -286,13 +287,17 @@ def test_criterion_11_grinshpan_tail():
 
 
 def test_criterion_12_cm_and_stieltjes():
+    # samples of the normalized gamma quotient g(n) = x_1 ... x_n
     rng = random.Random(20240101)
-    for _ in range(10):
-        c = rng.uniform(0.1, 2.0)
-        a = c + rng.uniform(0.0, 3.0)
-        b = c + rng.uniform(0.0, 3.0)
-        rep = cm_sequence_test(lambda n: gamma_quotient_g(float(n), a, b, c), 30, 8)
-        assert rep.passed, (a, b, c, rep.first_failure)
+    with mpmath.workdps(30):
+        for _ in range(10):
+            c = rng.uniform(0.1, 2.0)
+            a = c + rng.uniform(0.0, 3.0)
+            b = c + rng.uniform(0.0, 3.0)
+            g = lambda n: float(mpmath.gammaprod([a, b, n + c, n + a + b - c],
+                                                 [c, a + b - c, n + a, n + b]))
+            rep = cm_sequence_test(g, 30, 8)
+            assert rep.passed, (a, b, c, rep.first_failure)
     su_report = berg_duran_check(SequenceSpec("su11", j=1), 24, 8)
     assert su_report.hausdorff_ok
     canonical_report = berg_duran_check(SequenceSpec("canonical"), 12, 6)

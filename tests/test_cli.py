@@ -671,6 +671,30 @@ prefix = t
     assert sorted(p.name for p in (tmp_path / "out").iterdir())[0] == "t_hankel.csv"
 
 
+def test_x_beyond_the_float_range_exits_2(tmp_path, capsys):
+    # x_n = n^130 passes the load-time checks; the order-400 truncation
+    # needs x_399, which no float holds
+    num = ", ".join(["0"] * 130 + ["1"])
+    text = f"""
+[sequence]
+family = rational
+num = {num}
+den = 1
+
+[run]
+command = zeros
+order = 400
+
+[output]
+dir = {tmp_path / "out"}
+prefix = t
+"""
+    assert main([write_config(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: x_236 exceeds the float range")
+    assert "Traceback" not in err
+
+
 FAMILY_BLOCKS = {
     "canonical": "family = canonical",
     "su11": "family = su11\nj = 1",

@@ -2,13 +2,11 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
-from nlcpoly import (
-    SequenceSpec, cm_sequence_test, fs_quotient, fs_quotient_consistency, fs_subset_sums,
-    sqrt_deviation_scaled, x_value,
-)
+from nlcpoly import SequenceSpec, cm_sequence_test, sqrt_deviation_scaled, x_float, x_value
 from nlcpoly.sequences import ParameterDomainError
 
 
@@ -67,57 +65,43 @@ def test_grinshpan_ordering_enforced():
         x_value(SequenceSpec("grinshpan_ismail_s3", a1=0, a2=1, a3=0), 1)
 
 
-# -- F_s machinery -------------------------------------------------------------
+# -- the F_3 gamma product ------------------------------------------------------
 
-@pytest.mark.parametrize("s", [1, 2, 3, 4])
-def test_fs_term_counts_match_power_of_two(s):
-    a = [Fraction(1, k + 2) for k in range(s)]
-    even_sums, odd_sums = fs_subset_sums(s, a)
-    assert len(even_sums) == 2 ** (s - 1)
-    assert len(odd_sums) == 2 ** (s - 1)
-
-
-def test_fs_subset_sums_symmetric_total():
-    # total argument sums agree between numerator and denominator sides
-    a = [Fraction(1), Fraction(1, 2), Fraction(1, 3)]
-    even_sums, odd_sums = fs_subset_sums(3, a)
-    assert sum(even_sums) == sum(odd_sums)
+def _f3(x, a1, a2, a3):
+    # F_3(x): Gamma at x plus the even-size subset sums of (a1, a2, a3) over
+    # Gamma at x plus the odd-size ones
+    return mpmath.gammaprod([x, x + a1 + a2, x + a1 + a3, x + a2 + a3],
+                            [x + a1, x + a2, x + a3, x + a1 + a2 + a3])
 
 
 def test_fs_quotient_matches_closed_form_at_a0_one():
-    report = fs_quotient_consistency(1, 1, Fraction(1, 2), Fraction(1, 4), 30)
-    assert report.max_rel_deviation <= 1e-12
-    assert report.closed_form_is_a0_one
+    # x_n = F_3(n + a0) / F_3(n + a0 - 1) with the association choice a0 = 1
+    spec = SequenceSpec("grinshpan_ismail_s3", a1=1, a2=Fraction(1, 2), a3=Fraction(1, 4))
+    with mpmath.workdps(30):
+        for n in range(1, 31):
+            direct = float(_f3(n + 1, 1, 0.5, 0.25) / _f3(n, 1, 0.5, 0.25))
+            assert direct == pytest.approx(x_float(spec, n), rel=1e-14)
 
 
 def test_fs_quotient_degenerate_parameters():
-    report = fs_quotient_consistency(1, 0, 0, 0, 10)
-    assert report.max_rel_deviation <= 1e-13
-
-
-def test_fs_quotient_association_shift_differs():
-    # a0 = 2 defines a shifted sequence; the report is informational
-    report = fs_quotient_consistency(2, 1, Fraction(1, 2), Fraction(1, 4), 10)
-    assert report.max_rel_deviation > 1e-6
-    assert not report.closed_form_is_a0_one
-    direct = fs_quotient(3, (1.0, 0.5, 0.25), 2.0, 1)
-    closed_shifted = float(x_value(SequenceSpec(
-        "grinshpan_ismail_s3", a1=1, a2=Fraction(1, 2), a3=Fraction(1, 4)), 2))
-    assert direct == pytest.approx(closed_shifted, rel=1e-12)
+    spec = SequenceSpec("grinshpan_ismail_s3", a1=0, a2=0, a3=0)
+    with mpmath.workdps(30):
+        for n in range(1, 11):
+            direct = float(_f3(n + 1, 0, 0, 0) / _f3(n, 0, 0, 0))
+            assert direct == pytest.approx(x_float(spec, n), rel=1e-13)
 
 
 def test_fs_quotient_samples_are_cm():
-    from nlcpoly import log_fs
     rng = random.Random(31)
-    for _ in range(10):
-        a3 = rng.uniform(0.0, 0.5)
-        a2 = a3 + rng.uniform(0.0, 0.5)
-        a1 = a2 + rng.uniform(0.0, 0.5)
-        base = log_fs(3, (a1, a2, a3), 1.0)
-        samples = [math.exp(log_fs(3, (a1, a2, a3), n + 1.0) - base) for n in range(40)]
-        # tolerance reflects log-gamma noise amplified by eighth differences
-        rep = cm_sequence_test(lambda n: samples[n], 30, 8, tolerance=1e-11)
-        assert rep.passed, (a1, a2, a3, rep.first_failure)
+    with mpmath.workdps(30):
+        for _ in range(10):
+            a3 = rng.uniform(0.0, 0.5)
+            a2 = a3 + rng.uniform(0.0, 0.5)
+            a1 = a2 + rng.uniform(0.0, 0.5)
+            base = _f3(1, a1, a2, a3)
+            samples = [float(_f3(n + 1, a1, a2, a3) / base) for n in range(40)]
+            rep = cm_sequence_test(lambda n: samples[n], 30, 8)
+            assert rep.passed, (a1, a2, a3, rep.first_failure)
 
 
 # -- q -> 1 consistency ----------------------------------------------------------
@@ -137,13 +121,16 @@ def test_q_quotient_approaches_gamma_quotient():
 # -- partial products -------------------------------------------------------------
 
 def test_partial_product_matches_gamma_quotient_g():
-    from nlcpoly import gamma_quotient_g
+    # g(n) = Gamma(a) Gamma(b) Gamma(n + c) Gamma(n + a + b - c)
+    #        / (Gamma(c) Gamma(a + b - c) Gamma(n + a) Gamma(n + b))
     a, b, c = 3.0, 2.0, 1.0
     spec = SequenceSpec("gamma_quotient", a=a, b=b, c=c)
     product = 1.0
-    for n in range(1, 51):
-        product *= float(x_value(spec, n))
-        assert product == pytest.approx(gamma_quotient_g(n, a, b, c), rel=1e-12)
+    with mpmath.workdps(30):
+        for n in range(1, 51):
+            product *= float(x_value(spec, n))
+            g = mpmath.gammaprod([a, b, n + c, n + a + b - c], [c, a + b - c, n + a, n + b])
+            assert product == pytest.approx(float(g), rel=1e-12)
 
 
 # -- tail property -----------------------------------------------------------------

@@ -1,16 +1,16 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 import nlcpoly.measures
 import nlcpoly.sequences
 from nlcpoly import (
-    DivergenceError, SequenceSpec, coherent_normalization, get_measure,
-    integrate, measure_names, select_bessel_ladder_measure, verify_moment_problem, verify_orthonormality,
+    SequenceSpec, get_measure, integrate, measure_names, select_bessel_ladder_measure,
+    verify_moment_problem, verify_orthonormality,
 )
-from nlcpoly.measures import (MomentRow, bessel_k_abs_even_moment, bessel_k_exp_even_moment,
-                              bessel_mp_even_moment, moment_integral)
+from nlcpoly.measures import MomentRow, moment_integral
 from nlcpoly.moments import MomentSequence
 from nlcpoly.sequences import x_floats, x_log_factorials
 
@@ -173,9 +173,10 @@ def test_bessel_mp_moments_match():
     spec = SequenceSpec("meixner_pollaczek_bessel", mu=mu, nu=nu, beta=beta)
     report = verify_moment_problem(measure, spec, 8, 1e-8)
     assert report.verdict, report.max_abs_rel_error
+    # the closed-form Pochhammer moments 4^n (mu + nu)_n (mu - nu)_n / beta^(2n)
     for n in range(5):
-        assert bessel_mp_even_moment(mu, nu, beta, n) == pytest.approx(
-            report.rows[n].expected, rel=1e-13)
+        closed = 4 ** n * mpmath.rf(mu + nu, n) * mpmath.rf(mu - nu, n) / beta ** (2 * n)
+        assert float(closed) == pytest.approx(report.rows[n].expected, rel=1e-13)
 
 
 def test_bessel_k_exp_moments_match():
@@ -184,10 +185,12 @@ def test_bessel_k_exp_moments_match():
     spec = SequenceSpec("bessel_k_exp", mu=mu, nu=nu)
     report = verify_moment_problem(measure, spec, 8, 1e-8)
     assert report.verdict, report.max_abs_rel_error
-    # the closed-form Pochhammer moments agree with the partial products
+    # the closed-form Pochhammer moments (mu + nu)_n (mu - nu)_n / (2^n (mu + 1/2)_n)
+    # agree with the partial products
     for n in range(6):
-        assert bessel_k_exp_even_moment(mu, nu, n) == pytest.approx(
-            report.rows[n].expected, rel=1e-14)
+        closed = (mpmath.rf(mu + nu, n) * mpmath.rf(mu - nu, n)
+                  / (2 ** n * mpmath.rf(mu + Fraction(1, 2), n)))
+        assert float(closed) == pytest.approx(report.rows[n].expected, rel=1e-14)
 
 
 def test_bessel_k_abs_moments_match():
@@ -196,9 +199,11 @@ def test_bessel_k_abs_moments_match():
     spec = SequenceSpec("bessel_k_abs", mu=mu, nu=nu)
     report = verify_moment_problem(measure, spec, 8, 1e-8)
     assert report.verdict, report.max_abs_rel_error
+    # (mu + nu)_2n (mu - nu)_2n / (4^n (mu + 1/2)_2n)
     for n in range(6):
-        assert bessel_k_abs_even_moment(mu, nu, n) == pytest.approx(
-            report.rows[n].expected, rel=1e-14)
+        closed = (mpmath.rf(mu + nu, 2 * n) * mpmath.rf(mu - nu, 2 * n)
+                  / (4 ** n * mpmath.rf(mu + Fraction(1, 2), 2 * n)))
+        assert float(closed) == pytest.approx(report.rows[n].expected, rel=1e-14)
 
 
 def test_moment_rows_carry_relative_errors():
@@ -280,34 +285,6 @@ def test_gram_matrix_is_symmetric():
     for m in range(6):
         for n in range(6):
             assert g[m][n] == g[n][m]
-
-
-# -- normalization series -----------------------------------------------------------------
-
-def test_normalization_canonical_is_exp():
-    assert coherent_normalization(SequenceSpec("canonical"), 1.0) == pytest.approx(
-        math.e, rel=1e-13)
-
-
-def test_normalization_at_zero_is_one():
-    assert coherent_normalization(SequenceSpec("su11", j=2), 0.0) == 1.0
-
-
-def test_normalization_su11_geometric_derivative():
-    # sum (n+1) 2^-n = 4
-    val = coherent_normalization(SequenceSpec("su11", j=1), 0.5)
-    assert val == pytest.approx(4.0, rel=1e-12)
-
-
-def test_normalization_strictly_increasing():
-    spec = SequenceSpec("ultraspherical", nu=1)
-    values = [coherent_normalization(spec, r2) for r2 in (0.0, 0.2, 0.5, 0.8, 0.95)]
-    assert all(b > a for a, b in zip(values, values[1:]))
-
-
-def test_normalization_divergence_names_radius():
-    with pytest.raises(DivergenceError, match="L\\^2 = 1"):
-        coherent_normalization(SequenceSpec("su11", j=1), 1.0)
 
 
 def test_integrate_odd_function_vanishes_on_even_measure():

@@ -649,6 +649,22 @@ def test_x_floats_list_backed_range_error():
         x_floats(SequenceSpec("analytic_function", taylor_norms=[1, 2, 3]), 3)
 
 
+def test_x_beyond_the_float_range_is_a_range_error():
+    # x_n = n^130 exceeds the largest float from n = 236 on
+    spec = SequenceSpec("rational", num=[0] * 130 + [1], den=[1])
+    assert x_float(spec, 235) == float(235 ** 130)
+    with pytest.raises(SequenceRangeError, match="x_399 exceeds the float range"):
+        x_float(spec, 399)
+    with pytest.raises(SequenceRangeError, match="x_236 exceeds the float range"):
+        x_floats(spec, 399)
+    assert len(x_floats(spec, 235)) == 235
+    # a list-backed value too large for a float
+    spec = SequenceSpec("explicit", values=[1, 10 ** 400])
+    for read in (x_float, x_floats):
+        with pytest.raises(SequenceRangeError, match="x_2 exceeds the float range"):
+            read(spec, 2)
+
+
 def test_x_floats_consistent_across_threads():
     spec = SequenceSpec("jacobi_type", alpha=1, beta=Fraction(1, 3))
     expected = [float(x_value(spec, k)) for k in range(1, 401)]

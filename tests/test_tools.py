@@ -6,6 +6,8 @@ a traced benchmark run are next run."""
 import importlib
 import inspect
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -58,3 +60,16 @@ def test_traced_names_are_public_layer_functions():
         fn = getattr(module, attr, None)
         assert inspect.isfunction(fn) and not attr.startswith("_"), name
         assert fn.__module__ == module.__name__, name
+
+
+def test_tracer_installs_on_the_package():
+    # a traced benchmark run wraps every layer and rebinds the names in the
+    # modules tracer.install lists; run in a child so this process stays unwrapped
+    script = ("import nlcpoly, nlcpoly.cli, tracer\n"
+              "tracer.Tracer().install(nlcpoly)\n"
+              "assert nlcpoly.x_float.__wrapped__ is nlcpoly.sequences.x_float.__wrapped__\n")
+    src = str(Path(nlcpoly.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(ROOT / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
