@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import mpmath
 import numpy as np
@@ -74,6 +75,41 @@ def _f3(x, a1, a2, a3):
                             [x + a1, x + a2, x + a3, x + a1 + a2 + a3])
 
 
+def _from_shifts(shifts):
+    # ascending coefficients of prod (n + t) over the shifts t
+    coeffs = [Fraction(1)]
+    for t in shifts:
+        coeffs = [t * c + d for c, d in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_fs_term_counts_match_power_of_two(s):
+    # F_s(n + 1) / F_s(n) is the rational function of n with a factor n + t
+    # for each even-size subset sum t of (a_1, ..., a_s) on top and each
+    # odd-size one below: 2^(s-1) factors each
+    a = [Fraction(1, k + 2) for k in range(s)]
+    even, odd = ([sum(c) for k in range(p, s + 1, 2) for c in combinations(a, k)] for p in (0, 1))
+    assert len(even) == len(odd) == 2 ** (s - 1)
+    spec = SequenceSpec("rational", num=_from_shifts(even), den=_from_shifts(odd))
+    num, den = spec.poly_pair()
+    assert len(num) == len(den) == 2 ** (s - 1) + 1
+    with mpmath.workdps(30):
+        for n in range(1, 11):
+            direct = mpmath.gammaprod([n + 1 + t for t in even] + [n + t for t in odd],
+                                      [n + 1 + t for t in odd] + [n + t for t in even])
+            assert x_float(spec, n) == pytest.approx(float(direct), rel=1e-14), n
+
+
+def test_fs_subset_sums_symmetric_total():
+    # the even- and odd-size subset sums have one total, so the n^3
+    # coefficients of the s = 3 closed form agree and x_n = 1 + O(1/n^2)
+    a1, a2, a3 = Fraction(1), Fraction(1, 2), Fraction(1, 3)
+    num, den = SequenceSpec("grinshpan_ismail_s3", a1=a1, a2=a2, a3=a3).poly_pair()
+    assert num[-1] == den[-1]
+    assert num[-2] / num[-1] == den[-2] / den[-1] == 2 * (a1 + a2 + a3)
+
+
 def test_fs_quotient_matches_closed_form_at_a0_one():
     # x_n = F_3(n + a0) / F_3(n + a0 - 1) with the association choice a0 = 1
     spec = SequenceSpec("grinshpan_ismail_s3", a1=1, a2=Fraction(1, 2), a3=Fraction(1, 4))
@@ -89,6 +125,16 @@ def test_fs_quotient_degenerate_parameters():
         for n in range(1, 11):
             direct = float(_f3(n + 1, 0, 0, 0) / _f3(n, 0, 0, 0))
             assert direct == pytest.approx(x_float(spec, n), rel=1e-13)
+
+
+def test_fs_quotient_association_shift_differs():
+    # a0 = 2 gives F_3(n + 2) / F_3(n + 1), the closed form shifted by one
+    spec = SequenceSpec("grinshpan_ismail_s3", a1=1, a2=Fraction(1, 2), a3=Fraction(1, 4))
+    with mpmath.workdps(30):
+        for n in range(1, 11):
+            shifted = float(_f3(n + 2, 1, 0.5, 0.25) / _f3(n + 1, 1, 0.5, 0.25))
+            assert shifted == pytest.approx(x_float(spec, n + 1), rel=1e-14)
+            assert abs(shifted - x_float(spec, n)) > 1e-6 * shifted
 
 
 def test_fs_quotient_samples_are_cm():

@@ -12,7 +12,7 @@ from nlcpoly import (
 )
 from nlcpoly.measures import MomentRow, moment_integral
 from nlcpoly.moments import MomentSequence
-from nlcpoly.sequences import x_floats, x_log_factorials
+from nlcpoly.sequences import x_factorials, x_floats, x_limit, x_log_factorials
 
 
 # -- catalog ------------------------------------------------------------------
@@ -285,6 +285,51 @@ def test_gram_matrix_is_symmetric():
     for m in range(6):
         for n in range(6):
             assert g[m][n] == g[n][m]
+
+
+# -- normalization series -----------------------------------------------------------------
+
+def _normalization_terms(spec, r2, terms):
+    # the terms r^(2n) / x_n! of the normalization series N(r^2), n < terms
+    return [r2 ** n / f for n, f in enumerate(x_factorials(spec, x_floats(spec, terms - 1)))]
+
+
+def test_normalization_canonical_is_exp():
+    assert math.fsum(_normalization_terms(SequenceSpec("canonical"), 1.0, 30)) == pytest.approx(
+        math.e, rel=1e-13)
+
+
+def test_normalization_at_zero_is_one():
+    spec = SequenceSpec("su11", j=2)
+    assert next(x_factorials(spec, x_floats(spec, 5))) == 1
+    assert math.fsum(_normalization_terms(spec, 0.0, 10)) == 1.0
+
+
+def test_normalization_su11_geometric_derivative():
+    # x_n! = 1 / (n + 1) for j = 1, so N(1/2) = sum (n+1) 2^-n = 4
+    terms = _normalization_terms(SequenceSpec("su11", j=1), 0.5, 100)
+    assert math.fsum(terms) == pytest.approx(4.0, rel=1e-12)
+
+
+def test_normalization_strictly_increasing():
+    # below the radius L^2 = lim x_n = 1 the series settles, and it grows with r^2
+    spec = SequenceSpec("ultraspherical", nu=1)
+    assert x_limit(spec).value == 1
+    values = []
+    for r2 in (0.0, 0.2, 0.5, 0.8, 0.95):
+        terms = _normalization_terms(spec, r2, 2000)
+        values.append(math.fsum(terms))
+        assert terms[-1] < 1e-30 * values[-1]
+    assert all(b > a for a, b in zip(values, values[1:]))
+
+
+def test_normalization_divergence_names_radius():
+    # su11 with j = 1 has L^2 = 1; at r^2 = 1 the terms n + 1 never decay
+    spec = SequenceSpec("su11", j=1)
+    limit = x_limit(spec)
+    assert limit.is_finite and limit.value == 1
+    terms = _normalization_terms(spec, float(limit.value), 50)
+    assert terms == pytest.approx([n + 1 for n in range(50)], rel=1e-13)
 
 
 def test_integrate_odd_function_vanishes_on_even_measure():

@@ -5,10 +5,34 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from nlcpoly import DomainError, bessel_k, cm_sequence_test, log_gamma, exp_sinh
+from nlcpoly import (
+    DomainError, SequenceSpec, bessel_k, cm_sequence_test, log_gamma, exp_sinh, x_float,
+    x_floats, x_value,
+)
+from nlcpoly.sequences import ParameterDomainError, x_factorials
 
 
 # -- log-gamma -------------------------------------------------------------------
+
+def test_gamma_classical_values():
+    assert log_gamma(1.0) == 0.0 and log_gamma(2.0) == 0.0
+    assert log_gamma(5) == pytest.approx(math.log(24.0), rel=1e-14)
+    assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
+
+
+def test_gamma_against_high_precision():
+    with mpmath.workdps(40):
+        ref = float(mpmath.loggamma("7.5"))
+    assert log_gamma(7.5) == pytest.approx(ref, rel=1e-14)
+
+
+def test_gamma_accuracy_sweep():
+    rng = random.Random(11)
+    with mpmath.workdps(40):
+        for _ in range(60):
+            x = rng.uniform(1e-3, 169.0)
+            ref = float(mpmath.loggamma(x))
+            assert abs(log_gamma(x) - ref) <= 1e-15 * max(1.0, abs(ref)), x
 
 def test_gamma_domain_error():
     with pytest.raises(DomainError):
@@ -19,6 +43,126 @@ def test_gamma_domain_error():
 
 def test_log_gamma_large_argument():
     assert log_gamma(1e5) == pytest.approx(float(mpmath.loggamma(1e5)), rel=1e-13)
+
+
+def test_pochhammer_exact():
+    # exact partial products are Pochhammer quotients: su11 with j = 1 has
+    # x_n! = n! / (2)_n, and bessel_k_exp with mu = 1, nu = 0 has
+    # x_n! = (1)_n^2 / (2^n (3/2)_n)
+    def rf(a, n):
+        return math.prod(a + k for k in range(n))
+
+    su11 = SequenceSpec("su11", j=1)
+    facts = list(x_factorials(su11, (x_value(su11, n) for n in range(1, 9))))
+    assert facts[3] == Fraction(6, 24)  # (2)_3 = 24
+    assert facts == [Fraction(math.factorial(n), rf(2, n)) for n in range(9)]
+    bessel = SequenceSpec("bessel_k_exp", mu=1, nu=0)
+    facts = list(x_factorials(bessel, (x_value(bessel, n) for n in range(1, 9))))
+    assert facts[3] == Fraction(36, 105)  # 1^2 2^2 3^2 / (2^3 (3/2)_3), (3/2)_3 = 105/8
+    assert facts == [rf(1, n) ** 2 / (2 ** n * rf(Fraction(3, 2), n)) for n in range(9)]
+
+
+# -- q-gamma ---------------------------------------------------------------------
+
+def _h(n, a, b, c, q):
+    # h(n) = Gamma_q(a) Gamma_q(b) Gamma_q(n + c) Gamma_q(n + a + b - c)
+    #        / (Gamma_q(c) Gamma_q(a + b - c) Gamma_q(n + a) Gamma_q(n + b)),
+    # with h(0) = 1 and h(n) = x_1 ... x_n for the q_gamma_quotient family
+    num = [mpmath.qgamma(t, q) for t in (a, b, n + c, n + a + b - c)]
+    den = [mpmath.qgamma(t, q) for t in (c, a + b - c, n + a, n + b)]
+    return mpmath.fprod(num) / mpmath.fprod(den)
+
+
+def _q_spec(a, b, c, q):
+    return SequenceSpec("q_gamma_quotient", A=q ** a, B=q ** b, C=q ** c, q=q)
+
+
+def _q_pochhammer_product(a, b, c, q, n):
+    # x_1 ... x_n = (q^c; q)_n (q^(a+b-c); q)_n / ((q^a; q)_n (q^b; q)_n)
+    return (mpmath.qp(q ** c, q, n) * mpmath.qp(q ** (a + b - c), q, n)
+            / (mpmath.qp(q ** a, q, n) * mpmath.qp(q ** b, q, n)))
+
+
+def test_q_gamma_initial_values():
+    a, b, c = 3.0, 2.0, 1.0
+    with mpmath.workdps(30):
+        for q in (0.1, 0.5, 0.9):
+            spec = _q_spec(a, b, c, q)
+            assert x_float(spec, 1) == pytest.approx(float(_h(1, a, b, c, q)), rel=1e-13)
+            assert x_float(spec, 1) * x_float(spec, 2) == pytest.approx(
+                float(_h(2, a, b, c, q)), rel=1e-13)
+
+
+def test_q_gamma_three_halves_value():
+    # a, b, c = 3, 2, 1: x_1 = Gamma_q(5) / Gamma_q(4)^2 with Gamma_q(k + 1) the
+    # q-factorial [k]_q!, i.e. (1 + q^2) / (1 + q + q^2); 5/7 at q = 1/2
+    q = Fraction(1, 2)
+    spec = SequenceSpec("q_gamma_quotient", A=q ** 3, B=q ** 2, C=q, q=q)
+    assert x_value(spec, 1) == (1 + q ** 2) / (1 + q + q ** 2) == Fraction(5, 7)
+
+
+def test_q_gamma_functional_equation_random():
+    # Gamma_q(x + 1) = (1 - q^x) / (1 - q) Gamma_q(x) makes x_n = h(n) / h(n - 1)
+    rng = random.Random(3)
+    with mpmath.workdps(30):
+        for _ in range(20):
+            q = rng.uniform(0.05, 0.95)
+            c = rng.uniform(0.1, 2.0)
+            a = c + rng.uniform(0.0, 3.0)
+            b = c + rng.uniform(0.0, 3.0)
+            n = rng.randint(1, 8)
+            ratio = float(_h(n, a, b, c, q) / _h(n - 1, a, b, c, q))
+            assert x_float(_q_spec(a, b, c, q), n) == pytest.approx(ratio, rel=1e-12), (q, a, b, c, n)
+
+
+def test_q_gamma_functional_equation_q_near_one():
+    # mpmath.qgamma does not converge this close to q = 1, so the reference is
+    # the functional equation itself: each Gamma_q(x + 1) / Gamma_q(x) in
+    # h(n) / h(n - 1) is (1 - q^x) / (1 - q), and the (1 - q) cancel
+    a, b, c = 5.1, 2.3, 0.7
+    with mpmath.workdps(40):
+        for q in (0.99, 0.999):
+            spec = _q_spec(a, b, c, q)
+            for n in (1, 2, 5):
+                t = [1 - mpmath.mpf(q) ** (n - 1 + e) for e in (c, a + b - c, a, b)]
+                ratio = float(t[0] * t[1] / (t[2] * t[3]))
+                assert x_float(spec, n) == pytest.approx(ratio, rel=1e-12), (q, n)
+
+
+def test_q_gamma_tends_to_gamma():
+    # the partial products h(n) tend to the gamma quotient's g(n) as q -> 1
+    a, b, c = 3.7, 2.5, 1.5
+    g = math.prod(x_floats(SequenceSpec("gamma_quotient", a=a, b=b, c=c), 10))
+    gaps = [abs(math.prod(x_floats(_q_spec(a, b, c, q), 10)) - g) for q in (0.9, 0.99, 0.999)]
+    assert gaps[0] > gaps[1] > gaps[2]
+    assert gaps[2] < 1e-3 * g
+
+
+def test_q_gamma_domain_errors():
+    with pytest.raises(ParameterDomainError, match="q must lie in"):
+        SequenceSpec("q_gamma_quotient", A=0.5, B=0.5, C=0.5, q=1.5)
+    with pytest.raises(ParameterDomainError, match="A must lie in"):
+        SequenceSpec("q_gamma_quotient", A=-0.5, B=0.25, C=0.5, q=0.5)
+
+
+def test_q_gamma_against_mpmath_infinite_product():
+    a, b, c = 1.9, 3.4, 0.6
+    with mpmath.workdps(40):
+        for q in (0.3, 0.77, 0.95):
+            xs = x_floats(_q_spec(a, b, c, q), 10)
+            for n in range(1, 11):
+                ref = float(_q_pochhammer_product(a, b, c, q, n))
+                assert math.prod(xs[:n]) == pytest.approx(ref, rel=1e-13), (q, n)
+
+
+def test_q_gamma_large_argument_against_mpmath():
+    a, b, c = 7.2, 3.4, 1.9
+    with mpmath.workdps(40):
+        for q in (0.4, 0.9):
+            xs = x_floats(_q_spec(a, b, c, q), 40)
+            for n in (15, 40):
+                ref = float(_q_pochhammer_product(a, b, c, q, n))
+                assert math.prod(xs[:n]) == pytest.approx(ref, rel=1e-12), (q, n)
 
 
 # -- Bessel ------------------------------------------------------------------------
@@ -119,6 +263,28 @@ def _g(n, a, b, c):
     return float(mpmath.gammaprod([a, b, n + c, n + a + b - c], [c, a + b - c, n + a, n + b]))
 
 
+def test_gamma_quotient_normalization():
+    # g(0) = 1, and for a, b >= 1 the products fall to
+    # Gamma(a) Gamma(b) / (Gamma(c) Gamma(a + b - c)) with a gap below
+    # 2 (a - c)(b - c) / N at N, since 1 - x_n <= (a - c)(b - c) / n^2
+    a, b, c = 2.5, 1.5, 1.0
+    spec = SequenceSpec("gamma_quotient", a=a, b=b, c=c)
+    assert next(x_factorials(spec, [])) == 1.0
+    limit = float(mpmath.gammaprod([a, b], [c, a + b - c]))
+    for N in (100, 1000):
+        gap = math.prod(x_floats(spec, N)) / limit - 1.0
+        assert 0.0 < gap <= 2 * (a - c) * (b - c) / N, (N, gap)
+
+
+def test_gamma_quotient_first_value():
+    nu = Fraction(3, 2)
+    a, b, c = nu + 1, nu, 1
+    expected = c * (a + b - c) / (a * b)
+    assert x_value(SequenceSpec("gamma_quotient", a=a, b=b, c=c), 1) == expected
+    with mpmath.workdps(30):
+        assert _g(1, float(a), float(b), float(c)) == pytest.approx(float(expected), rel=1e-13)
+
+
 def test_gamma_quotient_telescopes_partial_products():
     from nlcpoly import SequenceSpec, x_value
     a, b, c = Fraction(5, 2), Fraction(3, 2), 1
@@ -128,6 +294,12 @@ def test_gamma_quotient_telescopes_partial_products():
         for n in range(1, 51):
             product *= float(x_value(spec, n))
             assert _g(n, float(a), float(b), float(c)) == pytest.approx(product, rel=1e-12)
+
+
+def test_gamma_quotient_pole_error():
+    # Gamma(c) has a pole at c = 0, where x_1 = c (a + b - c) / (a b) vanishes
+    with pytest.raises(ParameterDomainError, match="not certified positive"):
+        SequenceSpec("gamma_quotient", a=1, b=2, c=0)
 
 
 def test_gamma_quotient_samples_are_cm_sequences():
@@ -142,16 +314,10 @@ def test_gamma_quotient_samples_are_cm_sequences():
 
 
 def test_q_gamma_quotient_h_matches_x_products():
-    # h(n) = Gamma_q(a) Gamma_q(b) Gamma_q(n + c) Gamma_q(n + a + b - c)
-    #        / (Gamma_q(c) Gamma_q(a + b - c) Gamma_q(n + a) Gamma_q(n + b))
-    from nlcpoly import SequenceSpec, x_value
     q, a, b, c = 0.5, 3.0, 2.0, 1.0
-    spec = SequenceSpec("q_gamma_quotient", A=q ** a, B=q ** b, C=q ** c, q=q)
+    spec = _q_spec(a, b, c, q)
     product = 1.0
     with mpmath.workdps(30):
         for n in range(1, 21):
             product *= float(x_value(spec, n))
-            num = [mpmath.qgamma(t, q) for t in (a, b, n + c, n + a + b - c)]
-            den = [mpmath.qgamma(t, q) for t in (c, a + b - c, n + a, n + b)]
-            h = float(mpmath.fprod(num) / mpmath.fprod(den))
-            assert h == pytest.approx(product, rel=1e-13)
+            assert float(_h(n, a, b, c, q)) == pytest.approx(product, rel=1e-13)
