@@ -68,6 +68,7 @@ class _Runner:
         if self.measure is None and cfg.command == "verify-measure":
             raise ConfigError(f"no default measure for family {self.spec.family!r}; "
                               "add a [measure] section")
+        self.stamp = cfg.sha256()  # the config= of every CSV and the summary's config_sha256
         os.makedirs(cfg.out_dir, exist_ok=True)
 
     def _path(self, suffix: str) -> str:
@@ -76,7 +77,7 @@ class _Runner:
     def _write_csv(self, suffix: str, header: List[str], rows) -> str:
         path = self._path(suffix)
         with open(path, "w", newline="\n") as fh:
-            fh.write(f"# nlcpoly {__version__} config={self.cfg.sha256()}\n")
+            fh.write(f"# nlcpoly {__version__} config={self.stamp}\n")
             fh.write(",".join(header) + "\n")
             for row in rows:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -234,7 +235,7 @@ class _Runner:
         self.summary["verdicts"] = {k: _verdict_word(v) for k, v in self.verdicts.items()}
         payload = {
             "command": command,
-            "config_sha256": self.cfg.sha256(),
+            "config_sha256": self.stamp,
             "family": self.spec.family,
             "results": self.summary,
             "verdict": _verdict_word(overall),

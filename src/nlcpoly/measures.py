@@ -14,9 +14,10 @@ selects the one actually solving the moment problem (see
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -340,7 +341,15 @@ def verify_moment_problem(measure: MeasureSpec, spec: SequenceSpec, n_max: int,
     Rows whose quadrature does not converge are flagged and withhold the
     verdict.  Expected values beyond the floating range are compared in the
     log domain by damping the integrand.
+
+    Every moment's quadrature visits the same nodes, so the density (and its
+    edge form) is memoized for this call, keyed by the node's float
+    arguments: each distinct node is evaluated once for all n, and a hit
+    returns the value the density itself returns there.
     """
+    edge = measure.density_edge
+    measure = replace(measure, density=functools.cache(measure.density),
+                      density_edge=edge and functools.cache(edge))
     xs = [x_value(spec, k) for k in range(1, n_max + 1)]
     products = x_factorials(spec, xs)
     log_products = x_log_factorials(map(float, xs))

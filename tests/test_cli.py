@@ -382,6 +382,25 @@ def test_all_computes_zeros_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_all_stamps_every_file_with_one_config_hash(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    text = BASE.format(command="all", n_max=4, out=out).replace(
+        "family = canonical", "family = su11\nj = 3/2")
+    path = write_config(tmp_path, text)
+    want = load_config(path).sha256()
+    calls = []
+    real = RunConfig.sha256
+    monkeypatch.setattr(RunConfig, "sha256", lambda self: calls.append(1) or real(self))
+    assert main([path]) == 0
+    assert len(calls) == 1
+    csvs = sorted(out.glob("*.csv"))
+    assert len(csvs) == 8  # moments, hankel, 3 polys, zeros, nevai, measure_check
+    for csv in csvs:
+        first = csv.read_text().splitlines()[0]
+        assert first == f"# nlcpoly {nlcpoly.__version__} config={want}", csv.name
+    assert json.loads((out / "t_summary.json").read_text())["config_sha256"] == want
+
+
 def test_bounds_computes_no_zeros(tmp_path, monkeypatch):
     import nlcpoly.cli as cli
     calls = []

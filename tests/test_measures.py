@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -121,6 +122,43 @@ def test_verify_moment_problem_reads_each_x_once(monkeypatch, measure_name, meas
                                                 n_max, 1e-11)
     assert report.rows == expected
     assert report.verdict is True
+
+
+def _counting(fn, calls):
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+    return counted
+
+
+@pytest.mark.parametrize("measure_name, measure_params, family, params, n_max, distinct", [
+    # exp-sinh on the half line: density(r)
+    ("bessel_ladder_radial", {"j": 1}, "barut_girardello", {"j": 1}, 12, 292),
+    # tanh-sinh through the edge form: density_edge(x, da, db)
+    ("ultraspherical_even", {"nu": Fraction(3, 10)}, "ultraspherical",
+     {"nu": Fraction(3, 10)}, 12, 127),
+])
+def test_verify_moment_problem_evaluates_each_node_once(measure_name, measure_params, family,
+                                                        params, n_max, distinct):
+    built = get_measure(measure_name, **measure_params)
+    density_calls, edge_calls = [], []
+    edge = built.density_edge
+    measure = dataclasses.replace(
+        built, density=_counting(built.density, density_calls),
+        density_edge=edge and _counting(edge, edge_calls))
+    spec = SequenceSpec(family, **params)
+    report = verify_moment_problem(measure, spec, n_max)
+    calls = edge_calls if edge else density_calls
+    assert calls and (density_calls if edge else edge_calls) == []
+    assert len(calls) == len(set(calls)) == distinct  # one evaluation per distinct node
+    # the memo returns the density's own values: the rows match n_max + 1
+    # independent quadratures bit for bit
+    assert report.rows == _moment_rows_by_partial_products(built, spec, n_max, 1e-11)
+    assert report.verdict is True
+    # nothing is kept between calls: a second check evaluates every node again
+    first = list(calls)
+    assert verify_moment_problem(measure, spec, n_max) == report
+    assert calls[len(first):] == first
 
 
 @pytest.mark.parametrize("family, measure_name, extra", [

@@ -38,12 +38,16 @@ def test_library_digest_of_a_pair_spec_is_json():
     digest = library_digests.digest_spec(nlcpoly, spec, library_digests.TEST_CALLS)
     digest = json.loads(json.dumps(digest))
     assert set(digest) == {"values", "calls", "x_limit", "x_minus_limit", "nevai_condition",
-                           "poly_pair"}
+                           "poly_pair", "moment_check"}
     # the pair up to its common factor: (n - 1/2) / (n + 3/10)
     assert digest["poly_pair"] == [["-1/2", "1"], ["3/10", "1"]]
     assert digest["x_limit"]["value"] == "1"
     assert [n for n, _ in digest["x_minus_limit"]] == list(library_digests.MINUS_LIMIT_AT)
     assert digest["nevai_condition"]["n_max"] == library_digests.NEVAI_N
+    # checked against ultraspherical_even nu = 3/10, the family's default measure
+    check = digest["moment_check"]
+    assert check["measure"] == "ultraspherical_even" and check["verdict"] is True
+    assert [row["n"] for row in check["rows"]] == list(range(library_digests.MOMENT_N_MAX + 1))
     assert len(digest["values"]) == library_digests.N_VALUES
     assert [name for name, *_ in digest["calls"]] == [c[0] for c in library_digests.TEST_CALLS]
 

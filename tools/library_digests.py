@@ -24,7 +24,10 @@ view. For each spec OUT.json holds:
   n in ``MINUS_LIMIT_AT`` where the limit is finite, ``nevai_condition`` at
   ``NEVAI_N``, and ``poly_pair()`` divided by the leading coefficient of its
   denominator, so that two pairs of one function that differ by a common
-  factor digest equal.
+  factor digest equal;
+* the ``verify_moment_problem`` report (its rows and verdict) at n_max
+  ``MOMENT_N_MAX``, against the family's ``DEFAULT_MEASURES`` density built
+  with the spec's parameters, where the family has one.
 
 Fractions are written as ``str`` and floats by ``repr``, and an exception as
 its type and message, so two such files from two source trees are equal
@@ -61,6 +64,7 @@ TEST_CALLS = [
 ]
 MINUS_LIMIT_AT = (1, 10, 100, 1000)
 NEVAI_N = 256
+MOMENT_N_MAX = 12
 
 
 def _plain(value):
@@ -116,12 +120,21 @@ def _minus_limit(nl, spec):
     return [[n, _guarded(lambda: nl.x_minus_limit(spec, n))] for n in MINUS_LIMIT_AT]
 
 
+def _moment_check(nl, spec):
+    name = nl.measures.DEFAULT_MEASURES.get(spec.family)
+    if name is None:
+        return None
+    measure = nl.get_measure(name, **spec.params)
+    return nl.verify_moment_problem(measure, spec, MOMENT_N_MAX)
+
+
 def digest_spec(nl, spec, calls: List[list]) -> Dict[str, object]:
     return {"values": _guarded(lambda: _values(nl, spec)),
             "x_limit": _guarded(lambda: nl.x_limit(spec)),
             "x_minus_limit": _guarded(lambda: _minus_limit(nl, spec)),
             "nevai_condition": _guarded(lambda: nl.nevai_condition(spec, NEVAI_N)),
             "poly_pair": _guarded(lambda: _monic_pair(spec)),
+            "moment_check": _guarded(lambda: _moment_check(nl, spec)),
             "calls": [[name, *args, _guarded(lambda: _call(nl, spec, name, *args))]
                       for name, *args in calls]}
 
