@@ -149,7 +149,7 @@ def test_verify_moment_problem_evaluates_each_node_once(measure_name, measure_pa
     spec = SequenceSpec(family, **params)
     report = verify_moment_problem(measure, spec, n_max)
     calls = edge_calls if edge else density_calls
-    assert calls and (density_calls if edge else edge_calls) == []
+    assert (density_calls if edge else edge_calls) == []
     assert len(calls) == len(set(calls)) == distinct  # one evaluation per distinct node
     # the memo returns the density's own values: the rows match n_max + 1
     # independent quadratures bit for bit

@@ -25,8 +25,8 @@ view. For each spec OUT.json holds:
   ``NEVAI_N``, and ``poly_pair()`` divided by the leading coefficient of its
   denominator, so that two pairs of one function that differ by a common
   factor digest equal;
-* the ``verify_moment_problem`` report (its rows and verdict) at n_max
-  ``MOMENT_N_MAX``, against the family's ``DEFAULT_MEASURES`` density built
+* the full ``verify_moment_problem`` report, rows and verdict included, at
+  n_max ``MOMENT_N_MAX``, against the family's ``DEFAULT_MEASURES`` density built
   with the spec's parameters, where the family has one.
 
 Fractions are written as ``str`` and floats by ``repr``, and an exception as
