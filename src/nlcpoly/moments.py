@@ -12,13 +12,13 @@ dyadic rational it is, so everything below is exact on the moments as
 given, and a running product that overflows raises PrecisionError where it
 is formed.  One pass of the exact Chebyshev algorithm (Gautschi,
 *Orthogonal Polynomials: Computation and Approximation*, 2004,
-section 2.1.7) turns mu_0 .. mu_{2n+1} into the recurrence coefficients
-P_{k+1} = (x - a_k) P_k - b_k P_{k-1} and the pivots
-sigma_kk = <P_k, x^k> = D_k / D_{k-1} for k <= n, in O(n^2) exact
+section 2.1.7) turns mu_0 .. mu_{2n} into the recurrence coefficients
+P_{k+1} = x P_k - b_k P_{k-1} (a_k = 0, as the odd moments vanish) and the
+pivots sigma_kk = <P_k, x^k> = D_k / D_{k-1} for k <= n, in O(n^2) exact
 operations.  D_n is then the running product of the pivots and P_n follows
-from the recurrence.  A MomentSequence keeps its pass and extends it by two
-moments when a larger order is asked for, so D_0, D_1, ..., D_n asked in
-any order cost one O(n^2) pass.  The pass stops at a pivot that is exactly
+from the recurrence.  A MomentSequence keeps its pass and extends it by one
+even moment when a larger order is asked for, so D_0, D_1, ..., D_n asked
+in any order cost one O(n^2) pass.  The pass stops at a pivot that is exactly
 zero (a singular leading Hankel block); beyond it, fraction-free (Bareiss)
 elimination and bordered minors give the same quantities.
 """
@@ -29,7 +29,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 from .recurrence import _extend_monic_polynomials, monic_polynomials
 from .sequences import SequenceSpec, _max_index, x_floats, x_value
@@ -96,15 +96,15 @@ class MomentSequence:
         return [[self.moment(i + j) for j in range(n + 1)] for i in range(n + 1)]
 
     def chebyshev(self, n: int) -> "ChebyshevPass":
-        """:func:`exact_chebyshev` over mu_0 .. mu_{2n+1}, i.e. for k <= n.
+        """The Chebyshev pass over mu_0 .. mu_{2n}, i.e. for k <= n.
 
-        a_k, b_k and sigma_kk depend only on mu_0 .. mu_{2k+1}, so one pass
-        is kept: a shorter order is its prefix, and a longer one grows it
-        by two moments per order.
+        b_k and sigma_kk depend only on mu_0 .. mu_{2k}, so one pass is
+        kept: a shorter order is its prefix, and a longer one grows it by
+        one even moment per order.
         """
         with self._lock:
             self._extend(n + 1)
-            return self._pass.grow_to(n, self.moment)
+            return self._pass.grow_to(n, self.even_moment)
 
     def chebyshev_polynomials(self, n: int) -> List[list]:
         """``chebyshev(n).polynomials()``, appended to the kept P_k."""
@@ -140,19 +140,21 @@ class ChebyshevPass:
 
 
 class _GrowingPass:
-    """The exact Chebyshev pass (Gautschi 2004, section 2.1.7), grown two
-    moments at a time.
+    """The exact Chebyshev pass (Gautschi 2004, section 2.1.7) on even
+    moments, grown one even moment at a time.
 
     sigma_{k,l} = <P_k, x^l> obeys sigma_{k,l} = sigma_{k-1,l+1}
     - a_{k-1} sigma_{k-1,l} - b_{k-1} sigma_{k-2,l}, with
-    a_k = sigma_{k,k+1}/sigma_kk - sigma_{k-1,k}/sigma_{k-1,k-1} and
-    b_k = sigma_kk/sigma_{k-1,k-1}.  At order n row k reaches l = 2n+1-k.
-    The next moments mu_{2n+2}, mu_{2n+3} add l = 2n+2-k and 2n+3-k to every
-    row, in increasing k, and the last row they fill is the new row n+1.
-    The new entries read those of row k-1 and the top two entries that rows
-    k-1 and k-2 had before the step, so each row keeps only its top two.
-    Reaching order n costs O(n^2) exact operations however the growth is
-    split.  The pass stops at the first pivot that is exactly zero.
+    b_k = sigma_kk/sigma_{k-1,k-1}.  The odd moments vanish, so every P_k
+    has the parity of k: a_k = 0 and sigma_{k,l} = 0 when k + l is odd.
+    The pass keeps only the other entries, sigma_{k,l} = sigma_{k-1,l+1}
+    - b_{k-1} sigma_{k-2,l} for l = k mod 2.  At order n row k reaches
+    l = 2n-k; the next even moment mu_{2n+2} adds l = 2n+2-k to every row,
+    in increasing k, and the last row it fills is the new row n+1.  The new
+    entry reads that of row k-1 and the top entry that row k-2 had before
+    the step, so each row keeps only its top entry.  Reaching order n costs
+    O(n^2) exact operations however the growth is split.  The pass stops at
+    the first pivot that is exactly zero.
     """
 
     def __init__(self):
@@ -160,46 +162,35 @@ class _GrowingPass:
         self.beta: list = []
         self.pivots: list = []
         self.determinants: list = []
-        self._tops: list = []  # (sigma_{k,2n-k}, sigma_{k,2n+1-k}) for k <= n
+        self._tops: list = []  # sigma_{k,2n-k} for k <= n
 
-    def grow_to(self, n: int, moment) -> ChebyshevPass:
-        """Grow to order n, reading mu_m as ``moment(m)``, and return the
-        pass for k <= n as far as it went."""
+    def grow_to(self, n: int, even_moment) -> ChebyshevPass:
+        """Grow to order n, reading mu_{2k} as ``even_moment(k)``, and
+        return the pass for k <= n as far as it went."""
         # a zero pivot leaves alpha one entry short and ends the growth
         while len(self.pivots) <= n and len(self.alpha) == len(self.pivots):
-            k = len(self.pivots)
-            self._grow(moment(2 * k), moment(2 * k + 1))
+            self._grow(even_moment(len(self.pivots)))
         return ChebyshevPass(tuple(self.alpha[:n + 1]), tuple(self.beta[:n + 1]),
                              tuple(self.pivots[:n + 1]), tuple(self.determinants[:n + 1]))
 
-    def _grow(self, even, odd) -> None:
-        """Take mu_{2n+2} and mu_{2n+3} and add row n+1, where n + 1 is the
-        number of pivots so far."""
+    def _grow(self, even) -> None:
+        """Take mu_{2n+2} and add row n+1, where n + 1 is the number of
+        pivots so far."""
         old = self._tops
-        new = [(even, odd)]
-        for k, (a, b) in enumerate(zip(self.alpha, self.beta), 1):
-            upper = new[k - 1]  # sigma_{k-1,l} for l = 2n+3-k, 2n+4-k
-            below = old[k - 2] if k > 1 else (0, 0)  # sigma_{k-2,l}, l = 2n+2-k, 2n+3-k
-            new.append((upper[0] - a * old[k - 1][1] - b * below[0],
-                        upper[1] - a * upper[0] - b * below[1]))
+        new = [even]
+        for k, b in enumerate(self.beta, 1):
+            # sigma_{k-1,2n+3-k} - b_{k-1} sigma_{k-2,2n+2-k}
+            new.append(new[k - 1] - b * old[k - 2] if k > 1 else new[0])
         self._tops = new
-        pivot, next_entry = new[-1]
-        # sigma_{-1,-1} = 1 and sigma_{-1,0} = 0 start the pass at k = 0
-        prev_pivot, prev_entry = old[-1] if old else (Fraction(1), 0)
+        pivot = new[-1]
         self.pivots.append(pivot)
         self.determinants.append(
             pivot * self.determinants[-1] if self.determinants else pivot)
         if pivot == 0:
             return
-        self.alpha.append(next_entry / pivot - prev_entry / prev_pivot)
-        self.beta.append(pivot / prev_pivot)
-
-
-def exact_chebyshev(moments: Sequence) -> ChebyshevPass:
-    """Exact Chebyshev algorithm on mu_0 .. mu_{2n+1}: a_k, b_k, sigma_kk and
-    D_k for k <= n, in one O(n^2) pass that stops at the first pivot that
-    is exactly zero (see :class:`_GrowingPass`)."""
-    return _GrowingPass().grow_to(len(moments) // 2 - 1, moments.__getitem__)
+        self.alpha.append(Fraction(0))
+        # sigma_{-1,-1} = 1 starts the pass at k = 0
+        self.beta.append(pivot / old[-1] if old else pivot)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +307,9 @@ def berg_duran_check(spec: SequenceSpec, n_max: int, order: int = 8) -> BergDura
     shifting the index).  (ii) The partial products s_n = x_n! should then be
     a Stieltjes moment sequence: verify positivity of the Hankel
     determinants of [s_{i+j}] and of the shifted [s_{i+j+1}] up to order
-    floor(n_max / 2).  Both verdicts are reported; neither is an error.
+    floor(n_max / 2), all sizes of [s_{i+j}] first, from the pivots of one
+    Chebyshev pass of the even moments, and past a zero pivot by Bareiss
+    elimination.  Both verdicts are reported; neither is an error.
 
     List-backed sequences with fewer than n_max + order + 1 values are
     scanned over the range they can support (see ``effective_n_max``).
@@ -330,13 +323,26 @@ def berg_duran_check(spec: SequenceSpec, n_max: int, order: int = 8) -> BergDura
 
     top = n_max // 2
     moments = MomentSequence(spec)
-    s = [moments.even_moment(k) for k in range(2 * top + 2)]
-    first_bad = None
-    for shift in (0, 1):
-        # while D_1 .. D_{size-1} > 0, D_size has the sign of its pivot
-        signs = exact_chebyshev(s[shift:shift + 2 * top]).pivots
-        first_bad = next(((shift, size) for size, sign in enumerate(signs, 1)
-                          if not sign > 0), None)
-        if first_bad:
-            break
+    # the check reads s_0 .. s_{2 top + 1}, so a float running product that
+    # overflows by s_{2 top + 1} raises PrecisionError; the pivots need only
+    # s_0 .. s_{2 top - 1}
+    s = moments.even_moment
+    s(2 * top + 1)
+    # with mu_{2k} = s_k, D_{2k} = H0_k H1_{k-1} and D_{2k+1} = H0_k H1_k for
+    # H0_k = det [s_{i+j}] and H1_k = det [s_{i+j+1}] of size k + 1 (Chihara
+    # 1978, ch. I), so pivot 2k + shift of the even functional is the pivot
+    # of [s_{i+j+shift}] at size k + 1
+    pivots = moments.chebyshev(2 * top - 1).pivots if top else ()
+
+    def positive(shift: int, size: int) -> bool:
+        # while sizes 1 .. size - 1 are positive, size has the sign of its
+        # pivot; past a zero pivot, that of its determinant
+        index = 2 * size - 2 + shift
+        if index < len(pivots):
+            return pivots[index] > 0
+        return bareiss_determinant(
+            [[s(i + j + shift) for j in range(size)] for i in range(size)]) > 0
+
+    first_bad = next(((shift, size) for shift in (0, 1) for size in range(1, top + 1)
+                      if not positive(shift, size)), None)
     return BergDuranReport(cm.passed, first_bad is None, cm, first_bad, n_max)

@@ -22,11 +22,10 @@ an independent check of q_n.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -34,25 +33,6 @@ from .sequences import SequenceSpec, x_floats, x_value
 
 _RESCALE_LIMIT = 2.0 ** 512
 _RESCALE_SHIFT = 512
-
-
-def _phi_steps(b: Sequence[float], x: float) -> Iterator[Tuple[float, int]]:
-    """p_0(x) .. p_n(x) as (mantissa, e) pairs from one forward pass of the
-    orthonormal recurrence x p_k = b_{k+1} p_{k+1} + b_k p_{k-1}, where
-    b = (b_1, ..., b_n) are the off-diagonal entries: sqrt(x_k/2) for phi."""
-    x = float(x)
-    exponent = 0
-    prev, cur = 0.0, 1.0  # p_{-1}, p_0
-    b_cur = 0.0
-    yield cur, exponent
-    for b_next in b:
-        prev, cur = cur, (x * cur - b_cur * prev) / b_next
-        b_cur = b_next
-        if abs(cur) > _RESCALE_LIMIT:
-            cur = math.ldexp(cur, -_RESCALE_SHIFT)
-            prev = math.ldexp(prev, -_RESCALE_SHIFT)
-            exponent += _RESCALE_SHIFT
-        yield cur, exponent
 
 
 def _unscale(mantissa: float, exponent: int) -> float:
@@ -63,9 +43,27 @@ def _unscale(mantissa: float, exponent: int) -> float:
 
 
 def _window(b: Sequence[float], n_lo: int, x: float) -> np.ndarray:
-    """p_n(x) for n = n_lo .. len(b) from one pass of :func:`_phi_steps`."""
-    steps = itertools.islice(_phi_steps(b, x), n_lo, None)
-    return np.array([_unscale(*step) for step in steps])
+    """p_n(x) for n = n_lo .. len(b) from one forward pass of the
+    orthonormal recurrence x p_k = b_{k+1} p_{k+1} + b_k p_{k-1}, where
+    b = (b_1, ..., b_n) are the off-diagonal entries: sqrt(x_k/2) for phi.
+
+    The pass runs on a mantissa and a power of two, rescaled by 2^-512 past
+    2^512, and an entry is the mantissa itself while that power is 0."""
+    x = float(x)
+    exponent = 0
+    prev, cur = 0.0, 1.0  # p_{-1}, p_0
+    b_cur = 0.0
+    out = [cur] if n_lo == 0 else []
+    for n, b_next in enumerate(b, 1):
+        prev, cur = cur, (x * cur - b_cur * prev) / b_next
+        b_cur = b_next
+        if abs(cur) > _RESCALE_LIMIT:
+            cur = math.ldexp(cur, -_RESCALE_SHIFT)
+            prev = math.ldexp(prev, -_RESCALE_SHIFT)
+            exponent += _RESCALE_SHIFT
+        if n >= n_lo:
+            out.append(_unscale(cur, exponent) if exponent else cur)
+    return np.array(out)
 
 
 def phi_value(spec: SequenceSpec, n: int, x: float) -> float:
@@ -77,9 +75,7 @@ def phi_value(spec: SequenceSpec, n: int, x: float) -> float:
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    for step in _phi_steps(np.sqrt(x_floats(spec, n) / 2.0).tolist(), x):
-        pass
-    return _unscale(*step)
+    return _window(np.sqrt(x_floats(spec, n) / 2.0).tolist(), n, x)[-1].item()
 
 
 def phi_window(spec: SequenceSpec, n_lo: int, n_hi: int, x: float) -> np.ndarray:

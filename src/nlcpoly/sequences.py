@@ -329,7 +329,7 @@ def _require_positive(spec: "SequenceSpec") -> None:
     _require(num[-1] / den[-1] > 0, "the leading ratio num[-1]/den[-1] must be positive, "
              "or x_n turns negative for large n")
     for n in range(1, 65):
-        _require(_x_ratio(spec, n)[0] > 0, f"x_{n} is not positive")
+        _x_ratio(spec, n)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +428,7 @@ class SequenceSpec:
 
 
 def _x_ratio(spec: SequenceSpec, n: int) -> tuple:
-    """Integers (N, D) with x_n = N / D and D > 0 from the spec's integer
+    """Integers (N, D) with x_n = N / D and N, D > 0 from the spec's integer
     pair, evaluated homogeneously at u / v = n / 1, or at
     u / v = a^(n-1) / b^(n-1) for a pair in s = q^(n-1) with q = a / b."""
     num, den, base = spec._pair
@@ -439,9 +439,20 @@ def _x_ratio(spec: SequenceSpec, n: int) -> tuple:
     for a, b in zip(num, den):
         w *= v
         N, D = N * u + a * w, D * u + b * w
+    return _positive_ratio(N, D, n)
+
+
+def _positive_ratio(N: int, D: int, n: int) -> tuple:
+    """(N, D) with D > 0 for x_n = N / D; ParameterDomainError when D
+    vanishes or x_n <= 0, decided on the integers.  Only a ``rational``
+    spec can get here with x_n <= 0, past the x_1 .. x_64 it was checked on."""
     if D == 0:
         raise ParameterDomainError(f"the denominator of x_n vanishes at n = {n}")
-    return (N, D) if D > 0 else (-N, -D)
+    if D < 0:
+        N, D = -N, -D
+    if N <= 0:
+        raise ParameterDomainError(f"x_{n} is not positive")
+    return N, D
 
 
 def x_value(spec: SequenceSpec, n: int) -> Number:
@@ -491,7 +502,8 @@ def x_floats(spec: SequenceSpec, n: int) -> np.ndarray:
 
 def _more_floats(spec: SequenceSpec, start: int, n: int, last) -> list:
     """x_float(spec, k) for k = start .. n, where ``last`` is x_float at
-    start - 1 (None at start = 1).
+    start - 1 (None at start = 1).  An exact pair in n goes to
+    :func:`_pair_floats`.
 
     An exact q-quotient has |x_n - 1| = s |(A-C)(B-C)| / (C (1-As)(1-Bs))
     with s = q^(n-1), which does not increase with n, and x_n - 1 keeps one
@@ -502,10 +514,12 @@ def _more_floats(spec: SequenceSpec, start: int, n: int, last) -> list:
     """
     if not (spec.is_rational and spec._pair):
         return [x_float(spec, k) for k in range(start, n + 1)]
+    if spec._pair[2] is None:
+        return _pair_floats(spec, start, n)
     out = []
     try:
         for k in range(start, n + 1):
-            if last == 1.0 and spec._pair[2]:
+            if last == 1.0:
                 return out + [1.0] * (n + 1 - k)
             N, D = _x_ratio(spec, k)
             last = N / D
@@ -513,6 +527,48 @@ def _more_floats(spec: SequenceSpec, start: int, n: int, last) -> list:
     except OverflowError:
         raise SequenceRangeError(f"x_{k} exceeds the float range") from None
     return out
+
+
+def _pair_floats(spec: SequenceSpec, start: int, n: int) -> list:
+    """N(k) / D(k) for k = start .. n of a pair in n, rounded once each.
+
+    N(k) and D(k) come from the forward-difference tables of the pair at
+    k = start: exact integer additions, the same integers as
+    :func:`_x_ratio` up to a common sign, whose quotient rounds the same.
+    A vanishing D, an x_k <= 0 or an x_k beyond the float range raises
+    at the first such k, as :func:`_x_ratio` and :func:`x_float` do.
+    """
+    num, den, _ = spec._pair
+    nums, dens = (_poly_values(p.coeffs, start, n + 1 - start) for p in (num, den))
+    try:
+        if min(dens) > 0 and min(nums) > 0:
+            return [N / D for N, D in zip(nums, dens)]
+    except OverflowError:
+        pass
+    out = []  # some D <= 0, N <= 0 or quotient out of range: go entry by entry
+    for k, N, D in zip(range(start, n + 1), nums, dens):
+        N, D = _positive_ratio(N, D, k)
+        try:
+            out.append(N / D)
+        except OverflowError:
+            raise SequenceRangeError(f"x_{k} exceeds the float range") from None
+    return out
+
+
+def _poly_values(coeffs: Sequence[int], start: int, count: int) -> list:
+    """p(start), ..., p(start + count - 1) for the integer polynomial with
+    ascending ``coeffs``: the differences Delta^j p(start), j <= deg p, by
+    Horner and subtraction, then one running sum per order from
+    Delta^deg p, which is constant, down to p."""
+    d = len(coeffs) - 1
+    diffs = [_poly_eval(coeffs, start + i) for i in range(d + 1)]
+    for j in range(d):
+        for i in range(d, j, -1):
+            diffs[i] -= diffs[i - 1]
+    values = [diffs[d]] * count
+    for j in range(d - 1, -1, -1):
+        values = list(accumulate(values[:count - 1], initial=diffs[j]))
+    return values
 
 
 def x_factorials(spec: SequenceSpec, xs: Iterable[Number]) -> Iterator[Number]:

@@ -714,6 +714,30 @@ prefix = t
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--command", "zeros", "--order", "100"],
+    ["--command", "all", "--n-max", "70"],  # the moments step reads x_65 before it writes
+], ids=["zeros", "all"])
+def test_rational_turning_nonpositive_past_validation_exits_2(tmp_path, capsys, flags):
+    # (n - 65)(n - 67) passes the load-time check of n <= 64; x_65 = 0 is a
+    # bad config, decided on the integers, not an internal error
+    text = f"""
+[sequence]
+family = rational
+num = 4355, -132, 1
+den = 1
+
+[output]
+dir = {tmp_path / "out"}
+prefix = t
+"""
+    assert main([write_config(tmp_path, text), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: x_65 is not positive")
+    assert "Traceback" not in err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 FAMILY_BLOCKS = {
     "canonical": "family = canonical",
     "su11": "family = su11\nj = 1",

@@ -9,7 +9,7 @@ from nlcpoly import (
     DegenerateMomentsError, MomentSequence, SequenceSpec, bareiss_determinant,
     berg_duran_check, hankel_determinant, hankel_polynomial, monic_q_coefficients,
 )
-from nlcpoly.moments import PrecisionError, exact_chebyshev
+from nlcpoly.moments import ChebyshevPass, PrecisionError
 from nlcpoly.sequences import x_value
 from conftest import catalog_specs, det_cofactor
 from test_acceptance import RATIONAL_FAMILIES
@@ -258,6 +258,42 @@ def _bordered_polynomial(ms, n):
             for k in range(n + 1)]
 
 
+def _bareiss_pass(spec, n):
+    """The Chebyshev pass for k <= n from Bareiss determinants of a fresh
+    moment sequence (oracle): sigma_kk = D_k / D_{k-1}, b_k = sigma_kk /
+    sigma_{k-1,k-1} and a_k = 0, ending with the first zero pivot."""
+    ms = MomentSequence(spec)
+    dets, pivots = [], []
+    for k in range(n + 1):
+        dets.append(bareiss_determinant(ms.hankel_matrix(k)))
+        pivots.append(dets[-1] / (dets[-2] if k else 1))
+        if not pivots[-1]:
+            break
+    beta = [p / q for p, q in zip(pivots, [1] + pivots) if p]
+    return ChebyshevPass((0,) * len(beta), tuple(beta), tuple(pivots), tuple(dets))
+
+
+@pytest.mark.parametrize("spec, stop", [(spec, None) for spec in catalog_specs()] + [
+    # x_1 = x_2 = 3 makes the pivot sigma_22 vanish
+    (SequenceSpec("rational", num=[5, 0, 1], den=[1, 1]), 2),
+    (SequenceSpec("rational", num=[3, -2, 1], den=[1, 0, 1]), 3),
+], ids=[*(spec.family for spec in catalog_specs()), "n2_plus_5_over_n_plus_1",
+        "n2_minus_2n_plus_3_over_n2_plus_1"])
+def test_parity_pass_matches_bareiss(spec, stop):
+    # the pass keeps only the sigma_{k,l} with k + l even; its pivots, b_k and
+    # D_k equal the Bareiss determinants' through order 12 or its zero pivot
+    # sigma_{stop,stop}, and past that pivot hankel_determinant continues by
+    # Bareiss
+    ms = MomentSequence(spec)
+    cheb = ms.chebyshev(12)
+    assert cheb == _bareiss_pass(spec, 12)
+    assert len(cheb.pivots) == (13 if stop is None else stop + 1)
+    assert all(a == 0 for a in cheb.alpha)
+    assert stop is None or cheb.pivots[-1] == 0
+    for n in range(13):
+        assert hankel_determinant(ms, n).value == bareiss_determinant(ms.hankel_matrix(n)), n
+
+
 @pytest.mark.parametrize("spec", RATIONAL_FAMILIES, ids=lambda s: s.family)
 def test_chebyshev_path_matches_bareiss_through_order_16(spec):
     ms = MomentSequence(spec)
@@ -312,11 +348,11 @@ ORDERS = list(range(17))
                          ids=["ascending", "descending", "shuffled"])
 def test_kept_pass_is_the_same_under_any_call_order(spec, orders):
     # the kept pass grows in place: whatever order the orders come in, each
-    # answer equals a one-shot pass and a fresh moment sequence
+    # answer equals the Bareiss determinants' and a fresh moment sequence
     shared = MomentSequence(spec)
     for n in orders:
         fresh = MomentSequence(spec)
-        one_shot = exact_chebyshev([fresh.moment(m) for m in range(2 * n + 2)])
+        one_shot = _bareiss_pass(spec, n)
         assert shared.chebyshev(n) == one_shot == fresh.chebyshev(n), n
         assert shared.chebyshev_polynomials(n) == one_shot.polynomials(), n
         assert hankel_determinant(shared, n) == hankel_determinant(MomentSequence(spec), n), n
@@ -342,19 +378,30 @@ def test_decreasing_sequence_has_negative_d2():
 
 # -- Berg--Duran ---------------------------------------------------------------------
 
-def _five_atom_ratios(count):
-    # x_n = s_n / s_{n-1} for s_n the moments of uniform mass on {-1, 1, 2, 3, 4}:
-    # [s_{i+j}] is positive through size 5, the shifted [s_{i+j+1}] is not
-    s = [Fraction(sum(t ** n for t in (-1, 1, 2, 3, 4)), 5) for n in range(count + 1)]
+def _atom_ratios(atoms, count):
+    # x_n = s_n / s_{n-1} for s_n the moments of uniform mass on the atoms
+    s = [Fraction(sum(t ** n for t in atoms), len(atoms)) for n in range(count + 1)]
     return [s[n] / s[n - 1] for n in range(1, count + 1)]
+
+
+# {-1, 1, 2, 3, 4}: [s_{i+j}] is positive through size 5, the shifted
+# [s_{i+j+1}] is not.  {0, 1, 2}: [s_{i+j}] is singular at size 4 and
+# [s_{i+j+1}] at size 3, so the one pass of the even functional ends at
+# sigma_55 (shift 1, size 3), and shift 0 at size 4 is left to Bareiss
+FIVE_ATOMS = _atom_ratios((-1, 1, 2, 3, 4), 40)
+THREE_ATOMS = _atom_ratios((0, 1, 2), 40)
 
 
 @pytest.mark.parametrize("values, n_max", [
     ([1, 4, 2] + [n * n for n in range(4, 40)], 16),
     ([1] * 40, 16),  # zero pivot: D = 0 at size 2
-    (_five_atom_ratios(40), 10),
-    (_five_atom_ratios(40), 12),  # [s_{i+j}] singular at size 6, the largest checked
-], ids=["nonmonotone", "constant", "shifted", "five_atoms"])
+    (FIVE_ATOMS, 10),
+    (FIVE_ATOMS, 12),  # [s_{i+j}] singular at size 6, the largest checked
+    (THREE_ATOMS, 7),  # sizes to 3: the zero pivot sigma_55 is the first bad
+    (THREE_ATOMS, 8),
+    (THREE_ATOMS, 16),
+], ids=["nonmonotone", "constant", "shifted", "five_atoms", "three_atoms_7", "three_atoms_8",
+        "three_atoms_16"])
 def test_berg_duran_first_nonpositive_hankel_matches_bareiss_loop(values, n_max):
     report = berg_duran_check(SequenceSpec("explicit", values=values), n_max, 6)
     s = [Fraction(1)]
@@ -367,6 +414,10 @@ def test_berg_duran_first_nonpositive_hankel_matches_bareiss_loop(values, n_max)
     assert expected is not None
     assert report.first_nonpositive_hankel == expected
     assert not report.stieltjes_hankels_ok
+    if values is THREE_ATOMS:  # the pass ends at sigma_55
+        pivots = MomentSequence(SequenceSpec("explicit", values=values)).chebyshev(8).pivots
+        assert len(pivots) == 6 and pivots[5] == 0
+        assert expected == ((1, 3) if n_max < 8 else (0, 4))
 
 
 @pytest.mark.parametrize("count, n_max, order", [(1, 0, 0), (2, 0, 1), (3, 1, 1), (4, 1, 2)])

@@ -65,6 +65,23 @@ def test_phi_window_equals_pointwise_bit_for_bit():
     assert phi_window(SequenceSpec("canonical"), 0, 0, 1.3).tolist() == [1.0]
 
 
+@pytest.mark.parametrize("x", [3.0, -3.0])
+def test_phi_window_is_phi_value_through_rescaling_and_overflow(x):
+    # outside the support phi_n grows about 4-fold per step: the pass rescales
+    # by 2^-512 from n ~ 256 and the entries leave the float range near
+    # n = 512, as +inf, or with alternating sign for x < 0
+    spec = SequenceSpec("grinshpan_ismail_s3", a1=1, a2=Fraction(1, 2), a3=Fraction(1, 4))
+    window = phi_window(spec, 0, 6000, x).tolist()
+    ns = sorted({*range(0, 6001, 97), *range(250, 270), *range(500, 530), 5999, 6000})
+    assert [window[n].hex() for n in ns] == [phi_value(spec, n, x).hex() for n in ns]
+    assert [v.hex() for v in phi_window(spec, 300, 6000, x).tolist()] == [
+        v.hex() for v in window[300:]]
+    finite = [abs(v) for v in window if math.isfinite(v)]
+    assert 2.0 ** 600 < max(finite) and len(finite) < 600
+    assert window[6000] == math.inf
+    assert window[5999] == math.copysign(math.inf, x)
+
+
 def test_phi_window_matches_pointwise(su11_j1):
     window = phi_window(su11_j1, 3, 9, 0.37)
     for i, n in enumerate(range(3, 10)):

@@ -364,6 +364,18 @@ def test_vanishing_denominator_past_validation_is_a_domain_error():
     assert x_value(spec, 102) == Fraction(102 ** 2 + 1, 2)
 
 
+def test_nonpositive_x_past_validation_is_a_domain_error():
+    # (n - 65)(n - 67) is positive for the n <= 64 that validation reads; the
+    # sign is decided on the integers, so x_65 = 0 is refused, not rounded
+    spec = SequenceSpec("rational", num=[4355, -132, 1], den=[1])
+    assert x_value(spec, 64) == 3
+    for n, read in ((65, lambda: x_value(spec, 65)), (66, lambda: x_value(spec, 66)),
+                    (66, lambda: x_float(spec, 66)), (65, lambda: x_floats(spec, 100))):
+        with pytest.raises(ParameterDomainError, match=f"x_{n} is not positive"):
+            read()
+    assert x_value(spec, 68) == 3 and x_floats(spec, 64)[-1] == 3.0
+
+
 # x_n by the README formula in Python floats.  The float bits are pinned: the
 # first nonpositive determinants and Berg-Duran orders of test_moments.py rest
 # on them.
@@ -582,6 +594,40 @@ def test_x_floats_equal_x_value_rounded_once(spec):
     assert values.tolist() == [float(x_value(spec, k)) for k in range(1, n + 1)]
 
 
+CLOSED_FORM_SPECS = [spec for spec in catalog_specs() if spec._pair] + [
+    # every D(n) < 0, and D(1) < 0 < D(2): the quotients of negated integers
+    SequenceSpec("rational", num=[-2, -1], den=[-1, -1]),
+    SequenceSpec("rational", num=["-3/2", "-1/2", 1], den=["-3/2", 1]),
+]
+
+
+@pytest.mark.parametrize("spec", CLOSED_FORM_SPECS, ids=repr)
+def test_x_floats_from_difference_tables_are_x_value_rounded_once(spec):
+    # a pair in n builds each segment from the forward differences of N(n)
+    # and D(n); one call and a view grown through 7, 100 and 6000 give the
+    # bits of the exact x_n rounded once
+    expected = [float(x_value(spec, k)).hex() for k in range(1, 6001)]
+    assert [v.hex() for v in x_floats(spec, 6000).tolist()] == expected
+    grown = SequenceSpec(spec.family, **spec.params)
+    for n in (7, 100, 6000):
+        assert [v.hex() for v in x_floats(grown, n).tolist()] == expected[:n]
+
+
+def test_float_view_segments_raise_at_the_same_n():
+    # a segment that starts after a kept prefix stops at the same n as one
+    # from n = 1: a vanishing denominator at 100, an x_n past the float
+    # range at 236
+    spec = SequenceSpec("rational", num=[1, 0, 1], den=[10100, -201, 1])
+    assert len(x_floats(spec, 99)) == 99
+    with pytest.raises(ParameterDomainError, match="vanishes at n = 100"):
+        x_floats(spec, 120)
+    spec = SequenceSpec("rational", num=[0] * 130 + [1], den=[1])
+    assert x_floats(spec, 200)[-1] == float(200 ** 130)
+    with pytest.raises(SequenceRangeError, match="x_236 exceeds the float range"):
+        x_floats(spec, 399)
+    assert len(x_floats(spec, 235)) == 235
+
+
 def _count_calls(monkeypatch, name):
     """The n of every call of nlcpoly.sequences.<name>(spec, n) from now on."""
     calls = []
@@ -689,16 +735,23 @@ def test_x_floats_consistent_across_threads():
 
 
 def test_phi_value_reads_each_x_once(monkeypatch):
-    # x_floats builds an exact closed-form spec's floats from _x_ratio
+    # x_floats builds an exact pair's floats in n as one segment per growth,
+    # from difference tables, and evaluates no x_n on its own
     spec = SequenceSpec("grinshpan_ismail_s3", a1=1, a2=Fraction(1, 2), a3=Fraction(1, 4))
-    calls = _count_calls(monkeypatch, "_x_ratio")
+    ratios = _count_calls(monkeypatch, "_x_ratio")
+    segments, real = [], nlcpoly.sequences._pair_floats
+
+    def counting(spec, start, n):
+        segments.append((start, n))
+        return real(spec, start, n)
+
+    monkeypatch.setattr(nlcpoly.sequences, "_pair_floats", counting)
     first = phi_value(spec, 1000, 0.3)
-    assert calls == list(range(1, 1001))
-    calls.clear()
+    assert segments == [(1, 1000)] and ratios == []
+    segments.clear()
     assert phi_value(spec, 1000, 0.3) == first
     assert phi_value(spec, 400, -0.7) == phi_value(spec, 400, -0.7)
-    assert spec.is_rational
-    assert calls == []
+    assert segments == [] and ratios == []
 
 
 # -- monotonicity and boundedness ----------------------------------------------

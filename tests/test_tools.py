@@ -37,8 +37,9 @@ def test_library_digest_of_a_pair_spec_is_json():
     assert spec in PAIR_SPECS
     digest = library_digests.digest_spec(nlcpoly, spec, library_digests.TEST_CALLS)
     digest = json.loads(json.dumps(digest))
-    assert set(digest) == {"values", "calls", "x_limit", "x_minus_limit", "nevai_condition",
-                           "poly_pair", "moment_check"}
+    assert set(digest) == {"values", "x_floats", "hankel_polynomials", "berg_duran", "calls",
+                           "x_limit", "x_minus_limit", "nevai_condition", "poly_pair",
+                           "moment_check"}
     # the pair up to its common factor: (n - 1/2) / (n + 3/10)
     assert digest["poly_pair"] == [["-1/2", "1"], ["3/10", "1"]]
     assert digest["x_limit"]["value"] == "1"
@@ -49,6 +50,9 @@ def test_library_digest_of_a_pair_spec_is_json():
     assert check["measure"] == "ultraspherical_even" and check["verdict"] is True
     assert [row["n"] for row in check["rows"]] == list(range(library_digests.MOMENT_N_MAX + 1))
     assert len(digest["values"]) == library_digests.N_VALUES
+    assert len(digest["x_floats"]) == library_digests.FLOATS_N
+    assert len(digest["hankel_polynomials"]) == library_digests.HANKEL_DEGREE
+    assert digest["berg_duran"]["effective_n_max"] == library_digests.BERG_N_MAX
     assert [name for name, *_ in digest["calls"]] == [c[0] for c in library_digests.TEST_CALLS]
 
 

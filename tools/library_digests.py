@@ -9,14 +9,21 @@ specs are the four ``library_long`` specs of ``perfbench/workloads.py``,
 the exact and float spec lists of ``tests/test_sequences.py`` and
 ``tests/test_moments.py``, the exact specs of
 ``test_sequences.VIOLATOR_SPECS``, whose claims the checks leave to their
-scans, and ``test_sequences.LONG_LIST_SPEC``, a list-backed spec with a
+scans, ``test_sequences.LONG_LIST_SPEC``, a list-backed spec with a
 finite limit, whose ``x_minus_limit`` and Nevai deviations read its float
-view. For each spec OUT.json holds:
+view, and ``test_moments.THREE_ATOMS``, the ratios of uniform mass on
+{0, 1, 2}, whose Chebyshev pass ends at a zero pivot. For each spec
+OUT.json holds:
 
 * ``x_value`` as ``str`` and ``x_float`` as ``repr`` for n <= 2000 (or up
   to the length of a list-backed spec);
+* the float view ``x_floats(spec, FLOATS_N)`` as ``repr``, which the
+  ``x_float`` rows do not read;
 * the full ``check_monotone_and_bounded`` and
   ``check_nonlinear_inequalities`` reports, violations included;
+* ``hankel_polynomial`` for degrees 1 .. ``HANKEL_DEGREE`` on one moment
+  sequence, and the full ``berg_duran_check`` report at n_max
+  ``BERG_N_MAX``;
 * the ``hankel_determinant`` values and the ``phi_value`` and
   ``amplitude_extract`` results; the ``library_long`` specs run the calls of
   that workload, every other spec runs ``TEST_CALLS``;
@@ -65,6 +72,9 @@ TEST_CALLS = [
 MINUS_LIMIT_AT = (1, 10, 100, 1000)
 NEVAI_N = 256
 MOMENT_N_MAX = 12
+FLOATS_N = 6000
+HANKEL_DEGREE = 12
+BERG_N_MAX = 20
 
 
 def _plain(value):
@@ -128,8 +138,17 @@ def _moment_check(nl, spec):
     return nl.verify_moment_problem(measure, spec, MOMENT_N_MAX)
 
 
+def _hankel_polynomials(nl, spec) -> List[object]:
+    moments = nl.MomentSequence(spec)
+    return [_guarded(lambda: nl.hankel_polynomial(moments, n))
+            for n in range(1, HANKEL_DEGREE + 1)]
+
+
 def digest_spec(nl, spec, calls: List[list]) -> Dict[str, object]:
     return {"values": _guarded(lambda: _values(nl, spec)),
+            "x_floats": _guarded(lambda: nl.x_floats(spec, FLOATS_N).tolist()),
+            "hankel_polynomials": _hankel_polynomials(nl, spec),
+            "berg_duran": _guarded(lambda: nl.berg_duran_check(spec, BERG_N_MAX)),
             "x_limit": _guarded(lambda: nl.x_limit(spec)),
             "x_minus_limit": _guarded(lambda: _minus_limit(nl, spec)),
             "nevai_condition": _guarded(lambda: nl.nevai_condition(spec, NEVAI_N)),
@@ -159,7 +178,8 @@ def main(argv: List[str]) -> int:
         digests[f"library_long/{op.name}"] = digest_spec(nl, spec, op.calls)
     tests = [*ts.PAIR_SPECS, *ts.Q_SPECS, *(s for s, _ in ts.FLOAT_FORMULAS),
              *ts.FLOAT_VIEW_SPECS, *test_moments.FLOAT_SPECS,
-             *(spec for spec in ts.VIOLATOR_SPECS if spec.is_rational), ts.LONG_LIST_SPEC]
+             *(spec for spec in ts.VIOLATOR_SPECS if spec.is_rational), ts.LONG_LIST_SPEC,
+             nl.SequenceSpec("explicit", values=test_moments.THREE_ATOMS)]
     for spec in tests:
         label = f"tests/{spec!r}" + ("" if spec.strict else " strict=False")
         if label not in digests:
