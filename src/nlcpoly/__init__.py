@@ -28,9 +28,8 @@ from .spectral import (  # noqa: F401
 )
 from .quadrature import QuadratureResult, exp_sinh, tanh_sinh  # noqa: F401
 from .measures import (  # noqa: F401
-    GramReport, MeasureSpec, MomentCheckReport, get_measure, integrate,
-    measure_names, select_bessel_ladder_measure, verify_moment_problem,
-    verify_orthonormality,
+    MeasureSpec, MomentCheckReport, get_measure, measure_names,
+    select_bessel_ladder_measure, verify_moment_problem,
 )
 from .asymptotics import (  # noqa: F401
     AmplitudeEstimate, NevaiDiagnostic, amplitude_extract, nevai_amplitude,

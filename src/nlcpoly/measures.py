@@ -3,8 +3,8 @@
 Each catalog entry is a named density -- radial on [0, L) or even on
 [-L, L] / the real line -- normalized to unit mass; ``DEFAULT_MEASURES``
 pairs each sequence family with the density whose even moments are its
-partial products.  The module verifies moment problems and Gram matrices
-by double-exponential quadrature.
+partial products.  The module verifies moment problems by
+double-exponential quadrature of the even moments (:func:`moment_integral`).
 
 The ladder-operator measure with the Bessel kernel appears in the sources in
 two inequivalent forms; both candidates are kept and a numerical moment test
@@ -21,9 +21,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .moments import DegenerateMomentsError, MomentSequence
 from .quadrature import QuadratureResult, exp_sinh, tanh_sinh
-from .recurrence import RecurrenceCoeffs, general_monic_value, phi_value
 from .sequences import SequenceSpec, x_factorials, x_log_factorials, x_value
 from .special import bessel_k, log_gamma
 
@@ -44,32 +42,6 @@ class MeasureSpec:
     density: Callable[[float], float]
     params: Dict[str, float] = field(default_factory=dict)
     density_edge: Optional[Callable[[float, float, float], float]] = None
-
-
-def integrate(measure: MeasureSpec, integrand: Callable[[float], float],
-              tolerance: float = 1e-11) -> QuadratureResult:
-    """integral of integrand(t) d(measure) over the measure's full support."""
-    if measure.kind == "radial":
-        return _integrate_half(measure, integrand, tolerance)
-    # an even measure: its radial projection against the even part of the integrand
-    return _integrate_half(measure, lambda r: (integrand(r) + integrand(-r)) / 2.0, tolerance)
-
-
-def _integrate_half(measure: MeasureSpec, integrand: Callable[[float], float],
-                    tolerance: float) -> QuadratureResult:
-    """integral over (0, L) of integrand against the radial projection of the
-    measure (twice the density of an even one): exp-sinh for L = inf, else
-    tanh-sinh, through the edge form of the density when it has one."""
-    factor = 2.0 if measure.kind == "even" else 1.0
-    if math.isinf(measure.L):
-        return exp_sinh(lambda r: factor * integrand(r) * measure.density(r), tolerance)
-    if measure.density_edge is not None:
-        return tanh_sinh(
-            None, 0.0, measure.L, tolerance,
-            f_edge=lambda r, da, db:
-                factor * integrand(r) * measure.density_edge(r, da, db))
-    return tanh_sinh(lambda r: factor * integrand(r) * measure.density(r),
-                     0.0, measure.L, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +289,22 @@ class MomentCheckReport:
 
 def moment_integral(measure: MeasureSpec, n: int, tolerance: float,
                     log_scale: float = 0.0) -> QuadratureResult:
-    """integral of r^(2n) against the radial projection of the measure,
-    optionally damped by exp(-log_scale) for overflow-free comparison."""
+    """integral of r^(2n) over (0, L) against the radial projection of the
+    measure (twice the density of an even one), optionally damped by
+    exp(-log_scale) for overflow-free comparison: tanh-sinh for finite L,
+    through the edge form of the density when it has one, else exp-sinh."""
+    factor = 2.0 if measure.kind == "even" else 1.0
     if not math.isinf(measure.L):
         damping = math.exp(-log_scale)
-        return _integrate_half(measure, lambda r: r ** (2 * n) * damping, tolerance)
-    # on the half line r^(2n) overflows where the damped integrand is O(1)
-    factor = 2.0 if measure.kind == "even" else 1.0
+        if measure.density_edge is not None:
+            return tanh_sinh(
+                None, 0.0, measure.L, tolerance,
+                f_edge=lambda r, da, db:
+                    factor * (r ** (2 * n) * damping) * measure.density_edge(r, da, db))
+        return tanh_sinh(lambda r: factor * (r ** (2 * n) * damping) * measure.density(r),
+                         0.0, measure.L, tolerance)
 
+    # on the half line r^(2n) overflows where the damped integrand is O(1)
     def f(r: float) -> float:
         lr = math.log(r)
         base = factor * measure.density(r)
@@ -409,70 +389,3 @@ def select_bessel_ladder_measure(j, n_check: int = 4,
                                   chosen_rep.max_abs_rel_error,
                                   loser.max_abs_rel_error, True)
     return winner, info
-
-
-# ---------------------------------------------------------------------------
-# orthonormality
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GramReport:
-    measure: str
-    family: str
-    side: str
-    n_max: int
-    max_abs_deviation: float
-    unconverged_entries: Tuple[Tuple[int, int], ...]
-    gram: Tuple[Tuple[float, ...], ...]
-
-
-def _orthonormal_hankel_evaluators(spec: SequenceSpec, n_max: int):
-    cheb = MomentSequence(spec).chebyshev(n_max)
-    if len(cheb.alpha) <= n_max:
-        raise DegenerateMomentsError("degenerate moment sequence: a Hankel pivot is zero")
-    coeffs = RecurrenceCoeffs(tuple(map(float, cheb.alpha)), tuple(map(float, cheb.beta)))
-    norms = [math.sqrt(float(h)) for h in cheb.pivots]  # ||P_n||^2 = D_n / D_{n-1}
-    return [(lambda n: lambda x: general_monic_value(coeffs, n, x) / norms[n])(n)
-            for n in range(n_max + 1)]
-
-
-def verify_orthonormality(measure: MeasureSpec, spec: SequenceSpec, n_max: int,
-                          tolerance: float = 1e-11, side: str = "moment",
-                          argument_scale: float = 1.0) -> GramReport:
-    """Gram matrix G_mn against the (even) measure.
-
-    side='moment': rows are the orthonormalized determinant polynomials of
-    the sequence's even moments -- the pairing that must hold whenever the
-    measure solves the sequence's moment problem.  side='spectral': rows are
-    psi_n(y) = phi_n(argument_scale * y), for measures known to be the
-    spectral measure of the shift operator under that substitution.
-
-    Radial measures are interpreted through their even extension; the Gram
-    entries of even-parity products reduce to the radial integral and the
-    odd-parity entries vanish identically.
-    """
-    if side == "moment":
-        polys = _orthonormal_hankel_evaluators(spec, n_max)
-    elif side == "spectral":
-        scale = float(argument_scale)
-        polys = [(lambda n: lambda y: phi_value(spec, n, scale * y))(n)
-                 for n in range(n_max + 1)]
-    else:
-        raise ValueError("side must be 'moment' or 'spectral'")
-
-    gram = [[0.0] * (n_max + 1) for _ in range(n_max + 1)]
-    bad: List[Tuple[int, int]] = []
-    worst = 0.0
-    for m in range(n_max + 1):
-        for n in range(m, n_max + 1):
-            if (m + n) % 2 == 1:
-                continue  # odd product against an even measure
-            res = _integrate_half(measure, lambda r, pm=polys[m], pn=polys[n]:
-                                  pm(r) * pn(r), tolerance)
-            gram[m][n] = gram[n][m] = res.value
-            if not res.converged:
-                bad.append((m, n))
-            worst = max(worst, abs(res.value - (1.0 if m == n else 0.0)))
-    return GramReport(measure.name, spec.family, side, n_max, worst,
-                      tuple(bad), tuple(tuple(row) for row in gram))
-

@@ -323,15 +323,12 @@ def berg_duran_check(spec: SequenceSpec, n_max: int, order: int = 8) -> BergDura
 
     top = n_max // 2
     moments = MomentSequence(spec)
-    # the check reads s_0 .. s_{2 top + 1}, so a float running product that
-    # overflows by s_{2 top + 1} raises PrecisionError; the pivots need only
-    # s_0 .. s_{2 top - 1}
     s = moments.even_moment
-    s(2 * top + 1)
     # with mu_{2k} = s_k, D_{2k} = H0_k H1_{k-1} and D_{2k+1} = H0_k H1_k for
     # H0_k = det [s_{i+j}] and H1_k = det [s_{i+j+1}] of size k + 1 (Chihara
     # 1978, ch. I), so pivot 2k + shift of the even functional is the pivot
-    # of [s_{i+j+shift}] at size k + 1
+    # of [s_{i+j+shift}] at size k + 1; the pass and the Bareiss fallback
+    # read only s_0 .. s_{2 top - 1}
     pivots = moments.chebyshev(2 * top - 1).pivots if top else ()
 
     def positive(shift: int, size: int) -> bool:

@@ -13,11 +13,12 @@ only: in the oscillatory region it is well conditioned, and zeros come from
 the spectral module, not from polynomial root hunting.
 
 The monic recurrence P_{k+1} = (x - a_k) P_k - b_k P_{k-1} has one
-coefficient kernel, :func:`monic_polynomials`, and one value kernel,
-:func:`general_monic_value`.  Both serve q_n (a_k = 0, b_k = x_k / 2) and
-the determinant polynomials of a moment sequence (the a_k, b_k of its
-Chebyshev pass).  ``spectral.char_poly`` keeps its own determinant loop as
-an independent check of q_n.
+coefficient kernel, :func:`monic_polynomials`, which serves q_n (a_k = 0,
+b_k = x_k / 2) and the determinant polynomials of a moment sequence (the
+a_k, b_k of its Chebyshev pass), and one value kernel,
+:func:`general_monic_value`, which the package uses for q_n only.
+``spectral.char_poly`` keeps its own determinant loop as an independent
+check of q_n.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ import pytest
 import nlcpoly.measures
 import nlcpoly.sequences
 from nlcpoly import (
-    SequenceSpec, get_measure, integrate, measure_names, select_bessel_ladder_measure,
-    verify_moment_problem, verify_orthonormality,
+    SequenceSpec, get_measure, measure_names, select_bessel_ladder_measure,
+    verify_moment_problem,
 )
 from nlcpoly.measures import MomentRow, moment_integral
 from nlcpoly.moments import MomentSequence
@@ -37,21 +37,9 @@ def test_total_mass_one():
                     get_measure("ultraspherical_even", nu=1),
                     get_measure("jacobi_even", alpha=1, beta=1),
                     get_measure("hermite_even")):
-        res = integrate(measure, lambda t: 1.0, 1e-11)
+        res = moment_integral(measure, 0, 1e-11)
         assert res.converged
         assert res.value == pytest.approx(1.0, rel=1e-10), measure.name
-
-
-def test_even_extension_half_mass_per_side():
-    # the even extension of each radial density carries mass 1/2 per side
-    from nlcpoly.measures import _integrate_half
-    for measure in (get_measure("gaussian_radial"),
-                    get_measure("disc_radial", j=2)):
-        res = _integrate_half(measure, lambda r: 0.5, 1e-11)
-        assert res.value == pytest.approx(0.5, rel=1e-10)
-    even = get_measure("ultraspherical_even", nu=1)
-    res = _integrate_half(even, lambda r: 1.0, 1e-11)  # 2*int_0^1 w = 1
-    assert res.value == pytest.approx(1.0, rel=1e-10)
 
 
 # -- moment problems ---------------------------------------------------------------
@@ -102,6 +90,7 @@ def _moment_rows_by_partial_products(measure, spec, n_max, tolerance):
     ("disc_radial", {"j": Fraction(3, 2)}, "su11", {"j": Fraction(3, 2)}, 40),
     ("gaussian_radial", {}, "canonical", {}, 165),  # rows past n = 158 are damped
     ("bessel_k_exp_even", {"mu": 1.7, "nu": 0.3}, "bessel_k_exp", {"mu": 1.7, "nu": 0.3}, 8),
+    ("jacobi_even", {"alpha": 1, "beta": 1}, "jacobi_type", {"alpha": 1, "beta": 1}, 8),
 ])
 def test_verify_moment_problem_reads_each_x_once(monkeypatch, measure_name, measure_params,
                                                  family, params, n_max):
@@ -260,71 +249,6 @@ def test_resolution_fails_for_mismatched_pair():
     assert report.rows[1].rel_error > 0.4  # 1/2 against 1
 
 
-# -- orthonormality --------------------------------------------------------------------
-
-def test_hermite_gram_is_identity():
-    report = verify_orthonormality(get_measure("hermite_even"),
-                                   SequenceSpec("canonical"), 6, 1e-11,
-                                   side="spectral")
-    assert report.max_abs_deviation <= 1e-10
-    assert not report.unconverged_entries
-
-
-def test_ultraspherical_spectral_gram_with_sqrt2_argument():
-    # phi_n of the quotient family are orthonormal against the
-    # ultraspherical density under y -> sqrt(2) y
-    report = verify_orthonormality(get_measure("ultraspherical_even", nu=1),
-                                   SequenceSpec("gamma_quotient", a=2, b=1, c=1),
-                                   6, 1e-11, side="spectral",
-                                   argument_scale=math.sqrt(2.0))
-    assert report.max_abs_deviation <= 1e-10
-
-
-def test_moment_side_gram_identity_for_catalog_pairs():
-    pairs = [
-        (get_measure("gaussian_radial"), SequenceSpec("canonical")),
-        (get_measure("ultraspherical_even", nu=1), SequenceSpec("ultraspherical", nu=1)),
-        (get_measure("jacobi_even", alpha=1, beta=1),
-         SequenceSpec("jacobi_type", alpha=1, beta=1)),
-        (get_measure("disc_radial", j=Fraction(3, 2)), SequenceSpec("su11", j=Fraction(3, 2))),
-    ]
-    for measure, spec in pairs:
-        report = verify_orthonormality(measure, spec, 6, 1e-11, side="moment")
-        assert report.max_abs_deviation <= 1e-9, (measure.name, report.max_abs_deviation)
-
-
-@pytest.mark.parametrize("measure, spec", [
-    (get_measure("disc_radial", j=Fraction(3, 2)), SequenceSpec("su11", j=Fraction(3, 2))),
-    (get_measure("ultraspherical_even", nu=1), SequenceSpec("ultraspherical", nu=1)),
-    (get_measure("jacobi_even", alpha=1, beta=1), SequenceSpec("jacobi_type", alpha=1, beta=1)),
-], ids=lambda v: v.name if hasattr(v, "name") else v.family)
-def test_moment_side_gram_at_order_8_is_within_a_few_ulp(measure, spec):
-    # P_n evaluated by its recurrence, not by Horner on monomial coefficients,
-    # which cancel to about 4e-15 at order 8 on these measures
-    report = verify_orthonormality(measure, spec, 8)
-    assert not report.unconverged_entries
-    assert report.max_abs_deviation <= 2e-15, report.max_abs_deviation
-
-
-def test_moment_side_gram_on_a_float_spec():
-    # float parameters: the Hankel polynomials come from the lifted float
-    # moments, which agree with the Bessel-weight moments to rounding
-    spec = SequenceSpec("bessel_k_exp", mu=1.7, nu=0.3)
-    report = verify_orthonormality(get_measure("bessel_k_exp_even", mu=1.7, nu=0.3), spec, 4)
-    assert report.side == "moment" and not report.unconverged_entries
-    assert report.max_abs_deviation <= 1e-10
-
-
-def test_gram_matrix_is_symmetric():
-    report = verify_orthonormality(get_measure("hermite_even"),
-                                   SequenceSpec("canonical"), 5, 1e-11,
-                                   side="spectral")
-    g = report.gram
-    for m in range(6):
-        for n in range(6):
-            assert g[m][n] == g[n][m]
-
-
 # -- normalization series -----------------------------------------------------------------
 
 def _normalization_terms(spec, r2, terms):
@@ -370,13 +294,6 @@ def test_normalization_divergence_names_radius():
     assert terms == pytest.approx([n + 1 for n in range(50)], rel=1e-13)
 
 
-def test_integrate_odd_function_vanishes_on_even_measure():
-    # one quadrature of the even part, which is exactly zero at every node
-    res = integrate(get_measure("hermite_even"), lambda t: t ** 3, 1e-11)
-    assert abs(res.value) < 1e-12
-    assert res.value == 0.0 and res.error_estimate == 0.0
-
-
 def test_bessel_ladder_log_singular_order():
     # j = 1/2: the kernel order is 0 with a logarithmic singularity at the
     # origin and moments (n!)^2
@@ -393,20 +310,3 @@ def test_hermite_even_is_the_moment_measure_of_half_shifted_integers():
     spec = SequenceSpec("rational", num=[Fraction(-1, 2), 1], den=[1])
     report = verify_moment_problem(get_measure("hermite_even"), spec, 10, 1e-10)
     assert report.verdict, report.max_abs_rel_error
-
-
-def test_ultraspherical_spectral_gram_generalizes_to_nu_two():
-    report = verify_orthonormality(get_measure("ultraspherical_even", nu=2),
-                                   SequenceSpec("gamma_quotient", a=3, b=2, c=1),
-                                   5, 1e-11, side="spectral",
-                                   argument_scale=math.sqrt(2.0))
-    assert report.max_abs_deviation <= 1e-10
-
-
-def test_moment_side_gram_for_bessel_ladder_pair():
-    # orthonormalized determinant polynomials against the exp-sinh Bessel
-    # quadrature: a full exact-elimination + special-function round trip
-    measure, _ = select_bessel_ladder_measure(1)
-    report = verify_orthonormality(measure, SequenceSpec("barut_girardello", j=1),
-                                   4, 1e-9, side="moment")
-    assert report.max_abs_deviation <= 1e-8, report.max_abs_deviation

@@ -428,6 +428,16 @@ def test_berg_duran_on_a_short_list_reads_only_its_values(count, n_max, order):
     assert report.hausdorff_ok and report.stieltjes_hankels_ok
 
 
+def test_berg_duran_reads_only_the_moments_its_pivots_need():
+    # x_n = 1e100 n: the float running product first overflows at mu_8 = x_4!;
+    # n_max = 4 takes the pivots of s_0 .. s_3, n_max = 6 those of s_0 .. s_5
+    spec = SequenceSpec("rational", num=[0, 1e100], den=[1])
+    report = berg_duran_check(spec, 4)
+    assert report.hausdorff_ok and report.stieltjes_hankels_ok
+    with pytest.raises(PrecisionError, match="mu_8 = inf"):
+        berg_duran_check(spec, 6)
+
+
 def test_berg_duran_su11():
     report = berg_duran_check(SequenceSpec("su11", j=1), 24, 8)
     assert report.hausdorff_ok and report.stieltjes_hankels_ok

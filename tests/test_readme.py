@@ -1,11 +1,13 @@
 """README.md examples stay runnable: the library quick start executes,
 every [sequence] block under "Families" parses into a spec, the
 "Configuration" example loads and lists the config key table's [run] and
-[output] keys, and the "Measures" list names the measure catalog."""
+[output] keys, the "Measures" list names the measure catalog, and every
+`nl.<name>` the text cites is an attribute of the package."""
 
 import re
 from pathlib import Path
 
+import nlcpoly
 from nlcpoly import family_names, measure_names
 from nlcpoly.config import CONFIG_KEYS, load_config
 
@@ -34,6 +36,12 @@ def test_measures_list_names_the_catalog():
     listed = README.split("Measures (`[measure] name = ...`):")[1].split("\n\n")[0]
     names = re.findall(r"`(\w+)(?:\([^)]*\))?`", listed)
     assert sorted(names) == measure_names()
+
+
+def test_every_cited_package_name_exists():
+    cited = set(re.findall(r"`nl\.(\w+)", README))
+    assert cited
+    assert sorted(name for name in cited if not hasattr(nlcpoly, name)) == []
 
 
 def test_configuration_example_lists_the_key_table():
