@@ -42,6 +42,76 @@ def test_total_mass_one():
         assert res.value == pytest.approx(1.0, rel=1e-10), measure.name
 
 
+# -- moment quadrature -------------------------------------------------------------
+
+_HALF = Fraction(1, 2)
+
+# each catalog density, at parameters that make its weight singular where it
+# can be, with the closed-form even moments of its docstring; the plain
+# ladder form has int (2/pi) K_{1/2}(2r) r^(2n + 1/2) dr = n! Gamma(n + 1/2) / (2 pi)
+_CLOSED_FORM_MOMENTS = {
+    "gaussian_radial": ({}, lambda n: mpmath.factorial(n)),
+    "disc_radial": ({"j": Fraction(3, 4)},
+                    lambda n: mpmath.factorial(n) / mpmath.rf(Fraction(3, 2), n)),
+    "bessel_ladder_radial": ({"j": Fraction(3, 2)},
+                             lambda n: mpmath.factorial(n) * mpmath.rf(3, n)),
+    "bessel_ladder_radial_plain": ({"j": Fraction(3, 4)},
+                                   lambda n: mpmath.factorial(n) * mpmath.gamma(n + _HALF)
+                                   / (2 * mpmath.pi)),
+    "ultraspherical_even": ({"nu": Fraction(3, 10)},
+                            lambda n: mpmath.rf(_HALF, n) / mpmath.rf(Fraction(13, 10), n)),
+    "jacobi_even": ({"alpha": Fraction(1, 4), "beta": -_HALF},
+                    lambda n: mpmath.rf(Fraction(3, 4), n) / mpmath.rf(Fraction(5, 4), n)),
+    "bessel_mp_even": ({"mu": 1, "nu": Fraction(1, 4), "beta": 2},
+                       lambda n: mpmath.rf(Fraction(5, 4), n) * mpmath.rf(Fraction(3, 4), n)),
+    "bessel_k_exp_even": ({"mu": Fraction(17, 10), "nu": Fraction(3, 10)},
+                          lambda n: mpmath.rf(2, n) * mpmath.rf(Fraction(7, 5), n)
+                          / (2 ** n * mpmath.rf(Fraction(11, 5), n))),
+    "bessel_k_abs_even": ({"mu": Fraction(3, 2), "nu": _HALF},
+                          lambda n: mpmath.rf(2, 2 * n) * mpmath.rf(1, 2 * n)
+                          / (4 ** n * mpmath.rf(2, 2 * n))),
+    "hermite_even": ({}, lambda n: mpmath.rf(_HALF, n)),
+}
+
+
+def test_closed_form_moments_cover_the_catalog():
+    assert sorted(_CLOSED_FORM_MOMENTS) == measure_names()
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSED_FORM_MOMENTS))
+def test_moment_integral_gives_each_catalog_density_its_closed_form_moments(name):
+    # exp-sinh on the half line, the edge form of tanh-sinh on [0, 1]
+    params, closed = _CLOSED_FORM_MOMENTS[name]
+    measure = get_measure(name, **params)
+    for n in (0, 1, 4, 9):
+        res = moment_integral(measure, n, 1e-11)
+        assert res.converged
+        assert res.value == pytest.approx(float(closed(n)), rel=1e-13), (name, n)
+
+
+def test_moment_integral_without_an_edge_form_integrates_the_plain_density():
+    edge = get_measure("jacobi_even", alpha=1, beta=1)
+    plain = dataclasses.replace(edge, density_edge=None)
+    for n in (0, 3, 8):
+        res = moment_integral(plain, n, 1e-11)
+        assert res.converged
+        expected = mpmath.rf(Fraction(3, 2), n) / mpmath.rf(Fraction(7, 2), n)
+        assert res.value == pytest.approx(float(expected), rel=1e-13), n
+        assert res.value == pytest.approx(moment_integral(edge, n, 1e-11).value, rel=1e-14)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("gaussian_radial", {}), ("disc_radial", {"j": 2}), ("hermite_even", {}),
+])
+def test_moment_integral_damping_divides_by_exp_log_scale(name, params):
+    measure = get_measure(name, **params)
+    for n in (0, 5):
+        plain = moment_integral(measure, n, 1e-11).value
+        damped = moment_integral(measure, n, 1e-11, log_scale=3.0)
+        assert damped.converged
+        assert damped.value == pytest.approx(plain * math.exp(-3.0), rel=1e-14), n
+
+
 # -- moment problems ---------------------------------------------------------------
 
 def test_gaussian_moments_match_factorials():
