@@ -16,8 +16,7 @@ inconclusive band, never a proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -35,8 +34,7 @@ def _sqrt_beta_deviation(spec: SequenceSpec, m: float, n_max: int) -> np.ndarray
     return np.abs(d) / (np.sqrt(np.maximum(1.0 + d, 0.0)) + 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class NevaiDiagnostic:
+class NevaiDiagnostic(NamedTuple):
     verdict: str  # 'converges' | 'diverges' | 'inconclusive'
     tail_exponent: Optional[float]
     partial_sum: Optional[float]
@@ -119,8 +117,7 @@ def rescaled_phi_window(spec: SequenceSpec, n_lo: int, n_hi: int, x: float,
     return _window(np.sqrt(x_floats(spec, n_hi) / (4.0 * m)).tolist(), n_lo, x)
 
 
-@dataclass(frozen=True)
-class AmplitudeEstimate:
+class AmplitudeEstimate(NamedTuple):
     x: float
     n_window: Tuple[int, int]
     sine_fit_amplitude: float

@@ -49,6 +49,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _float(value) -> float:
+    """The float nearest an exact value, or +-inf beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 # the steps of ``all``, in order; verify-measure runs when there is a measure
 _ALL_STEPS = ("moments", "hankel", "polys", "zeros", "bounds", "nevai", "cm-check",
               "verify-measure")
@@ -92,15 +100,14 @@ class _Runner:
         rows = []
         for n, log_mu in enumerate(log_mus):
             mu = self.moments.even_moment(n)
-            value = float(mu) if log_mu < 700 else math.inf
-            rows.append((n, value, str(mu), log_mu))
+            rows.append((n, _float(mu), str(mu), log_mu))
         self._write_csv("moments.csv", ["n", "mu2n", "mu2n_exact", "log_mu2n"], rows)
         self.summary["moments"] = {"n_max": n_max, "exact": True}
 
     def cmd_hankel(self) -> None:
         results = [hankel_determinant(self.moments, n) for n in range(self.cfg.n_max + 1)]
         all_positive = all(res.positive for res in results)
-        rows = [(n, float(res.value), res.positive, res.exact)
+        rows = [(n, _float(res.value), res.positive, res.exact)
                 for n, res in enumerate(results)]
         self._write_csv("hankel.csv", ["n", "det", "positive", "exact"], rows)
         self.verdicts["hankel_positive"] = all_positive
@@ -108,14 +115,14 @@ class _Runner:
 
     def cmd_polys(self) -> None:
         spec = self.spec
-        rows = [(n, k, float(c), str(c))
+        rows = [(n, k, _float(c), str(c))
                 for n, poly in enumerate(monic_q_polynomials(spec, self.cfg.n_max))
                 for k, c in enumerate(poly)]
         self._write_csv("polys_monic.csv", ["n", "k", "coeff", "coeff_exact"], rows)
         polys = [hankel_polynomial(self.moments, n) for n in range(1, self.cfg.n_max + 1)]
         rows = [(0, 0, 1.0, "1")]
         for n, poly in enumerate(polys, 1):
-            rows.extend((n, k, float(c), str(c)) for k, c in enumerate(poly))
+            rows.extend((n, k, _float(c), str(c)) for k, c in enumerate(poly))
         self._write_csv("polys_hankel.csv", ["n", "k", "coeff", "coeff_exact"], rows)
         rng = random.Random(self.cfg.seed)
         points = [rng.uniform(-2.0, 2.0) for _ in range(5)]

@@ -12,9 +12,9 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .asymptotics import MIN_NEVAI_N
 from .measures import measure_names, measure_params
@@ -72,13 +72,12 @@ def _format_number(value) -> str:
     return str(value)
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     family: str
     family_params: Dict[str, object]
     command: str = "all"
     measure: Optional[str] = None
-    measure_params: Dict[str, object] = field(default_factory=dict)
+    measure_params: Mapping[str, object] = MappingProxyType({})  # read-only when shared
     n_max: int = 12
     order: int = 8
     tolerance: float = 1e-11
@@ -180,22 +179,22 @@ def _config_from_parser(parser: configparser.ConfigParser) -> RunConfig:
     family = seq.get("family", "").strip()
     _check_known("family", [family], family_names())
     _check_known("[sequence] key", seq, ("family",) + _FAMILIES[family].param_names)
-    cfg = RunConfig(family=family, family_params=_parse_params(seq, "family"))
+    values = {"family": family, "family_params": _parse_params(seq, "family")}
 
     if parser.has_section("measure"):
         section = parser["measure"]
-        cfg.measure = section.get("name", "").strip()
-        _check_known("[measure] name", [cfg.measure], measure_names())
-        _check_known("[measure] key", section, ("name",) + measure_params(cfg.measure))
-        cfg.measure_params = _parse_params(section, "name")
+        name = values["measure"] = section.get("name", "").strip()
+        _check_known("[measure] name", [name], measure_names())
+        _check_known("[measure] key", section, ("name",) + measure_params(name))
+        values["measure_params"] = _parse_params(section, "name")
 
     for section in ("run", "output"):
         if parser.has_section(section):
             keys = {k.key: k for k in CONFIG_KEYS if k.section == section}
             _check_known(f"[{section}] key", parser[section], keys)
             for key, raw in parser[section].items():
-                setattr(cfg, keys[key].field, _read_key(keys[key], raw))
-    return cfg
+                values[keys[key].field] = _read_key(keys[key], raw)
+    return RunConfig(**values)
 
 
 def _read_key(k: ConfigKey, raw: str):

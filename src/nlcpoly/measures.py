@@ -17,17 +17,15 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .quadrature import QuadratureResult, exp_sinh, tanh_sinh
 from .sequences import SequenceSpec, x_factorials, x_log_factorials, x_value
 from .special import bessel_k, log_gamma
 
 
-@dataclass(frozen=True)
-class MeasureSpec:
+class MeasureSpec(NamedTuple):
     """One normalized density.
 
     ``kind`` is 'radial' (support [0, L)) or 'even' (support [-L, L], with
@@ -40,7 +38,7 @@ class MeasureSpec:
     kind: str
     L: float
     density: Callable[[float], float]
-    params: Dict[str, float] = field(default_factory=dict)
+    params: Dict[str, float]
     density_edge: Optional[Callable[[float, float, float], float]] = None
 
 
@@ -51,7 +49,7 @@ class MeasureSpec:
 def gaussian_radial() -> MeasureSpec:
     """2 r exp(-r^2) dr on [0, inf); moments n!."""
     return MeasureSpec("gaussian_radial", "radial", math.inf,
-                       lambda r: 2.0 * r * math.exp(-r * r))
+                       lambda r: 2.0 * r * math.exp(-r * r), {})
 
 
 def disc_radial(j) -> MeasureSpec:
@@ -211,7 +209,7 @@ def hermite_even() -> MeasureSpec:
     canonical shift operator; the canonical phi_n are orthonormal under it."""
     c = 1.0 / math.sqrt(math.pi)
     return MeasureSpec("hermite_even", "even", math.inf,
-                       lambda x: c * math.exp(-x * x))
+                       lambda x: c * math.exp(-x * x), {})
 
 
 _CATALOG: Dict[str, Callable[..., MeasureSpec]] = {
@@ -264,8 +262,7 @@ def get_measure(name: str, **params) -> MeasureSpec:
 # verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MomentRow:
+class MomentRow(NamedTuple):
     n: int
     computed: float
     expected: float
@@ -273,8 +270,7 @@ class MomentRow:
     converged: bool
 
 
-@dataclass(frozen=True)
-class MomentCheckReport:
+class MomentCheckReport(NamedTuple):
     measure: str
     family: str
     rows: Tuple[MomentRow, ...]
@@ -328,8 +324,8 @@ def verify_moment_problem(measure: MeasureSpec, spec: SequenceSpec, n_max: int,
     returns the value the density itself returns there.
     """
     edge = measure.density_edge
-    measure = replace(measure, density=functools.cache(measure.density),
-                      density_edge=edge and functools.cache(edge))
+    measure = measure._replace(density=functools.cache(measure.density),
+                               density_edge=edge and functools.cache(edge))
     xs = [x_value(spec, k) for k in range(1, n_max + 1)]
     products = x_factorials(spec, xs)
     log_products = x_log_factorials(map(float, xs))
@@ -356,8 +352,7 @@ def verify_moment_problem(measure: MeasureSpec, spec: SequenceSpec, n_max: int,
                              tolerance, verdict)
 
 
-@dataclass(frozen=True)
-class LadderMeasureSelection:
+class LadderMeasureSelection(NamedTuple):
     j: float
     chosen: str
     max_rel_error_chosen: float

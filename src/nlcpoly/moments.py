@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Union
+from typing import List, NamedTuple, Optional, Union
 
 from .recurrence import _extend_monic_polynomials, monic_polynomials
 from .sequences import SequenceSpec, _max_index, x_floats, x_value
@@ -118,8 +117,7 @@ class MomentSequence:
 # exact Chebyshev algorithm
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChebyshevPass:
+class ChebyshevPass(NamedTuple):
     """Recurrence data of the monic polynomials orthogonal for a moment list.
 
     ``alpha[k]``, ``beta[k]`` give P_{k+1} = (x - a_k) P_k - b_k P_{k-1}
@@ -221,8 +219,7 @@ def bareiss_determinant(matrix: list) -> Union[Fraction, int]:
     return sign * m[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class HankelResult:
+class HankelResult(NamedTuple):
     """D_n with its sign.  Every determinant is exact, so ``exact`` is always
     True and ``precision_bits`` always None; both stay because the
     ``exact`` column of ``hankel.csv`` and existing readers of the result
@@ -290,8 +287,7 @@ def hankel_polynomial(moments: MomentSequence, n: int) -> list:
 # Berg--Duran style classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BergDuranReport:
+class BergDuranReport(NamedTuple):
     hausdorff_ok: bool
     stieltjes_hankels_ok: bool
     cm_report: CMReport

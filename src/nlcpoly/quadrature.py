@@ -22,16 +22,14 @@ transform provides without cancellation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 _HALF_PI = math.pi / 2.0
 # the smallest tolerance either rule accepts; a run's tolerance is checked against it
 MIN_TOLERANCE = 1e-15
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: float
     error_estimate: float  # |difference of the last two refinement levels|
     nodes_used: int

@@ -24,9 +24,8 @@ check of q_n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -87,15 +86,16 @@ def phi_window(spec: SequenceSpec, n_lo: int, n_hi: int, x: float) -> np.ndarray
     return _window(np.sqrt(x_floats(spec, n_hi) / 2.0).tolist(), n_lo, x)
 
 
-@dataclass(frozen=True)
-class RecurrenceCoeffs:
-    """Monic three-term recurrence data x P_n = P_{n+1} + alpha_n P_n + beta_n P_{n-1}."""
-    alpha: tuple
-    beta: tuple  # beta[0] unused in the recurrence (beta_0 P_{-1} := 0)
+class RecurrenceCoeffs(NamedTuple("_Coeffs", [("alpha", tuple), ("beta", tuple)])):
+    """Monic three-term recurrence data x P_n = P_{n+1} + alpha_n P_n + beta_n P_{n-1};
+    beta[0] is unused in the recurrence (beta_0 P_{-1} := 0)."""
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
-    def __post_init__(self):
-        if any(b <= 0 for b in self.beta[1:]):
+    def __new__(cls, alpha: tuple, beta: tuple):
+        if any(b <= 0 for b in beta[1:]):
             raise ValueError("beta_n must be positive for n >= 1")
+        return super().__new__(cls, alpha, beta)
 
 
 def monic_polynomials(coeffs: RecurrenceCoeffs, one) -> List[list]:

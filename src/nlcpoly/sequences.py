@@ -29,10 +29,9 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, zip_longest
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -81,8 +80,7 @@ def _as_number(value) -> Number:
 # (n - 1/2) / (nu + n): doubling is exact in binary, so a float rule rounds
 # as the plain float formula does, and no Fraction constant slows it.
 
-@dataclass(frozen=True)
-class _Family:
+class _Family(NamedTuple):
     name: str
     param_names: tuple
     validate: Callable          # (params, strict) -> None, raises ParameterDomainError
@@ -587,8 +585,7 @@ def x_log_factorials(xs: Iterable[float]) -> Iterator[float]:
 # limits
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SequenceLimit:
+class SequenceLimit(NamedTuple):
     """Limit of x_n: kind is 'finite', 'infinite' or 'undetermined'."""
     kind: str
     value: Optional[Number] = None
@@ -706,8 +703,7 @@ def _x_minus_limit(spec: SequenceSpec, n):
 # diagnostic scans
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MonotoneReport:
+class MonotoneReport(NamedTuple):
     monotone: bool
     first_violation: Optional[int]
     bounded_by_L2: Optional[bool]
@@ -789,8 +785,7 @@ def _scan_monotone(spec: SequenceSpec, n_max: int, limit: SequenceLimit) -> Mono
                           limit, False)
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     ineq1_ok: bool
     ineq2_ok: bool
     violations: tuple  # of (name, n, lhs, rhs)

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 
 class DomainError(ValueError):
@@ -153,8 +152,7 @@ def bessel_k(nu: float, x: float) -> float:
 # completely monotonic sequences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CMReport:
+class CMReport(NamedTuple):
     """Outcome of the Hausdorff finite-difference criterion."""
     tested_order: int
     min_signed_difference: float

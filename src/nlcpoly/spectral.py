@@ -24,9 +24,8 @@ exact and keeps the block's products finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,8 +37,7 @@ _ROWS = 64
 _LEAST = math.ulp(0.0)  # the least subnormal, to which a zero off-diagonal is raised
 
 
-@dataclass(frozen=True)
-class TruncatedJacobi:
+class TruncatedJacobi(NamedTuple("_Entries", [("b_squared", Tuple[Number, ...])])):
     """Order-n truncation: zero diagonal, squared off-diagonal entries
     b_1^2 .. b_{n-1}^2 exactly as given (Fractions for a rational spec,
     floats otherwise), so the order is one more than their number.
@@ -47,11 +45,13 @@ class TruncatedJacobi:
     Sturm counts and bisection round the entries to floats once per call;
     :func:`char_poly` stays exact when x and every entry are exact.
     """
-    b_squared: Tuple[Number, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
-    def __post_init__(self):
-        if any(not 0 < v < math.inf for v in self.b_squared):
+    def __new__(cls, b_squared: Tuple[Number, ...]):
+        if any(not 0 < v < math.inf for v in b_squared):
             raise ValueError("off-diagonal entries must be positive and finite")
+        return super().__new__(cls, b_squared)
 
     @property
     def order(self) -> int:
@@ -141,8 +141,7 @@ def sturm_count(q: TruncatedJacobi, sigma: float) -> int:
                              np.array([sigma], dtype=float))[0])
 
 
-@dataclass(frozen=True)
-class SpectralResult:
+class SpectralResult(NamedTuple):
     """Zeros in strictly descending order with per-zero enclosures."""
     order: int
     zeros: Tuple[float, ...]
@@ -294,8 +293,7 @@ def ismail_li_bounds(spec: SequenceSpec, n: int) -> Tuple[float, float]:
     return -bound, bound
 
 
-@dataclass(frozen=True)
-class SupportEndpoints:
+class SupportEndpoints(NamedTuple):
     """Essential-support endpoints for finite-limit sequences.
 
     ``endpoint`` is +-sqrt(2 M) with M = lim x_n, the value forced by the

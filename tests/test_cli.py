@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import nlcpoly
-from nlcpoly import SequenceSpec, build_truncated, ismail_li_bounds, jacobi_zeros
+from nlcpoly import (MomentSequence, SequenceSpec, build_truncated, hankel_determinant,
+                     ismail_li_bounds, jacobi_zeros)
 from nlcpoly.cli import _Runner, main
 from nlcpoly.config import ConfigError, RunConfig, load_config
 
@@ -183,6 +184,17 @@ def test_cli_runs_without_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script, *configs], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.strip().splitlines()[-1] == "[False, False, False]"
+
+
+def test_import_builds_no_dataclasses():
+    # every result record is a NamedTuple, so no record class is generated at
+    # start-up; pytest loads dataclasses itself, hence the fresh interpreter
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nlcpoly.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, nlcpoly.cli; print('dataclasses' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        check=True)
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("block, command", [
@@ -428,7 +440,7 @@ def _bounds_verdicts(tmp_path, spec, orders):
     runner = _Runner(cfg)
     pairs = []
     for n in orders:
-        cfg.order = n
+        runner.cfg = cfg._replace(order=n)
         runner.cmd_bounds()
         a, b = ismail_li_bounds(spec, n)
         zeros = jacobi_zeros(build_truncated(spec, n), cfg.tolerance).zeros
@@ -712,6 +724,50 @@ prefix = t
     err = capsys.readouterr().err
     assert err.startswith("config error: x_236 exceeds the float range")
     assert "Traceback" not in err
+
+
+# the least magnitude that rounds past the largest float, 2^1024 - 2^970
+_FLOAT_OVERFLOW = 2 ** 1024 - 2 ** 970
+
+
+def _check_float_column(text: str, exact: Fraction) -> bool:
+    """The float column holds the exact value rounded, or +-inf past the range."""
+    if text in ("inf", "-inf"):
+        return abs(exact) >= _FLOAT_OVERFLOW and (text == "inf") == (exact > 0)
+    return float(text) == float(exact)
+
+
+def _csv_rows(path):
+    header, *rows = path.read_text().splitlines()[1:]  # below the stamp line
+    return [dict(zip(header.split(","), row.split(","))) for row in rows]
+
+
+@pytest.mark.parametrize("block, flags, overflowing", [
+    ("family = canonical", ["--command", "hankel", "--n-max", "32"], "hankel.csv"),
+    ("family = barut_girardello\nj = 1", ["--command", "all", "--n-max", "24"], "hankel.csv"),
+    ("family = rational\nnum = 0,0,0,0,0,0,0,0,0,0,1\nden = 1",
+     ["--command", "polys", "--n-max", "60"], "polys_hankel.csv"),
+], ids=["canonical-hankel", "barut_girardello-all", "rational-polys"])
+def test_exact_values_beyond_the_float_range_are_written_as_inf(tmp_path, block, flags,
+                                                                overflowing):
+    # D_n and the moments and polynomial coefficients are exact; a float column
+    # holds them rounded, and +-inf (the sign of the exact value) where no float does
+    out = tmp_path / "out"
+    path = write_config(tmp_path, f"[sequence]\n{block}\n[output]\ndir = {out}\nprefix = t\n")
+    assert main([path, *flags]) == 0
+    tables = {csv.name[2:]: _csv_rows(csv) for csv in out.glob("t_*.csv")}
+    float_column = "coeff" if overflowing.startswith("polys") else "det"
+    assert any(row[float_column] in ("inf", "-inf") for row in tables[overflowing])
+    ms = MomentSequence(load_config(path).spec())
+    for row in tables.get("hankel.csv", []):
+        res = hankel_determinant(ms, int(row["n"]))
+        assert _check_float_column(row["det"], res.value), row["n"]
+        assert row["positive"] == ("true" if res.positive else "false")
+        assert row["exact"] == "true"
+    for name, column in (("moments.csv", "mu2n"), ("polys_monic.csv", "coeff"),
+                         ("polys_hankel.csv", "coeff")):
+        for row in tables.get(name, []):
+            assert _check_float_column(row[column], Fraction(row[column + "_exact"])), name
 
 
 @pytest.mark.parametrize("flags", [

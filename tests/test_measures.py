@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -91,7 +90,7 @@ def test_moment_integral_gives_each_catalog_density_its_closed_form_moments(name
 
 def test_moment_integral_without_an_edge_form_integrates_the_plain_density():
     edge = get_measure("jacobi_even", alpha=1, beta=1)
-    plain = dataclasses.replace(edge, density_edge=None)
+    plain = edge._replace(density_edge=None)
     for n in (0, 3, 8):
         res = moment_integral(plain, n, 1e-11)
         assert res.converged
@@ -179,7 +178,7 @@ def test_verify_moment_problem_reads_each_x_once(monkeypatch, measure_name, meas
     monkeypatch.undo()
     expected = _moment_rows_by_partial_products(measure, SequenceSpec(family, **params),
                                                 n_max, 1e-11)
-    assert report.rows == expected
+    assert report.rows == expected and {type(r) for r in report.rows + expected} == {MomentRow}
     assert report.verdict is True
 
 
@@ -202,8 +201,8 @@ def test_verify_moment_problem_evaluates_each_node_once(measure_name, measure_pa
     built = get_measure(measure_name, **measure_params)
     density_calls, edge_calls = [], []
     edge = built.density_edge
-    measure = dataclasses.replace(
-        built, density=_counting(built.density, density_calls),
+    measure = built._replace(
+        density=_counting(built.density, density_calls),
         density_edge=edge and _counting(edge, edge_calls))
     spec = SequenceSpec(family, **params)
     report = verify_moment_problem(measure, spec, n_max)
@@ -212,11 +211,13 @@ def test_verify_moment_problem_evaluates_each_node_once(measure_name, measure_pa
     assert len(calls) == len(set(calls)) == distinct  # one evaluation per distinct node
     # the memo returns the density's own values: the rows match n_max + 1
     # independent quadratures bit for bit
-    assert report.rows == _moment_rows_by_partial_products(built, spec, n_max, 1e-11)
+    expected = _moment_rows_by_partial_products(built, spec, n_max, 1e-11)
+    assert report.rows == expected and {type(r) for r in report.rows + expected} == {MomentRow}
     assert report.verdict is True
     # nothing is kept between calls: a second check evaluates every node again
     first = list(calls)
-    assert verify_moment_problem(measure, spec, n_max) == report
+    again = verify_moment_problem(measure, spec, n_max)
+    assert again == report and type(again) is type(report)
     assert calls[len(first):] == first
 
 

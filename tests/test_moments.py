@@ -285,8 +285,8 @@ def test_parity_pass_matches_bareiss(spec, stop):
     # sigma_{stop,stop}, and past that pivot hankel_determinant continues by
     # Bareiss
     ms = MomentSequence(spec)
-    cheb = ms.chebyshev(12)
-    assert cheb == _bareiss_pass(spec, 12)
+    cheb, bareiss = ms.chebyshev(12), _bareiss_pass(spec, 12)
+    assert cheb == bareiss and type(cheb) is type(bareiss)
     assert len(cheb.pivots) == (13 if stop is None else stop + 1)
     assert all(a == 0 for a in cheb.alpha)
     assert stop is None or cheb.pivots[-1] == 0
@@ -324,7 +324,7 @@ def test_kept_chebyshev_pass_serves_shorter_orders(spec):
     shared.chebyshev(12)
     for n in range(13):
         fresh = MomentSequence(spec).chebyshev(n)
-        assert shared.chebyshev(n) == fresh
+        assert shared.chebyshev(n) == fresh and type(shared.chebyshev(n)) is type(fresh)
         assert shared.chebyshev_polynomials(n) == fresh.polynomials()
     shared.chebyshev_polynomials(3)[2][0] = "changed"  # callers get copies
     assert shared.chebyshev_polynomials(3) == MomentSequence(spec).chebyshev(3).polynomials()
@@ -333,7 +333,8 @@ def test_kept_chebyshev_pass_serves_shorter_orders(spec):
 def test_kept_pass_keeps_the_zero_pivot_stop():
     ms = MomentSequence(SequenceSpec("explicit", values=[1, 1, 2, 3, 4, 5]))
     assert ms.chebyshev(4).pivots == (1, 1, 0)
-    assert ms.chebyshev(1) == MomentSequence(ms.spec).chebyshev(1)
+    fresh = MomentSequence(ms.spec).chebyshev(1)
+    assert ms.chebyshev(1) == fresh and type(ms.chebyshev(1)) is type(fresh)
     assert ms.chebyshev(2).pivots == (1, 1, 0) and len(ms.chebyshev(2).alpha) == 2
     with pytest.raises(DegenerateMomentsError, match="D_3 = 0"):
         hankel_polynomial(ms, 4)
@@ -353,9 +354,11 @@ def test_kept_pass_is_the_same_under_any_call_order(spec, orders):
     for n in orders:
         fresh = MomentSequence(spec)
         one_shot = _bareiss_pass(spec, n)
-        assert shared.chebyshev(n) == one_shot == fresh.chebyshev(n), n
+        passes = (shared.chebyshev(n), one_shot, fresh.chebyshev(n))
+        assert passes[0] == one_shot == passes[2] and len(set(map(type, passes))) == 1, n
         assert shared.chebyshev_polynomials(n) == one_shot.polynomials(), n
-        assert hankel_determinant(shared, n) == hankel_determinant(MomentSequence(spec), n), n
+        dets = (hankel_determinant(shared, n), hankel_determinant(MomentSequence(spec), n))
+        assert dets[0] == dets[1] and type(dets[0]) is type(dets[1]), n
         if n:
             assert hankel_polynomial(shared, n) == hankel_polynomial(MomentSequence(spec), n), n
 

@@ -228,6 +228,14 @@ def test_beta_positivity_enforced():
         RecurrenceCoeffs((0, 0), (0, -1))
 
 
+def test_replace_checks_beta_positivity():
+    coeffs = RecurrenceCoeffs((0, 0), (0, 1))
+    assert coeffs._replace(beta=(0, 2)) == ((0, 0), (0, 2))
+    assert type(coeffs._replace(beta=(0, 2))) is RecurrenceCoeffs
+    with pytest.raises(ValueError):
+        coeffs._replace(beta=(0, 0))
+
+
 # -- Pollaczek ---------------------------------------------------------------------------
 
 def test_pollaczek_initial_conditions():

@@ -4,7 +4,6 @@ import math
 import random
 import sys
 import threading
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -342,8 +341,8 @@ def test_exact_rule_matches_the_family_formula(spec):
 def test_q_quotient_rule_is_not_a_pair_in_n():
     spec = Q_SPECS[0]
     assert spec.poly_pair() is None
-    assert x_limit(spec) == x_limit(SequenceSpec("q_gamma_quotient", A=0.125, B=0.25, C=0.5,
-                                                 q=0.5))
+    limit = x_limit(SequenceSpec("q_gamma_quotient", A=0.125, B=0.25, C=0.5, q=0.5))
+    assert x_limit(spec) == limit and type(x_limit(spec)) is type(limit)
 
 
 def test_numpy_integer_index_does_not_wrap():
@@ -846,8 +845,9 @@ def test_inequality_violating_list():
 def test_short_lists_get_reports(count):
     # fewer than four values leave no window x_{n+1} .. x_{n+4}; four leave one
     spec = SequenceSpec("explicit", values=[1, 2, 3, 4][:count])
-    assert check_nonlinear_inequalities(spec, 10) == nlcpoly.InequalityReport(
-        True, True, (), False)
+    report = check_nonlinear_inequalities(spec, 10)
+    assert report == nlcpoly.InequalityReport(True, True, (), False)
+    assert type(report) is nlcpoly.InequalityReport
     mono = check_monotone_and_bounded(spec, 10)
     assert (mono.monotone, mono.first_violation, mono.certified_all_n) == (True, None, False)
 
@@ -892,9 +892,10 @@ def test_certified_reports_equal_the_scans(spec):
     n_max = 300 if spec.family == "q_gamma_quotient" else 2000
     mono = check_monotone_and_bounded(spec, n_max)
     scan = nlcpoly.sequences._scan_monotone(spec, n_max, mono.limit)
-    assert replace(mono, certified_all_n=False) == scan
+    assert mono._replace(certified_all_n=False) == scan and type(mono) is type(scan)
     ineq = check_nonlinear_inequalities(spec, 300)
-    assert replace(ineq, certified_all_n=False) == nlcpoly.sequences._scan_inequalities(spec, 300)
+    scan = nlcpoly.sequences._scan_inequalities(spec, 300)
+    assert ineq._replace(certified_all_n=False) == scan and type(ineq) is type(scan)
     if spec in VIOLATOR_SPECS[:3]:  # x_2 <= x_1 and a window inequality fails
         assert mono.first_violation == 2 and not ineq.ineq1_ok
     # every exact claim that holds here is certified, except on n + 1, whose
@@ -916,6 +917,7 @@ def test_certified_path_reads_no_x_value(spec, monkeypatch):
     ineq = check_nonlinear_inequalities(spec, 10 ** 3)
     assert (mono.monotone, mono.bounded_by_L2, mono.certified_all_n) == (True, True, True)
     assert ineq == nlcpoly.InequalityReport(True, True, (), True)
+    assert type(ineq) is nlcpoly.InequalityReport
     assert calls == []
 
 
@@ -929,6 +931,7 @@ def test_uncertified_claims_fall_back_to_the_scan(monkeypatch):
     calls.clear()
     ineq = check_nonlinear_inequalities(linear, 100)
     assert ineq == nlcpoly.InequalityReport(True, True, (), False)
+    assert type(ineq) is nlcpoly.InequalityReport
     assert calls == list(range(1, 101))
     # here the first inequality is certified, but the second is broken at
     # every window, so both are scanned and only ineq2 is reported
@@ -967,8 +970,9 @@ def test_q_quotient_holding_specs_are_certified(monkeypatch):
     for spec in holding:
         mono = check_monotone_and_bounded(spec, 100)
         assert (mono.monotone, mono.bounded_by_L2, mono.certified_all_n) == (True, True, True)
-        assert check_nonlinear_inequalities(spec, 100) == nlcpoly.InequalityReport(
-            True, True, (), True)
+        ineq = check_nonlinear_inequalities(spec, 100)
+        assert ineq == nlcpoly.InequalityReport(True, True, (), True)
+        assert type(ineq) is nlcpoly.InequalityReport
     assert calls == []
 
 
@@ -1003,12 +1007,12 @@ def test_float_spec_reports_equal_the_scans_of_its_binary_values(spec):
     lifted = _lifted(spec)
     n_mono, n_ineq = (300, 100) if spec.family == "q_gamma_quotient" else (2000, 300)
     mono = check_monotone_and_bounded(spec, n_mono)
-    assert mono.limit == x_limit(lifted)
-    assert replace(mono, certified_all_n=False) == nlcpoly.sequences._scan_monotone(
-        lifted, n_mono, mono.limit)
+    assert mono.limit == x_limit(lifted) and type(mono.limit) is type(x_limit(lifted))
+    scan = nlcpoly.sequences._scan_monotone(lifted, n_mono, mono.limit)
+    assert mono._replace(certified_all_n=False) == scan and type(mono) is type(scan)
     ineq = check_nonlinear_inequalities(spec, n_ineq)
-    assert replace(ineq, certified_all_n=False) == nlcpoly.sequences._scan_inequalities(
-        lifted, n_ineq)
+    scan = nlcpoly.sequences._scan_inequalities(lifted, n_ineq)
+    assert ineq._replace(certified_all_n=False) == scan and type(ineq) is type(scan)
     assert mono.certified_all_n and ineq.certified_all_n
 
 

@@ -522,6 +522,13 @@ def test_truncation_rejects_non_finite_entries():
             TruncatedJacobi(entries)
 
 
+def test_replace_checks_the_entries():
+    q = TruncatedJacobi((1.0, 2.0))
+    assert q._replace(b_squared=(3.0,)).order == 2
+    with pytest.raises(ValueError):
+        q._replace(b_squared=(1.0, math.inf))
+
+
 def test_no_lane_forms_nan_where_an_entry_rounds_to_zero():
     # b_2^2 = 10^-400 is positive but its float is 0.0; at sigma = 1 the second
     # pivot is 0, so a zero coupling would make the third pivot 0/0

@@ -39,16 +39,17 @@ OUT.json holds:
 Fractions are written as ``str`` and floats by ``repr``, and an exception as
 its type and message, so two such files from two source trees are equal
 exactly when every result is the same Fraction, the same float bits or the
-same error (the companion of ``tools/cli_digests.py``):
+same error (the companion of ``tools/cli_digests.py``). A result record
+is read through its NamedTuple ``_fields``, so digest each tree with the
+copy of this tool in that tree:
 
-    python3 tools/library_digests.py ../parent/src /tmp/parent.json
+    python3 ../parent/tools/library_digests.py ../parent/src /tmp/parent.json
     python3 tools/library_digests.py src /tmp/change.json
     diff /tmp/parent.json /tmp/change.json
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -78,9 +79,9 @@ BERG_N_MAX = 20
 
 
 def _plain(value):
-    """JSON-ready copy: dataclasses as dicts, Fractions as str, floats by repr."""
-    if dataclasses.is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    """JSON-ready copy: records as dicts, Fractions as str, floats by repr."""
+    if hasattr(value, "_fields"):
+        return {name: _plain(getattr(value, name)) for name in value._fields}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if isinstance(value, np.generic):
