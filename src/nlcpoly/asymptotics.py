@@ -27,11 +27,11 @@ from .sequences import SequenceSpec, _x_minus_limit, x_floats, x_limit
 MIN_NEVAI_N = 32
 
 
-def _sqrt_beta_deviation(spec: SequenceSpec, m: float, n_max: int) -> np.ndarray:
-    """|sqrt(beta'_n) - 1/2| = |sqrt(x_n / M) - 1| / 2 for n = 1 .. n_max,
-    from x_n - M without cancellation."""
-    d = _x_minus_limit(spec, np.arange(1, n_max + 1)) / m
-    return np.abs(d) / (np.sqrt(np.maximum(1.0 + d, 0.0)) + 1.0) / 2.0
+def _sqrt_deviation(spec: SequenceSpec, m: float, ns: np.ndarray) -> np.ndarray:
+    """|sqrt(x_n / M) - 1| at the integer indices ``ns``, from x_n - M
+    without cancellation, for the finite limit M = ``m``."""
+    d = _x_minus_limit(spec, ns) / m
+    return np.abs(d) / (np.sqrt(np.maximum(1.0 + d, 0.0)) + 1.0)
 
 
 class NevaiDiagnostic(NamedTuple):
@@ -67,7 +67,7 @@ def nevai_condition(spec: SequenceSpec, n_max: int = 4096) -> NevaiDiagnostic:
                                "limit of x_n is 0: no rescaling to [-1, 1]")
     m = float(lim.value)
     ns = np.arange(1, n_max + 1)
-    dev = _sqrt_beta_deviation(spec, m, n_max)
+    dev = _sqrt_deviation(spec, m, ns) / 2.0  # |sqrt(beta'_n) - 1/2|
     sums = np.cumsum(dev)
     checkpoints = []
     k = 1

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sequences import SequenceSpec, _x_minus_limit
+from .asymptotics import _sqrt_deviation
+from .sequences import SequenceSpec
 
 
 def sqrt_deviation_scaled(a1, a2, a3, n) -> float:
@@ -23,6 +24,5 @@ def sqrt_deviation_scaled(a1, a2, a3, n) -> float:
     """
     spec = SequenceSpec("grinshpan_ismail_s3", a1=a1, a2=a2, a3=a3)
     nn = np.asarray(n, dtype=float)
-    dval = _x_minus_limit(spec, n)
-    out = nn * nn * np.abs(dval) / (np.sqrt(1.0 + dval) + 1.0)
+    out = nn * nn * _sqrt_deviation(spec, 1.0, n)
     return float(out) if np.isscalar(n) or getattr(n, "ndim", 0) == 0 else out

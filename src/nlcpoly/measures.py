@@ -20,8 +20,9 @@ import math
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from .moments import MomentSequence
 from .quadrature import QuadratureResult, exp_sinh, tanh_sinh
-from .sequences import SequenceSpec, x_factorials, x_log_factorials, x_value
+from .sequences import SequenceSpec, x_floats, x_log_factorials
 from .special import bessel_k, log_gamma
 
 
@@ -46,6 +47,14 @@ class MeasureSpec(NamedTuple):
 # catalog densities
 # ---------------------------------------------------------------------------
 
+def _param(value) -> float:
+    """A measure parameter as a float; ValueError beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("a parameter exceeds the float range") from None
+
+
 def gaussian_radial() -> MeasureSpec:
     """2 r exp(-r^2) dr on [0, inf); moments n!."""
     return MeasureSpec("gaussian_radial", "radial", math.inf,
@@ -58,7 +67,7 @@ def disc_radial(j) -> MeasureSpec:
     Requires j > 1/2 (at j = 1/2 the moment problem degenerates to a unit
     mass at r = 1).  The endpoint weight is singular for j < 1.
     """
-    jf = float(j)
+    jf = _param(j)
     if jf <= 0.5:
         raise ValueError("disc_radial needs j > 1/2")
     c = 2.0 * (2.0 * jf - 1.0)
@@ -77,7 +86,7 @@ def disc_radial(j) -> MeasureSpec:
 def bessel_ladder_radial(j) -> MeasureSpec:
     """[4 / Gamma(2j)] K_{2j-1}(2r) r^{2j} dr on [0, inf); the reduction of
     the ladder-operator resolution of the identity.  Moments n! (2j)_n."""
-    jf = float(j)
+    jf = _param(j)
     if jf <= 0:
         raise ValueError("bessel_ladder_radial needs j > 0")
     log_c = math.log(4.0) - log_gamma(2.0 * jf)
@@ -92,7 +101,7 @@ def bessel_ladder_radial(j) -> MeasureSpec:
 def bessel_ladder_radial_plain(j) -> MeasureSpec:
     """(2/pi) K_{2j-1}(2r) r^{2-2j} dr on [0, inf): the alternate printed
     form, kept as a candidate for the selection test."""
-    jf = float(j)
+    jf = _param(j)
     c = 2.0 / math.pi
 
     def density(r: float) -> float:
@@ -105,7 +114,7 @@ def bessel_ladder_radial_plain(j) -> MeasureSpec:
 def ultraspherical_even(nu) -> MeasureSpec:
     """Gamma(nu+1)/(sqrt(pi) Gamma(nu+1/2)) (1-x^2)^(nu-1/2) dx on [-1, 1];
     even moments (1/2)_n / (nu+1)_n."""
-    nf = float(nu)
+    nf = _param(nu)
     if nf <= -0.5:
         raise ValueError("ultraspherical_even needs nu > -1/2")
     log_c = log_gamma(nf + 1.0) - 0.5 * math.log(math.pi) - log_gamma(nf + 0.5)
@@ -126,7 +135,7 @@ def ultraspherical_even(nu) -> MeasureSpec:
 def jacobi_even(alpha, beta) -> MeasureSpec:
     """Gamma(a+b+3/2)/(Gamma(a+1/2)Gamma(b+1)) |x|^(2a) (1-x^2)^b dx on
     [-1, 1]; even moments (a+1/2)_n / (a+b+3/2)_n."""
-    af, bf = float(alpha), float(beta)
+    af, bf = _param(alpha), _param(beta)
     if af <= -0.5 or bf <= -1.0:
         raise ValueError("jacobi_even needs alpha > -1/2 and beta > -1")
     c = math.exp(log_gamma(af + bf + 1.5) - log_gamma(af + 0.5) - log_gamma(bf + 1.0))
@@ -145,7 +154,7 @@ def jacobi_even(alpha, beta) -> MeasureSpec:
 def bessel_mp_even(mu, nu, beta) -> MeasureSpec:
     """2^(1-2mu) beta^(2mu) / (Gamma(mu+nu)Gamma(mu-nu)) K_{2nu}(beta|x|)
     |x|^(2mu-1) dx on the line; even moments 4^n beta^(-2n) (mu+nu)_n (mu-nu)_n."""
-    mf, nf, bf = float(mu), float(nu), float(beta)
+    mf, nf, bf = _param(mu), _param(nu), _param(beta)
     if mf - abs(nf) <= 0 or bf <= 0:
         raise ValueError("bessel_mp_even needs mu > |nu| and beta > 0")
     log_c = ((1.0 - 2.0 * mf) * math.log(2.0) + 2.0 * mf * math.log(bf)
@@ -165,7 +174,7 @@ def bessel_k_exp_even(mu, nu) -> MeasureSpec:
     """Gamma(mu+1/2) 2^mu / (sqrt(pi) Gamma(mu+nu) Gamma(mu-nu))
     exp(-t^2) K_nu(t^2) |t|^(2mu-1) dt on the line; even moments
     (mu+nu)_n (mu-nu)_n / (2^n (mu+1/2)_n)."""
-    mf, nf = float(mu), float(nu)
+    mf, nf = _param(mu), _param(nu)
     if mf - abs(nf) <= 0:
         raise ValueError("bessel_k_exp_even needs mu > |nu|")
     log_c = (log_gamma(mf + 0.5) + mf * math.log(2.0) - 0.5 * math.log(math.pi)
@@ -188,7 +197,7 @@ def bessel_k_abs_even(mu, nu) -> MeasureSpec:
     """Gamma(mu+1/2) 2^(mu-1) / (sqrt(pi) Gamma(mu+nu) Gamma(mu-nu))
     exp(-|t|) K_nu(|t|) |t|^(mu-1) dt on the line; even moments
     (mu+nu)_{2n} (mu-nu)_{2n} / (4^n (mu+1/2)_{2n})."""
-    mf, nf = float(mu), float(nu)
+    mf, nf = _param(mu), _param(nu)
     if mf - abs(nf) <= 0:
         raise ValueError("bessel_k_abs_even needs mu > |nu|")
     log_c = (log_gamma(mf + 0.5) + (mf - 1.0) * math.log(2.0)
@@ -326,20 +335,18 @@ def verify_moment_problem(measure: MeasureSpec, spec: SequenceSpec, n_max: int,
     edge = measure.density_edge
     measure = measure._replace(density=functools.cache(measure.density),
                                density_edge=edge and functools.cache(edge))
-    xs = [x_value(spec, k) for k in range(1, n_max + 1)]
-    products = x_factorials(spec, xs)
-    log_products = x_log_factorials(map(float, xs))
+    moments = MomentSequence(spec)
     rows = []
     worst = 0.0
     any_unconverged = False
-    for n, (product, log_expected) in enumerate(zip(products, log_products)):
+    for n, log_expected in enumerate(x_log_factorials(x_floats(spec, n_max).tolist())):
         if log_expected > 640.0:  # compare exp(-logE) * integral against 1
             res = moment_integral(measure, n, tolerance, log_scale=log_expected)
             expected = math.inf
             computed = res.value  # damped: should be 1
             rel = abs(res.value - 1.0)
         else:
-            expected = float(product)
+            expected = float(moments.even_moment(n))
             res = moment_integral(measure, n, tolerance)
             computed = res.value
             rel = abs(computed - expected) / max(abs(expected), 1e-300)

@@ -30,7 +30,7 @@ import threading
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Union
 
-from .recurrence import _extend_monic_polynomials, monic_polynomials
+from .recurrence import _extend_monic_polynomials
 from .sequences import SequenceSpec, _max_index, x_floats, x_value
 from .special import cm_sequence_test, CMReport
 
@@ -106,7 +106,8 @@ class MomentSequence:
             return self._pass.grow_to(n, self.even_moment)
 
     def chebyshev_polynomials(self, n: int) -> List[list]:
-        """``chebyshev(n).polynomials()``, appended to the kept P_k."""
+        """P_0 .. P_m (m = len(chebyshev(n).alpha)) as ascending coefficient
+        lists, appended to the kept P_k by the recurrence's coefficient loop."""
         with self._lock:
             cheb = self.chebyshev(n)
             _extend_monic_polynomials(self._polys, cheb)
@@ -131,10 +132,6 @@ class ChebyshevPass(NamedTuple):
     beta: tuple
     pivots: tuple
     determinants: tuple
-
-    def polynomials(self) -> List[list]:
-        """P_0 .. P_m (m = len(alpha)) as ascending coefficient lists."""
-        return monic_polynomials(self, Fraction(1))
 
 
 class _GrowingPass:

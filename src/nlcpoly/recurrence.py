@@ -13,12 +13,11 @@ only: in the oscillatory region it is well conditioned, and zeros come from
 the spectral module, not from polynomial root hunting.
 
 The monic recurrence P_{k+1} = (x - a_k) P_k - b_k P_{k-1} has one
-coefficient kernel, :func:`monic_polynomials`, which serves q_n (a_k = 0,
-b_k = x_k / 2) and the determinant polynomials of a moment sequence (the
-a_k, b_k of its Chebyshev pass), and one value kernel,
-:func:`general_monic_value`, which the package uses for q_n only.
-``spectral.char_poly`` keeps its own determinant loop as an independent
-check of q_n.
+kernel, :func:`monic_polynomials`, which gives coefficients and serves q_n
+(a_k = 0, b_k = x_k / 2) and the determinant polynomials of a moment
+sequence (the a_k, b_k of its Chebyshev pass).  A value q_n(x), n >= 1, is
+``spectral.char_poly`` of the order-n truncation, which runs the same
+recurrence on numbers; the coefficient kernel is its independent check.
 """
 
 from __future__ import annotations
@@ -124,45 +123,17 @@ def _extend_monic_polynomials(polys: List[list], coeffs: RecurrenceCoeffs) -> No
         polys.append(nxt)
 
 
-def general_monic_value(coeffs: RecurrenceCoeffs, n: int, x):
-    """P_n(x) for the monic recurrence held in ``coeffs``."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    if n > 0 and (len(coeffs.alpha) < n or len(coeffs.beta) < n):
-        raise IndexError(
-            f"need alpha_0..alpha_{n-1} and beta_1..beta_{n-1}; "
-            f"got {len(coeffs.alpha)} alphas, {len(coeffs.beta)} betas")
-    prev, cur = 0 * x, 1 + 0 * x  # matches int/Fraction/float x
-    for k in range(n):
-        beta_term = coeffs.beta[k] * prev if k >= 1 else 0
-        prev, cur = cur, (x - coeffs.alpha[k]) * cur - beta_term
-    return cur
-
-
-def _q_coeffs(spec: SequenceSpec, n: int, exact: bool) -> RecurrenceCoeffs:
-    """a_k = 0 and b_k = x_k / 2 for k < n, exact or from the float view."""
-    xs = ([x_value(spec, k) for k in range(1, n)] if exact
-          else x_floats(spec, max(n - 1, 0)).tolist())
-    return RecurrenceCoeffs((0,) * n, (0, *(x / 2 for x in xs)))
-
-
-def monic_q_value(spec: SequenceSpec, n: int, x):
-    """q_n(x) by the monic recurrence; exact when x and the x_k are rational."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    exact = spec.is_rational and isinstance(x, (int, Fraction))
-    x = Fraction(x) if exact else float(x)
-    return general_monic_value(_q_coeffs(spec, n, exact), n, x)
-
-
 def monic_q_polynomials(spec: SequenceSpec, n: int) -> List[list]:
     """q_0 .. q_n as ascending coefficient lists from one pass; Fractions
-    for a rational spec, floats otherwise.  Alternate entries vanish
-    identically because the recurrence preserves parity."""
+    for a rational spec, floats from the float view otherwise.  Alternate
+    entries vanish identically because the recurrence preserves parity."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    one = Fraction(1) if spec.is_rational else 1.0
-    return monic_polynomials(_q_coeffs(spec, n, spec.is_rational), one)
+    if spec.is_rational:
+        xs, one = [x_value(spec, k) for k in range(1, n)], Fraction(1)
+    else:
+        xs, one = x_floats(spec, max(n - 1, 0)).tolist(), 1.0
+    return monic_polynomials(RecurrenceCoeffs((0,) * n, (0, *(x / 2 for x in xs))), one)
 
 
 def monic_q_coefficients(spec: SequenceSpec, n: int) -> list:

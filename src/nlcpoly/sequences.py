@@ -3,8 +3,8 @@
 A sequence spec is the single source of truth for one model: it fixes a
 family (closed-form rule, explicit list, or Taylor-norm quotients) together
 with its parameters.  Everything downstream -- moments, recurrence
-polynomials, Jacobi truncations, measure checks -- is driven by ``x_value``
-and the running products ``x_factorials``.
+polynomials, Jacobi truncations, measure checks -- is driven by ``x_value``;
+the partial products x_n! are the even moments of ``moments.MomentSequence``.
 
 Each family states its formula once, as a rule that returns the numerator
 and denominator of x_n.  Run once on a polynomial variable and the exact
@@ -468,14 +468,23 @@ def x_float(spec: SequenceSpec, n: int) -> float:
     """x_n rounded once to the nearest float: the same bits as
     ``float(x_value(spec, n))``.  An exact closed-form spec divides its
     integers N(n) / D(n), which Python rounds correctly, and forms no
-    Fraction.  An x_n beyond the float range raises SequenceRangeError."""
-    try:
-        if not (spec.is_rational and spec._pair) or n < 1:
+    Fraction.  An x_n beyond the float range raises SequenceRangeError, as
+    does a float rule that overflows on the way (4 / beta^2 at beta = 1e200)."""
+    if not spec.is_rational or n < 1:
+        try:
             return float(x_value(spec, n))
-        N, D = _x_ratio(spec, n)
+        except OverflowError:
+            raise SequenceRangeError(f"the float rule overflows at x_{n}") from None
+    N, D = _x_ratio(spec, n) if spec._pair else x_value(spec, n).as_integer_ratio()
+    return _float_ratio(N, D, n)
+
+
+def _float_ratio(N: int, D: int, k: int) -> float:
+    """x_k = N / D rounded once; SequenceRangeError beyond the float range."""
+    try:
         return N / D
     except OverflowError:
-        raise SequenceRangeError(f"x_{n} exceeds the float range") from None
+        raise SequenceRangeError(f"x_{k} exceeds the float range") from None
 
 
 def x_floats(spec: SequenceSpec, n: int) -> np.ndarray:
@@ -515,15 +524,11 @@ def _more_floats(spec: SequenceSpec, start: int, n: int, last) -> list:
     if spec._pair[2] is None:
         return _pair_floats(spec, start, n)
     out = []
-    try:
-        for k in range(start, n + 1):
-            if last == 1.0:
-                return out + [1.0] * (n + 1 - k)
-            N, D = _x_ratio(spec, k)
-            last = N / D
-            out.append(last)
-    except OverflowError:
-        raise SequenceRangeError(f"x_{k} exceeds the float range") from None
+    for k in range(start, n + 1):
+        if last == 1.0:
+            return out + [1.0] * (n + 1 - k)
+        last = _float_ratio(*_x_ratio(spec, k), k)
+        out.append(last)
     return out
 
 
@@ -545,11 +550,7 @@ def _pair_floats(spec: SequenceSpec, start: int, n: int) -> list:
         pass
     out = []  # some D <= 0, N <= 0 or quotient out of range: go entry by entry
     for k, N, D in zip(range(start, n + 1), nums, dens):
-        N, D = _positive_ratio(N, D, k)
-        try:
-            out.append(N / D)
-        except OverflowError:
-            raise SequenceRangeError(f"x_{k} exceeds the float range") from None
+        out.append(_float_ratio(*_positive_ratio(N, D, k), k))
     return out
 
 
@@ -567,12 +568,6 @@ def _poly_values(coeffs: Sequence[int], start: int, count: int) -> list:
     for j in range(d - 1, -1, -1):
         values = list(accumulate(values[:count - 1], initial=diffs[j]))
     return values
-
-
-def x_factorials(spec: SequenceSpec, xs: Iterable[Number]) -> Iterator[Number]:
-    """x_0!, x_1!, ... as running products of ``xs`` = x_1, x_2, ...; exact
-    from Fraction(1) for a rational spec, from 1.0 otherwise."""
-    return accumulate(xs, operator.mul, initial=Fraction(1) if spec.is_rational else 1.0)
 
 
 def x_log_factorials(xs: Iterable[float]) -> Iterator[float]:

@@ -144,6 +144,8 @@ def bessel_k(nu: float, x: float) -> float:
         k_lo, k_hi = _k_steed_scaled(x, mu)
     two_over_x = 2.0 / x
     for i in range(1, n + 1):
+        if k_hi == math.inf:  # K_m increases with m: every later order is inf too
+            return math.inf
         k_lo, k_hi = k_hi, k_lo + (mu + i) * two_over_x * k_hi
     return k_lo * scale
 

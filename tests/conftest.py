@@ -16,6 +16,15 @@ from nlcpoly import SequenceSpec
 from nlcpoly.config import RunConfig, load_config
 
 
+def horner(coeffs, x):
+    """sum_k c_k x^k from ascending coefficients by Horner's rule, in the
+    arithmetic of the inputs (oracle only)."""
+    value = 0
+    for c in reversed(coeffs):
+        value = value * x + c
+    return value
+
+
 def det_cofactor(matrix):
     """Exact determinant by first-row cofactor expansion (oracle only)."""
     n = len(matrix)

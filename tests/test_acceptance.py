@@ -23,12 +23,12 @@ from nlcpoly import (
     build_truncated, char_poly, check_monotone_and_bounded,
     check_nonlinear_inequalities, cm_sequence_test,
     get_measure, hankel_polynomial, ismail_li_bounds, jacobi_zeros,
-    monic_q_coefficients, monic_q_value, nevai_amplitude, phi_value,
+    monic_q_coefficients, nevai_amplitude, phi_value,
     select_bessel_ladder_measure, sqrt_deviation_scaled, verify_moment_problem,
     x_value,
 )
 from nlcpoly.cli import main as cli_main
-from conftest import gegenbauer_exact, hermite_orthonormal_oracle, spectral_moments
+from conftest import gegenbauer_exact, hermite_orthonormal_oracle, horner, spectral_moments
 
 
 def _report(number: int, description: str, ok: bool) -> None:
@@ -118,10 +118,11 @@ def test_criterion_04_characteristic_polynomial_identity():
     for spec in RATIONAL_FAMILIES:
         for n in range(1, 16):
             q = build_truncated(spec, n)
+            coeffs = monic_q_coefficients(spec, n)
             for x in points:
-                assert char_poly(q, x) == monic_q_value(spec, n, x), (spec.family, n)
-    _report(4, "det(xI - Q_n) equals the monic recurrence polynomial exactly "
-               "(5 families, n <= 15, 10 rational points)", True)
+                assert char_poly(q, x) == horner(coeffs, x), (spec.family, n)
+    _report(4, "det(xI - Q_n) equals the monic recurrence polynomial's coefficients "
+               "by Horner exactly (5 families, n <= 15, 10 rational points)", True)
 
 
 def test_criterion_05_hankel_bridge_scaling():

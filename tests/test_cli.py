@@ -726,6 +726,25 @@ prefix = t
     assert "Traceback" not in err
 
 
+_BEYOND_FLOAT = "1" + "0" * 309  # j = 10^309 has no float
+
+
+@pytest.mark.parametrize("text, message", [
+    # the default pairing gives no measure, and x_1 = 2 j is out of range
+    (f"[sequence]\nfamily = barut_girardello\nj = {_BEYOND_FLOAT}\n"
+     "[run]\ncommand = moments\n", "config error: x_1 exceeds the float range"),
+    (f"[sequence]\nfamily = su11\nj = 3/2\n[measure]\nname = disc_radial\n"
+     f"j = {_BEYOND_FLOAT}\n",
+     "config error: measure 'disc_radial': a parameter exceeds the float range"),
+], ids=["default-measure", "measure-section"])
+def test_measure_parameter_beyond_the_float_range_exits_2(tmp_path, capsys, text, message):
+    text += f"[output]\ndir = {tmp_path / 'out'}\nprefix = t\n"
+    assert main([write_config(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert "Traceback" not in err
+
+
 # the least magnitude that rounds past the largest float, 2^1024 - 2^970
 _FLOAT_OVERFLOW = 2 ** 1024 - 2 ** 970
 

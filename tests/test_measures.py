@@ -12,7 +12,7 @@ from nlcpoly import (
 )
 from nlcpoly.measures import MomentRow, moment_integral
 from nlcpoly.moments import MomentSequence
-from nlcpoly.sequences import x_factorials, x_floats, x_limit, x_log_factorials
+from nlcpoly.sequences import x_floats, x_limit, x_log_factorials
 
 
 # -- catalog ------------------------------------------------------------------
@@ -163,18 +163,16 @@ def _moment_rows_by_partial_products(measure, spec, n_max, tolerance):
 ])
 def test_verify_moment_problem_reads_each_x_once(monkeypatch, measure_name, measure_params,
                                                  family, params, n_max):
+    # the float view (log x_n!) and the exact moments (x_n!) each read
+    # x_1 .. x_{n_max} at most once
     measure = get_measure(measure_name, **measure_params)
-    calls = []
     original = nlcpoly.sequences.x_value
-
-    def counted(spec, n):
-        calls.append(n)
-        return original(spec, n)
-
-    monkeypatch.setattr(nlcpoly.sequences, "x_value", counted)
-    monkeypatch.setattr(nlcpoly.measures, "x_value", counted)
+    view_calls, moment_calls = [], []
+    monkeypatch.setattr(nlcpoly.sequences, "x_value", _counting(original, view_calls))
+    monkeypatch.setattr(nlcpoly.moments, "x_value", _counting(original, moment_calls))
     report = verify_moment_problem(measure, SequenceSpec(family, **params), n_max)
-    assert len(calls) <= n_max + 1
+    for calls in (view_calls, moment_calls):
+        assert len(calls) <= n_max and len(set(calls)) == len(calls)
     monkeypatch.undo()
     expected = _moment_rows_by_partial_products(measure, SequenceSpec(family, **params),
                                                 n_max, 1e-11)
@@ -324,7 +322,8 @@ def test_resolution_fails_for_mismatched_pair():
 
 def _normalization_terms(spec, r2, terms):
     # the terms r^(2n) / x_n! of the normalization series N(r^2), n < terms
-    return [r2 ** n / f for n, f in enumerate(x_factorials(spec, x_floats(spec, terms - 1)))]
+    moments = MomentSequence(spec)
+    return [r2 ** n / float(moments.even_moment(n)) for n in range(terms)]
 
 
 def test_normalization_canonical_is_exp():
@@ -334,7 +333,7 @@ def test_normalization_canonical_is_exp():
 
 def test_normalization_at_zero_is_one():
     spec = SequenceSpec("su11", j=2)
-    assert next(x_factorials(spec, x_floats(spec, 5))) == 1
+    assert MomentSequence(spec).even_moment(0) == 1
     assert math.fsum(_normalization_terms(spec, 0.0, 10)) == 1.0
 
 

@@ -7,7 +7,8 @@ import pytest
 
 from nlcpoly import (
     DegenerateMomentsError, MomentSequence, SequenceSpec, bareiss_determinant,
-    berg_duran_check, hankel_determinant, hankel_polynomial, monic_q_coefficients,
+    berg_duran_check, hankel_determinant, hankel_polynomial, monic_polynomials,
+    monic_q_coefficients,
 )
 from nlcpoly.moments import ChebyshevPass, PrecisionError
 from nlcpoly.sequences import x_value
@@ -325,9 +326,10 @@ def test_kept_chebyshev_pass_serves_shorter_orders(spec):
     for n in range(13):
         fresh = MomentSequence(spec).chebyshev(n)
         assert shared.chebyshev(n) == fresh and type(shared.chebyshev(n)) is type(fresh)
-        assert shared.chebyshev_polynomials(n) == fresh.polynomials()
+        assert shared.chebyshev_polynomials(n) == monic_polynomials(fresh, Fraction(1))
     shared.chebyshev_polynomials(3)[2][0] = "changed"  # callers get copies
-    assert shared.chebyshev_polynomials(3) == MomentSequence(spec).chebyshev(3).polynomials()
+    assert shared.chebyshev_polynomials(3) == monic_polynomials(
+        MomentSequence(spec).chebyshev(3), Fraction(1))
 
 
 def test_kept_pass_keeps_the_zero_pivot_stop():
@@ -356,7 +358,7 @@ def test_kept_pass_is_the_same_under_any_call_order(spec, orders):
         one_shot = _bareiss_pass(spec, n)
         passes = (shared.chebyshev(n), one_shot, fresh.chebyshev(n))
         assert passes[0] == one_shot == passes[2] and len(set(map(type, passes))) == 1, n
-        assert shared.chebyshev_polynomials(n) == one_shot.polynomials(), n
+        assert shared.chebyshev_polynomials(n) == monic_polynomials(one_shot, Fraction(1)), n
         dets = (hankel_determinant(shared, n), hankel_determinant(MomentSequence(spec), n))
         assert dets[0] == dets[1] and type(dets[0]) is type(dets[1]), n
         if n:

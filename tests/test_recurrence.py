@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 from nlcpoly import (
-    MomentSequence, RecurrenceCoeffs, SequenceSpec, build_truncated, char_poly,
-    general_monic_value, monic_polynomials, monic_q_coefficients, monic_q_polynomials,
-    monic_q_value, phi_value, phi_window, x_float, x_value,
+    MomentSequence, RecurrenceCoeffs, SequenceSpec, bareiss_determinant, build_truncated,
+    char_poly, monic_polynomials, monic_q_coefficients, monic_q_polynomials, phi_value,
+    phi_window, x_float, x_value,
 )
-from conftest import (catalog_specs, gegenbauer_exact, hermite_orthonormal_oracle,
+from conftest import (catalog_specs, gegenbauer_exact, hermite_orthonormal_oracle, horner,
                       pollaczek_value)
 
 
@@ -104,7 +104,7 @@ def test_monic_q_degree_two_generic():
 
 
 def test_monic_q_canonical_examples(canonical):
-    assert monic_q_value(canonical, 0, Fraction(5)) == 1
+    assert monic_q_coefficients(canonical, 0) == [1]
     assert monic_q_coefficients(canonical, 1) == [0, 1]
     assert monic_q_coefficients(canonical, 2) == [Fraction(-1, 2), 0, 1]
     assert monic_q_coefficients(canonical, 3) == [0, Fraction(-3, 2), 0, 1]
@@ -130,10 +130,11 @@ def test_monic_parity_and_monicity(spec):
 
 @pytest.mark.parametrize("spec", catalog_specs(), ids=lambda s: s.family)
 def test_monic_value_is_horner_on_the_coefficients(spec):
+    # q_n(x) for n >= 1 is char_poly of the order-n truncation
     x = Fraction(1, 3)
-    for n in (0, 1, 4, 9):
+    for n in (1, 4, 9):
         coeffs = monic_q_coefficients(spec, n)
-        assert monic_q_value(spec, n, x) == sum(c * x ** k for k, c in enumerate(coeffs))
+        assert char_poly(build_truncated(spec, n), x) == horner(coeffs, x)
 
 
 def _per_degree_q_reference(spec, n):
@@ -174,7 +175,7 @@ def test_monic_orthonormal_scale_relation(spec):
         scale = math.sqrt(float(MomentSequence(spec).even_moment(n)) / 2.0 ** n)
         for _ in range(5):
             x = rng.uniform(-1.2, 1.2)
-            assert monic_q_value(spec, n, x) == pytest.approx(
+            assert char_poly(build_truncated(spec, n), x) == pytest.approx(
                 scale * phi_value(spec, n, x), rel=1e-12, abs=1e-13), (spec.family, n, x)
 
 
@@ -183,18 +184,22 @@ def test_monic_orthonormal_scale_relation(spec):
 @pytest.mark.parametrize("spec", catalog_specs()[:5], ids=lambda s: s.family)
 def test_general_on_half_x_matches_char_poly(spec):
     # a_k = 0, b_k = x_k/2 is the shift recurrence; char_poly is its
-    # determinant loop, so the two agree exactly at rational points
+    # determinant loop, so the coefficients agree with it exactly at
+    # rational points
     coeffs = RecurrenceCoeffs((0,) * 12, (0, *(x_value(spec, k) / 2 for k in range(1, 12))))
+    polys = monic_polynomials(coeffs, Fraction(1))
     rng = random.Random(41)
     for n in range(1, 13):
         truncation = build_truncated(spec, n)
         for _ in range(4):
             x = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
-            assert general_monic_value(coeffs, n, x) == char_poly(truncation, x), (n, x)
+            assert horner(polys[n], x) == char_poly(truncation, x), (n, x)
 
 
-def test_coefficient_kernel_agrees_with_value_kernel():
-    # nonzero a_k exercise the term that q_n and even moments never use
+def test_coefficient_kernel_agrees_with_the_jacobi_determinant():
+    # nonzero a_k exercise the term that q_n and even moments never use;
+    # P_n(x) = det(xI - J_n), J_n with a_k on the diagonal, 1 above it and
+    # b_k below it
     rng = random.Random(43)
     alpha = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(10)]
     beta = [0] + [Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(9)]
@@ -204,23 +209,21 @@ def test_coefficient_kernel_agrees_with_value_kernel():
     for n, poly in enumerate(polys):
         assert len(poly) == n + 1 and poly[-1] == 1
         for x in (Fraction(-3, 2), Fraction(0), Fraction(2, 7)):
-            assert sum(c * x ** k for k, c in enumerate(poly)) == general_monic_value(coeffs, n, x)
+            matrix = [[x - alpha[i] if j == i else -1 if j == i + 1
+                       else -beta[i] if j == i - 1 else 0 for j in range(n)]
+                      for i in range(n)]
+            assert horner(poly, x) == bareiss_determinant(matrix), (n, x)
 
 
 def test_general_first_step():
     coeffs = RecurrenceCoeffs((Fraction(1, 3),), (Fraction(0),))
-    assert general_monic_value(coeffs, 1, Fraction(1)) == Fraction(2, 3)
+    assert monic_polynomials(coeffs, Fraction(1))[1] == [Fraction(-1, 3), 1]
 
 
 def test_general_chebyshev_like_value():
     coeffs = RecurrenceCoeffs((0, 0, 0), (0, Fraction(1, 4), Fraction(1, 4)))
-    assert general_monic_value(coeffs, 3, 1) == Fraction(1, 2)
-
-
-def test_general_missing_coefficients():
-    coeffs = RecurrenceCoeffs((0, 0), (0, Fraction(1, 4)))
-    with pytest.raises(IndexError):
-        general_monic_value(coeffs, 3, 1.0)
+    p3 = monic_polynomials(coeffs, Fraction(1))[3]
+    assert p3 == [0, Fraction(-1, 2), 0, 1] and horner(p3, 1) == Fraction(1, 2)
 
 
 def test_beta_positivity_enforced():

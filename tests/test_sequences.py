@@ -15,7 +15,7 @@ from nlcpoly import (
     check_monotone_and_bounded, check_nonlinear_inequalities, monic_q_polynomials,
     phi_value, x_float, x_floats, x_limit, x_minus_limit, x_value,
 )
-from nlcpoly.sequences import x_factorials, x_log_factorials
+from nlcpoly.sequences import x_log_factorials
 
 from conftest import (CATALOG_DEFAULTS, atom_measure_sequence, catalog_specs,
                       spec_from_config_text, spec_to_config_text)
@@ -466,15 +466,18 @@ def test_log_factorial_matches_exact():
 @pytest.mark.parametrize("spec", [SequenceSpec("su11", j=Fraction(3, 2)),
                                   SequenceSpec("bessel_k_exp", mu=1.7, nu=0.3)])
 def test_running_partial_products_match_the_single_ones(spec):
-    # the running products are the moments mu_2n = x_n!, in the rule's own
-    # arithmetic, and the running logs read the spec's one float view
+    # the moments mu_2n = x_n! are the running products of x_1, x_2, ...
+    # in the rule's own arithmetic, kept as Fractions, and the running logs
+    # read the spec's one float view
     xs = [x_value(spec, k) for k in range(1, 31)]
-    products = list(x_factorials(spec, xs))
-    logs = list(x_log_factorials(map(float, xs)))
     moments = MomentSequence(spec)
-    assert products == [moments.even_moment(n) for n in range(31)]
+    product = 1
+    for n, x in enumerate(xs, 1):
+        product *= x
+        assert moments.even_moment(n) == product and type(moments.even_moment(n)) is Fraction
+    assert type(product) is (Fraction if spec.is_rational else float)
+    logs = list(x_log_factorials(map(float, xs)))
     assert logs == list(x_log_factorials(x_floats(spec, 30).tolist()))
-    assert all(type(p) is (Fraction if spec.is_rational else float) for p in products)
 
 
 def test_log_factorial_beyond_overflow():
@@ -708,6 +711,11 @@ def test_x_beyond_the_float_range_is_a_range_error():
     for read in (x_float, x_floats):
         with pytest.raises(SequenceRangeError, match="x_2 exceeds the float range"):
             read(spec, 2)
+    # a float rule that overflows on the way: 4 / beta^2 at beta = 1e200
+    spec = SequenceSpec("meixner_pollaczek_bessel", mu=1.0, nu=0.25, beta=1e200)
+    for read in (x_float, x_floats):
+        with pytest.raises(SequenceRangeError, match="float rule overflows at x_1"):
+            read(spec, 1)
 
 
 def test_x_floats_consistent_across_threads():

@@ -6,10 +6,10 @@ import mpmath
 import pytest
 
 from nlcpoly import (
-    DomainError, SequenceSpec, bessel_k, cm_sequence_test, log_gamma, exp_sinh, x_float,
+    DomainError, MomentSequence, SequenceSpec, bessel_k, cm_sequence_test, log_gamma, exp_sinh, x_float,
     x_floats, x_value,
 )
-from nlcpoly.sequences import ParameterDomainError, x_factorials
+from nlcpoly.sequences import ParameterDomainError
 
 
 # -- log-gamma -------------------------------------------------------------------
@@ -53,11 +53,11 @@ def test_pochhammer_exact():
         return math.prod(a + k for k in range(n))
 
     su11 = SequenceSpec("su11", j=1)
-    facts = list(x_factorials(su11, (x_value(su11, n) for n in range(1, 9))))
+    facts = [MomentSequence(su11).even_moment(n) for n in range(9)]
     assert facts[3] == Fraction(6, 24)  # (2)_3 = 24
     assert facts == [Fraction(math.factorial(n), rf(2, n)) for n in range(9)]
     bessel = SequenceSpec("bessel_k_exp", mu=1, nu=0)
-    facts = list(x_factorials(bessel, (x_value(bessel, n) for n in range(1, 9))))
+    facts = [MomentSequence(bessel).even_moment(n) for n in range(9)]
     assert facts[3] == Fraction(36, 105)  # 1^2 2^2 3^2 / (2^3 (3/2)_3), (3/2)_3 = 105/8
     assert facts == [rf(1, n) ** 2 / (2 ** n * rf(Fraction(3, 2), n)) for n in range(9)]
 
@@ -210,6 +210,13 @@ def test_bessel_k_underflow_and_overflow():
     assert math.isfinite(bessel_k(0.5, 1e-300))
 
 
+def test_bessel_k_returns_inf_at_the_first_infinite_order():
+    # K_m(x) increases with m: once the upward recurrence reaches inf, every
+    # later order is inf, so no step per order is taken past it
+    assert bessel_k(1e300, 1.0) == math.inf
+    assert bessel_k(1e300, 700.0) == math.inf
+
+
 def test_bessel_wronskian_identity():
     # I_nu K_{nu+1} + I_{nu+1} K_nu = 1/x, with I from mpmath
     rng = random.Random(9)
@@ -269,7 +276,7 @@ def test_gamma_quotient_normalization():
     # 2 (a - c)(b - c) / N at N, since 1 - x_n <= (a - c)(b - c) / n^2
     a, b, c = 2.5, 1.5, 1.0
     spec = SequenceSpec("gamma_quotient", a=a, b=b, c=c)
-    assert next(x_factorials(spec, [])) == 1.0
+    assert MomentSequence(spec).even_moment(0) == 1
     limit = float(mpmath.gammaprod([a, b], [c, a + b - c]))
     for N in (100, 1000):
         gap = math.prod(x_floats(spec, N)) / limit - 1.0

@@ -9,10 +9,10 @@ import pytest
 
 from nlcpoly import (
     SequenceSpec, TruncatedJacobi, build_truncated, char_poly, ismail_li_bounds,
-    jacobi_zeros, monic_q_value, sturm_count, support_endpoints, x_float, x_floats,
+    jacobi_zeros, monic_q_coefficients, sturm_count, support_endpoints, x_float, x_floats,
 )
 from nlcpoly import spectral
-from conftest import catalog_specs
+from conftest import catalog_specs, horner
 
 
 # -- construction -----------------------------------------------------------------
@@ -62,8 +62,9 @@ def test_char_poly_equals_monic_recurrence_exactly(spec):
     points = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(10)]
     for n in range(1, 16):
         q = build_truncated(spec, n)
+        coeffs = monic_q_coefficients(spec, n)
         for x in points:
-            assert char_poly(q, x) == monic_q_value(spec, n, x), (spec.family, n, x)
+            assert char_poly(q, x) == horner(coeffs, x), (spec.family, n, x)
 
 
 # -- zeros -----------------------------------------------------------------------------
