@@ -17,7 +17,6 @@ import os
 import random
 import sys
 import traceback
-from fractions import Fraction
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -31,22 +30,16 @@ from .moments import (DegenerateMomentsError, MomentSequence, berg_duran_check,
 from .recurrence import monic_q_polynomials, phi_window
 from .sequences import (ParameterDomainError, SequenceRangeError, SequenceSpec, x_floats,
                         x_limit, x_log_factorials)
-from .spectral import (TruncatedJacobi, ismail_li_bounds, jacobi_zeros, sturm_count,
+from .spectral import (TruncatedJacobi, _sturm_counts, ismail_li_bounds, jacobi_zeros,
                        support_endpoints)
 
 
 def _fmt(value) -> str:
+    if isinstance(value, float):  # ".17g" writes nan, inf and -inf
+        return format(value, ".17g")
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return format(value, ".17g")
-    return str(value)
+    return str(value)  # int, str and Fraction
 
 
 def _float(value) -> float:
@@ -152,10 +145,12 @@ class _Runner:
     def cmd_bounds(self) -> None:
         order = max(self.cfg.order, 2)
         a, b = ismail_li_bounds(self.spec, order)
-        # no zero at or below A and every zero below B; the spectrum is
-        # symmetric, so a zero pivot at either bound fails the first count
+        # no zero at or below A and every zero below B, counted in one
+        # two-lane pass; the spectrum is symmetric, so a zero pivot at either
+        # bound fails the first count
         q = self._truncation(order)
-        contained = sturm_count(q, a) == 0 and sturm_count(q, b) == order
+        below = _sturm_counts(np.zeros(order), q.b_squared, np.array([a, b]))[0].tolist()
+        contained = below == [0, order]
         supp = support_endpoints(self.spec)
         self.verdicts["zeros_within_bounds"] = contained
         self.summary["bounds"] = {

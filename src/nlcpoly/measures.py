@@ -297,26 +297,32 @@ def moment_integral(measure: MeasureSpec, n: int, tolerance: float,
     """integral of r^(2n) over (0, L) against the radial projection of the
     measure (twice the density of an even one), optionally damped by
     exp(-log_scale) for overflow-free comparison: tanh-sinh for finite L,
-    through the edge form of the density when it has one, else exp-sinh."""
+    through the edge form of the density when it has one, else exp-sinh.
+
+    The moments of a positive measure are positive, so a result of exactly
+    0.0, where no node added a nonzero term (each underflowed, overflowed or
+    was skipped), is reported unconverged."""
     factor = 2.0 if measure.kind == "even" else 1.0
     if not math.isinf(measure.L):
         damping = math.exp(-log_scale)
         if measure.density_edge is not None:
-            return tanh_sinh(
+            res = tanh_sinh(
                 None, 0.0, measure.L, tolerance,
                 f_edge=lambda r, da, db:
                     factor * (r ** (2 * n) * damping) * measure.density_edge(r, da, db))
-        return tanh_sinh(lambda r: factor * (r ** (2 * n) * damping) * measure.density(r),
-                         0.0, measure.L, tolerance)
-
-    # on the half line r^(2n) overflows where the damped integrand is O(1)
-    def f(r: float) -> float:
-        lr = math.log(r)
-        base = factor * measure.density(r)
-        if base <= 0.0 or not math.isfinite(base):
-            return 0.0 if base == 0.0 else math.inf
-        return math.exp(2.0 * n * lr - log_scale + math.log(base))
-    return exp_sinh(f, tolerance)
+        else:
+            res = tanh_sinh(lambda r: factor * (r ** (2 * n) * damping) * measure.density(r),
+                            0.0, measure.L, tolerance)
+    else:
+        # on the half line r^(2n) overflows where the damped integrand is O(1)
+        def f(r: float) -> float:
+            lr = math.log(r)
+            base = factor * measure.density(r)
+            if base <= 0.0 or not math.isfinite(base):
+                return 0.0 if base == 0.0 else math.inf
+            return math.exp(2.0 * n * lr - log_scale + math.log(base))
+        res = exp_sinh(f, tolerance)
+    return res._replace(converged=False) if res.value == 0.0 else res
 
 
 def verify_moment_problem(measure: MeasureSpec, spec: SequenceSpec, n_max: int,

@@ -10,8 +10,11 @@ Zeros are found on Sturm sign counts: deterministic, with an enclosure per
 zero, and bit-reproducible across runs.  :func:`jacobi_zeros` searches the
 positive zeros on the half-order block of Q_n^2 and confirms each enclosure
 with counts on Q_n itself; all zeros advance together, one numpy lane per
-zero, and each lane does the float operations of a scalar search, so the
-enclosures do not depend on how many zeros are computed at once.
+zero.  One first sweep, shared by all lanes, isolates the zeros on an even
+grid; after it each lane does the float operations of a scalar search, a
+secant step on the last pivot of the count where its bracket holds one zero
+and no pole, and quadrisection elsewhere, so the enclosures do not depend on
+how many zeros are computed at once.
 
 A Sturm count is the LDL^T pivot recurrence run down a block of rows, two
 numpy calls per row for every lane at once.  A zero pivot needs no test:
@@ -42,7 +45,7 @@ class TruncatedJacobi(NamedTuple("_Entries", [("b_squared", Tuple[Number, ...])]
     b_1^2 .. b_{n-1}^2 exactly as given (Fractions for a rational spec,
     floats otherwise), so the order is one more than their number.
 
-    Sturm counts and bisection round the entries to floats once per call;
+    Sturm counts and the zero search round the entries to floats once per call;
     :func:`char_poly` stays exact when x and every entry are exact.
     """
     __slots__ = ()
@@ -107,9 +110,9 @@ def _half_block(b_squared: Sequence[Number]) -> Tuple[list, list]:
 
 
 def _sturm_counts(diagonal: np.ndarray, off_squared: Sequence[float],
-                  sigmas: np.ndarray) -> np.ndarray:
+                  sigmas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Eigenvalues strictly below each shift in ``sigmas`` of the symmetric
-    tridiagonal matrix with ``diagonal`` and squared off-diagonals
+    tridiagonal matrix T with ``diagonal`` and squared off-diagonals
     ``off_squared``: the negative pivots of the shifted LDL^T factorization,
     one lane per shift and _ROWS rows at a time.  Every lane does the float
     operations of the scalar d <- (a - sigma) - b^2/d in the same order, so
@@ -117,6 +120,9 @@ def _sturm_counts(diagonal: np.ndarray, off_squared: Sequence[float],
     pivot +-0 makes the next one -+inf, whose b^2/d = -+0 leaves the one
     after unchanged: exactly one of the two counts by its sign bit (Demmel,
     Dhillon & Ren 1995).  A zero last pivot counts as negative.
+
+    Also returns each lane's last pivot d_n(sigma) = det(T - sigma) /
+    det(T_{n-1} - sigma), which decreases strictly between its poles.
     """
     off_squared = np.maximum(off_squared, _LEAST)  # no lane computes 0/0
     n, lanes = len(diagonal), len(sigmas)
@@ -131,14 +137,15 @@ def _sturm_counts(diagonal: np.ndarray, off_squared: Sequence[float],
                 np.divide(off_squared[start + i - 2], rows[i - 1], out=quotient)
                 np.subtract(rows[i], quotient, out=rows[i])
             count += np.signbit(block[(start == 0):m]).sum(axis=0, dtype=np.uint8)
-    return count + (block[m] <= 0.0)
+    last = block[m]
+    return count + (last <= 0.0), last
 
 
 def sturm_count(q: TruncatedJacobi, sigma: float) -> int:
     """Number of eigenvalues of Q_n strictly below sigma (negative pivots of
     the shifted LDL^T factorization)."""
     return int(_sturm_counts(np.zeros(q.order), _float_entries(q),
-                             np.array([sigma], dtype=float))[0])
+                             np.array([sigma], dtype=float))[0][0])
 
 
 class SpectralResult(NamedTuple):
@@ -153,52 +160,103 @@ class SpectralResult(NamedTuple):
     bisection_steps: int  # Sturm counts evaluated, on the block and on Q_n
 
 
-# each sweep splits a lane's bracket into this many equal parts; 8 measured no
-# faster at order 400 and slower at order 2000
-_SECTIONS = 4
-_POSITIONS = np.arange(1, _SECTIONS)
-_FRACTIONS = _POSITIONS / _SECTIONS
+# a sweep counts at three points per lane: its quarter points, or the secant's
+_POSITIONS = np.arange(1, 4)
+_QUARTERS = _POSITIONS / 4
+# the secant's half-width, in units of the error that the curvature predicts
+_SAFETY = 2.0
+# points -> (eigenvalues below each, last pivot at each), as _sturm_counts gives
+_Count = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 
-def _quadrisect(count: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
-                hi: np.ndarray, index: np.ndarray,
-                tolerance: float) -> Tuple[np.ndarray, np.ndarray, int]:
+def _search(count: _Count, lo: np.ndarray, hi: np.ndarray, index: np.ndarray,
+            tolerance: float) -> Tuple[np.ndarray, np.ndarray, int]:
     """Narrow each lane's bracket of eigenvalue ``index`` (1-based,
     ascending), invariant count(lo) < index <= count(hi), where ``count``
-    maps points to eigenvalues below them.  Each sweep counts at the
-    _SECTIONS - 1 interior points of every live lane and keeps the part from
-    the last point below the eigenvalue to the next point; a lane retires at
-    width <= tolerance or once its points no longer fall strictly inside its
-    bracket.  Returns the final brackets and the number of counts."""
-    lanes = np.arange(len(lo))
-    lo_end, hi_end = np.empty(len(lo)), np.empty(len(lo))
+    maps points to the eigenvalues below them and the last pivots there.
+
+    When more than one lane starts from one bracket, the first sweep is
+    shared: it counts at three points per lane spread evenly over the
+    bracket, and each lane starts from the part between the last of them
+    below its eigenvalue and the next.  Every other sweep counts at three
+    points of each live lane's bracket and keeps the part from the last
+    point below the eigenvalue to the next.
+    Where the bracket holds one eigenvalue and no pole of the last pivot d,
+    count(hi) - count(lo) = 1 with d(lo) > 0 >= d(hi), d falls through one
+    zero there, and the points are r - delta, r + delta and the midpoint of
+    the wider side left over: r is the regula falsi root of d between the
+    ends, and delta is _SAFETY times the error of r that the second divided
+    difference of d over the last sweep's three points predicts, at least
+    tolerance / 4.  Elsewhere, or where those points do not fall strictly
+    inside the bracket, they are its quarter points.  A lane retires at
+    width <= tolerance or once its quarter points no longer fall strictly
+    inside its bracket.  Returns the final brackets and the number of
+    counts.
+    """
+    lanes = len(index)
+    if not lanes:
+        return lo, hi, 0
+    # per lane: point, count and last pivot at lo, the three points swept, hi
+    state = np.full((3, lanes, 5), np.nan)
+    state[0, :, 0], state[0, :, 4] = lo, hi
     steps = 0
-    while len(lanes):
-        grid = np.empty((len(lanes), _SECTIONS + 1))
-        grid[:, 0], grid[:, -1] = lo, hi
-        grid[:, 1:-1] = lo[:, None] + (hi - lo)[:, None] * _FRACTIONS
-        live = (hi - lo > tolerance) & (np.diff(grid, axis=1) > 0.0).all(axis=1)
-        if not live.all():
-            lo_end[lanes], hi_end[lanes] = lo, hi
-            lanes, grid = lanes[live], grid[live]
-            if not len(lanes):
-                break
-        points = grid[:, 1:-1]
-        counts = count(points.ravel())
+    if lanes > 1 and (lo == lo[0]).all() and (hi == hi[0]).all():
+        steps = 3 * lanes
+        known = np.full((3, steps + 2), np.nan)  # grid, counts, last pivots; the ends uncounted
+        grid = known[0]
+        grid[0], grid[-1] = lo[0], hi[0]
+        grid[1:-1] = lo[0] + (hi[0] - lo[0]) * (np.arange(1, steps + 1) / (steps + 1))
+        known[1:, 1:-1] = count(grid[1:-1])
+        # the last grid point below each eigenvalue, whatever order the counts come in
+        k = np.searchsorted(np.minimum.accumulate(known[1, -2:0:-1])[::-1], index)
+        state[:, :, 0], state[:, :, 4] = known[:, k], known[:, k + 1]
+    lane, target = np.arange(lanes), index[:, None]
+    lo_end, hi_end = np.empty(lanes), np.empty(lanes)
+    while True:
+        with np.errstate(all="ignore"):  # NaN and inf where a lane has no secant
+            x, c, d = state
+            slopes = (d[:, 2:4] - d[:, 1:3]) / (x[:, 2:4] - x[:, 1:3])
+            curve = _SAFETY * np.abs((slopes[:, 1] - slopes[:, 0]) / (x[:, 3] - x[:, 1]))
+            lo, hi = x[:, 0], x[:, 4]
+            x[:, 1:4] = lo[:, None] + (hi - lo)[:, None] * _QUARTERS
+            live = (hi - lo > tolerance) & _increasing(x)
+            if not live.all():
+                lo_end[lane], hi_end[lane] = lo, hi
+                lane, target, state, curve = lane[live], target[live], state[:, live], curve[live]
+                if not len(lane):
+                    return lo_end, hi_end, steps
+                x, c, d = state
+                lo, hi = x[:, 0], x[:, 4]
+            width, drop = hi - lo, d[:, 0] - d[:, 4]
+            r = lo + width * (d[:, 0] / drop)
+            delta = np.maximum(curve * ((r - lo) * (hi - r)) * (width / drop), tolerance / 4)
+            a, b = r - delta, r + delta
+            left = a - lo > hi - b
+            mid = np.where(left, lo + a, b + hi) * 0.5
+            ring = np.array((mid, a, b, mid))  # (mid, a, b) if left, else (a, b, mid)
+            secant = x.copy()
+            secant[:, 1:4] = np.where(left, ring[:3], ring[1:]).T
+            use = ((c[:, 4] - c[:, 0] == 1) & (d[:, 0] > 0.0) & (d[:, 4] <= 0.0)
+                   & _increasing(secant))
+            x[use] = secant[use]
+        counts, last = count(x[:, 1:4].ravel())
         steps += counts.size
-        below = counts.reshape(points.shape) < index[lanes][:, None]
+        c[:, 1:4], d[:, 1:4] = counts.reshape(-1, 3), last.reshape(-1, 3)
         # the last point below and the next one keep the invariant whatever
         # order the counts come in
-        k = (below * _POSITIONS).max(axis=1)
-        rows = np.arange(len(lanes))
-        lo, hi = grid[rows, k], grid[rows, k + 1]
-    return lo_end, hi_end, steps
+        k = np.maximum.reduce((c[:, 1:4] < target) * _POSITIONS, axis=1)
+        rows = np.arange(len(lane))
+        state[:, :, 0], state[:, :, 4] = state[:, rows, k], state[:, rows, k + 1]
 
 
-def _encloses(count: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
-              hi: np.ndarray, index: np.ndarray) -> np.ndarray:
+def _increasing(rows: np.ndarray) -> np.ndarray:
+    """Per row, whether its entries increase strictly."""
+    return np.logical_and.reduce(rows[:, 1:] > rows[:, :-1], axis=1)
+
+
+def _encloses(count: _Count, lo: np.ndarray, hi: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Per lane, whether count(lo) < index <= count(hi): one pass for both ends."""
-    counts = count(np.concatenate((lo, hi)))
+    counts = count(np.concatenate((lo, hi)))[0]
     return (counts[:len(lo)] < index) & (index <= counts[len(lo):])
 
 
@@ -208,9 +266,12 @@ def jacobi_zeros(q: TruncatedJacobi, tolerance: float = 1e-13) -> SpectralResult
     Ordered odd rows first, Q_n = [[0, B], [B^T, 0]], so the spectrum is
     symmetric and the squares of the floor(n/2) positive zeros are
     eigenvalues of B B^T, the half-order block of :func:`_half_block`.  Only
-    the positive zeros are searched, each in its own lane, by quadrisection
-    (:func:`_quadrisect`) on [0, R + pad] with R = 2 sqrt(max b_k^2), counting
-    on the block at sigma = t^2.  The negative zeros and brackets are the
+    the positive zeros are searched, each in its own lane, by
+    :func:`_search` on [0, R + pad] with R = 2 sqrt(max b_k^2), counting on
+    the block at sigma = t^2: a first sweep of 3 floor(n/2) points spread
+    evenly over that interval, shared by all lanes, then secant steps on the
+    block's last pivot where a lane's bracket holds one zero and no pole,
+    and quadrisection elsewhere.  The negative zeros and brackets are the
     mirror images, and the middle zero of an odd order is exactly 0.0 with
     bracket (0.0, 0.0), since Q_n is then singular.
 
@@ -219,12 +280,12 @@ def jacobi_zeros(q: TruncatedJacobi, tolerance: float = 1e-13) -> SpectralResult
     Q_n.  So one Sturm sweep on Q_n itself checks every positive bracket,
     count(lo) < index <= count(hi) with no pad.  A bracket it refutes is
     widened by 16 eps R^2 / (lo + hi), a bound on the block's rounding; if
-    Q_n's counts enclose the zero there, the lane is quadrisected again on
-    Q_n, so every returned bracket holds its zero up to the rounding of the
+    Q_n's counts enclose the zero there, the lane is searched again on Q_n,
+    so every returned bracket holds its zero up to the rounding of the
     counts on Q_n.  ``count_mismatches`` is the number of brackets still
     refuted: the block missed by more than its rounding.
     ``bisection_steps`` is the number of Sturm counts evaluated, on the
-    block and on Q_n.
+    block and on Q_n: three per lane and sweep, and two per checked bracket.
 
     The search runs on the entries times 4^-k, the largest in [1/2, 2), and
     on t / 2^k, so the block's products beta_{2i-1} beta_{2i} stay finite
@@ -253,8 +314,8 @@ def jacobi_zeros(q: TruncatedJacobi, tolerance: float = 1e-13) -> SpectralResult
     # lane j holds t_j, the (j+1)-th positive zero: eigenvalue j + 1 + n % 2
     # of the block and n - half + 1 + j of Q_n
     half = n // 2
-    lo, hi, steps = _quadrisect(on_block, np.zeros(half), np.full(half, top / unit),
-                                np.arange(half) + (1 + n % 2), tolerance / unit)
+    lo, hi, steps = _search(on_block, np.zeros(half), np.full(half, top / unit),
+                            np.arange(half) + (1 + n % 2), tolerance / unit)
     index = np.arange(half) + (n - half + 1)
     refuted = np.flatnonzero(~_encloses(on_q, lo, hi, index))
     steps += 2 * half
@@ -266,8 +327,8 @@ def jacobi_zeros(q: TruncatedJacobi, tolerance: float = 1e-13) -> SpectralResult
         held = _encloses(on_q, wide_lo, wide_hi, index[refuted])
         steps += 2 * mismatches
         redo = refuted[held]
-        lo[redo], hi[redo], more = _quadrisect(on_q, wide_lo[held], wide_hi[held],
-                                               index[redo], tolerance / unit)
+        lo[redo], hi[redo], more = _search(on_q, wide_lo[held], wide_hi[held],
+                                           index[redo], tolerance / unit)
         steps += more
         mismatches -= len(redo)
     positive = list(zip((lo * unit).tolist(), (hi * unit).tolist()))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -117,6 +118,28 @@ def test_verify_measure_pass_exit_zero(tmp_path):
     summary = json.loads((out / "t_summary.json").read_text())
     assert summary["results"]["verify_measure"]["verdict"] == "PASS"
     assert summary["verdict"] == "PASS"
+
+
+@pytest.mark.parametrize("j, verdict, code", [(1, "PASS", 0), (10 ** 302, None, 0)],
+                         ids=["j=1", "j=1e302"])
+def test_a_density_beyond_the_float_range_withholds_the_verdict(tmp_path, j, verdict, code):
+    # at j = 10^302 the float density underflows or overflows at every node,
+    # so each moment sums to 0.0: unconverged, where it once read as a FAIL
+    from nlcpoly import verify_moment_problem
+    from nlcpoly.measures import bessel_ladder_radial
+    out = tmp_path / "out"
+    text = BASE.format(command="verify-measure", n_max=12, out=out).replace(
+        "family = canonical", f"family = barut_girardello\nj = {j}")
+    assert main([write_config(tmp_path, text)]) == code
+    summary = json.loads((out / "t_summary.json").read_text())
+    assert summary["verdict"] == summary["results"]["verify_measure"]["verdict"] == verdict
+    report = verify_moment_problem(bessel_ladder_radial(j),
+                                   SequenceSpec("barut_girardello", j=j), 12, 1e-11)
+    rows = [line.split(",") for line in (out / "t_measure_check.csv").read_text().splitlines()[2:]]
+    assert rows == [[str(r.n), format(r.computed, ".17g"), format(r.expected, ".17g"),
+                     format(r.rel_error, ".17g"), "true" if r.converged else "false"]
+                    for r in report.rows]
+    assert all(r.converged for r in report.rows) is (j == 1)
 
 
 def test_verify_measure_mismatch_exit_one(tmp_path):
@@ -460,6 +483,22 @@ def test_bounds_counts_agree_with_bisected_zeros_at_order_400(tmp_path, spec):
     assert _bounds_verdicts(tmp_path, spec, [400]) == [(True, True)]
 
 
+def test_one_bounds_pass_gives_the_verdict_of_two_single_counts(tmp_path):
+    from conftest import catalog_specs
+    from nlcpoly import sturm_count
+    for spec in catalog_specs():
+        cfg = RunConfig(family=spec.family, family_params=dict(spec.params),
+                        command="bounds", out_dir=str(tmp_path))
+        runner = _Runner(cfg)
+        for n in [*range(2, 65), 400]:
+            runner.cfg = cfg._replace(order=n)
+            runner.cmd_bounds()
+            a, b = ismail_li_bounds(spec, n)
+            q = runner._truncation(n)
+            single = sturm_count(q, a) == 0 and sturm_count(q, b) == n
+            assert runner.summary["bounds"]["contained"] is single, (spec.family, n)
+
+
 def test_zero_on_a_bound_fails_the_strict_inequality(tmp_path, monkeypatch):
     # x_1 = 2 gives the order-2 zeros +-1 exactly; with the bounds moved onto
     # them the Sturm pivot at -1 is exactly zero and counts as a zero on A
@@ -495,6 +534,38 @@ def test_moments_csv_has_17_digit_floats(tmp_path):
     row = lines[3].split(",")  # n = 1: mu_2 = x_1 = 1/4
     assert row[1] == format(0.25, ".17g")
     assert row[2] == "1/4"
+
+
+def _fmt_before(value) -> str:
+    """The CSV formatter as it was, with its own nan and inf branches."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, float):
+        if math.isnan(value):
+            return "nan"
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        return format(value, ".17g")
+    return str(value)
+
+
+def test_csv_bytes_equal_those_of_the_former_formatter(tmp_path):
+    import numpy as np
+    nan = float("nan")
+    values = [0.0, -0.0, 5e-324, -5e-324, 1e308, float("inf"), float("-inf"), nan, -nan,
+              np.float64(0.1), np.float64(-np.inf), -np.float64(nan), np.float64(-0.0),
+              True, False, 0, -7, 2 ** 80, Fraction(-3 ** 60, 7 ** 40), Fraction(5), "x"]
+    assert math.copysign(1.0, -nan) < 0.0  # a NaN with its sign bit set
+    cfg = RunConfig(family="canonical", family_params={}, command="moments",
+                    out_dir=str(tmp_path))
+    runner = _Runner(cfg)
+    path = runner._write_csv("values.csv", ["v"] * len(values), [values, values[::-1]])
+    body = b"".join((",".join(map(_fmt_before, row)) + "\n").encode()
+                    for row in (values, values[::-1]))
+    with open(path, "rb") as fh:
+        assert fh.read().split(b"\n", 2)[2] == body
 
 
 def test_cm_check_command(tmp_path):

@@ -214,7 +214,7 @@ def test_zero_enclosures_respect_tolerance(su11_j1):
             assert hi - lo <= tol
 
 
-# -- lane-parallel quadrisection against the scalar reference -----------------------------
+# -- the lane-parallel search against the scalar reference --------------------------------
 
 # the scalar reference counts a zero pivot as the tiny negative -_TINY_PIVOT;
 # the lane kernel lets IEEE infinities carry it, with the same counts
@@ -238,26 +238,70 @@ def _reference_count(b_squared, sigma, tiny=_TINY_PIVOT, diagonal=None):
     return count
 
 
-def _reference_quadrisect(count, lo, hi, index, tolerance):
-    steps = 0
-    while True:
-        grid = [lo, lo + (hi - lo) * 0.25, lo + (hi - lo) * 0.5, lo + (hi - lo) * 0.75, hi]
-        if not (hi - lo > tolerance and all(a < b for a, b in zip(grid, grid[1:]))):
-            return lo, hi, steps
-        last_below = 0
-        for k, t in enumerate(grid[1:-1], 1):
-            steps += 1
-            if count(t) < index:
-                last_below = k
-        lo, hi = grid[last_below], grid[last_below + 1]
+def _reference_pivots(b_squared, sigma, diagonal=None):
+    """(count, last pivot) of the lane kernel, one Python float at a time:
+    b^2 / +-0 is +-inf as in IEEE division, every pivot but the last counts
+    by its sign bit and the last counts when <= 0."""
+    diagonal = diagonal or [0.0] * (len(b_squared) + 1)
+    count = 0
+    d = diagonal[0] - sigma
+    for a, b2 in zip(diagonal[1:], b_squared):
+        count += math.copysign(1.0, d) < 0.0
+        b2 = max(b2, math.ulp(0.0))
+        d = (a - sigma) - (b2 / d if d else math.copysign(math.inf, d))
+    return count + (d <= 0.0), d
+
+
+def _reference_search(count, lo, hi, index, tolerance):
+    """The search of each lane (1-based eigenvalue ``index``, invariant
+    count(lo) < index <= count(hi)) as scalar Python, where ``count(t)`` is
+    (count, last pivot): when more than one lane starts from one bracket, a
+    first sweep at 3 points per lane spread evenly over it, shared by all;
+    then per lane a secant step on the last pivot where the bracket holds
+    one eigenvalue and no pole, and quarter points elsewhere.  Returns the
+    brackets and the number of counts."""
+    points = 3 * len(index)
+    shared = len(index) > 1 and len(set(lo)) == len(set(hi)) == 1
+    swept = [(t, *count(t)) for t in (lo[0] + (hi[0] - lo[0]) * (i / (points + 1))
+                                      for i in range(1, points + 1))] if shared else []
+    steps, brackets = len(swept), []
+    for low, high, j in zip(lo, hi, index):
+        k = max((i for i, (_, c, _) in enumerate(swept) if c < j), default=-1)
+        below = swept[k] if k >= 0 else (low, math.nan, math.nan)
+        above = swept[k + 1] if k + 1 < len(swept) else (high, math.nan, math.nan)
+        last_three = None
+        while True:
+            (low, c_lo, d_lo), (high, c_hi, d_hi) = below, above
+            width = high - low
+            chosen = [low + width * 0.25, low + width * 0.5, low + width * 0.75]
+            if not (width > tolerance and low < chosen[0] < chosen[1] < chosen[2] < high):
+                break
+            if last_three and c_hi - c_lo == 1 and d_lo > 0.0 and d_hi <= 0.0:
+                (x1, _, d1), (x2, _, d2), (x3, _, d3) = last_three
+                curve = 2.0 * abs(((d3 - d2) / (x3 - x2) - (d2 - d1) / (x2 - x1)) / (x3 - x1))
+                drop = d_lo - d_hi
+                r = low + width * (d_lo / drop)
+                delta = max(curve * ((r - low) * (high - r)) * (width / drop), tolerance / 4)
+                a, b = r - delta, r + delta
+                secant = ([(low + a) * 0.5, a, b] if a - low > high - b
+                          else [a, b, (b + high) * 0.5])
+                if low < secant[0] < secant[1] < secant[2] < high:
+                    chosen = secant
+            last_three = [(t, *count(t)) for t in chosen]
+            steps += 3
+            row = [below, *last_three, above]
+            k = max((i for i in (1, 2, 3) if row[i][1] < j), default=0)
+            below, above = row[k], row[k + 1]
+        brackets.append((low, high))
+    return brackets, steps
 
 
 def _reference_zeros(q, tolerance):
-    """One scalar quadrisection per positive zero on the odd-row block of
-    Q_n^2, checked by counts on Q_n and quadrisected again on Q_n from the
-    widened bracket where they refute it, then the mirror images: (zeros,
-    brackets, Sturm evaluations, mismatches, lanes re-narrowed on Q_n), zeros
-    and brackets descending."""
+    """The scalar search of the positive zeros on the odd-row block of Q_n^2,
+    checked by counts on Q_n and searched again on Q_n from the widened
+    bracket where they refute it, then the mirror images: (zeros, brackets,
+    Sturm evaluations, mismatches, lanes searched again on Q_n), zeros and
+    brackets descending."""
     n = q.order
     b_squared = [float(v) for v in q.b_squared]  # rounded once, as jacobi_zeros does
     beta = [0.0, *b_squared, 0.0]
@@ -268,31 +312,37 @@ def _reference_zeros(q, tolerance):
     top = radius + 64.0 * math.ulp(max(radius, 1.0))
 
     def on_block(t):
-        return _reference_count(off_squared, t * t, diagonal=diagonal)
+        return _reference_pivots(off_squared, t * t, diagonal=diagonal)
 
     def on_q(t):
-        return _reference_count(b_squared, t)
+        return _reference_pivots(b_squared, t)
 
-    positive, steps, mismatches, repaired = [], 0, 0, 0
-    for j in range(half):
-        lo, hi, used = _reference_quadrisect(on_block, 0.0, top, j + 1 + n % 2, tolerance)
-        index = n - half + 1 + j  # t_j among the eigenvalues of Q_n, ascending
-        steps += used + 2
-        if not on_q(lo) < index <= on_q(hi):
-            pad = 16.0 * math.ulp(1.0) * radius ** 2 / (lo + hi)
-            wide_lo, wide_hi = max(lo - pad, 0.0), min(hi + pad, top)
-            steps += 2
-            if on_q(wide_lo) < index <= on_q(wide_hi):
-                lo, hi, used = _reference_quadrisect(on_q, wide_lo, wide_hi, index, tolerance)
-                steps += used
-                repaired += 1
-            else:
-                mismatches += 1
-        positive.append((lo, hi))
+    def encloses(lo, hi, index):
+        return on_q(lo)[0] < index <= on_q(hi)[0]
+
+    positive, steps = _reference_search(on_block, [0.0] * half, [top] * half,
+                                        [j + 1 + n % 2 for j in range(half)], tolerance)
+    steps += 2 * half
+    index = [n - half + 1 + j for j in range(half)]  # t_j among the eigenvalues of Q_n
+    refuted = [j for j, (lo, hi) in enumerate(positive) if not encloses(lo, hi, index[j])]
+    steps += 2 * len(refuted)
+    redo, wide = [], []
+    for j in refuted:
+        lo, hi = positive[j]
+        pad = 16.0 * math.ulp(1.0) * radius ** 2 / (lo + hi)
+        wide_lo, wide_hi = max(lo - pad, 0.0), min(hi + pad, top)
+        if encloses(wide_lo, wide_hi, index[j]):
+            redo.append(j)
+            wide.append((wide_lo, wide_hi))
+    again, used = _reference_search(on_q, [lo for lo, _ in wide], [hi for _, hi in wide],
+                                    [index[j] for j in redo], tolerance)
+    steps += used
+    for j, bracket in zip(redo, again):
+        positive[j] = bracket
     brackets = (positive[::-1] + [(0.0, 0.0)] * (n % 2)
                 + [(0.0 - hi, 0.0 - lo) for lo, hi in positive])
     zeros = tuple(0.5 * (lo + hi) for lo, hi in brackets)
-    return zeros, tuple(brackets), steps, mismatches, repaired
+    return zeros, tuple(brackets), steps, len(refuted) - len(redo), len(redo)
 
 
 def _assert_matches_reference(q, tolerance):
@@ -314,9 +364,19 @@ def test_brackets_bit_identical_to_scalar_bisection_through_order_64(spec):
 def test_brackets_bit_identical_at_order_400():
     result = _assert_matches_reference(
         build_truncated(SequenceSpec("su11", j=Fraction(3, 2)), 400), 1e-11)
-    # 19 sweeps of 3 points on the block for each of the 200 positive zeros,
-    # then both ends of each on Q_n, where none is refuted
-    assert result.bisection_steps == 19 * 3 * 200 + 2 * 200
+    # 600 counts in the shared sweep, 3 per lane in each later sweep, then
+    # both ends of each of the 200 positive zeros on Q_n, where none is refuted
+    assert result.bisection_steps == 4102
+    # at most half the 19 quadrisection sweeps of every lane plus the check
+    assert 2 * result.bisection_steps <= 19 * 3 * 200 + 2 * 200
+
+
+@pytest.mark.parametrize("spec", catalog_specs(), ids=lambda s: s.family)
+def test_no_count_mismatch_at_order_400(spec):
+    q = TruncatedJacobi(tuple((x_floats(spec, 399) / 2).tolist()))
+    result = jacobi_zeros(q, 1e-11)
+    assert result.count_mismatches == 0
+    assert max(hi - lo for lo, hi in result.brackets) <= 1e-11
 
 
 def test_lanes_stop_at_floating_point_resolution(canonical):
@@ -328,7 +388,7 @@ def test_lanes_stop_at_floating_point_resolution(canonical):
                               daemon=True)
     worker.start()
     worker.join(timeout=30)
-    assert done, "quadrisection did not stop at floating-point resolution"
+    assert done, "the search did not stop at floating-point resolution"
     assert done[0].brackets == _reference_zeros(q, 1e-300)[1]
     for lo, hi in done[0].brackets:
         quarters = [lo + (hi - lo) * f for f in (0.25, 0.5, 0.75)]
@@ -398,14 +458,17 @@ def test_count_mismatches_catch_a_wrong_block(monkeypatch):
 
 
 def test_repaired_brackets_bit_identical_to_scalar_reference():
-    # at 1e-13 the block's rounding at small zeros of these growing families
-    # exceeds the tolerance, so counts on Q_n refute and re-narrow some lanes
+    # at 1e-14 the block's rounding at small zeros of these growing families
+    # exceeds the tolerance, so counts on Q_n refute some lanes (one to seven
+    # here) and the search runs again on Q_n from their widened brackets,
+    # which differ, so no first sweep is shared
     for spec in catalog_specs():
-        if spec.family not in ("barut_girardello", "meixner_pollaczek_bessel"):
+        if spec.family not in ("barut_girardello", "meixner_pollaczek_bessel",
+                               "bessel_k_abs"):
             continue
         q = build_truncated(spec, 64)
-        _assert_matches_reference(q, 1e-13)
-        assert _reference_zeros(q, 1e-13)[4] > 0, spec.family
+        _assert_matches_reference(q, 1e-14)
+        assert _reference_zeros(q, 1e-14)[4] > 0, spec.family
 
 
 def test_brackets_contain_lapack_eigenvalues_at_order_1000():
@@ -436,6 +499,11 @@ def _zero_pivot_rows(diagonal, b_squared, sigma):
     return rows + [len(diagonal) - 1] * bool(d == 0.0)
 
 
+def _pivot_bits(b_squared, sigma, diagonal):
+    count, last = _reference_pivots(b_squared, sigma, diagonal)
+    return count, last.hex()
+
+
 def test_lane_counts_equal_the_scalar_reference_at_zero_pivots():
     # small integers (and -0.0) with half-integer shifts make exact zero
     # pivots of either sign, which the kernel carries by infinities and the
@@ -450,9 +518,11 @@ def test_lane_counts_equal_the_scalar_reference_at_zero_pivots():
         if rng.random() < 0.25:  # at sigma = a, a zero pivot in every other row
             diagonal = [diagonal[0]] * n
         b_squared = [float(rng.randint(1, 4)) for _ in range(n - 1)]
-        counts = spectral._sturm_counts(np.array(diagonal), b_squared, np.array(sigmas))
-        for sigma, count in zip(sigmas, counts):
+        counts, lasts = spectral._sturm_counts(np.array(diagonal), b_squared,
+                                               np.array(sigmas))
+        for sigma, count, last in zip(sigmas, counts, lasts.tolist()):
             assert count == _reference_count(b_squared, sigma, diagonal=diagonal)
+            assert (count, last.hex()) == _pivot_bits(b_squared, sigma, diagonal)
             rows = _zero_pivot_rows(diagonal, b_squared, sigma)
             seen["first"] += 0 in rows
             seen["several"] += len(rows) > 1
@@ -462,8 +532,9 @@ def test_lane_counts_equal_the_scalar_reference_at_zero_pivots():
     # at sigma = 0 an odd zero-diagonal Q_n has a zero pivot in every other row
     for n in (1, 3, 63, 65, 129):
         b_squared = [float(k) for k in range(1, n)]
-        count = spectral._sturm_counts(np.zeros(n), b_squared, np.zeros(1))[0]
+        count = spectral._sturm_counts(np.zeros(n), b_squared, np.zeros(1))[0][0]
         assert count == _reference_count(b_squared, 0.0) == (n + 1) // 2
+        assert _reference_pivots(b_squared, 0.0)[0] == count
 
 
 def test_a_lane_counts_the_same_alone_and_in_a_batch():
@@ -471,10 +542,11 @@ def test_a_lane_counts_the_same_alone_and_in_a_batch():
     diagonal = np.array([float(rng.randint(0, 3)) for _ in range(100)])
     b_squared = [float(rng.randint(1, 4)) for _ in range(99)]
     sigmas = np.array([rng.randint(-4, 14) / 2 for _ in range(1000)])
-    batch = spectral._sturm_counts(diagonal, b_squared, sigmas)
-    alone = [spectral._sturm_counts(diagonal, b_squared, sigmas[j:j + 1])[0]
+    counts, lasts = spectral._sturm_counts(diagonal, b_squared, sigmas)
+    alone = [spectral._sturm_counts(diagonal, b_squared, sigmas[j:j + 1])
              for j in range(len(sigmas))]
-    assert batch.tolist() == alone
+    assert counts.tolist() == [count[0] for count, _ in alone]
+    assert [v.hex() for v in lasts.tolist()] == [last[0].hex() for _, last in alone]
 
 
 def test_sturm_scratch_does_not_grow_with_the_order():

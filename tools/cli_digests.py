@@ -9,8 +9,8 @@ Runs ``nlcpoly`` from the package under SRC (a ``src`` directory) on the 12
 each as its ``all`` run and as the single-step ``zeros``, ``bounds`` and
 ``amplitude`` runs (``--command``), plus one ``zeros`` run of
 barut_girardello j = 1 at order 1000 and tolerance 1e-12, where the counts on
-Q_n refute and re-narrow 33 of the block's brackets, a path no benchmark
-config reaches.  Each runs in a fresh interpreter and an empty directory, and
+Q_n refute one of the block's brackets and the search runs again on Q_n, a
+path no benchmark config reaches.  Each runs in a fresh interpreter and an empty directory, and
 writes the exit code and the sha256 of stdout and of every output file to
 OUT.json. Two such files from two source trees are equal exactly when every
 run wrote the same bytes and exited the same way:
