@@ -62,7 +62,7 @@ class _Runner:
         self.files: List[str] = []
         self.summary: Dict[str, object] = {}
         self.verdicts: Dict[str, Optional[bool]] = {}
-        # shared by hankel and polys: one Chebyshev pass serves both
+        # the spec's one moment view, which cm-check and verify-measure read too
         self.moments = MomentSequence(self.spec)
         # resolved before any step runs, so a bad [measure] section writes nothing
         self.measure = _run_measure(cfg, self.spec)

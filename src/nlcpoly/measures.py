@@ -329,9 +329,10 @@ def verify_moment_problem(measure: MeasureSpec, spec: SequenceSpec, n_max: int,
                           tolerance: float = 1e-11) -> MomentCheckReport:
     """Check integral r^(2n) d(lambda) = x_n! for n = 0 .. n_max.
 
-    Rows whose quadrature does not converge are flagged and withhold the
-    verdict.  Expected values beyond the floating range are compared in the
-    log domain by damping the integrand.
+    x_n! is read from the spec's one MomentSequence, which the caller may
+    have grown already.  Rows whose quadrature does not converge are flagged
+    and withhold the verdict.  Expected values beyond the floating range are
+    compared in the log domain by damping the integrand.
 
     Every moment's quadrature visits the same nodes, so the density (and its
     edge form) is memoized for this call, keyed by the node's float

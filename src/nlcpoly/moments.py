@@ -16,11 +16,11 @@ section 2.1.7) turns mu_0 .. mu_{2n} into the recurrence coefficients
 P_{k+1} = x P_k - b_k P_{k-1} (a_k = 0, as the odd moments vanish) and the
 pivots sigma_kk = <P_k, x^k> = D_k / D_{k-1} for k <= n, in O(n^2) exact
 operations.  D_n is then the running product of the pivots and P_n follows
-from the recurrence.  A MomentSequence keeps its pass and extends it by one
-even moment when a larger order is asked for, so D_0, D_1, ..., D_n asked
-in any order cost one O(n^2) pass.  The pass stops at a pivot that is exactly
-zero (a singular leading Hankel block); beyond it, fraction-free (Bareiss)
-elimination and bordered minors give the same quantities.
+from the recurrence.  A spec has one MomentSequence, shared by all callers;
+it keeps its pass and grows it by one even moment per larger order, so D_0
+.. D_n asked in any order cost one O(n^2) pass.  The pass stops at a pivot
+that is exactly zero (a singular leading Hankel block); beyond it, Bareiss
+(fraction-free) elimination and bordered minors give the same quantities.
 """
 
 from __future__ import annotations
@@ -45,8 +45,12 @@ class DegenerateMomentsError(ZeroDivisionError):
     undefined: the moments are not those of a measure with infinite support."""
 
 
+_CREATE_LOCK = threading.Lock()  # makes each spec's one MomentSequence once
+
+
 class MomentSequence:
-    """Lazily computed even moments of one sequence spec.
+    """The even moments of one sequence spec, made by the first
+    ``MomentSequence(spec)`` and returned by every later call on the spec.
 
     mu_{2n} = x_n! and mu_{2n+1} = 0, all Fractions.  A float sequence
     rule multiplies its running product in floats, x_1, x_2, ... in order,
@@ -56,15 +60,22 @@ class MomentSequence:
     see value-identical prefixes and any order of calls costs one pass.
     """
 
-    def __init__(self, spec: SequenceSpec):
-        self.spec = spec
-        self._even: List[Fraction] = [Fraction(1)]
-        self._product: Union[Fraction, float] = 1  # x_k! in the rule's own arithmetic
-        self._lock = threading.RLock()
-        self._pass = _GrowingPass()
-        self._polys: List[list] = [[Fraction(1)]]
+    def __new__(cls, spec: SequenceSpec):
+        with _CREATE_LOCK:
+            if spec._moments is None:
+                self = super().__new__(cls)
+                self.spec = spec
+                self._even: List[Fraction] = [Fraction(1)]
+                self._product: Union[Fraction, float] = 1  # x_k! in the rule's own arithmetic
+                self._lock = threading.RLock()
+                self._pass = _GrowingPass()
+                self._polys: List[list] = [[Fraction(1)]]
+                object.__setattr__(spec, "_moments", self)
+        return spec._moments
 
     def _extend(self, count: int) -> None:
+        if count < 1:
+            raise ValueError("moment order must be nonnegative")
         with self._lock:
             while len(self._even) < count:
                 k = len(self._even)
@@ -78,14 +89,12 @@ class MomentSequence:
 
     def even_moment(self, k: int) -> Fraction:
         """mu_{2k} = x_k!."""
-        if k < 0:
-            raise ValueError("moment order must be nonnegative")
         self._extend(k + 1)
         return self._even[k]
 
     def moment(self, m: int) -> Fraction:
         """mu_m, including the vanishing odd orders."""
-        if m % 2:
+        if m % 2 and m > 0:
             return Fraction(0)
         return self.even_moment(m // 2)
 
@@ -300,9 +309,9 @@ def berg_duran_check(spec: SequenceSpec, n_max: int, order: int = 8) -> BergDura
     shifting the index).  (ii) The partial products s_n = x_n! should then be
     a Stieltjes moment sequence: verify positivity of the Hankel
     determinants of [s_{i+j}] and of the shifted [s_{i+j+1}] up to order
-    floor(n_max / 2), all sizes of [s_{i+j}] first, from the pivots of one
-    Chebyshev pass of the even moments, and past a zero pivot by Bareiss
-    elimination.  Both verdicts are reported; neither is an error.
+    floor(n_max / 2), all sizes of [s_{i+j}] first, from the pivots of the
+    spec's shared Chebyshev pass (MomentSequence), and past a zero pivot by
+    Bareiss elimination.  Both verdicts are reported; neither is an error.
 
     List-backed sequences with fewer than n_max + order + 1 values are
     scanned over the range they can support (see ``effective_n_max``).

@@ -27,6 +27,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 _HALF_PI = math.pi / 2.0
 # the smallest tolerance either rule accepts; a run's tolerance is checked against it
 MIN_TOLERANCE = 1e-15
+_MAX_LEVEL = 12  # refinements of the mesh h = 1 before a rule reports itself unconverged
 
 
 class QuadratureResult(NamedTuple):
@@ -70,7 +71,7 @@ def _tanh_sinh_node(t: float):
 
 
 def tanh_sinh(f: Callable[[float], float], a: float, b: float,
-              tolerance: float = 1e-11, max_level: int = 12,
+              tolerance: float = 1e-11,
               f_edge: Optional[Callable[[float, float, float], float]] = None,
               ) -> QuadratureResult:
     """Integral of f over the finite interval [a, b].
@@ -84,7 +85,7 @@ def tanh_sinh(f: Callable[[float], float], a: float, b: float,
     if a == b:
         return QuadratureResult(0.0, 0.0, 0, True, 0)
     if a > b:
-        r = tanh_sinh(f, b, a, tolerance, max_level, f_edge)
+        r = tanh_sinh(f, b, a, tolerance, f_edge)
         return QuadratureResult(-r.value, r.error_estimate, r.nodes_used,
                                 r.converged, r.levels, r.skipped_nodes)
     mid = 0.5 * (a + b)
@@ -100,11 +101,10 @@ def tanh_sinh(f: Callable[[float], float], a: float, b: float,
             return None
         return nodes.term(w, f_edge, mid + halfspan * u, halfspan * ga, halfspan * gb)
 
-    return _refine(sample, halfspan, tolerance, max_level, nodes)
+    return _refine(sample, halfspan, tolerance, nodes)
 
 
-def exp_sinh(f: Callable[[float], float], tolerance: float = 1e-9,
-             max_level: int = 12) -> QuadratureResult:
+def exp_sinh(f: Callable[[float], float], tolerance: float = 1e-9) -> QuadratureResult:
     """Integral of f over (0, infinity) for integrands that decay at
     infinity and are integrable at 0."""
     if not tolerance >= MIN_TOLERANCE:
@@ -121,7 +121,7 @@ def exp_sinh(f: Callable[[float], float], tolerance: float = 1e-9,
             return None
         return nodes.term(w, f, x)
 
-    return _refine(sample, 1.0, tolerance, max_level, nodes)
+    return _refine(sample, 1.0, tolerance, nodes)
 
 
 def _negligible(term: float, total: float) -> bool:
@@ -162,8 +162,7 @@ def _sum_level(sample: Callable[[float], Optional[float]], h: float, first: floa
     return total * h, cut
 
 
-def _refine(sample, jacobian: float, tolerance: float, max_level: int,
-            nodes: _Nodes) -> QuadratureResult:
+def _refine(sample, jacobian: float, tolerance: float, nodes: _Nodes) -> QuadratureResult:
     h = 1.0
     center = sample(0.0) * h
     level_sum, cut = _sum_level(sample, h, h, h)
@@ -171,7 +170,7 @@ def _refine(sample, jacobian: float, tolerance: float, max_level: int,
     value = total * jacobian
     prev_value = math.inf
     level = 0
-    while level < max_level:
+    while level < _MAX_LEVEL:
         level += 1
         h *= 0.5
         # reuse: old nodes keep their sum, new nodes sit at odd multiples of h

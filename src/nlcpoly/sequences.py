@@ -4,7 +4,7 @@ A sequence spec is the single source of truth for one model: it fixes a
 family (closed-form rule, explicit list, or Taylor-norm quotients) together
 with its parameters.  Everything downstream -- moments, recurrence
 polynomials, Jacobi truncations, measure checks -- is driven by ``x_value``;
-the partial products x_n! are the even moments of ``moments.MomentSequence``.
+the partial products x_n! are the even moments of the spec's one MomentSequence.
 
 Each family states its formula once, as a rule that returns the numerator
 and denominator of x_n.  Run once on a polynomial variable and the exact
@@ -361,7 +361,7 @@ class SequenceSpec:
     """
 
     __slots__ = ("family", "params", "strict", "_fam", "_args", "_pair", "is_rational",
-                 "_floats")
+                 "_floats", "_moments")
 
     def __init__(self, family: str, strict: bool = True, **params):
         if family not in _FAMILIES:
@@ -396,6 +396,7 @@ class SequenceSpec:
             isinstance(v, Fraction)
             for key, value in clean.items() for v in (value if key in _LIST_PARAMS else (value,))))
         object.__setattr__(self, "_floats", np.frombuffer(b""))  # empty, read-only
+        object.__setattr__(self, "_moments", None)  # its MomentSequence, made on first use
         if self._pair:
             _require_positive(self)
 

@@ -417,6 +417,24 @@ def test_all_computes_zeros_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("flags, n_max", [([], 12), (["--n-max", "20"], 20)],
+                         ids=["defaults", "n_max_20"])
+def test_all_runs_one_chebyshev_pass(tmp_path, monkeypatch, flags, n_max):
+    # moments, hankel, polys, cm-check and verify-measure read the spec's one
+    # moment view, so its pass takes each of mu_0 .. mu_{2 n_max} once
+    grown = []
+    real = nlcpoly.moments._GrowingPass._grow
+    monkeypatch.setattr(nlcpoly.moments._GrowingPass, "_grow",
+                        lambda self, even: grown.append(even) or real(self, even))
+    out = tmp_path / "out"
+    path = write_config(tmp_path, f"[sequence]\nfamily = su11\nj = 3/2\n"
+                                  f"[output]\ndir = {out}\nprefix = t\n")
+    assert main([path, *flags]) == 0
+    verdicts = json.loads((out / "t_summary.json").read_text())["results"]["verdicts"]
+    assert {"hankel_positive", "cm_check", "measure"} <= set(verdicts)
+    assert len(grown) == n_max + 1
+
+
 def test_all_stamps_every_file_with_one_config_hash(tmp_path, monkeypatch):
     out = tmp_path / "out"
     text = BASE.format(command="all", n_max=4, out=out).replace(

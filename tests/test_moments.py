@@ -1,14 +1,16 @@
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
 
+import nlcpoly.moments
 from nlcpoly import (
     DegenerateMomentsError, MomentSequence, SequenceSpec, bareiss_determinant,
-    berg_duran_check, hankel_determinant, hankel_polynomial, monic_polynomials,
-    monic_q_coefficients,
+    berg_duran_check, get_measure, hankel_determinant, hankel_polynomial, monic_polynomials,
+    monic_q_coefficients, verify_moment_problem,
 )
 from nlcpoly.moments import ChebyshevPass, PrecisionError
 from nlcpoly.sequences import x_value
@@ -46,9 +48,54 @@ def test_moments_concurrent_extension(canonical):
     assert all(r == results[0] for r in results)
 
 
+def _twin(spec):
+    """An equal spec built anew, whose moment view nothing has grown yet."""
+    return SequenceSpec(spec.family, spec.strict, **spec.params)
+
+
+def test_a_spec_has_one_moment_sequence(canonical):
+    ms = MomentSequence(canonical)
+    assert MomentSequence(canonical) is ms and ms.spec is canonical
+    ms.chebyshev(5)
+    twin = _twin(canonical)
+    assert twin == canonical and MomentSequence(twin) is not ms
+    assert len(MomentSequence(twin).chebyshev(2).pivots) == 3  # its own pass
+
+
+def test_threads_creating_the_view_at_once_get_one_object(monkeypatch):
+    # a slow pass constructor keeps each creating thread inside the window
+    # between finding no view on the spec and putting one there
+    real = nlcpoly.moments._GrowingPass
+    monkeypatch.setattr(nlcpoly.moments, "_GrowingPass", lambda: time.sleep(0.01) or real())
+    spec = SequenceSpec("su11", j=Fraction(5, 2))
+    start = threading.Barrier(8)
+    views = []
+
+    def create():
+        start.wait()
+        views.append(MomentSequence(spec))
+
+    threads = [threading.Thread(target=create) for _ in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert len(views) == 8 and all(v is spec._moments for v in views)
+    assert views[0].chebyshev(3) == MomentSequence(_twin(spec)).chebyshev(3)
+
+
+@pytest.mark.parametrize("method", ["moment", "chebyshev", "chebyshev_polynomials",
+                                    "hankel_matrix"])
+def test_negative_orders_raise(canonical, method):
+    ms = MomentSequence(canonical)
+    with pytest.raises(ValueError, match="nonnegative"):
+        getattr(ms, method)(-1)
+    assert ms.moment(1) == 0  # a positive odd order still vanishes
+
+
 def test_kept_chebyshev_pass_is_consistent_across_threads():
     spec = SequenceSpec("su11", j=Fraction(3, 2))
-    expected = {n: MomentSequence(spec).chebyshev_polynomials(n) for n in range(10)}
+    expected = {n: MomentSequence(_twin(spec)).chebyshev_polynomials(n) for n in range(10)}
     shared = MomentSequence(spec)
     results = []
 
@@ -324,18 +371,18 @@ def test_kept_chebyshev_pass_serves_shorter_orders(spec):
     shared = MomentSequence(spec)
     shared.chebyshev(12)
     for n in range(13):
-        fresh = MomentSequence(spec).chebyshev(n)
+        fresh = MomentSequence(_twin(spec)).chebyshev(n)
         assert shared.chebyshev(n) == fresh and type(shared.chebyshev(n)) is type(fresh)
         assert shared.chebyshev_polynomials(n) == monic_polynomials(fresh, Fraction(1))
     shared.chebyshev_polynomials(3)[2][0] = "changed"  # callers get copies
     assert shared.chebyshev_polynomials(3) == monic_polynomials(
-        MomentSequence(spec).chebyshev(3), Fraction(1))
+        MomentSequence(_twin(spec)).chebyshev(3), Fraction(1))
 
 
 def test_kept_pass_keeps_the_zero_pivot_stop():
     ms = MomentSequence(SequenceSpec("explicit", values=[1, 1, 2, 3, 4, 5]))
     assert ms.chebyshev(4).pivots == (1, 1, 0)
-    fresh = MomentSequence(ms.spec).chebyshev(1)
+    fresh = MomentSequence(_twin(ms.spec)).chebyshev(1)
     assert ms.chebyshev(1) == fresh and type(ms.chebyshev(1)) is type(fresh)
     assert ms.chebyshev(2).pivots == (1, 1, 0) and len(ms.chebyshev(2).alpha) == 2
     with pytest.raises(DegenerateMomentsError, match="D_3 = 0"):
@@ -351,23 +398,24 @@ ORDERS = list(range(17))
                          ids=["ascending", "descending", "shuffled"])
 def test_kept_pass_is_the_same_under_any_call_order(spec, orders):
     # the kept pass grows in place: whatever order the orders come in, each
-    # answer equals the Bareiss determinants' and a fresh moment sequence
+    # answer equals the Bareiss determinants' and a fresh moment sequence's
     shared = MomentSequence(spec)
     for n in orders:
-        fresh = MomentSequence(spec)
+        fresh = MomentSequence(_twin(spec))
         one_shot = _bareiss_pass(spec, n)
         passes = (shared.chebyshev(n), one_shot, fresh.chebyshev(n))
         assert passes[0] == one_shot == passes[2] and len(set(map(type, passes))) == 1, n
         assert shared.chebyshev_polynomials(n) == monic_polynomials(one_shot, Fraction(1)), n
-        dets = (hankel_determinant(shared, n), hankel_determinant(MomentSequence(spec), n))
+        dets = (hankel_determinant(shared, n), hankel_determinant(MomentSequence(_twin(spec)), n))
         assert dets[0] == dets[1] and type(dets[0]) is type(dets[1]), n
         if n:
-            assert hankel_polynomial(shared, n) == hankel_polynomial(MomentSequence(spec), n), n
+            assert hankel_polynomial(shared, n) == hankel_polynomial(
+                MomentSequence(_twin(spec)), n), n
 
 
 def test_kept_pass_grown_one_order_at_a_time_keeps_its_stop():
     spec = SequenceSpec("explicit", values=[1, 1, 2, 3, 4, 5])
-    d4 = bareiss_determinant(MomentSequence(spec).hankel_matrix(4))
+    d4 = bareiss_determinant(MomentSequence(_twin(spec)).hankel_matrix(4))
     ms = MomentSequence(spec)
     for n in range(6):
         assert ms.chebyshev(n).pivots == (1, 1, 0)[:n + 1], n
@@ -431,6 +479,23 @@ def test_berg_duran_on_a_short_list_reads_only_its_values(count, n_max, order):
     report = berg_duran_check(SequenceSpec("explicit", values=[1, 2, 3, 4][:count]), 10)
     assert (report.effective_n_max, report.cm_report.tested_order) == (n_max, order)
     assert report.hausdorff_ok and report.stieltjes_hankels_ok
+
+
+@pytest.mark.parametrize("spec, measure", [
+    (SequenceSpec("explicit", values=THREE_ATOMS), get_measure("gaussian_radial")),
+    (SequenceSpec("bessel_k_exp", mu=1.7, nu=0.3),
+     get_measure("bessel_k_exp_even", mu=1.7, nu=0.3)),
+], ids=["three_atoms", "bessel_k_exp-float"])
+@pytest.mark.parametrize("n_max", [7, 8, 16])
+def test_reports_are_the_same_on_a_fresh_and_a_grown_view(spec, measure, n_max):
+    # the shared view grown past what the checks read (and, for the atoms,
+    # past its zero pivot) gives the reports a fresh view gives
+    fresh = (berg_duran_check(_twin(spec), n_max, 6),
+             verify_moment_problem(measure, _twin(spec), n_max))
+    hankel_determinant(MomentSequence(spec), 30)
+    grown = (berg_duran_check(spec, n_max, 6), verify_moment_problem(measure, spec, n_max))
+    assert grown == fresh
+    assert MomentSequence(spec).chebyshev(30) == MomentSequence(_twin(spec)).chebyshev(30)
 
 
 def test_berg_duran_reads_only_the_moments_its_pivots_need():

@@ -26,10 +26,11 @@ import tracer  # noqa: E402
 
 
 def test_cli_digests_cover_every_benchmark_run():
-    # 12 cli_catalog and 4 cli_heavy configs, each as `all`, `zeros`, `bounds`
-    # and `amplitude`, and the order-1000 barut_girardello zeros run
+    # 12 cli_catalog and 4 cli_heavy configs, each as `all`, `zeros`, `bounds`,
+    # `amplitude`, `cm-check` and `verify-measure`, and the order-1000
+    # barut_girardello zeros run
     labels = [label for label, _, _ in cli_digests.benchmark_runs()]
-    assert len(labels) == len(set(labels)) == 65
+    assert len(labels) == len(set(labels)) == 16 * 6 + 1
 
 
 def test_library_digest_of_a_pair_spec_is_json():
@@ -39,7 +40,7 @@ def test_library_digest_of_a_pair_spec_is_json():
     digest = json.loads(json.dumps(digest))
     assert set(digest) == {"values", "x_floats", "hankel_polynomials", "berg_duran", "calls",
                            "x_limit", "x_minus_limit", "nevai_condition", "poly_pair",
-                           "moment_check"}
+                           "moment_check", "fresh_berg_duran", "fresh_moment_check"}
     # the pair up to its common factor: (n - 1/2) / (n + 3/10)
     assert digest["poly_pair"] == [["-1/2", "1"], ["3/10", "1"]]
     assert digest["x_limit"]["value"] == "1"
@@ -53,6 +54,9 @@ def test_library_digest_of_a_pair_spec_is_json():
     assert len(digest["x_floats"]) == library_digests.FLOATS_N
     assert len(digest["hankel_polynomials"]) == library_digests.HANKEL_DEGREE
     assert digest["berg_duran"]["effective_n_max"] == library_digests.BERG_N_MAX
+    # an equal spec built anew gives the reports of the spec whose view was grown
+    assert digest["fresh_berg_duran"] == digest["berg_duran"]
+    assert digest["fresh_moment_check"] == check
     assert [name for name, *_ in digest["calls"]] == [c[0] for c in library_digests.TEST_CALLS]
 
 

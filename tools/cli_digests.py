@@ -6,14 +6,17 @@ Usage (from the repository root):
 
 Runs ``nlcpoly`` from the package under SRC (a ``src`` directory) on the 12
 ``cli_catalog`` and 4 ``cli_heavy`` configs of ``perfbench/workloads.py``,
-each as its ``all`` run and as the single-step ``zeros``, ``bounds`` and
-``amplitude`` runs (``--command``), plus one ``zeros`` run of
-barut_girardello j = 1 at order 1000 and tolerance 1e-12, where the counts on
-Q_n refute one of the block's brackets and the search runs again on Q_n, a
-path no benchmark config reaches.  Each runs in a fresh interpreter and an empty directory, and
-writes the exit code and the sha256 of stdout and of every output file to
-OUT.json. Two such files from two source trees are equal exactly when every
-run wrote the same bytes and exited the same way:
+each as its ``all`` run and as the single-step ``zeros``, ``bounds``,
+``amplitude``, ``cm-check`` and ``verify-measure`` runs (``--command``).  A
+single ``cm-check`` or ``verify-measure`` run grows the spec's moment view
+itself, where in ``all`` it reads the view the ``hankel`` step grew.  Last
+comes one ``zeros`` run of barut_girardello j = 1 at order 1000 and
+tolerance 1e-12, where the counts on Q_n refute one of the block's brackets
+and the search runs again on Q_n, a path no benchmark config reaches.  Each
+runs in a fresh interpreter and an empty directory, and writes the exit code
+and the sha256 of stdout and of every output file to OUT.json.  Two such
+files from two source trees are equal exactly when every run wrote the same
+bytes and exited the same way:
 
     python3 tools/cli_digests.py ../parent/src /tmp/parent.json
     python3 tools/cli_digests.py src /tmp/change.json
@@ -37,7 +40,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
 SEED = 1
-STEPS = ("zeros", "bounds", "amplitude")  # single steps digested beside each ``all`` run
+# single steps digested beside each ``all`` run
+STEPS = ("zeros", "bounds", "amplitude", "cm-check", "verify-measure")
 REPAIR = ("barut_girardello", {"j": "1"},
           ["--command", "zeros", "--order", "1000", "--tolerance", "1e-12"])
 _MAIN = "import sys; from nlcpoly.cli import main; sys.exit(main(sys.argv[1:]))"

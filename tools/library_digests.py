@@ -34,7 +34,10 @@ OUT.json holds:
   factor digest equal;
 * the full ``verify_moment_problem`` report, rows and verdict included, at
   n_max ``MOMENT_N_MAX``, against the family's ``DEFAULT_MEASURES`` density built
-  with the spec's parameters, where the family has one.
+  with the spec's parameters, where the family has one;
+* ``berg_duran_check`` and ``verify_moment_problem`` once more on an equal
+  spec built anew, whose moment view nothing has grown, where the entries
+  above read the view that ``hankel_polynomial`` grew.
 
 Fractions are written as ``str`` and floats by ``repr``, and an exception as
 its type and message, so two such files from two source trees are equal
@@ -139,6 +142,11 @@ def _moment_check(nl, spec):
     return nl.verify_moment_problem(measure, spec, MOMENT_N_MAX)
 
 
+def _fresh(nl, spec):
+    """An equal spec built anew, so its checks grow its moment view themselves."""
+    return nl.SequenceSpec(spec.family, spec.strict, **spec.params)
+
+
 def _hankel_polynomials(nl, spec) -> List[object]:
     moments = nl.MomentSequence(spec)
     return [_guarded(lambda: nl.hankel_polynomial(moments, n))
@@ -155,6 +163,9 @@ def digest_spec(nl, spec, calls: List[list]) -> Dict[str, object]:
             "nevai_condition": _guarded(lambda: nl.nevai_condition(spec, NEVAI_N)),
             "poly_pair": _guarded(lambda: _monic_pair(spec)),
             "moment_check": _guarded(lambda: _moment_check(nl, spec)),
+            "fresh_berg_duran": _guarded(
+                lambda: nl.berg_duran_check(_fresh(nl, spec), BERG_N_MAX)),
+            "fresh_moment_check": _guarded(lambda: _moment_check(nl, _fresh(nl, spec))),
             "calls": [[name, *args, _guarded(lambda: _call(nl, spec, name, *args))]
                       for name, *args in calls]}
 
