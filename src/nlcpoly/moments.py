@@ -52,12 +52,11 @@ class MomentSequence:
     """The even moments of one sequence spec, made by the first
     ``MomentSequence(spec)`` and returned by every later call on the spec.
 
-    mu_{2n} = x_n! and mu_{2n+1} = 0, all Fractions.  A float sequence
-    rule multiplies its running product in floats, x_1, x_2, ... in order,
-    and each product is kept as the exact dyadic rational it is.  The
-    moments, one Chebyshev pass and its polynomials are kept behind a lock
-    and extended when a larger order is asked for, so concurrent readers
-    see value-identical prefixes and any order of calls costs one pass.
+    mu_{2n} = x_n! and mu_{2n+1} = 0 as Fractions (a float rule's float
+    running product x_1 x_2 ..., in order, as the dyadic rational it is).
+    Moments, pass and polynomials grow under a lock, so concurrent readers
+    see value-identical prefixes and any call order costs one pass.  Spec
+    and view refer to each other: all of it lives as long as the spec.
     """
 
     def __new__(cls, spec: SequenceSpec):
