@@ -18,8 +18,8 @@ from .moments import (  # noqa: F401
     bareiss_determinant, berg_duran_check, hankel_determinant, hankel_polynomial,
 )
 from .recurrence import (  # noqa: F401
-    RecurrenceCoeffs, monic_polynomials, monic_q_coefficients,
-    monic_q_polynomials, phi_value, phi_window,
+    monic_polynomials, monic_q_coefficients, monic_q_polynomials, phi_value,
+    phi_window,
 )
 from .spectral import (  # noqa: F401
     SpectralResult, SupportEndpoints, TruncatedJacobi, build_truncated,

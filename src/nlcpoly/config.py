@@ -48,8 +48,8 @@ CONFIG_KEYS = (
               lambda v: v in COMMANDS, True),
     ConfigKey("run", "n_max", "n_max", int, ">= 0", lambda v: v >= 0, True),
     ConfigKey("run", "order", "order", int, ">= 1", lambda v: v >= 1, True),
-    ConfigKey("run", "tolerance", "tolerance", float, f">= {MIN_TOLERANCE}",
-              lambda v: v >= MIN_TOLERANCE, True),
+    ConfigKey("run", "tolerance", "tolerance", float, f"in [{MIN_TOLERANCE}, 1)",
+              lambda v: MIN_TOLERANCE <= v < 1, True),
     ConfigKey("run", "seed", "seed", int, "an integer", lambda v: True),
     ConfigKey("run", "nevai_n_max", "nevai_n_max", int, f">= {MIN_NEVAI_N}",
               lambda v: v >= MIN_NEVAI_N),

@@ -13,14 +13,15 @@ given, and a running product that overflows raises PrecisionError where it
 is formed.  One pass of the exact Chebyshev algorithm (Gautschi,
 *Orthogonal Polynomials: Computation and Approximation*, 2004,
 section 2.1.7) turns mu_0 .. mu_{2n} into the recurrence coefficients
-P_{k+1} = x P_k - b_k P_{k-1} (a_k = 0, as the odd moments vanish) and the
+P_{k+1} = x P_k - b_k P_{k-1} (no diagonal term: odd moments vanish) and the
 pivots sigma_kk = <P_k, x^k> = D_k / D_{k-1} for k <= n, in O(n^2) exact
 operations.  D_n is then the running product of the pivots and P_n follows
 from the recurrence.  A spec has one MomentSequence, shared by all callers;
 it keeps its pass and grows it by one even moment per larger order, so D_0
 .. D_n asked in any order cost one O(n^2) pass.  The pass stops at a pivot
 that is exactly zero (a singular leading Hankel block); beyond it, Bareiss
-(fraction-free) elimination and bordered minors give the same quantities.
+(fraction-free) elimination on the two Stieltjes halves [s_{i+j}] and
+[s_{i+j+1}], s_k = mu_{2k}, gives the same, and no odd moment is formed.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ class MomentSequence:
     """The even moments of one sequence spec, made by the first
     ``MomentSequence(spec)`` and returned by every later call on the spec.
 
-    mu_{2n} = x_n! and mu_{2n+1} = 0 as Fractions (a float rule's float
-    running product x_1 x_2 ..., in order, as the dyadic rational it is).
+    mu_{2n} = x_n! as Fractions (a float rule's float running product
+    x_1 x_2 ..., in order, as the dyadic rational it is); mu_{2n+1} = 0.
     Moments, pass and polynomials grow under a lock, so concurrent readers
     see value-identical prefixes and any call order costs one pass.  Spec
     and view refer to each other: all of it lives as long as the spec.
@@ -91,17 +92,6 @@ class MomentSequence:
         self._extend(k + 1)
         return self._even[k]
 
-    def moment(self, m: int) -> Fraction:
-        """mu_m, including the vanishing odd orders."""
-        if m % 2 and m > 0:
-            return Fraction(0)
-        return self.even_moment(m // 2)
-
-    def hankel_matrix(self, n: int) -> list:
-        """(n+1) x (n+1) matrix [mu_{i+j}]."""
-        self._extend(n + 1)
-        return [[self.moment(i + j) for j in range(n + 1)] for i in range(n + 1)]
-
     def chebyshev(self, n: int) -> "ChebyshevPass":
         """The Chebyshev pass over mu_0 .. mu_{2n}, i.e. for k <= n.
 
@@ -114,12 +104,12 @@ class MomentSequence:
             return self._pass.grow_to(n, self.even_moment)
 
     def chebyshev_polynomials(self, n: int) -> List[list]:
-        """P_0 .. P_m (m = len(chebyshev(n).alpha)) as ascending coefficient
+        """P_0 .. P_m (m = len(chebyshev(n).beta)) as ascending coefficient
         lists, appended to the kept P_k by the recurrence's coefficient loop."""
         with self._lock:
-            cheb = self.chebyshev(n)
-            _extend_monic_polynomials(self._polys, cheb)
-            return [list(p) for p in self._polys[:len(cheb.alpha) + 1]]
+            beta = self.chebyshev(n).beta
+            _extend_monic_polynomials(self._polys, beta)
+            return [list(p) for p in self._polys[:len(beta) + 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -127,16 +117,16 @@ class MomentSequence:
 # ---------------------------------------------------------------------------
 
 class ChebyshevPass(NamedTuple):
-    """Recurrence data of the monic polynomials orthogonal for a moment list.
+    """Recurrence data of the monic polynomials orthogonal for an even
+    moment functional.
 
-    ``alpha[k]``, ``beta[k]`` give P_{k+1} = (x - a_k) P_k - b_k P_{k-1}
-    (b_0 = mu_0 multiplies P_{-1} = 0); ``pivots[k]`` is
-    sigma_kk = <P_k, x^k> = D_k / D_{k-1} and ``determinants[k]`` is
-    D_k = sigma_00 ... sigma_kk.  A pass that meets a zero pivot ends with
-    it: ``pivots`` and ``determinants`` then have one entry more than
-    ``alpha``.
+    ``beta[k]`` gives P_{k+1} = x P_k - b_k P_{k-1} (b_0 = mu_0 multiplies
+    P_{-1} = 0; the diagonal is zero, as the odd moments vanish);
+    ``pivots[k]`` is sigma_kk = <P_k, x^k> = D_k / D_{k-1} and
+    ``determinants[k]`` is D_k = sigma_00 ... sigma_kk.  A pass that meets
+    a zero pivot ends with it: ``pivots`` and ``determinants`` then have
+    one entry more than ``beta``.
     """
-    alpha: tuple
     beta: tuple
     pivots: tuple
     determinants: tuple
@@ -147,11 +137,10 @@ class _GrowingPass:
     moments, grown one even moment at a time.
 
     sigma_{k,l} = <P_k, x^l> obeys sigma_{k,l} = sigma_{k-1,l+1}
-    - a_{k-1} sigma_{k-1,l} - b_{k-1} sigma_{k-2,l}, with
-    b_k = sigma_kk/sigma_{k-1,k-1}.  The odd moments vanish, so every P_k
-    has the parity of k: a_k = 0 and sigma_{k,l} = 0 when k + l is odd.
-    The pass keeps only the other entries, sigma_{k,l} = sigma_{k-1,l+1}
-    - b_{k-1} sigma_{k-2,l} for l = k mod 2.  At order n row k reaches
+    - b_{k-1} sigma_{k-2,l}, with b_k = sigma_kk/sigma_{k-1,k-1}: the odd
+    moments vanish, so every P_k has the parity of k, the recurrence has
+    no diagonal term and sigma_{k,l} = 0 when k + l is odd.  The pass
+    keeps only the entries with l = k mod 2.  At order n row k reaches
     l = 2n-k; the next even moment mu_{2n+2} adds l = 2n+2-k to every row,
     in increasing k, and the last row it fills is the new row n+1.  The new
     entry reads that of row k-1 and the top entry that row k-2 had before
@@ -161,7 +150,6 @@ class _GrowingPass:
     """
 
     def __init__(self):
-        self.alpha: list = []
         self.beta: list = []
         self.pivots: list = []
         self.determinants: list = []
@@ -170,11 +158,11 @@ class _GrowingPass:
     def grow_to(self, n: int, even_moment) -> ChebyshevPass:
         """Grow to order n, reading mu_{2k} as ``even_moment(k)``, and
         return the pass for k <= n as far as it went."""
-        # a zero pivot leaves alpha one entry short and ends the growth
-        while len(self.pivots) <= n and len(self.alpha) == len(self.pivots):
+        # a zero pivot leaves beta one entry short and ends the growth
+        while len(self.pivots) <= n and len(self.beta) == len(self.pivots):
             self._grow(even_moment(len(self.pivots)))
-        return ChebyshevPass(tuple(self.alpha[:n + 1]), tuple(self.beta[:n + 1]),
-                             tuple(self.pivots[:n + 1]), tuple(self.determinants[:n + 1]))
+        return ChebyshevPass(tuple(self.beta[:n + 1]), tuple(self.pivots[:n + 1]),
+                             tuple(self.determinants[:n + 1]))
 
     def _grow(self, even) -> None:
         """Take mu_{2n+2} and add row n+1, where n + 1 is the number of
@@ -191,7 +179,6 @@ class _GrowingPass:
             pivot * self.determinants[-1] if self.determinants else pivot)
         if pivot == 0:
             return
-        self.alpha.append(Fraction(0))
         # sigma_{-1,-1} = 1 starts the pass at k = 0
         self.beta.append(pivot / old[-1] if old else pivot)
 
@@ -236,12 +223,22 @@ class HankelResult(NamedTuple):
     precision_bits: Optional[int] = None
 
 
+def _stieltjes_determinant(moments: MomentSequence, shift: int, size: int) -> Fraction:
+    """det [s_{i+j+shift}], 0 <= i, j < size, with s_k = mu_{2k}, by Bareiss
+    elimination (1 at size 0)."""
+    s = moments.even_moment
+    return bareiss_determinant([[s(i + j + shift) for j in range(size)] for i in range(size)])
+
+
 def hankel_determinant(moments: MomentSequence, n: int) -> HankelResult:
     """D_n = det [mu_{i+j}], 0 <= i, j <= n.
 
     Positive for every moment sequence of a measure with infinite support.
-    The running product of the Chebyshev pivots sigma_00 .. sigma_nn, or
-    Bareiss elimination when an earlier pivot is zero; exact either way.
+    The running product of the Chebyshev pivots sigma_00 .. sigma_nn, exact.
+    Past a zero pivot, the rows and columns of even and of odd index split
+    [mu_{i+j}] into the two Stieltjes halves (Chihara 1978, ch. I):
+    D_n = H0 H1 with H0 = det [s_{i+j}] of size floor(n/2) + 1 and
+    H1 = det [s_{i+j+1}] of size ceil(n/2), both by Bareiss elimination.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
@@ -249,7 +246,8 @@ def hankel_determinant(moments: MomentSequence, n: int) -> HankelResult:
     if len(determinants) == n + 1:
         value = determinants[n]
     else:
-        value = bareiss_determinant(moments.hankel_matrix(n))
+        value = (_stieltjes_determinant(moments, 0, n // 2 + 1)
+                 * _stieltjes_determinant(moments, 1, (n + 1) // 2))
     return HankelResult(n, value, value > 0)
 
 
@@ -261,9 +259,12 @@ def hankel_polynomial(moments: MomentSequence, n: int) -> list:
     divided by D_{n-1}; it is computed from the three-term recurrence of one
     Chebyshev pass over mu_0 .. mu_{2n-1}.  When a pivot sigma_kk with
     k < n - 1 is exactly zero the recurrence breaks down although P_n may
-    still exist; coefficient j is then the signed n x n minor that deletes
-    power column j, divided by D_{n-1}, both by Bareiss elimination.
-    D_{n-1} = 0 raises DegenerateMomentsError, a ZeroDivisionError.
+    still exist.  D_{n-1} = 0 raises DegenerateMomentsError, a
+    ZeroDivisionError; otherwise P_n = x^r A(x^2) with r = n mod 2, and the
+    monic A of degree m = floor(n/2) is orthogonal to 1 .. x^(m-1) for
+    s_{k+r}: coefficient j is the signed m x m minor of the m x (m+1)
+    matrix [s_{i+j+r}] that deletes column j, divided by the last one, all
+    by Bareiss elimination.
 
     On the even moments x_n! this equals the rescaled recurrence polynomial
     2^(n/2) q_n(x/sqrt 2) only for n <= 2; from degree 3 on the two families
@@ -275,16 +276,16 @@ def hankel_polynomial(moments: MomentSequence, n: int) -> list:
     polys = moments.chebyshev_polynomials(n - 1)
     if len(polys) == n + 1:
         return polys[n]
-    d_prev = bareiss_determinant(moments.hankel_matrix(n - 1))
-    if d_prev == 0:
+    if hankel_determinant(moments, n - 1).value == 0:
         raise DegenerateMomentsError(
             f"degenerate moment sequence: D_{n - 1} = 0, no monic polynomial of degree {n}")
-    rows = [[moments.moment(i + j) for j in range(n + 1)] for i in range(n)]
-    coeffs = []
-    for k in range(n + 1):
-        minor = [[row[j] for j in range(n + 1) if j != k] for row in rows]
-        cof = bareiss_determinant(minor)
-        coeffs.append((-1) ** (n + k) * cof / d_prev)
+    r, m = n % 2, n // 2
+    rows = [[moments.even_moment(i + j + r) for j in range(m + 1)] for i in range(m)]
+    minors = [bareiss_determinant([row[:j] + row[j + 1:] for row in rows])
+              for j in range(m + 1)]
+    coeffs = [Fraction(0)] * (n + 1)
+    for j, minor in enumerate(minors):
+        coeffs[2 * j + r] = (-1) ** (m + j) * minor / minors[-1]
     return coeffs
 
 
@@ -310,7 +311,8 @@ def berg_duran_check(spec: SequenceSpec, n_max: int, order: int = 8) -> BergDura
     determinants of [s_{i+j}] and of the shifted [s_{i+j+1}] up to order
     floor(n_max / 2), all sizes of [s_{i+j}] first, from the pivots of the
     spec's shared Chebyshev pass (MomentSequence), and past a zero pivot by
-    Bareiss elimination.  Both verdicts are reported; neither is an error.
+    Bareiss elimination on the half itself.  Both verdicts are reported;
+    neither is an error.
 
     List-backed sequences with fewer than n_max + order + 1 values are
     scanned over the range they can support (see ``effective_n_max``).
@@ -324,7 +326,6 @@ def berg_duran_check(spec: SequenceSpec, n_max: int, order: int = 8) -> BergDura
 
     top = n_max // 2
     moments = MomentSequence(spec)
-    s = moments.even_moment
     # with mu_{2k} = s_k, D_{2k} = H0_k H1_{k-1} and D_{2k+1} = H0_k H1_k for
     # H0_k = det [s_{i+j}] and H1_k = det [s_{i+j+1}] of size k + 1 (Chihara
     # 1978, ch. I), so pivot 2k + shift of the even functional is the pivot
@@ -338,8 +339,7 @@ def berg_duran_check(spec: SequenceSpec, n_max: int, order: int = 8) -> BergDura
         index = 2 * size - 2 + shift
         if index < len(pivots):
             return pivots[index] > 0
-        return bareiss_determinant(
-            [[s(i + j + shift) for j in range(size)] for i in range(size)]) > 0
+        return _stieltjes_determinant(moments, shift, size) > 0
 
     first_bad = next(((shift, size) for shift in (0, 1) for size in range(1, top + 1)
                       if not positive(shift, size)), None)

@@ -1,4 +1,4 @@
-"""Recurrence-generated polynomials: orthonormal, monic, general and Pollaczek.
+"""Recurrence-generated polynomials: orthonormal and monic.
 
 The orthonormal family attached to a sequence spec satisfies
 
@@ -12,19 +12,20 @@ and the two are linked by q_n = sqrt(x_n! / 2^n) phi_n.  Forward recurrence
 only: in the oscillatory region it is well conditioned, and zeros come from
 the spectral module, not from polynomial root hunting.
 
-The monic recurrence P_{k+1} = (x - a_k) P_k - b_k P_{k-1} has one
-kernel, :func:`monic_polynomials`, which gives coefficients and serves q_n
-(a_k = 0, b_k = x_k / 2) and the determinant polynomials of a moment
-sequence (the a_k, b_k of its Chebyshev pass).  A value q_n(x), n >= 1, is
-``spectral.char_poly`` of the order-n truncation, which runs the same
-recurrence on numbers; the coefficient kernel is its independent check.
+Every recurrence here is symmetric (zero diagonal), and the monic one,
+P_{k+1} = x P_k - b_k P_{k-1}, has one kernel, :func:`monic_polynomials`,
+which gives coefficients and serves q_n (b_k = x_k / 2) and the determinant
+polynomials of an even moment sequence (the b_k of its Chebyshev pass).
+A value q_n(x), n >= 1, is ``spectral.char_poly`` of the order-n
+truncation, which runs the same recurrence on numbers; the coefficient
+kernel is its independent check.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, NamedTuple, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -85,39 +86,23 @@ def phi_window(spec: SequenceSpec, n_lo: int, n_hi: int, x: float) -> np.ndarray
     return _window(np.sqrt(x_floats(spec, n_hi) / 2.0).tolist(), n_lo, x)
 
 
-class RecurrenceCoeffs(NamedTuple("_Coeffs", [("alpha", tuple), ("beta", tuple)])):
-    """Monic three-term recurrence data x P_n = P_{n+1} + alpha_n P_n + beta_n P_{n-1};
-    beta[0] is unused in the recurrence (beta_0 P_{-1} := 0)."""
-    __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
-
-    def __new__(cls, alpha: tuple, beta: tuple):
-        if any(b <= 0 for b in beta[1:]):
-            raise ValueError("beta_n must be positive for n >= 1")
-        return super().__new__(cls, alpha, beta)
-
-
-def monic_polynomials(coeffs: RecurrenceCoeffs, one) -> List[list]:
-    """P_0 .. P_m (m = len(coeffs.alpha)) as ascending coefficient lists from
-    one pass of the monic recurrence, with P_0 = ``one``, in the arithmetic
-    of the inputs.  ``coeffs`` is anything with ``alpha`` and ``beta``, such
-    as a :class:`RecurrenceCoeffs` or a Chebyshev pass."""
+def monic_polynomials(beta: Sequence, one) -> List[list]:
+    """P_0 .. P_m (m = len(beta)) as ascending coefficient lists from one
+    pass of P_{k+1} = x P_k - b_k P_{k-1}, with P_0 = ``one``, in the
+    arithmetic of the inputs; ``beta`` is b_0 .. b_{m-1} (b_0 multiplies
+    P_{-1} = 0)."""
     polys = [[one]]
-    _extend_monic_polynomials(polys, coeffs)
+    _extend_monic_polynomials(polys, beta)
     return polys
 
 
-def _extend_monic_polynomials(polys: List[list], coeffs: RecurrenceCoeffs) -> None:
-    """Append P_{m+1} .. P_{len(coeffs.alpha)} to ``polys`` = [P_0, ..., P_m]
-    in place: the coefficient loop of :func:`monic_polynomials`."""
+def _extend_monic_polynomials(polys: List[list], beta: Sequence) -> None:
+    """Append P_{m+1} .. P_{len(beta)} to ``polys`` = [P_0, ..., P_m] in
+    place: the coefficient loop of :func:`monic_polynomials`."""
     zero = polys[0][0] - polys[0][0]
-    for k in range(len(polys) - 1, len(coeffs.alpha)):
-        a, b = coeffs.alpha[k], coeffs.beta[k]
-        cur = polys[k]
-        nxt = [zero] + cur  # x P_k
-        if a:  # a_k = 0 for q_n and every even moment functional
-            for i, c in enumerate(cur):
-                nxt[i] -= a * c
+    for k in range(len(polys) - 1, len(beta)):
+        b = beta[k]
+        nxt = [zero] + polys[k]  # x P_k
         for i, c in enumerate(polys[k - 1] if k else ()):
             nxt[i] -= b * c
         polys.append(nxt)
@@ -133,7 +118,7 @@ def monic_q_polynomials(spec: SequenceSpec, n: int) -> List[list]:
         xs, one = [x_value(spec, k) for k in range(1, n)], Fraction(1)
     else:
         xs, one = x_floats(spec, max(n - 1, 0)).tolist(), 1.0
-    return monic_polynomials(RecurrenceCoeffs((0,) * n, (0, *(x / 2 for x in xs))), one)
+    return monic_polynomials((0, *(x / 2 for x in xs))[:n], one)
 
 
 def monic_q_coefficients(spec: SequenceSpec, n: int) -> list:

@@ -290,6 +290,8 @@ OUTPUT = "[output]\ndir = {out}\nprefix = t\n"
     (CANONICAL + "[run]\namplitude_window = 2000\n" + OUTPUT, []),
     (CANONICAL + "[run]\nnevai_n_max = 5\n" + OUTPUT, []),
     (CANONICAL + "[run]\ntolerance = 1e-16\n" + OUTPUT, []),
+    (CANONICAL + "[run]\ntolerance = inf\n" + OUTPUT, []),
+    (CANONICAL + "[run]\ntolerance = 1\n" + OUTPUT, []),
     (SU11 + "[run]\ncommand = amplitude\namplitude_points = 1.5\n" + OUTPUT, []),
     (SU11 + "[run]\ncommand = amplitude\namplitude_window = 4000,2000\n" + OUTPUT, []),
     (CANONICAL + "[output]\ndir =\n", []),
@@ -306,11 +308,13 @@ OUTPUT = "[output]\ndir = {out}\nprefix = t\n"
      + OUTPUT, []),
     (CANONICAL + OUTPUT, ["--n-max", "abc"]),
     (CANONICAL + OUTPUT, ["--command", "nope"]),
+    (CANONICAL + OUTPUT, ["--tolerance", "1e300"]),
 ], ids=["n_max_abc", "tolerance_x", "points_a", "window_one_value", "nevai_n_max_5",
-        "tolerance_1e-16", "point_1.5", "window_reversed", "empty_dir", "no_section_header",
-        "duplicate_key", "duplicate_section", "run_key_typo", "output_key_typo",
-        "unknown_section", "nameless_measure", "sequence_name", "measure_family",
-        "sequence_strict", "flag_n_max_abc", "flag_command_nope"])
+        "tolerance_1e-16", "tolerance_inf", "tolerance_1", "point_1.5", "window_reversed",
+        "empty_dir", "no_section_header", "duplicate_key", "duplicate_section",
+        "run_key_typo", "output_key_typo", "unknown_section", "nameless_measure",
+        "sequence_name", "measure_family", "sequence_strict", "flag_n_max_abc",
+        "flag_command_nope", "flag_tolerance_1e300"])
 def test_every_bad_config_exits_2_before_writing(tmp_path, capsys, text, flags):
     # each key is read and range-checked at load, so nothing is written
     out = tmp_path / "out"
@@ -319,6 +323,17 @@ def test_every_bad_config_exits_2_before_writing(tmp_path, capsys, text, flags):
     assert err.startswith("config error:")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tolerance, code", [("1e-11", 1), ("0.999", 1), ("1", 2),
+                                             ("1e300", 2), ("inf", 2)])
+def test_a_mismatched_measure_never_passes_by_its_tolerance(tmp_path, tolerance, code):
+    # su11 j = 3/2 against the Gaussian fails at every accepted tolerance; at
+    # a relative tolerance >= 1 the quadrature would call its third level
+    # converged whatever its error and the check would read PASS
+    text = SU11 + "[measure]\nname = gaussian_radial\n[run]\ncommand = verify-measure\n" + OUTPUT
+    path = write_config(tmp_path, text.format(out=tmp_path / "out"))
+    assert main([path, "--tolerance", tolerance]) == code
 
 
 def test_non_utf8_config_exits_2_before_writing(tmp_path, capsys):

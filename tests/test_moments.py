@@ -22,9 +22,8 @@ from test_acceptance import RATIONAL_FAMILIES
 
 def test_moments_normalized_and_even(canonical):
     ms = MomentSequence(canonical)
-    assert ms.moment(0) == 1
-    assert ms.moment(1) == 0 and ms.moment(7) == 0
-    assert ms.moment(4) == 2  # x_2! = 2
+    assert ms.even_moment(0) == 1
+    assert ms.even_moment(2) == 2  # mu_4 = x_2! = 2
 
 
 def test_moments_match_partial_products(su11_j1):
@@ -84,13 +83,11 @@ def test_threads_creating_the_view_at_once_get_one_object(monkeypatch):
     assert views[0].chebyshev(3) == MomentSequence(_twin(spec)).chebyshev(3)
 
 
-@pytest.mark.parametrize("method", ["moment", "chebyshev", "chebyshev_polynomials",
-                                    "hankel_matrix"])
+@pytest.mark.parametrize("method", ["even_moment", "chebyshev", "chebyshev_polynomials"])
 def test_negative_orders_raise(canonical, method):
     ms = MomentSequence(canonical)
     with pytest.raises(ValueError, match="nonnegative"):
         getattr(ms, method)(-1)
-    assert ms.moment(1) == 0  # a positive odd order still vanishes
 
 
 def test_kept_chebyshev_pass_is_consistent_across_threads():
@@ -137,13 +134,18 @@ def _hankel_of(even, n):
             for i in range(n + 1)]
 
 
+def _full_hankel(ms, n):
+    """The full (n+1) x (n+1) matrix [mu_{i+j}], its zero odd moments
+    included, which the library never forms (oracle)."""
+    return _hankel_of([ms.even_moment(k) for k in range(n + 1)], n)
+
+
 @pytest.mark.parametrize("spec", FLOAT_SPECS, ids=lambda s: s.family)
 def test_float_moments_are_the_lifted_running_products(spec):
     ms = MomentSequence(spec)
     even = [ms.even_moment(k) for k in range(30)]
     assert even == _lifted_float_moments(spec, 30)
     assert all(type(mu) is Fraction for mu in even)
-    assert ms.moment(5) == 0 and type(ms.moment(5)) is Fraction
 
 
 # -- determinants ----------------------------------------------------------------
@@ -174,7 +176,7 @@ def test_hankel_positive_through_order_8(spec):
 def test_bareiss_matches_cofactor_oracle_on_moments(canonical):
     ms = MomentSequence(canonical)
     for n in range(6):
-        matrix = ms.hankel_matrix(n)
+        matrix = _full_hankel(ms, n)
         assert bareiss_determinant(matrix) == det_cofactor(matrix)
 
 
@@ -267,7 +269,8 @@ def test_hankel_polynomial_is_orthogonal_by_construction(canonical):
     for n in range(1, 7):
         coeffs = hankel_polynomial(ms, n)
         for k in range(n):
-            inner = sum(c * ms.moment(i + k) for i, c in enumerate(coeffs))
+            inner = sum(c * ms.even_moment((i + k) // 2)
+                        for i, c in enumerate(coeffs) if (i + k) % 2 == 0)
             assert inner == 0
 
 
@@ -296,11 +299,12 @@ def test_hankel_polynomial_differs_from_recurrence_polynomial_beyond_degree_two(
 # -- Chebyshev pass against Bareiss elimination ------------------------------------
 
 def _bordered_polynomial(ms, n):
-    """P_n as n+1 signed bordered minors over D_{n-1}, all by Bareiss (oracle)."""
-    d_prev = bareiss_determinant(ms.hankel_matrix(n - 1))
+    """P_n as n+1 signed bordered minors of the full-size [mu_{i+j}] over
+    D_{n-1}, all by Bareiss (oracle)."""
+    d_prev = bareiss_determinant(_full_hankel(ms, n - 1))
     if d_prev == 0:
         raise ZeroDivisionError("D_{n-1} = 0")
-    rows = [[ms.moment(i + j) for j in range(n + 1)] for i in range(n)]
+    rows = _full_hankel(ms, n)[:n]
     return [(-1) ** (n + k) * bareiss_determinant(
                 [[row[j] for j in range(n + 1) if j != k] for row in rows]) / d_prev
             for k in range(n + 1)]
@@ -309,44 +313,60 @@ def _bordered_polynomial(ms, n):
 def _bareiss_pass(spec, n):
     """The Chebyshev pass for k <= n from Bareiss determinants of a fresh
     moment sequence (oracle): sigma_kk = D_k / D_{k-1}, b_k = sigma_kk /
-    sigma_{k-1,k-1} and a_k = 0, ending with the first zero pivot."""
+    sigma_{k-1,k-1}, ending with the first zero pivot."""
     ms = MomentSequence(_twin(spec))
     dets, pivots = [], []
     for k in range(n + 1):
-        dets.append(bareiss_determinant(ms.hankel_matrix(k)))
+        dets.append(bareiss_determinant(_full_hankel(ms, k)))
         pivots.append(dets[-1] / (dets[-2] if k else 1))
         if not pivots[-1]:
             break
     beta = [p / q for p, q in zip(pivots, [1] + pivots) if p]
-    return ChebyshevPass((0,) * len(beta), tuple(beta), tuple(pivots), tuple(dets))
+    return ChebyshevPass(tuple(beta), tuple(pivots), tuple(dets))
 
 
-@pytest.mark.parametrize("spec, stop", [(spec, None) for spec in catalog_specs()] + [
-    # x_1 = x_2 = 3 makes the pivot sigma_22 vanish
-    (SequenceSpec("rational", num=[5, 0, 1], den=[1, 1]), 2),
-    (SequenceSpec("rational", num=[3, -2, 1], den=[1, 0, 1]), 3),
-], ids=[*(spec.family for spec in catalog_specs()), "n2_plus_5_over_n_plus_1",
-        "n2_minus_2n_plus_3_over_n2_plus_1"])
+# rational specs whose Chebyshev pass stops at a zero pivot (x_1 = x_2 = 3
+# makes sigma_22 vanish in the first), with their stop
+STOP_SPECS = [(SequenceSpec("rational", num=[5, 0, 1], den=[1, 1]), 2),
+              (SequenceSpec("rational", num=[3, -2, 1], den=[1, 0, 1]), 3)]
+
+
+@pytest.mark.parametrize("spec, stop", [(spec, None) for spec in catalog_specs()] + STOP_SPECS,
+                         ids=[*(spec.family for spec in catalog_specs()),
+                              "n2_plus_5_over_n_plus_1", "n2_minus_2n_plus_3_over_n2_plus_1"])
 def test_parity_pass_matches_bareiss(spec, stop):
     # the pass keeps only the sigma_{k,l} with k + l even; its pivots, b_k and
     # D_k equal the Bareiss determinants' through order 12 or its zero pivot
-    # sigma_{stop,stop}, and past that pivot hankel_determinant continues by
-    # Bareiss
+    # sigma_{stop,stop}; past that pivot hankel_determinant and
+    # hankel_polynomial continue on the two Stieltjes halves, which the
+    # full-size determinants and bordered minors check
     ms = MomentSequence(_twin(spec))
     cheb, bareiss = ms.chebyshev(12), _bareiss_pass(spec, 12)
     assert cheb == bareiss and type(cheb) is type(bareiss)
     assert len(cheb.pivots) == (13 if stop is None else stop + 1)
-    assert all(a == 0 for a in cheb.alpha)
+    assert len(cheb.beta) == len(cheb.pivots) - (stop is not None)
     assert stop is None or cheb.pivots[-1] == 0
     for n in range(13):
-        assert hankel_determinant(ms, n).value == bareiss_determinant(ms.hankel_matrix(n)), n
+        assert hankel_determinant(ms, n).value == bareiss_determinant(_full_hankel(ms, n)), n
+    fallback = set()
+    for n in range(1, 13):
+        try:
+            expected = _bordered_polynomial(ms, n)
+        except ZeroDivisionError:
+            with pytest.raises(DegenerateMomentsError, match=f"D_{n - 1} = 0"):
+                hankel_polynomial(ms, n)
+            continue
+        assert hankel_polynomial(ms, n) == expected, n
+        if stop is not None and n > stop + 1:
+            fallback.add(n % 2)
+    assert fallback == (set() if stop is None else {0, 1})  # both halves
 
 
 @pytest.mark.parametrize("spec", RATIONAL_FAMILIES, ids=lambda s: s.family)
 def test_chebyshev_path_matches_bareiss_through_order_16(spec):
     ms = MomentSequence(_twin(spec))
     for n in range(17):
-        assert hankel_determinant(ms, n).value == bareiss_determinant(ms.hankel_matrix(n)), n
+        assert hankel_determinant(ms, n).value == bareiss_determinant(_full_hankel(ms, n)), n
         if n:
             assert hankel_polynomial(ms, n) == _bordered_polynomial(ms, n), n
 
@@ -373,10 +393,10 @@ def test_kept_chebyshev_pass_serves_shorter_orders(spec):
     for n in range(13):
         fresh = MomentSequence(_twin(spec)).chebyshev(n)
         assert shared.chebyshev(n) == fresh and type(shared.chebyshev(n)) is type(fresh)
-        assert shared.chebyshev_polynomials(n) == monic_polynomials(fresh, Fraction(1))
+        assert shared.chebyshev_polynomials(n) == monic_polynomials(fresh.beta, Fraction(1))
     shared.chebyshev_polynomials(3)[2][0] = "changed"  # callers get copies
     assert shared.chebyshev_polynomials(3) == monic_polynomials(
-        MomentSequence(_twin(spec)).chebyshev(3), Fraction(1))
+        MomentSequence(_twin(spec)).chebyshev(3).beta, Fraction(1))
 
 
 def test_kept_pass_keeps_the_zero_pivot_stop():
@@ -384,7 +404,7 @@ def test_kept_pass_keeps_the_zero_pivot_stop():
     assert ms.chebyshev(4).pivots == (1, 1, 0)
     fresh = MomentSequence(_twin(ms.spec)).chebyshev(1)
     assert ms.chebyshev(1) == fresh and type(ms.chebyshev(1)) is type(fresh)
-    assert ms.chebyshev(2).pivots == (1, 1, 0) and len(ms.chebyshev(2).alpha) == 2
+    assert ms.chebyshev(2).pivots == (1, 1, 0) and len(ms.chebyshev(2).beta) == 2
     with pytest.raises(DegenerateMomentsError, match="D_3 = 0"):
         hankel_polynomial(ms, 4)
 
@@ -405,7 +425,7 @@ def test_kept_pass_is_the_same_under_any_call_order(spec, orders):
         one_shot = _bareiss_pass(spec, n)
         passes = (shared.chebyshev(n), one_shot, fresh.chebyshev(n))
         assert passes[0] == one_shot == passes[2] and len(set(map(type, passes))) == 1, n
-        assert shared.chebyshev_polynomials(n) == monic_polynomials(one_shot, Fraction(1)), n
+        assert shared.chebyshev_polynomials(n) == monic_polynomials(one_shot.beta, Fraction(1)), n
         dets = (hankel_determinant(shared, n), hankel_determinant(MomentSequence(_twin(spec)), n))
         assert dets[0] == dets[1] and type(dets[0]) is type(dets[1]), n
         if n:
@@ -415,11 +435,11 @@ def test_kept_pass_is_the_same_under_any_call_order(spec, orders):
 
 def test_kept_pass_grown_one_order_at_a_time_keeps_its_stop():
     spec = SequenceSpec("explicit", values=[1, 1, 2, 3, 4, 5])
-    d4 = bareiss_determinant(MomentSequence(_twin(spec)).hankel_matrix(4))
+    d4 = bareiss_determinant(_full_hankel(MomentSequence(_twin(spec)), 4))
     ms = MomentSequence(spec)
     for n in range(6):
         assert ms.chebyshev(n).pivots == (1, 1, 0)[:n + 1], n
-        assert len(ms.chebyshev(n).alpha) == min(n + 1, 2), n
+        assert len(ms.chebyshev(n).beta) == min(n + 1, 2), n
     assert hankel_determinant(ms, 4).value == d4 == -1
 
 
@@ -443,6 +463,10 @@ def _atom_ratios(atoms, count):
 # sigma_55 (shift 1, size 3), and shift 0 at size 4 is left to Bareiss
 FIVE_ATOMS = _atom_ratios((-1, 1, 2, 3, 4), 40)
 THREE_ATOMS = _atom_ratios((0, 1, 2), 40)
+# s = 1, 1, 2, 4, 9, 27, ...: [s_{i+j+1}] is singular at size 2 (the zero
+# pivot sigma_33), and at size 3 [s_{i+j}] is positive (1) where the shifted
+# [s_{i+j+1}] is not (-1), so only the right half past the pivot gives (1, 2)
+ODD_STOP = [1, 2, 2, Fraction(9, 4), 3] + list(range(4, 12))
 
 
 @pytest.mark.parametrize("values, n_max", [
@@ -453,8 +477,9 @@ THREE_ATOMS = _atom_ratios((0, 1, 2), 40)
     (THREE_ATOMS, 7),  # sizes to 3: the zero pivot sigma_55 is the first bad
     (THREE_ATOMS, 8),
     (THREE_ATOMS, 16),
+    (ODD_STOP, 6),
 ], ids=["nonmonotone", "constant", "shifted", "five_atoms", "three_atoms_7", "three_atoms_8",
-        "three_atoms_16"])
+        "three_atoms_16", "odd_stop"])
 def test_berg_duran_first_nonpositive_hankel_matches_bareiss_loop(values, n_max):
     report = berg_duran_check(SequenceSpec("explicit", values=values), n_max, 6)
     s = [Fraction(1)]
@@ -471,6 +496,9 @@ def test_berg_duran_first_nonpositive_hankel_matches_bareiss_loop(values, n_max)
         pivots = MomentSequence(SequenceSpec("explicit", values=values)).chebyshev(8).pivots
         assert len(pivots) == 6 and pivots[5] == 0
         assert expected == ((1, 3) if n_max < 8 else (0, 4))
+    if values is ODD_STOP:
+        assert MomentSequence(SequenceSpec("explicit", values=values)).chebyshev(3).pivots[3] == 0
+        assert (report.effective_n_max, expected) == (6, (1, 2))
 
 
 @pytest.mark.parametrize("count, n_max, order", [(1, 0, 0), (2, 0, 1), (3, 1, 1), (4, 1, 2)])

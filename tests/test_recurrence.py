@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nlcpoly import (
-    MomentSequence, RecurrenceCoeffs, SequenceSpec, bareiss_determinant, build_truncated,
+    MomentSequence, SequenceSpec, bareiss_determinant, build_truncated,
     char_poly, monic_polynomials, monic_q_coefficients, monic_q_polynomials, phi_value,
     phi_window, x_float, x_value,
 )
@@ -179,15 +179,14 @@ def test_monic_orthonormal_scale_relation(spec):
                 scale * phi_value(spec, n, x), rel=1e-12, abs=1e-13), (spec.family, n, x)
 
 
-# -- general recurrence ---------------------------------------------------------------
+# -- monic recurrence kernel ---------------------------------------------------------
 
 @pytest.mark.parametrize("spec", catalog_specs()[:5], ids=lambda s: s.family)
 def test_general_on_half_x_matches_char_poly(spec):
     # a_k = 0, b_k = x_k/2 is the shift recurrence; char_poly is its
     # determinant loop, so the coefficients agree with it exactly at
     # rational points
-    coeffs = RecurrenceCoeffs((0,) * 12, (0, *(x_value(spec, k) / 2 for k in range(1, 12))))
-    polys = monic_polynomials(coeffs, Fraction(1))
+    polys = monic_polynomials((0, *(x_value(spec, k) / 2 for k in range(1, 12))), Fraction(1))
     rng = random.Random(41)
     for n in range(1, 13):
         truncation = build_truncated(spec, n)
@@ -197,46 +196,27 @@ def test_general_on_half_x_matches_char_poly(spec):
 
 
 def test_coefficient_kernel_agrees_with_the_jacobi_determinant():
-    # nonzero a_k exercise the term that q_n and even moments never use;
-    # P_n(x) = det(xI - J_n), J_n with a_k on the diagonal, 1 above it and
+    # b_k of both signs, as an indefinite Chebyshev pass gives them;
+    # P_n(x) = det(xI - J_n), J_n with 0 on the diagonal, 1 above it and
     # b_k below it
     rng = random.Random(43)
-    alpha = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(10)]
-    beta = [0] + [Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(9)]
-    coeffs = RecurrenceCoeffs(tuple(alpha), tuple(beta))
-    polys = monic_polynomials(coeffs, Fraction(1))
+    beta = [0] + [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+                  for _ in range(9)]
+    assert min(beta) < 0 < max(beta)
+    polys = monic_polynomials(beta, Fraction(1))
     assert len(polys) == 11
     for n, poly in enumerate(polys):
         assert len(poly) == n + 1 and poly[-1] == 1
         for x in (Fraction(-3, 2), Fraction(0), Fraction(2, 7)):
-            matrix = [[x - alpha[i] if j == i else -1 if j == i + 1
+            matrix = [[x if j == i else -1 if j == i + 1
                        else -beta[i] if j == i - 1 else 0 for j in range(n)]
                       for i in range(n)]
             assert horner(poly, x) == bareiss_determinant(matrix), (n, x)
 
 
-def test_general_first_step():
-    coeffs = RecurrenceCoeffs((Fraction(1, 3),), (Fraction(0),))
-    assert monic_polynomials(coeffs, Fraction(1))[1] == [Fraction(-1, 3), 1]
-
-
 def test_general_chebyshev_like_value():
-    coeffs = RecurrenceCoeffs((0, 0, 0), (0, Fraction(1, 4), Fraction(1, 4)))
-    p3 = monic_polynomials(coeffs, Fraction(1))[3]
+    p3 = monic_polynomials((0, Fraction(1, 4), Fraction(1, 4)), Fraction(1))[3]
     assert p3 == [0, Fraction(-1, 2), 0, 1] and horner(p3, 1) == Fraction(1, 2)
-
-
-def test_beta_positivity_enforced():
-    with pytest.raises(ValueError):
-        RecurrenceCoeffs((0, 0), (0, -1))
-
-
-def test_replace_checks_beta_positivity():
-    coeffs = RecurrenceCoeffs((0, 0), (0, 1))
-    assert coeffs._replace(beta=(0, 2)) == ((0, 0), (0, 2))
-    assert type(coeffs._replace(beta=(0, 2))) is RecurrenceCoeffs
-    with pytest.raises(ValueError):
-        coeffs._replace(beta=(0, 0))
 
 
 # -- Pollaczek ---------------------------------------------------------------------------

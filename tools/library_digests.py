@@ -11,9 +11,13 @@ the exact and float spec lists of ``tests/test_sequences.py`` and
 ``test_sequences.VIOLATOR_SPECS``, whose claims the checks leave to their
 scans, ``test_sequences.LONG_LIST_SPEC``, a list-backed spec with a
 finite limit, whose ``x_minus_limit`` and Nevai deviations read its float
-view, and ``test_moments.THREE_ATOMS``, the ratios of uniform mass on
-{0, 1, 2}, whose Chebyshev pass ends at a zero pivot. For each spec
-OUT.json holds:
+view, ``test_moments.THREE_ATOMS``, the ratios of uniform mass on
+{0, 1, 2}, whose Chebyshev pass ends at a zero pivot with every later
+determinant zero, and three specs whose pass ends at a zero pivot with
+later determinants that are not zero, so that ``hankel_determinant`` and
+``hankel_polynomial`` continue past it: the explicit ``1, 1, 2, 3, 4, 5``
+and the two rational ``test_moments.STOP_SPECS``. For each spec OUT.json
+holds:
 
 * ``x_value`` as ``str`` and ``x_float`` as ``repr`` for n <= 2000 (or up
   to the length of a list-backed spec);
@@ -191,7 +195,9 @@ def main(argv: List[str]) -> int:
     tests = [*ts.PAIR_SPECS, *ts.Q_SPECS, *(s for s, _ in ts.FLOAT_FORMULAS),
              *ts.FLOAT_VIEW_SPECS, *test_moments.FLOAT_SPECS,
              *(spec for spec in ts.VIOLATOR_SPECS if spec.is_rational), ts.LONG_LIST_SPEC,
-             nl.SequenceSpec("explicit", values=test_moments.THREE_ATOMS)]
+             nl.SequenceSpec("explicit", values=test_moments.THREE_ATOMS),
+             nl.SequenceSpec("explicit", values=[1, 1, 2, 3, 4, 5]),
+             *(spec for spec, _ in test_moments.STOP_SPECS)]
     for spec in tests:
         label = f"tests/{spec!r}" + ("" if spec.strict else " strict=False")
         if label not in digests:
